@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .gf2 import BitMatrix, BitVector, min_weight_codeword, nullspace, rank
+from .gf2 import BitMatrix, BitVector, Echelon, min_weight_codeword, nullspace, rank
 from .pauli import PauliString, commutes
 
 
@@ -219,23 +219,6 @@ def _symplectic_form(u: int, v: int, n: int) -> int:
     return ((ux & vz).bit_count() + (uz & vx).bit_count()) % 2
 
 
-def _reduce_mod(vec: int, echelon: list[tuple[int, int]]) -> int:
-    for pivot_bit, row in echelon:
-        if (vec >> pivot_bit) & 1:
-            vec ^= row
-    return vec
-
-
-def _build_echelon(rows) -> list[tuple[int, int]]:
-    echelon: list[tuple[int, int]] = []
-    for r in rows:
-        r = _reduce_mod(r, echelon)
-        if r:
-            echelon.append((r.bit_length() - 1, r))
-            echelon.sort(reverse=True)
-    return echelon
-
-
 def logicals(code: StabilizerCode) -> list[tuple[PauliString, PauliString]]:
     """k anticommuting logical pairs, each commuting with every check.
 
@@ -246,11 +229,11 @@ def logicals(code: StabilizerCode) -> list[tuple[PauliString, PauliString]]:
     k = num_logical_qubits(code)
     if k == 0:
         return []
-    stab_echelon = _build_echelon(c.x | (c.z << n) for c in code.checks)
+    stabilizers = Echelon(c.x | (c.z << n) for c in code.checks)
     if code.kind in ("css", "classical"):
-        quotient = _css_quotient_basis(code, stab_echelon)
+        quotient = _css_quotient_basis(code, stabilizers)
     else:
-        quotient = _general_quotient_basis(code, stab_echelon)
+        quotient = _general_quotient_basis(code, stabilizers)
     pairs = _symplectic_pairs(quotient, n)
     if len(pairs) != k:
         raise InvalidCodeError(
@@ -265,48 +248,25 @@ def logicals(code: StabilizerCode) -> list[tuple[PauliString, PauliString]]:
     return out
 
 
-def _general_quotient_basis(code, stab_echelon) -> list[int]:
+def _general_quotient_basis(code, stabilizers: Echelon) -> list[int]:
     n = code.n
     twisted = BitMatrix.from_rows(
         [BitVector(2 * n, c.z | (c.x << n)) for c in code.checks], 2 * n
     )
-    central = nullspace(twisted)
-    basis: list[int] = []
-    echelon = list(stab_echelon)
-    for v in central:
-        r = _reduce_mod(v.bits, echelon)
-        if r:
-            echelon.append((r.bit_length() - 1, r))
-            echelon.sort(reverse=True)
-            basis.append(v.bits)
-    return basis
+    return [v.bits for v in nullspace(twisted) if stabilizers.add(v.bits)]
 
 
-def _css_quotient_basis(code, stab_echelon) -> list[int]:
+def _css_quotient_basis(code, stabilizers: Echelon) -> list[int]:
     """Centralizer-mod-stabilizer basis with pure-X vectors listed first."""
     n = code.n
     z_rows = [code.checks[i].z for i in code.z_type_indices()]
     x_rows = [code.checks[i].x for i in code.x_type_indices()]
-    basis: list[int] = []
-    echelon = list(stab_echelon)
     # X-type logical candidates: even overlap with every Z check support.
     zmat = BitMatrix.from_rows([BitVector(n, r) for r in z_rows], n)
-    for v in nullspace(zmat):
-        packed = v.bits  # x part only
-        r = _reduce_mod(packed, echelon)
-        if r:
-            echelon.append((r.bit_length() - 1, r))
-            echelon.sort(reverse=True)
-            basis.append(packed)
     xmat = BitMatrix.from_rows([BitVector(n, r) for r in x_rows], n)
-    for v in nullspace(xmat):
-        packed = v.bits << n  # z part only
-        r = _reduce_mod(packed, echelon)
-        if r:
-            echelon.append((r.bit_length() - 1, r))
-            echelon.sort(reverse=True)
-            basis.append(packed)
-    return basis
+    candidates = [v.bits for v in nullspace(zmat)]
+    candidates += [v.bits << n for v in nullspace(xmat)]  # z part only
+    return [v for v in candidates if stabilizers.add(v)]
 
 
 def _symplectic_pairs(vectors: list[int], n: int) -> list[tuple[int, int]]:
@@ -398,15 +358,17 @@ def code_parameters(code: StabilizerCode, w_max: int | None = None) -> CodeParam
         if code.kind == "classical":
             return CodeParameters(code.n, k, d_x, d_x, d_z, cert_x)
         return CodeParameters(code.n, k, min(d_x, d_z), d_x, d_z, cert_x and cert_z)
-    d, cert = _generic_distance(code, pairs, w_max)
+    d, cert = _generic_distance(code, w_max)
     return CodeParameters(code.n, k, d, None, None, cert)
 
 
-def _generic_distance(code, pairs, w_max):
+def _generic_distance(code, w_max):
     """Brute-force over low-weight Paulis commuting with all checks."""
     n = code.n
-    stab_echelon = _build_echelon(c.x | (c.z << n) for c in code.checks)
-    best = None
+    stabilizers = Echelon(c.x | (c.z << n) for c in code.checks)
+    # A packed Pauli x | (z << n) anticommutes with a check exactly when
+    # its overlap with the check's twisted row z | (x << n) is odd.
+    twisted = [c.z | (c.x << n) for c in code.checks]
     for w in range(1, w_max + 1):
         for sup in itertools.combinations(range(n), w):
             for pattern in itertools.product("XZY", repeat=w):
@@ -416,13 +378,11 @@ def _generic_distance(code, pairs, w_max):
                         x |= 1 << qb
                     if ch in ("Z", "Y"):
                         z |= 1 << qb
-                p = PauliString(n, x, z)
-                if not syndrome_of(code, p).is_zero():
+                packed = x | (z << n)
+                if any((packed & t).bit_count() & 1 for t in twisted):
                     continue
-                if _reduce_mod(x | (z << n), stab_echelon):
+                if stabilizers.reduce(packed):
                     return w, True
-        if best is not None:
-            break
     return w_max + 1, False
 
 

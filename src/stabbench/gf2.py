@@ -12,6 +12,13 @@ import itertools
 from dataclasses import dataclass
 
 
+# Row counts up to this are enumerated directly by ``min_support_solution``;
+# above it a meet-in-the-middle sweep takes over.
+DIRECT_MAX_ROWS = 24
+# Largest number of elements or half-subsets one exhaustive search visits.
+SEARCH_BUDGET = 1 << 22
+
+
 def _mask(length: int) -> int:
     return (1 << length) - 1
 
@@ -129,54 +136,42 @@ class BitMatrix:
         return BitVector(self.cols, acc)
 
 
+class Echelon:
+    """Reduced row echelon form over GF(2), grown one row at a time.
+
+    ``rows`` maps each row's pivot, its lowest set bit, to the row.  No
+    other row has that bit set, so a vector reduces in a single pass in any
+    order, and the form of a given rowspace is unique.
+    """
+
+    def __init__(self, rows=()):
+        self.rows: dict[int, int] = {}
+        for r in rows:
+            self.add(r)
+
+    def reduce(self, v: int) -> int:
+        """Residual of v modulo the rowspace; zero iff v lies in it."""
+        for pivot, row in self.rows.items():
+            if (v >> pivot) & 1:
+                v ^= row
+        return v
+
+    def add(self, v: int) -> bool:
+        """Insert v when it is independent of the rows; return whether it was."""
+        v = self.reduce(v)
+        if not v:
+            return False
+        low = v & -v
+        for pivot, row in self.rows.items():
+            if row & low:
+                self.rows[pivot] = row ^ v
+        self.rows[low.bit_length() - 1] = v
+        return True
+
+
 def rank(m: BitMatrix) -> int:
-    """GF(2) rank via row elimination; the input is not modified."""
-    work = m.row_ints()
-    r = 0
-    for col in range(m.cols):
-        pivot = None
-        for i in range(r, len(work)):
-            if (work[i] >> col) & 1:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        for i in range(len(work)):
-            if i != r and ((work[i] >> col) & 1):
-                work[i] ^= work[r]
-        r += 1
-        if r == len(work):
-            break
-    return r
-
-
-def _eliminate_with_combos(a: BitMatrix):
-    """Row-reduce ``a`` while tracking which input rows combine into each
-    reduced row.  Returns (reduced rows, combo ints, pivot columns)."""
-    work = a.row_ints()
-    combos = [1 << i for i in range(len(work))]
-    pivots: list[int] = []
-    r = 0
-    for col in range(a.cols):
-        pivot = None
-        for i in range(r, len(work)):
-            if (work[i] >> col) & 1:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        combos[r], combos[pivot] = combos[pivot], combos[r]
-        for i in range(len(work)):
-            if i != r and ((work[i] >> col) & 1):
-                work[i] ^= work[r]
-                combos[i] ^= combos[r]
-        pivots.append(col)
-        r += 1
-        if r == len(work):
-            break
-    return work, combos, pivots
+    """GF(2) rank: the number of pivots of the echelon form."""
+    return len(Echelon(m.row_ints()).rows)
 
 
 def solve_affine(a: BitMatrix, b: BitVector):
@@ -188,31 +183,28 @@ def solve_affine(a: BitMatrix, b: BitVector):
     """
     if b.length != a.cols:
         raise ValueError("right-hand side length must equal column count")
-    work, combos, pivots = _eliminate_with_combos(a)
-    nrank = len(pivots)
-    # Express b over the pivot rows.
-    residual = b.bits
-    x = 0
-    for i in range(nrank):
-        col = pivots[i]
-        if (residual >> col) & 1:
-            residual ^= work[i]
-            x ^= combos[i]
-    if residual:
+    # Row i carries a selector bit at column cols + i, so the part of a
+    # reduced row above the columns records the input rows it combines.
+    cols = a.cols
+    basis = Echelon(r | (1 << (cols + i)) for i, r in enumerate(a.row_ints()))
+    residual = basis.reduce(b.bits)
+    if residual & _mask(cols):
         return None
     null_basis = [
-        BitVector(a.nrows, combos[i]) for i in range(nrank, a.nrows) if combos[i]
+        BitVector(a.nrows, row >> cols)
+        for pivot, row in basis.rows.items() if pivot >= cols
     ]
-    return BitVector(a.nrows, x), null_basis
+    return BitVector(a.nrows, residual >> cols), null_basis
 
 
 def min_support_solution(a: BitMatrix, b: BitVector, cap: int):
     """Exact minimum Hamming weight of x with x^T a = b^T, if it is <= cap.
 
     Returns None for infeasible systems and when every solution weighs more
-    than ``cap``.  Searches breadth-first over weight classes; above 24 rows
-    a meet-in-the-middle sweep over half-subsets replaces the direct
-    enumeration.
+    than ``cap``.  Searches breadth-first over weight classes; above
+    ``DIRECT_MAX_ROWS`` rows a meet-in-the-middle sweep over half-subsets
+    replaces the direct enumeration.  Raises ValueError instead of starting
+    a sweep whose larger half has more than ``SEARCH_BUDGET`` subsets.
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")
@@ -224,7 +216,7 @@ def min_support_solution(a: BitMatrix, b: BitVector, cap: int):
     m = a.nrows
     rows = a.row_ints()
     target = b.bits
-    if m <= 24:
+    if m <= DIRECT_MAX_ROWS:
         for w in range(1, min(cap, m) + 1):
             for comb in itertools.combinations(range(m), w):
                 acc = 0
@@ -233,6 +225,11 @@ def min_support_solution(a: BitMatrix, b: BitVector, cap: int):
                 if acc == target:
                     return w
         return None
+    if 1 << (m - m // 2) > SEARCH_BUDGET:
+        raise ValueError(
+            f"{m} rows: a meet-in-the-middle sweep over 2^{m - m // 2} "
+            f"half-subsets exceeds the search budget of {SEARCH_BUDGET}"
+        )
     best = _mitm_min_weight(rows, target)
     if best is not None and best <= cap:
         return best
@@ -274,17 +271,16 @@ def in_rowspace(a: BitMatrix, b: BitVector) -> bool:
 
 def nullspace(a: BitMatrix) -> list[BitVector]:
     """Basis of {v in F_2^cols : a v = 0} (right nullspace)."""
-    work, _, pivots = _eliminate_with_combos(a)
-    pivot_set = set(pivots)
-    free = [j for j in range(a.cols) if j not in pivot_set]
+    pivots = Echelon(a.row_ints()).rows
     basis = []
-    for j in free:
+    for j in range(a.cols):
+        if j in pivots:
+            continue
+        # Each pivot row fixes its pivot coordinate to its bit at column j.
         v = 1 << j
-        # Back-substitute: each pivot row fixes its pivot coordinate.
-        for i in reversed(range(len(pivots))):
-            col = pivots[i]
-            if (work[i] & v).bit_count() & 1:
-                v ^= 1 << col
+        for pivot, row in pivots.items():
+            if (row >> j) & 1:
+                v |= 1 << pivot
         basis.append(BitVector(a.cols, v))
     return basis
 
@@ -326,27 +322,13 @@ def min_weight_codeword(gen: BitMatrix, coset: BitVector, w_max: int):
                     break
         return best if (best is not None and best <= w_max) else None
     # Wide generator: walk candidate words by weight, testing membership in
-    # the affine space coset + rowspace via elimination.
-    work, _, pivots = _eliminate_with_combos(gen)
-    n = gen.cols
-
-    def in_space(word: int) -> bool:
-        residual = word ^ coset.bits
-        for i, col in enumerate(pivots):
-            if (residual >> col) & 1:
-                residual ^= work[i]
-        return residual == 0
-
-    exclude_zero = coset.is_zero()
-    for w in range(0 if not exclude_zero else 1, w_max + 1):
-        if w == 0:
-            if in_space(0):
-                return 0
-            continue
-        for comb in itertools.combinations(range(n), w):
-            word = 0
+    # the affine space coset + rowspace.
+    basis = Echelon(rows)
+    for w in range(1 if coset.is_zero() else 0, w_max + 1):
+        for comb in itertools.combinations(range(gen.cols), w):
+            word = coset.bits
             for i in comb:
-                word |= 1 << i
-            if in_space(word):
+                word ^= 1 << i
+            if not basis.reduce(word):
                 return w
     return None

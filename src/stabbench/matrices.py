@@ -11,9 +11,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse.linalg as spla
 
+from .gf2 import Echelon
 from .pauli import PauliString, multiply
-
-_I2 = np.array([1, 1j])  # powers of i indexed mod 4 handled below
 
 
 def _z_parity_signs(z: int, dim: int) -> np.ndarray:
@@ -60,17 +59,10 @@ def code_hamiltonian_dense(code) -> np.ndarray:
 
 def independent_checks(code) -> list[int]:
     """Indices of a maximal independent subset of the check list."""
-    chosen: list[int] = []
-    echelon: list[int] = []
-    for i, c in enumerate(code.checks):
-        v = c.x | (c.z << code.n)
-        for row in echelon:
-            v = min(v, v ^ row)
-        if v:
-            echelon.append(v)
-            echelon.sort(reverse=True)
-            chosen.append(i)
-    return chosen
+    basis = Echelon()
+    return [
+        i for i, c in enumerate(code.checks) if basis.add(c.x | (c.z << code.n))
+    ]
 
 
 def stabilizer_group(code, generators=None) -> list[PauliString]:

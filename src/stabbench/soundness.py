@@ -1,11 +1,13 @@
 """Empirical check-soundness and check-expansion certification.
 
 Soundness asks: what is the minimal number of checks whose product equals a
-given small stabilizer?  Exact answers come from breadth-first search over
-the signed check group (one sweep yields every minimal expansion) or from a
-meet-in-the-middle subset sweep when the generator count is large.  The
-growth-sum bound machinery turns an assumed power-law soundness function
-into the (alpha, c', c'') constants consumed by the flow bounds.
+given small stabilizer?  Exact answers come from a breadth-first search
+over the signed check group, walked as plain (x, z, sign) integer triples
+(one sweep yields every minimal expansion), or, when the check count is
+large, from ``gf2.min_support_solution`` over the symplectic check rows
+plus one sign check.  The growth-sum bound machinery turns an assumed
+power-law soundness function into the (alpha, c', c'') constants consumed
+by the flow bounds.
 """
 
 from __future__ import annotations
@@ -17,50 +19,51 @@ from collections import deque
 from dataclasses import dataclass
 
 from .code import StabilizerCode, syndrome_of
-from .gf2 import BitVector, solve_affine
-from .pauli import PauliString, multiply
+from .gf2 import (
+    DIRECT_MAX_ROWS,
+    SEARCH_BUDGET,
+    BitVector,
+    min_support_solution,
+    solve_affine,
+)
+from .pauli import PauliString, product
 
 
 class NotAStabilizerError(ValueError):
     """Operator is outside the (+1-signed) check group."""
 
 
-def _check_group_bfs(generators: list[PauliString], n: int,
-                     budget: int | None = None):
+def _check_group_bfs(generators: list[PauliString], budget: int | None = None):
     """Minimal check counts over the signed group generated by ``generators``.
 
     Returns (dist, complete): dist maps (x, z, sign) to the minimal number
     of generators whose product equals that element; complete is False when
-    the budget stopped the sweep early.
+    the budget stopped the sweep early.  Product signs follow the phase
+    count of ``pauli.multiply``.
     """
+    gens = [(g.x, g.z, g.sign, (g.x & g.z).bit_count()) for g in generators]
     start = (0, 0, 1)
     dist = {start: 0}
-    queue = deque([PauliString.identity(n)])
+    queue = deque([start])
     complete = True
     while queue:
         cur = queue.popleft()
-        dcur = dist[(cur.x, cur.z, cur.sign)]
-        for g in generators:
-            nxt = multiply(cur, g)
-            key = (nxt.x, nxt.z, nxt.sign)
+        x, z, sign = cur
+        dnext = dist[cur] + 1
+        y = (x & z).bit_count()
+        for gx, gz, gsign, gy in gens:
+            nx, nz = x ^ gx, z ^ gz
+            t = (y + gy + 2 * (z & gx).bit_count() - (nx & nz).bit_count()) & 3
+            if t & 1:
+                raise ValueError("product of anticommuting strings is not Hermitian")
+            key = (nx, nz, -sign * gsign if t else sign * gsign)
             if key not in dist:
                 if budget is not None and len(dist) >= budget:
                     complete = False
                     continue
-                dist[key] = dcur + 1
-                queue.append(nxt)
+                dist[key] = dnext
+                queue.append(key)
     return dist, complete
-
-
-def _verify_stabilizer(code: StabilizerCode, stab: PauliString) -> None:
-    if stab.n != code.n:
-        raise ValueError("qubit count mismatch")
-    if not syndrome_of(code, stab).is_zero():
-        raise NotAStabilizerError("operator anticommutes with some check")
-    sym = code.symplectic_matrix()
-    vec = BitVector(2 * code.n, stab.x | (stab.z << code.n))
-    if solve_affine(sym, vec) is None:
-        raise NotAStabilizerError("operator is outside the check group")
 
 
 def min_expansion(code: StabilizerCode, stab: PauliString,
@@ -69,78 +72,43 @@ def min_expansion(code: StabilizerCode, stab: PauliString,
     ``stab``; None when the minimum exceeds ``cap``.
 
     A -1 relative sign classifies the operator as not a stabilizer.  Method
-    "dijkstra" sweeps the signed group breadth-first (best for <= 24
-    checks); "mitm" meets in the middle over check subsets.
+    "dijkstra" sweeps the signed group breadth-first (best for few checks);
+    "mitm" runs ``gf2.min_support_solution`` on the symplectic check rows
+    and decides the sign from one product of checks; "auto" picks
+    "dijkstra" up to ``gf2.DIRECT_MAX_ROWS`` checks.
+
+    Precondition: no product of checks equals -I, as ``code.validate``
+    enforces.  Then the sign of a group element is a function of its
+    (x, z), which the "mitm" sign check relies on.
     """
-    _verify_stabilizer(code, stab)
+    if stab.n != code.n:
+        raise ValueError("qubit count mismatch")
+    if not syndrome_of(code, stab).is_zero():
+        raise NotAStabilizerError("operator anticommutes with some check")
+    sym = code.symplectic_matrix()
+    vec = BitVector(2 * code.n, stab.x | (stab.z << code.n))
+    sol = solve_affine(sym, vec)
+    if sol is None:
+        raise NotAStabilizerError("operator is outside the check group")
     if cap is None:
         cap = code.num_checks
     if stab.is_identity() and stab.sign == 1:
         return 0
     if method == "auto":
-        method = "dijkstra" if code.num_checks <= 24 else "mitm"
+        method = "dijkstra" if code.num_checks <= DIRECT_MAX_ROWS else "mitm"
+    wrong_sign = "operator has -1 sign relative to the check group"
     if method == "dijkstra":
-        dist, complete = _check_group_bfs(list(code.checks), code.n)
-        key = (stab.x, stab.z, stab.sign)
-        if key not in dist:
-            raise NotAStabilizerError(
-                "operator has -1 sign relative to the check group"
-            )
-        best = dist[key]
+        dist, _ = _check_group_bfs(list(code.checks))
+        best = dist.get((stab.x, stab.z, stab.sign))
+        if best is None:
+            raise NotAStabilizerError(wrong_sign)
         return best if best <= cap else None
     if method == "mitm":
-        best = _mitm_expansion(code, stab)
-        if best is None:
-            raise NotAStabilizerError(
-                "operator has -1 sign relative to the check group"
-            )
-        return best if best <= cap else None
+        checks = [code.checks[i] for i in sol[0].indices()]
+        if product(checks, code.n).sign != stab.sign:
+            raise NotAStabilizerError(wrong_sign)
+        return min_support_solution(sym, vec, cap)
     raise ValueError(f"unknown method {method!r}")
-
-
-def _gray_products(generators: list[PauliString], n: int):
-    """(product PauliString, subset weight) for all subsets via a Gray walk."""
-    out = {}
-    cur = PauliString.identity(n)
-    out[(cur.x, cur.z, cur.sign)] = 0
-    prev_gray = 0
-    for g in range(1, 1 << len(generators)):
-        gray = g ^ (g >> 1)
-        idx = (gray ^ prev_gray).bit_length() - 1
-        prev_gray = gray
-        cur = multiply(cur, generators[idx])
-        w = gray.bit_count()
-        key = (cur.x, cur.z, cur.sign)
-        if key not in out or w < out[key]:
-            out[key] = w
-    return out
-
-
-def _mitm_expansion(code: StabilizerCode, stab: PauliString):
-    checks = list(code.checks)
-    half = len(checks) // 2
-    left = _gray_products(checks[:half], code.n)
-    best = None
-    cur = PauliString.identity(code.n)
-    right_gens = checks[half:]
-    prev_gray = 0
-    # enumerate right subsets, looking up the complementary left product
-    for g in range(1 << len(right_gens)):
-        if g:
-            gray = g ^ (g >> 1)
-            idx = (gray ^ prev_gray).bit_length() - 1
-            prev_gray = gray
-            cur = multiply(cur, right_gens[idx])
-            w_right = gray.bit_count()
-        else:
-            w_right = 0
-        need = multiply(stab, cur)  # stab * cur^{-1}; Paulis are involutions
-        key = (need.x, need.z, need.sign)
-        if key in left:
-            total = left[key] + w_right
-            if best is None or total < best:
-                best = total
-    return best
 
 
 @dataclass(frozen=True)
@@ -209,7 +177,7 @@ def _profile_from_dist(dist: dict, m_max: int, n: int, sector: str,
 
 
 def soundness_profile(code: StabilizerCode, m_max: int | None = None,
-                      budget: int = 1 << 22) -> dict:
+                      budget: int = SEARCH_BUDGET) -> dict:
     """Certify worst-case minimal expansions for every stabilizer weight.
 
     CSS codes are swept sector by sector (a pure-X or pure-Z stabilizer
@@ -227,7 +195,7 @@ def soundness_profile(code: StabilizerCode, m_max: int | None = None,
             gens = [code.checks[i] for i in idxs]
             if not gens:
                 continue
-            dist, complete = _check_group_bfs(gens, code.n, budget=budget)
+            dist, complete = _check_group_bfs(gens, budget=budget)
             out["sectors"][name] = _profile_from_dist(
                 dist, m_max, code.n, name, complete
             )
@@ -242,8 +210,7 @@ def soundness_profile(code: StabilizerCode, m_max: int | None = None,
                 combined[m] = sum(vals)
         out["combined_rule"] = combined
     else:
-        dist, complete = _check_group_bfs(list(code.checks), code.n,
-                                          budget=budget)
+        dist, complete = _check_group_bfs(list(code.checks), budget=budget)
         out["sectors"]["all"] = _profile_from_dist(
             dist, m_max, code.n, "all", complete
         )

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stabbench.code import StabilizerCode
 from stabbench.constructors import toric_code
 from stabbench.gf2 import (
     BitMatrix,
@@ -19,6 +20,8 @@ from stabbench.gf2 import (
     rank,
     solve_affine,
 )
+from stabbench.matrices import independent_checks
+from stabbench.pauli import PauliString, commutes
 
 
 def brute_rank(rows: list[int]) -> int:
@@ -172,6 +175,41 @@ def test_min_support_mitm_matches_direct():
         if best is not None:
             break
     assert got == best
+
+
+def test_min_support_refuses_sweep_past_budget():
+    rows = [BitVector(6, (i % 63) + 1) for i in range(50)]
+    mat = BitMatrix.from_rows(rows, 6)
+    # Half of a 50-row sweep is 2^25 subsets: it must raise, not enumerate.
+    with pytest.raises(ValueError, match="50 rows"):
+        min_support_solution(mat, rows[0] ^ rows[1], cap=50)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_independent_checks_pick_rank_increments(data):
+    n = data.draw(st.integers(1, 5))
+    checks: list[PauliString] = []
+    for _ in range(data.draw(st.integers(0, 10))):
+        if checks and data.draw(st.booleans()):
+            # A product of earlier checks: commutes, often redundant.
+            sel = data.draw(st.integers(0, (1 << len(checks)) - 1))
+            picked = [c for i, c in enumerate(checks) if (sel >> i) & 1]
+            x = z = 0
+            for c in picked:
+                x ^= c.x
+                z ^= c.z
+            cand = PauliString(n, x, z)
+        else:
+            cand = PauliString(n, data.draw(st.integers(0, (1 << n) - 1)),
+                               data.draw(st.integers(0, (1 << n) - 1)))
+        if all(commutes(cand, c) for c in checks):
+            checks.append(cand)
+    code = StabilizerCode.from_checks(n, checks)
+    rows = [c.x | (c.z << n) for c in checks]
+    expect = [i for i in range(len(rows))
+              if brute_rank(rows[: i + 1]) > brute_rank(rows[:i])]
+    assert independent_checks(code) == expect
 
 
 def test_min_weight_codeword_allones_row():

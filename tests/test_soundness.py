@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from stabbench.code import StabilizerCode, validate
 from stabbench.constructors import (
     BipartiteTanner,
     hypergraph_product,
@@ -26,19 +27,41 @@ from stabbench.soundness import (
 )
 
 
-def exhaustive_min_expansion(code, stab):
-    best = None
-    m = code.num_checks
-    for sel in range(1 << m):
-        prod = PauliString.identity(code.n)
+def general_code():
+    """Signed, non-CSS code whose last check ZZZZ is the product of the
+    other four; XXII * YYII = -ZZII, so its group carries -1 signs."""
+    labels = ("XXII", "YYII", "IIXX", "IIYY", "ZZZZ")
+    return StabilizerCode.from_checks(4, [PauliString.from_label(s) for s in labels])
+
+
+def subset_products(checks, n):
+    """(product, subset size) for every subset of ``checks``."""
+    out = []
+    for sel in range(1 << len(checks)):
+        prod = PauliString.identity(n)
         t = sel
         while t:
-            prod = multiply(prod, code.checks[(t & -t).bit_length() - 1])
+            prod = multiply(prod, checks[(t & -t).bit_length() - 1])
             t &= t - 1
-        if prod == stab:
-            w = sel.bit_count()
-            best = w if best is None else min(best, w)
-    return best
+        out.append((prod, sel.bit_count()))
+    return out
+
+
+def exhaustive_min_expansion(code, stab):
+    sizes = [w for prod, w in subset_products(code.checks, code.n) if prod == stab]
+    return min(sizes, default=None)
+
+
+def exhaustive_f_raw(checks, n):
+    """Worst minimal expansion per weight over the +1-signed group elements."""
+    best: dict = {}
+    for prod, size in subset_products(checks, n):
+        best[prod] = min(best.get(prod, size), size)
+    f_raw: dict = {}
+    for prod, size in best.items():
+        if prod.sign == 1 and not prod.is_identity():
+            f_raw[prod.weight()] = max(f_raw.get(prod.weight(), 0), size)
+    return f_raw
 
 
 def test_min_expansion_trivial_cases():
@@ -76,20 +99,50 @@ def test_min_expansion_repetition_linear_in_separation():
 
 def test_min_expansion_methods_agree_with_exhaustive():
     rng = random.Random(23)
-    code = toric_code(2)  # 8 checks -> exhaustive is 256 products
-    group = []
-    for sel in range(1 << code.num_checks):
-        prod = PauliString.identity(code.n)
-        t = sel
-        while t:
-            prod = multiply(prod, code.checks[(t & -t).bit_length() - 1])
-            t &= t - 1
-        group.append(prod)
-    sample = rng.sample(group, 12)
-    for stab in sample:
-        expect = exhaustive_min_expansion(code, stab)
-        assert min_expansion(code, stab, method="dijkstra") == expect
-        assert min_expansion(code, stab, method="mitm") == expect
+    toric = toric_code(2)  # 8 checks -> exhaustive is 256 products
+    group = [prod for prod, _ in subset_products(toric.checks, toric.n)]
+    general = general_code()
+    cases = [(toric, rng.sample(group, 12)),
+             (general, {p for p, _ in subset_products(general.checks, 4)})]
+    for code, sample in cases:
+        for stab in sample:
+            expect = exhaustive_min_expansion(code, stab)
+            assert min_expansion(code, stab, method="dijkstra") == expect
+            assert min_expansion(code, stab, method="mitm") == expect
+
+
+def test_signed_general_code():
+    code = general_code()
+    validate(code)
+    group = {p for p, _ in subset_products(code.checks, code.n)}
+    assert len(group) == 16
+    assert sum(p.sign == -1 for p in group) == 6
+    prof = soundness_profile(code)["sectors"]["all"]
+    assert prof.group_size == 16 and prof.certified
+    assert prof.f_raw == {2: 1, 4: 2}
+    minus_zz = PauliString.from_label("ZZII", sign=-1)
+    for method in ("dijkstra", "mitm"):
+        assert min_expansion(code, minus_zz, method=method) == 2
+        with pytest.raises(NotAStabilizerError):
+            min_expansion(code, PauliString.from_label("ZZII"), method=method)
+
+
+def test_soundness_profile_rejects_anticommuting_checks():
+    code = StabilizerCode.from_checks(1, [PauliString.from_label("X"),
+                                          PauliString.from_label("Y")])
+    with pytest.raises(ValueError, match="anticommuting"):
+        soundness_profile(code)
+
+
+def test_soundness_profile_f_raw_matches_exhaustive():
+    toric = toric_code(2)
+    general = general_code()
+    cases = [(general, "all", general.checks),
+             (toric, "X", [toric.checks[i] for i in toric.x_type_indices()]),
+             (toric, "Z", [toric.checks[i] for i in toric.z_type_indices()])]
+    for code, sector, checks in cases:
+        prof = soundness_profile(code)["sectors"][sector]
+        assert prof.f_raw == exhaustive_f_raw(checks, code.n)
 
 
 def test_min_expansion_cap_returns_none():
