@@ -291,10 +291,14 @@ def spectral_report(
 ) -> SpectralReport:
     """Low-lying spectrum of H0 + eps * V with ground-cluster statistics.
 
-    Dense mode (n <= 12) diagonalizes fully; sparse mode (n <= 20) runs a
-    seeded Lanczos for the extremal eigenvalues.  When an SWT run is
-    supplied the distance between the perturbed ground projector and the
-    rotated unperturbed one is reported as well.
+    Dense mode (n <= 12) diagonalizes fully.  Sparse mode (n <= 20) takes
+    the lowest ``num_eigs`` levels from ``lowest_eigenvalues_sparse``, which
+    solves each invariant coset of the terms' x-span separately (densely,
+    or by seeded Lanczos on blocks above 2^9 states) and skips the cosets
+    whose certified energy floor lies above the levels found; it returns
+    no eigenvectors.  When an SWT run is supplied with dense mode, the
+    distance between the perturbed ground projector and the rotated
+    unperturbed one is reported as well.
     """
     if k is None:
         k = num_logical_qubits(code)

@@ -1,4 +1,4 @@
-"""Dense materialization and the Pauli-basis transform."""
+"""Dense materialization, the Pauli-basis transform, the coset eigensolver."""
 
 from __future__ import annotations
 
@@ -6,8 +6,13 @@ import random
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stabbench.constructors import repetition_code, toric_code
+from stabbench import matrices
+from stabbench.constructors import ising_toric, repetition_code, toric_code
+from stabbench.experiments import plaquette_field_terms, uniform_field_terms
 from stabbench.matrices import (
     PauliMatvec,
     code_hamiltonian_dense,
@@ -16,6 +21,7 @@ from stabbench.matrices import (
     code_hamiltonian_terms,
     operator_dense,
     pauli_dense,
+    payload_norm,
     pauli_transform,
     terms_from_transform,
 )
@@ -98,3 +104,160 @@ def test_codespace_projector_rank():
     assert np.allclose(np.sort(vals)[:-4], 0.0, atol=1e-10)
     H = code_hamiltonian_dense(code)
     assert np.linalg.norm(H @ P) < 1e-9
+
+
+@st.composite
+def pauli_sums(draw):
+    """(n, terms) with real coefficients of both signs on X, Y and Z terms;
+    an odd number of Y factors makes a term's matrix non-real."""
+    n = draw(st.integers(1, 8))
+    bits = st.integers(0, (1 << n) - 1)
+    terms = draw(st.lists(
+        st.tuples(st.floats(-1, 1, allow_nan=False), bits, bits,
+                  st.sampled_from((1, -1))),
+        min_size=1, max_size=10))
+    return n, [(c, PauliString(n, x, z, sign)) for c, x, z, sign in terms]
+
+
+@settings(max_examples=150, deadline=None)
+@given(pauli_sums(), st.data())
+def test_sparse_eigenvalues_match_dense_random_sums(case, data):
+    n, terms = case
+    k = data.draw(st.integers(1, (1 << n) - 1))
+    dense = np.linalg.eigvalsh(operator_dense(n, terms))
+    assert np.allclose(lowest_eigenvalues_sparse(n, terms, k), dense[:k],
+                       atol=1e-10)
+
+
+def _field(n: int, kind: str, eps: float) -> list:
+    return [(eps * c, p) for c, p in uniform_field_terms(n, kind)]
+
+
+_TC2 = code_hamiltonian_terms(toric_code(2))
+# (n, terms, frame switched, qubits of every solved block, blocks solved):
+# each case forces one path of the coset solver.
+_PATH_CASES = {
+    # x-masks span all 8 qubits, z-masks 3 plaquettes plus the Y bits: the
+    # Hadamard frame, with H Y H = -Y flipping the Y terms' signs.
+    "hadamard-frame-x-field-with-y": (
+        8, _TC2 + _field(8, "X", 0.3) + [
+            (0.2, PauliString.from_label("YIIIIIII")),
+            (-0.15, PauliString.from_label("IYIIIYII", sign=-1))],
+        True, 5, 8),
+    # The Z field keeps the frame: 32 cosets of the 3 vertex checks' span.
+    "z-field-cosets": (8, _TC2 + _field(8, "Z", 0.3), False, 3, 28),
+    # X and Z bits both span all qubits: one coset, the whole space.
+    "y-field-single-coset": (8, _TC2 + _field(8, "Y", 0.3), False, 8, 1),
+    # Every term diagonal: 256 one-state blocks whose floors are exact, so
+    # the visit stops after the k lowest.
+    "rep8-z-field-pruned": (
+        8, code_hamiltonian_terms(repetition_code(8)) + _field(8, "Z", 0.2),
+        False, 0, 12),
+    # XY chain: on a coset of the span of the XX rows, X_iX_j and Y_iY_j act
+    # as reduced strings of opposite sign, so a lost i-power sign shows.
+    "xy-chain-reduced-signs": (
+        4, [(1.0, PauliString.from_support(4, kind, (i, i + 1)))
+            for i in range(3) for kind in "XY"] + _field(4, "Z", 0.3),
+        False, 3, 2),
+    # Every term commutes (criterion 4b at L = 2): its closed-form ground
+    # energy eps L^2 - 1.4 = -0.2.
+    "plaquette-field-commuting": (
+        8, code_hamiltonian_terms(ising_toric(2))
+        + [(0.3 * c, p) for c, p in plaquette_field_terms(2)],
+        False, 3, 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PATH_CASES))
+def test_sparse_eigenvalue_paths(name, monkeypatch):
+    n, terms, switched, qubits, blocks = _PATH_CASES[name]
+    dense = np.linalg.eigvalsh(operator_dense(n, terms))
+    frames, solved = [], []
+    frame, block_dense = matrices._hadamard_frame, matrices.operator_dense
+
+    def spy_frame(ts):
+        frames.append(len(ts))
+        return frame(ts)
+
+    def spy_dense(r, ts):
+        solved.append(r)
+        return block_dense(r, ts)
+
+    monkeypatch.setattr(matrices, "_hadamard_frame", spy_frame)
+    monkeypatch.setattr(matrices, "operator_dense", spy_dense)
+    vals = lowest_eigenvalues_sparse(n, terms, k=12)
+    assert np.allclose(vals, dense[:12], atol=1e-10)
+    assert bool(frames) == switched
+    assert solved == [qubits] * blocks
+    if name == "plaquette-field-commuting":
+        assert vals[0] == pytest.approx(-0.2, abs=1e-12)
+
+
+def test_sparse_eigenvalues_lanczos_blocks_match_full_space():
+    # Hadamard frame: 2 cosets of 2^10 states, each past the dense limit.
+    n = 11
+    terms = (code_hamiltonian_terms(repetition_code(n, lam=2.0))
+             + _field(n, "X", 0.3))
+    full = spla.eigsh(PauliMatvec(n, terms).as_linear_operator(), k=6,
+                      which="SA", tol=0.0, return_eigenvectors=False)
+    assert np.allclose(lowest_eigenvalues_sparse(n, terms, k=6),
+                       np.sort(full), atol=1e-10)
+
+
+def test_sparse_eigenvalues_residual_gate(monkeypatch):
+    n = 11
+    terms = (code_hamiltonian_terms(repetition_code(n, lam=2.0))
+             + _field(n, "X", 0.3))
+    eigsh = spla.eigsh
+
+    def corrupted(*args, **kwargs):
+        vals, vecs = eigsh(*args, **kwargs)
+        return vals + 1e-6, vecs
+
+    monkeypatch.setattr(matrices.spla, "eigsh", corrupted)
+    with pytest.raises(ArithmeticError, match="residual"):
+        lowest_eigenvalues_sparse(n, terms, k=6)
+
+
+def test_sparse_eigenvalues_k_range():
+    terms = [(1.0, PauliString.from_label("XZ"))]
+    assert np.allclose(lowest_eigenvalues_sparse(2, terms, k=4),
+                       [-1, -1, 1, 1])
+    for k in (0, 5):
+        with pytest.raises(ValueError, match="outside"):
+            lowest_eigenvalues_sparse(2, terms, k=k)
+    # One coset of 2^10 states, past the dense limit, but too few states
+    # for Lanczos to return k = 2^10 - 1 levels: solved densely.
+    rng = np.random.default_rng(5)
+    terms = [(rng.uniform(-1, 1), PauliString.single(10, kind, i))
+             for i in range(10) for kind in "XZ"]
+    dense = np.linalg.eigvalsh(operator_dense(10, terms))
+    assert np.allclose(lowest_eigenvalues_sparse(10, terms, k=1023),
+                       dense[:1023], atol=1e-10)
+
+
+def test_sparse_eigenvalues_toric3_x_field_levels():
+    code = toric_code(3)
+    terms = code_hamiltonian_terms(code) + _field(code.n, "X", 0.1)
+    vals = lowest_eigenvalues_sparse(code.n, terms, k=8)
+    expect = [-0.10524781911530995, -0.09328870777157455,
+              -0.09328870777157224, -0.08302539033265915,
+              1.1646619699916203, 1.3780005677777223,
+              1.3780005677777234, 1.3780005677777236]
+    assert np.allclose(vals, expect, atol=1e-10)
+    # The 8th level is threefold degenerate; it must not be cut to one copy.
+    assert vals[5:] == pytest.approx([1.37800056777772] * 3, abs=1e-10)
+
+
+def test_payload_norm_refuses_dense_fallback(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.empty(0),
+                                       np.empty(0))
+
+    def no_dense(*args, **kwargs):
+        raise AssertionError("dense 2^14 x 2^14 fallback allocated")
+
+    monkeypatch.setattr(matrices.spla, "svds", no_convergence)
+    monkeypatch.setattr(matrices, "operator_dense", no_dense)
+    with pytest.raises(ArithmeticError, match="n = 14"):
+        payload_norm(14, _field(14, "X", 1.0)[:2])
