@@ -116,20 +116,17 @@ def pauli_transform(M: np.ndarray, tol: float = 1e-13) -> dict:
     # Axis j of the result indexes the Pauli on qubit n-1-j.
     t = t.reshape(-1)
     cutoff = tol * max(np.max(np.abs(t)), 1.0)
-    out = {}
-    for flat in np.nonzero(np.abs(t) > cutoff)[0]:
-        code = int(flat)
-        x = z = 0
-        # least-significant base-4 digit is the last tensor axis = qubit 0
-        for qb in range(n):
-            a = code % 4
-            code //= 4
-            if a in (1, 2):
-                x |= 1 << qb
-            if a in (2, 3):
-                z |= 1 << qb
-        out[(x, z)] = complex(t[flat])
-    return out
+    flat = np.nonzero(np.abs(t) > cutoff)[0]
+    # Base-4 digit qb of the flat index (least significant = last tensor
+    # axis = qubit 0) is the Pauli on qubit qb: 0 I, 1 X, 2 Y, 3 Z.  Its
+    # high bit is the z bit, and the x bit is the XOR of its two bits.
+    x = np.zeros_like(flat)
+    z = np.zeros_like(flat)
+    for qb in range(n):
+        high = (flat >> (2 * qb + 1)) & 1
+        x |= (((flat >> (2 * qb)) & 1) ^ high) << qb
+        z |= high << qb
+    return dict(zip(zip(x.tolist(), z.tolist()), t[flat].tolist()))
 
 
 def terms_from_transform(n: int, coeffs: dict) -> list:
@@ -196,11 +193,18 @@ class PauliMatvec:
 
 
 def payload_norm(n: int, terms) -> float:
-    """Operator 2-norm of a Pauli sum: dense SVD on small patches, Lanczos
-    singular-value solve through the matvec on larger ones.
+    """Operator 2-norm of a Pauli sum, Hermitian or not.
 
-    Raises ArithmeticError when the Lanczos solve fails above n = 12: a
-    dense fallback would need a 2^n x 2^n matrix (4 GB at n = 14).
+    Up to n = 12 the sum is split into its invariant cosets
+    (``_coset_split``).  Cosets whose signs (-1)^(c.z) agree on every term
+    carry the same block, so one block per distinct sign pattern is built,
+    all in one batch, and the norm is the largest singular value over them:
+    by ``eigvalsh`` when every coefficient is real (Hermitian blocks) or
+    every one imaginary (anti-Hermitian), by ``svd`` otherwise.
+
+    Above n = 12 a Lanczos singular-value solve runs through the matvec;
+    it raises ArithmeticError when that solve fails, because a dense
+    fallback would need a 2^n x 2^n matrix (4 GB at n = 14).
     """
     terms = list(terms)
     if not terms:
@@ -208,7 +212,19 @@ def payload_norm(n: int, terms) -> float:
     if len(terms) == 1:
         return abs(terms[0][0])  # Pauli strings are unitary
     if n <= 12:
-        return float(np.linalg.norm(operator_dense(n, terms), 2))
+        terms, reduced, reps, r = _coset_split(n, terms)
+        coeffs = np.array([c for c, _ in terms], dtype=complex)
+        z = np.array([p.z for _, p in terms], dtype=np.int64)
+        flips = np.unique(np.bitwise_count(reps[:, None] & z) & 1, axis=0)
+        blocks = _batched_blocks(r, reduced, coeffs * (1.0 - 2.0 * flips))
+        if not coeffs.imag.any() or not coeffs.real.any():
+            if coeffs.imag.any():
+                blocks *= -1j  # anti-Hermitian -> Hermitian, same norm
+            vals = np.linalg.eigvalsh(blocks if blocks.imag.any()
+                                      else blocks.real)
+        else:
+            vals = np.linalg.svd(blocks, compute_uv=False)
+        return float(np.max(np.abs(vals)))
     mv = PauliMatvec(n, terms)
     adj = PauliMatvec(n, [(np.conj(c), p) for c, p in terms])
     op = mv.as_linear_operator(adjoint=adj)
@@ -223,6 +239,19 @@ def payload_norm(n: int, terms) -> float:
             f"and a dense 2^{n} x 2^{n} fallback is refused"
         ) from err
     return float(val)
+
+
+def _batched_blocks(r: int, strings, weights: np.ndarray) -> np.ndarray:
+    """Dense r-qubit matrices sum_k weights[j, k] strings[k], one per row j
+    of ``weights``, as one (rows, 2^r, 2^r) array."""
+    dim = 1 << r
+    basis = np.arange(dim, dtype=np.int64)
+    out = np.zeros((len(weights), dim, dim), dtype=complex)
+    for k, q in enumerate(strings):
+        phase = q.sign * (1j) ** ((q.x & q.z).bit_count() % 4)
+        out[:, basis ^ np.int64(q.x), basis] += (
+            (phase * weights[:, k])[:, None] * _z_parity_signs(q.z, basis))
+    return out
 
 
 # Invariant blocks up to this dimension are diagonalized densely (exact,
@@ -263,6 +292,34 @@ def _reduced_term(p: PauliString, rows: dict, pivots: list) -> PauliString:
     return PauliString(len(pivots), m, zr, -p.sign if twist else p.sign)
 
 
+def _coset_split(n: int, terms):
+    """Split a Pauli sum into the invariant cosets of its x-span.
+
+    The sum maps a basis state b only to states b ^ x with x in the span S
+    of the terms' x-masks, so each coset of S is an invariant block of
+    2^r states, r = rank(S).  The frame with the smaller such span is used:
+    when the z-masks have the lower rank, every term is conjugated by a
+    Hadamard on all qubits first, which keeps the spectrum and the singular
+    values.  On the coset with representative c, term (coeff, p) acts as
+    (-1)^(c.z) coeff times its reduced r-qubit string (``_reduced_term``).
+
+    Returns the terms in the chosen frame, their reduced strings, the coset
+    representatives (every state with zero pivot bits) and r.
+    """
+    rows = Echelon(p.x for _, p in terms).rows
+    z_rows = Echelon(p.z for _, p in terms).rows
+    if len(z_rows) < len(rows):
+        terms, rows = _hadamard_frame(terms), z_rows
+    pivots = sorted(rows)
+    reduced = [_reduced_term(p, rows, pivots) for _, p in terms]
+    free = [i for i in range(n) if i not in rows]
+    index = np.arange(1 << len(free), dtype=np.int64)
+    reps = np.zeros_like(index)
+    for j, bit in enumerate(free):
+        reps |= ((index >> j) & 1) << bit
+    return terms, reduced, reps, len(pivots)
+
+
 def _lanczos_block(r: int, terms, k: int, rng, tol: float,
                    maxiter: int) -> np.ndarray:
     """Lowest k eigenvalues of an r-qubit Pauli sum by seeded Lanczos.
@@ -290,14 +347,7 @@ def lowest_eigenvalues_sparse(
     n: int, terms, k: int, seed: int = 7, tol: float = 0.0, maxiter: int = 50000
 ) -> np.ndarray:
     """Lowest k eigenvalues of a Pauli-sum Hamiltonian, sorted, solved one
-    invariant block at a time.
-
-    H maps a basis state b only to states b ^ x with x in the span S of the
-    terms' x-masks, so each coset of S is an invariant block of dimension
-    2^rank(S).  The frame with the smaller such span is used: when the
-    z-masks have the lower rank, every term is conjugated by a Hadamard on
-    all qubits first.  On a coset, a term acts as a Pauli string on rank(S)
-    qubits (``_reduced_term``) times a coset sign.
+    invariant coset at a time (``_coset_split``).
 
     Terms whose reduced string is the identity are constant on a coset;
     their sum there minus sum |c| over the other terms is a floor under
@@ -315,20 +365,7 @@ def lowest_eigenvalues_sparse(
     terms = list(terms)
     if not 1 <= k <= 1 << n:
         raise ValueError(f"k = {k} is outside 1..2^{n}")
-    rows = Echelon(p.x for _, p in terms).rows
-    z_rows = Echelon(p.z for _, p in terms).rows
-    if len(z_rows) < len(rows):
-        terms, rows = _hadamard_frame(terms), z_rows
-    pivots = sorted(rows)
-    r = len(pivots)
-    reduced = [_reduced_term(p, rows, pivots) for _, p in terms]
-
-    # Coset representatives: every state with zero pivot bits.
-    free = [i for i in range(n) if i not in rows]
-    index = np.arange(1 << len(free), dtype=np.int64)
-    reps = np.zeros_like(index)
-    for j, bit in enumerate(free):
-        reps |= ((index >> j) & 1) << bit
+    terms, reduced, reps, r = _coset_split(n, terms)
     floors = np.zeros(len(reps))
     for (c, p), q in zip(terms, reduced):
         if q.x == 0 and q.z == 0:

@@ -8,6 +8,11 @@ support assigned here is the canonical minimal choice
     S(P) = support(P)  union  supports of all checks flipped by P,
 
 which makes the key unique per Pauli and the decomposition exact.
+
+The block split of a term is a closed form over the signed group G_S of
+the checks inside its support, P_S = 2^-r sum_{g in G_S} g, computed on
+int64 columns of patch bits; the dense projectors and patch Hamiltonians
+are kept as references.
 """
 
 from __future__ import annotations
@@ -17,12 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .code import StabilizerCode, syndrome_of
-from .gf2 import BitVector
-from .matrices import operator_dense, pauli_transform
+from .gf2 import BitVector, Echelon
+from .matrices import operator_dense
 from .pauli import PauliString
 
 PATCH_LIMIT = 14  # norm evaluations refuse patches beyond 2^14 dimensions
-DENSE_PATCH_LIMIT = 12  # dense patch algebra (projectors, splits, solves)
+DENSE_PATCH_LIMIT = 12  # patch algebra (projectors, splits, solves)
 
 
 class PatchTooLargeError(ValueError):
@@ -37,12 +42,12 @@ def _compress_bits(bits: int, positions: tuple[int, ...]) -> int:
     return out
 
 
-def _expand_bits(bits: int, positions: tuple[int, ...]) -> int:
-    out = 0
-    for j, pos in enumerate(positions):
-        if (bits >> j) & 1:
-            out |= 1 << pos
-    return out
+def _expand_columns(bits: np.ndarray, positions: tuple[int, ...]) -> list:
+    """Patch masks lifted to full qubit indices, as Python ints."""
+    dtype = np.int64 if max(positions, default=0) < 63 else object
+    weights = np.array([1 << pos for pos in positions], dtype=dtype)
+    return (((bits[:, None] >> np.arange(len(positions))) & 1)
+            @ weights).tolist()
 
 
 @dataclass(frozen=True)
@@ -156,7 +161,6 @@ def _merge_terms(a: LocalTerm, b: LocalTerm, drop_tol: float) -> LocalTerm:
     acc: dict = {}
     for coeff, p in list(a.paulis) + list(b.paulis):
         key = (p.x, p.z)
-        base = PauliString(p.n, p.x, p.z)
         acc[key] = acc.get(key, 0.0) + coeff * p.sign
     paulis = tuple(
         (c, PauliString(a.n, x, z)) for (x, z), c in acc.items()
@@ -295,21 +299,89 @@ def patch_hamiltonian(code: StabilizerCode, region) -> np.ndarray:
     return H
 
 
-def _patch_matrix_to_term(M: np.ndarray, template: LocalTerm,
-                          drop_tol: float = 1e-13) -> LocalTerm:
-    """Re-expand a patch matrix into Paulis lifted back to full indices."""
-    qubits = template.patch_qubits
-    coeffs = pauli_transform(M, tol=drop_tol)
-    paulis = tuple(
-        (
-            c,
-            PauliString(
-                template.n,
-                _expand_bits(x, qubits),
-                _expand_bits(z, qubits),
-            ),
+_I_POWERS = np.array([1, 1j, -1, -1j])
+
+
+def _odd_overlap(ax, az, bx, bz) -> np.ndarray:
+    """1 where the strings (ax, az) and (bx, bz) anticommute, else 0."""
+    return (np.bitwise_count(ax & bz) + np.bitwise_count(az & bx)) & 1
+
+
+def _patch_columns(term: LocalTerm, code: StabilizerCode):
+    """The term's Paulis and the checks inside its support, as int64
+    columns over patch bits.
+
+    Returns (c, x, z, flipped, energy, group).  Pauli i is c_i times the
+    string i^|x_i & z_i| X^x_i Z^z_i (its sign folded into c_i); flipped_i
+    says whether it anticommutes with any inside check, and energy_i is the
+    sum of lambda over those it does.  ``group`` = (gx, gz, ge) lists the
+    2^r elements i^ge X^gx Z^gz of the signed group G_S the inside checks
+    generate.
+    """
+    qubits = term.patch_qubits
+    if len(qubits) > DENSE_PATCH_LIMIT:
+        raise PatchTooLargeError(
+            f"patch on {len(qubits)} qubits exceeds the dense limit"
         )
-        for (x, z), c in coeffs.items()
+    paulis = term.patch_paulis()
+    c = np.array([coeff * p.sign for coeff, p in paulis], dtype=complex)
+    x = np.array([p.x for _, p in paulis], dtype=np.int64)
+    z = np.array([p.z for _, p in paulis], dtype=np.int64)
+    inside = checks_inside(code, term.support)
+    cx = np.array([_compress_bits(code.checks[i].x, qubits) for i in inside],
+                  dtype=np.int64)
+    cz = np.array([_compress_bits(code.checks[i].z, qubits) for i in inside],
+                  dtype=np.int64)
+    flips = _odd_overlap(cx[:, None], cz[:, None], x, z)
+    energy = np.array([code.lambdas[i] for i in inside]) @ flips
+    # Double the group by each independent check h: g h has the power
+    # ge + e_h + 2|gz & hx| of i.
+    gx = gz = ge = np.zeros(1, dtype=np.int64)
+    independent = Echelon()
+    for i, hx, hz in zip(inside, cx.tolist(), cz.tolist()):
+        if independent.add(hx | (hz << len(qubits))):
+            eh = (hx & hz).bit_count() + 1 - code.checks[i].sign
+            power = (ge + eh + 2 * np.bitwise_count(gz & hx)) % 4
+            gx, gz, ge = (np.concatenate([gx, gx ^ hx]),
+                          np.concatenate([gz, gz ^ hz]),
+                          np.concatenate([ge, power]))
+    return c, x, z, flips.any(axis=0), energy, (gx, gz, ge)
+
+
+def _accumulate(c, x, z):
+    """Sum the coefficients of equal strings: (c, x, z) with unique (x, z)."""
+    keys, inverse = np.unique(x | (z << DENSE_PATCH_LIMIT), return_inverse=True)
+    sums = (np.bincount(inverse, c.real, len(keys))
+            + 1j * np.bincount(inverse, c.imag, len(keys)))
+    return sums, keys & ((1 << DENSE_PATCH_LIMIT) - 1), keys >> DENSE_PATCH_LIMIT
+
+
+def _group_products(c, x, z, group, anticommuting: bool = False):
+    """2^(1-r) sum_i c_i sum g T_i over the g in G_S that commute with T_i
+    (anticommute, with ``anticommuting``), as accumulated (c, x, z)."""
+    gx, gz, ge = group
+    odd = _odd_overlap(gx[:, None], gz[:, None], x, z).astype(bool)
+    g, i = np.nonzero(odd if anticommuting else ~odd)
+    px, pz = gx[g] ^ x[i], gz[g] ^ z[i]
+    # (i^a X^gx Z^gz)(i^b X^x Z^z) = i^(a + b + 2|gz & x|) X^px Z^pz, and
+    # the canonical string of (px, pz) carries i^|px & pz|.
+    power = (ge[g] + np.bitwise_count(x[i] & z[i])
+             + 2 * np.bitwise_count(gz[g] & x[i]) - np.bitwise_count(px & pz))
+    scale = 2.0 / len(gx)
+    return _accumulate(scale * c[i] * _I_POWERS[power % 4], px, pz)
+
+
+def _columns_to_term(c, x, z, template: LocalTerm) -> LocalTerm:
+    """Lift (c, x, z) patch columns into a term with the template's support
+    and syndrome, dropping |c| <= 1e-13 max(max |c|, 1) as
+    ``pauli_transform`` does."""
+    keep = np.abs(c) > 1e-13 * max(np.max(np.abs(c), initial=0.0), 1.0)
+    qubits = template.patch_qubits
+    paulis = tuple(
+        (coeff, PauliString(template.n, px, pz))
+        for coeff, px, pz in zip(c[keep].tolist(),
+                                 _expand_columns(x[keep], qubits),
+                                 _expand_columns(z[keep], qubits))
     )
     return LocalTerm(template.n, template.support, template.syndrome, paulis)
 
@@ -317,17 +389,18 @@ def _patch_matrix_to_term(M: np.ndarray, template: LocalTerm,
 def block_split(term: LocalTerm, code: StabilizerCode):
     """(P_S V P_S + Q_S V Q_S, P_S V Q_S + Q_S V P_S) for one local term.
 
-    Both halves keep the term's support and syndrome; their sum is the
-    input and neither operator norm exceeds the input's.
+    A Pauli T that flips no check inside S commutes with P_S and is block
+    diagonal.  One that flips some has P_S T P_S = 0, so its off-diagonal
+    part is P_S T + T P_S = 2^(1-r) sum over the g in G_S commuting with T
+    of g T.  Both halves keep the term's support and syndrome; their sum is
+    the input and neither operator norm exceeds the input's.
     """
-    P, Q = local_projectors(code, term.support)
-    V = term.patch_matrix()
-    diag = P @ V @ P + Q @ V @ Q
-    off = V - diag
-    return (
-        _patch_matrix_to_term(diag, term),
-        _patch_matrix_to_term(off, term),
-    )
+    c, x, z, flipped, _, group = _patch_columns(term, code)
+    off = _group_products(c[flipped], x[flipped], z[flipped], group)
+    off_c, off_x, off_z = off
+    diag = _accumulate(np.concatenate([c, -off_c]), np.concatenate([x, off_x]),
+                       np.concatenate([z, off_z]))
+    return _columns_to_term(*diag, term), _columns_to_term(*off, term)
 
 
 def commutator_qlo(d: QuasiLocalOperator, a: QuasiLocalOperator,

@@ -1,7 +1,8 @@
 """Iterated Schrieffer-Wolff machinery on exactly materialized Hamiltonians.
 
-Each order solves [H0, A] + V = PV term-by-term on local patches (the
-strong-support structure makes the patch solution exact globally), rotates
+Each order solves [H0, A] + V = PV term by term in closed form over the
+group of the checks inside each term's strong support (the strong-support
+structure makes the local solution exact globally), rotates
 the full Hamiltonian by the matrix exponential, re-expands the remainder
 over Paulis, and routes wide-support terms into an untracked garbage
 matrix.  Spectral verification (ground clusters, gaps, splittings, Weyl
@@ -30,12 +31,13 @@ from .matrices import (
 from .pauli import PauliString
 from .quasilocal import (
     QuasiLocalOperator,
-    _patch_matrix_to_term,
-    block_split,
+    _accumulate,
+    _columns_to_term,
+    _group_products,
+    _patch_columns,
+    block_diagonal_part,
     decompose,
     kappa_norm,
-    local_projectors,
-    patch_hamiltonian,
 )
 
 
@@ -49,33 +51,55 @@ def solve_generator(code: StabilizerCode, v: QuasiLocalOperator,
 
     Per term: A_{S,s} = P_S V Q_S H_S^+ - H_S^+ Q_S V P_S on the patch,
     with H_S^+ the pseudo-inverse of the patch Hamiltonian (kernel = local
-    codespace).  Terms with empty syndrome contribute nothing; a nonzero
-    off-diagonal block there would contradict the decomposition invariant.
+    codespace).  In closed form over the group G_S of the checks inside S,
+    P_S = 2^-r sum_{g in G_S} g: a Pauli T that flips inside checks of
+    total weight E maps the local codespace into the eigenspace of H_S at
+    E, so its part is (P_S T - T P_S) / E = 2^(1-r) sum over the g in G_S
+    anticommuting with T of g T / E, and one that flips none adds nothing.
+
+    Terms with empty syndrome contribute nothing; an off-diagonal block
+    there, ||P_S V Q_S|| > tol max(||V||, 1) in the Frobenius norm, would
+    contradict the decomposition invariant and raises
+    GeneratorConsistencyError.
     """
     out_terms = []
     for t in v.terms:
-        P, Q = local_projectors(code, t.support)
-        V = t.patch_matrix()
+        c, x, z, flipped, energy, group = _patch_columns(t, code)
         if t.syndrome.is_zero():
-            off = P @ V @ Q
-            if np.linalg.norm(off) > tol * max(np.linalg.norm(V), 1.0):
+            # P V Q = P V_f for the part V_f that flips inside checks, and
+            # P V_f = ((P V_f + V_f P) + (P V_f - V_f P)) / 2.  A patch
+            # Pauli has squared Frobenius norm 2^|S|.
+            parts = [
+                _group_products(c[flipped], x[flipped], z[flipped], group,
+                                anticommuting=odd)
+                for odd in (False, True)
+            ]
+            pvq = _accumulate(*map(np.concatenate, zip(*parts)))[0] / 2
+            v_coeffs = _accumulate(c, x, z)[0]
+            if np.linalg.norm(pvq) > tol * max(
+                    np.linalg.norm(v_coeffs), 2.0 ** (-len(t.support) / 2)):
                 raise GeneratorConsistencyError(
                     f"zero-syndrome term on {sorted(t.support)} has an "
                     "off-diagonal block"
                 )
             continue
-        H = patch_hamiltonian(code, t.support)
-        Hpinv = np.linalg.pinv(H, rcond=1e-12, hermitian=True)
-        A = P @ V @ Q @ Hpinv - Hpinv @ Q @ V @ P
-        term = _patch_matrix_to_term(A, t)
+        a = _group_products(c[flipped] / energy[flipped], x[flipped],
+                            z[flipped], group, anticommuting=True)
+        term = _columns_to_term(*a, t)
         if term.paulis:
             out_terms.append(term)
     return QuasiLocalOperator(code, tuple(out_terms))
 
 
+def _antihermitian_eigh(A: np.ndarray):
+    """Eigenvalues and eigenvectors of the Hermitian -iA, so that
+    e^{sA} = V diag(e^{i s vals}) V^dagger for every real s."""
+    M = -1j * A
+    return np.linalg.eigh(0.5 * (M + M.conj().T))
+
+
 def _expm_antihermitian(A: np.ndarray) -> np.ndarray:
-    M = -1j * A  # Hermitian
-    vals, vecs = np.linalg.eigh(0.5 * (M + M.conj().T))
+    vals, vecs = _antihermitian_eigh(A)
     return (vecs * np.exp(1j * vals)) @ vecs.conj().T
 
 
@@ -119,7 +143,7 @@ class SwtEngine:
              e_m: np.ndarray) -> StepResult:
         code = self.code
         a_m = solve_generator(code, v_m)
-        pv = _block_diag_qlo(v_m)
+        pv = block_diagonal_part(v_m)
         d_next = d_m.add(pv)
         a_dense = a_m.to_dense()
         U = _expm_antihermitian(a_dense)
@@ -144,24 +168,6 @@ class SwtEngine:
             np.linalg.norm(U.conj().T @ (tracked + e_m) @ U - total_next, 2)
         )
         return StepResult(d_next, v_next, e_next, a_m, U, residual)
-
-
-def _block_diag_qlo(v: QuasiLocalOperator) -> QuasiLocalOperator:
-    terms = []
-    for t in v.terms:
-        d, _ = block_split(t, v.code)
-        if d.paulis:
-            terms.append(d)
-    return QuasiLocalOperator(v.code, tuple(terms))
-
-
-def _block_offdiag_qlo(v: QuasiLocalOperator) -> QuasiLocalOperator:
-    terms = []
-    for t in v.terms:
-        _, o = block_split(t, v.code)
-        if o.paulis:
-            terms.append(o)
-    return QuasiLocalOperator(v.code, tuple(terms))
 
 
 @dataclass
@@ -205,7 +211,8 @@ def swt_run(code: StabilizerCode, v_terms, m_target: int,
     for m in range(1, m_target + 1):
         km = kappa_m(kappa1, m)
         v_norms.append(kappa_norm(v_m, km))
-        vt_norms.append(kappa_norm(_block_offdiag_qlo(v_m), km))
+        vt_norms.append(
+            kappa_norm(block_diagonal_part(v_m, keep_offdiag=True)[1], km))
         if m == m_target:
             break
         res = engine.step(d_m, v_m, e_m)

@@ -75,6 +75,30 @@ def test_pauli_transform_asymmetric_string():
     assert coeffs == {(p.x, p.z): pytest.approx(1.0)}
 
 
+def test_pauli_transform_matches_per_entry_decode():
+    # The digit decode reproduces a per-entry base-4 decode exactly, in the
+    # same key order.
+    rng = np.random.default_rng(4)
+    M = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+    M[np.abs(M) < 1.0] = 0.0
+    t = np.asarray(M).reshape((2,) * 10)
+    for j in range(5):
+        t = np.moveaxis(t, 5 - j, 1).reshape((4,) + t.shape[2:])
+        t = np.moveaxis(np.tensordot(matrices._PAULI_T, t, axes=([1], [0])),
+                        0, -1)
+    t = t.reshape(-1)
+    expect = {}
+    for flat in np.nonzero(np.abs(t) > 0.05 * max(np.abs(t).max(), 1.0))[0]:
+        x = z = 0
+        for qb in range(5):
+            digit = (int(flat) >> (2 * qb)) & 3
+            x |= (digit in (1, 2)) << qb
+            z |= (digit in (2, 3)) << qb
+        expect[(x, z)] = complex(t[flat])
+    got = pauli_transform(M, tol=0.05)
+    assert list(got.items()) == list(expect.items())
+
+
 def test_matvec_matches_dense():
     code = toric_code(2)
     terms = code_hamiltonian_terms(code)
@@ -261,3 +285,64 @@ def test_payload_norm_refuses_dense_fallback(monkeypatch):
     monkeypatch.setattr(matrices, "operator_dense", no_dense)
     with pytest.raises(ArithmeticError, match="n = 14"):
         payload_norm(14, _field(14, "X", 1.0)[:2])
+
+
+@st.composite
+def norm_cases(draw):
+    """(n, terms) with real (Hermitian), imaginary (anti-Hermitian) or
+    complex coefficients; complex ones make non-normal sums."""
+    n, terms = draw(pauli_sums())
+    kind = draw(st.sampled_from(("hermitian", "antihermitian", "complex")))
+    if kind == "antihermitian":
+        terms = [(1j * c, p) for c, p in terms]
+    elif kind == "complex":
+        phases = draw(st.lists(st.floats(-1, 1), min_size=len(terms),
+                               max_size=len(terms)))
+        terms = [(c + 1j * f, p) for (c, p), f in zip(terms, phases)]
+    return n, terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(norm_cases())
+def test_payload_norm_matches_dense_svd(case):
+    n, terms = case
+    expect = np.linalg.norm(operator_dense(n, terms), 2)
+    assert payload_norm(n, terms) == pytest.approx(expect, rel=1e-12, abs=1e-12)
+
+
+def test_payload_norm_non_normal_sum():
+    # M = X + iZ: M M^dagger = 2 - 2Y and M^dagger M = 2 + 2Y, so M is not
+    # normal; its singular values are 2 and 0.
+    terms = [(1.0, PauliString.from_label("X")),
+             (1j, PauliString.from_label("Z"))]
+    assert payload_norm(1, terms) == pytest.approx(2.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("phases", [(1, 1), (1j, 1j), (1, 0.6 + 0.8j)],
+                         ids=["hermitian", "antihermitian", "mixed"])
+def test_payload_norm_hadamard_frame_blocks(phases, monkeypatch):
+    # x-masks span 4 dimensions, z-masks 2 (Z_0, Z_1; Y_0 adds no z): the
+    # Hadamard frame, 16 cosets of 4 states.  In that frame the coset signs
+    # come from X2X3 and X4X5 alone, so 4 distinct blocks are built.
+    n = 6
+    labels = ("ZIIIII", "IZIIII", "XXIIII", "IIXXII", "IIIIXX", "YIIIII")
+    coeffs = (0.3, -0.4, 0.5, 0.2, 0.35, 0.25)
+    terms = [(phases[j % 2] * c, PauliString.from_label(label))
+             for j, (c, label) in enumerate(zip(coeffs, labels))]
+    frames, shapes = [], []
+    frame, blocks = matrices._hadamard_frame, matrices._batched_blocks
+
+    def spy_frame(ts):
+        frames.append(len(ts))
+        return frame(ts)
+
+    def spy_blocks(r, strings, weights):
+        out = blocks(r, strings, weights)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(matrices, "_hadamard_frame", spy_frame)
+    monkeypatch.setattr(matrices, "_batched_blocks", spy_blocks)
+    expect = np.linalg.norm(operator_dense(n, terms), 2)
+    assert payload_norm(n, terms) == pytest.approx(expect, rel=1e-12)
+    assert frames and shapes == [(4, 4, 4)]

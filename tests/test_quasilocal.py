@@ -1,4 +1,8 @@
-"""Strong-support decomposition, kappa-norms, projectors, block splits."""
+"""Strong-support decomposition, kappa-norms, projectors, block splits.
+
+The dense patch algebra (``local_projectors``, ``patch_hamiltonian``,
+``pauli_transform``) is kept here as the oracle of the closed-form block
+split and generator."""
 
 from __future__ import annotations
 
@@ -7,19 +11,25 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabbench.code import StabilizerCode
-from stabbench.constructors import repetition_code, toric_code
-from stabbench.matrices import operator_dense
+from stabbench.constructors import ising_toric, repetition_code, toric_code
+from stabbench.gf2 import BitVector
+from stabbench.matrices import operator_dense, pauli_transform
 from stabbench.pauli import PauliString
 from stabbench.quasilocal import (
+    LocalTerm,
     PatchTooLargeError,
+    QuasiLocalOperator,
     block_split,
     decompose,
     kappa_norm,
     local_projectors,
     patch_hamiltonian,
 )
+from tests.test_soundness import general_code
 
 
 def field_code(n: int) -> StabilizerCode:
@@ -204,3 +214,146 @@ def test_block_diagonal_part_commutes_with_local_projector():
         P, _ = local_projectors(code, t.support)
         M = operator_dense(len(t.support), diag.patch_paulis())
         assert np.linalg.norm(P @ M - M @ P) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# The dense patch algebra, kept as the oracle of the closed forms.
+
+def patch_matrix_to_term(M: np.ndarray, template: LocalTerm,
+                         drop_tol: float = 1e-13) -> LocalTerm:
+    """Re-expand a patch matrix into Paulis lifted back to full indices."""
+    qubits = template.patch_qubits
+
+    def lift(bits: int) -> int:
+        return sum(1 << q for j, q in enumerate(qubits) if (bits >> j) & 1)
+
+    paulis = tuple(
+        (c, PauliString(template.n, lift(x), lift(z)))
+        for (x, z), c in pauli_transform(M, tol=drop_tol).items()
+    )
+    return LocalTerm(template.n, template.support, template.syndrome, paulis)
+
+
+def dense_block_split(term: LocalTerm, code: StabilizerCode):
+    P, Q = local_projectors(code, term.support)
+    V = term.patch_matrix()
+    diag = P @ V @ P + Q @ V @ Q
+    return (patch_matrix_to_term(diag, term),
+            patch_matrix_to_term(V - diag, term))
+
+
+def dense_generator_term(term: LocalTerm, code: StabilizerCode) -> LocalTerm:
+    """A = P V Q H^+ - H^+ Q V P with H^+ the pseudo-inverse of the patch
+    Hamiltonian."""
+    P, Q = local_projectors(code, term.support)
+    V = term.patch_matrix()
+    Hpinv = np.linalg.pinv(patch_hamiltonian(code, term.support), rcond=1e-12,
+                           hermitian=True)
+    return patch_matrix_to_term(P @ V @ Q @ Hpinv - Hpinv @ Q @ V @ P, term)
+
+
+def coefficients(term: LocalTerm) -> dict:
+    out: dict = {}
+    for c, p in term.paulis:
+        out[(p.x, p.z)] = out.get((p.x, p.z), 0.0) + c * p.sign
+    return out
+
+
+def assert_same_term(got: LocalTerm, want: LocalTerm, atol: float = 1e-12):
+    assert got.support == want.support
+    assert got.syndrome == want.syndrome
+    a, b = coefficients(got), coefficients(want)
+    for key in a.keys() | b.keys():
+        assert abs(a.get(key, 0.0) - b.get(key, 0.0)) <= atol, key
+
+
+ORACLE_CODES = {
+    "toric2": toric_code(2),
+    **{f"rep{n}": repetition_code(n) for n in range(4, 9)},
+    "ising_toric2": ising_toric(2),
+    "general": general_code(),
+    # [[5, 1, 3]]: a check with Z where a later one has X, so products in
+    # the check group pick up the sign of reordering them.
+    "five_qubit": StabilizerCode.from_checks(
+        5, [PauliString.from_label(s)
+            for s in ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")]),
+}
+
+
+@st.composite
+def oracle_cases(draw):
+    """(code with drawn check weights, local terms): the terms of a
+    decomposed Pauli sum, or one hand-built term with a drawn syndrome
+    whose support is the Paulis' own support plus drawn qubits, so that it
+    may omit checks they flip.  Coefficients are all real, all imaginary
+    or complex."""
+    base = ORACLE_CODES[draw(st.sampled_from(sorted(ORACLE_CODES)))]
+    lambdas = draw(st.lists(st.sampled_from((1.0, 1.5, 2.0, 3.0)),
+                            min_size=base.num_checks,
+                            max_size=base.num_checks))
+    code = StabilizerCode(base.n, base.checks, tuple(lambdas), base.kind)
+    n = code.n
+    kind = draw(st.sampled_from(("hermitian", "antihermitian", "complex")))
+    scale = {"hermitian": 1.0, "antihermitian": 1j,
+             "complex": complex(1, draw(st.floats(-1, 1)))}[kind]
+    qubit_sets = st.sets(st.integers(0, n - 1), min_size=1, max_size=3)
+    raw = draw(st.lists(
+        st.tuples(st.floats(-1, 1, allow_nan=False), qubit_sets,
+                  st.lists(st.sampled_from("XYZ"), min_size=3, max_size=3),
+                  st.sampled_from((1, -1))),
+        min_size=1, max_size=6))
+    paulis = []
+    for c, qubits, kinds, sign in raw:
+        x = z = 0
+        for q, k in zip(sorted(qubits), kinds):
+            x |= (k in "XY") << q
+            z |= (k in "YZ") << q
+        paulis.append((scale * c, PauliString(n, x, z, sign)))
+    if draw(st.booleans()):
+        return code, decompose(paulis, code).terms
+    support = frozenset().union(*(p.support() for _, p in paulis))
+    support |= draw(st.sets(st.integers(0, n - 1), max_size=3))
+    syndrome = BitVector(code.num_checks,
+                         draw(st.integers(1, (1 << code.num_checks) - 1)))
+    return code, (LocalTerm(n, support, syndrome, tuple(paulis)),)
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_cases())
+def test_block_split_matches_dense_patch_algebra(case):
+    code, terms = case
+    for t in terms:
+        diag, off = block_split(t, code)
+        want_diag, want_off = dense_block_split(t, code)
+        assert_same_term(diag, want_diag)
+        assert_same_term(off, want_off)
+
+
+def test_block_split_term_omitting_a_flipped_check():
+    # X_3 on rep5 flips Z2Z3 and Z3Z4; a term on {1, 2, 3} holds only the
+    # first, and of the group {I, Z1Z2, Z2Z3, Z1Z3} of its inside checks
+    # I and Z1Z2 commute with X_3: the off part is (X_3 + Z1Z2 X_3) / 2.
+    code = repetition_code(5)
+    p = PauliString.single(5, "X", 3)
+    term = LocalTerm(5, frozenset({1, 2, 3}), BitVector(code.num_checks, 0b1100),
+                     ((0.5, p), (0.25, PauliString.single(5, "Z", 1))))
+    diag, off = block_split(term, code)
+    want_diag, want_off = dense_block_split(term, code)
+    assert_same_term(diag, want_diag)
+    assert_same_term(off, want_off)
+    assert coefficients(off) == pytest.approx(
+        {(p.x, 0): 0.25, (p.x, 0b0110): 0.25})
+
+
+def test_block_split_on_qubits_past_int64():
+    # Patch masks are lifted back with Python ints when a qubit index does
+    # not fit an int64 bit.
+    code = repetition_code(70)
+    v = decompose([(0.3, PauliString.single(70, "X", 68)),
+                   (0.2, PauliString.from_support(70, "Y", (61, 62)))], code)
+    for t in v.terms:
+        diag, off = block_split(t, code)
+        want_diag, want_off = dense_block_split(t, code)
+        assert_same_term(diag, want_diag)
+        assert_same_term(off, want_off)
+        assert off.paulis

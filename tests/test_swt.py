@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from stabbench.constructors import (
     ising_toric,
@@ -15,17 +16,22 @@ from stabbench.constructors import (
     toric_qubit_index,
 )
 from stabbench.flow import kappa_m
+from stabbench.gf2 import BitVector
 from stabbench.matrices import (
     code_hamiltonian_dense,
     operator_dense,
 )
 from stabbench.pauli import PauliString
 from stabbench.quasilocal import (
+    LocalTerm,
+    QuasiLocalOperator,
     block_diagonal_part,
     decompose,
     kappa_norm,
+    local_projectors,
 )
 from stabbench.swt import (
+    GeneratorConsistencyError,
     SwtEngine,
     local_indistinguishability_check,
     operator_locally_trivial,
@@ -34,7 +40,13 @@ from stabbench.swt import (
     spectral_report,
     swt_run,
 )
-from tests.test_quasilocal import field_code, random_pauli_sum
+from tests.test_quasilocal import (
+    assert_same_term,
+    dense_generator_term,
+    field_code,
+    oracle_cases,
+    random_pauli_sum,
+)
 
 
 def defining_equation_residual(code, v_qlo) -> float:
@@ -99,11 +111,51 @@ def test_generator_kappa_contract():
     v = decompose(random_pauli_sum(code, rng, num_terms=8, max_weight=2,
                                    scale=0.05), code)
     a = solve_generator(code, v)
-    from stabbench.swt import _block_offdiag_qlo
-
-    off = _block_offdiag_qlo(v)
+    _, off = block_diagonal_part(v, keep_offdiag=True)
     for kappa in (0.5, 1.0):
         assert kappa_norm(a, kappa) <= kappa_norm(off, kappa) + 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_cases())
+def test_generator_matches_dense_patch_solve(case):
+    code, terms = case
+    terms = tuple(t for t in terms if not t.syndrome.is_zero())
+    a = solve_generator(code, QuasiLocalOperator(code, terms))
+    got = a.key_index()
+    for t in terms:
+        want = dense_generator_term(t, code)
+        key = (t.support, t.syndrome.bits)
+        if key in got:
+            assert_same_term(got[key], want)
+        else:
+            assert all(abs(c) <= 1e-12 for c, _ in want.paulis)
+
+
+def test_generator_consistency_error_on_zero_syndrome_term():
+    code = repetition_code(4)
+    x1 = PauliString.single(4, "X", 1)
+    z1 = PauliString.single(4, "Z", 1)
+    zero = BitVector(code.num_checks, 0)
+    # X_1 flips Z0Z1 and Z1Z2, both inside {0, 1, 2}.
+    bad = LocalTerm(4, frozenset({0, 1, 2}), zero, ((0.3, z1), (0.2, x1)))
+    with pytest.raises(GeneratorConsistencyError, match=r"\[0, 1, 2\]"):
+        solve_generator(code, QuasiLocalOperator(code, (bad,)))
+    # The threshold is the dense one, ||P V Q||_F > tol max(||V||_F, 1):
+    # on this patch ||P X_1 Q||_F = sqrt(2) and ||V||_F < 1.
+    P, Q = local_projectors(code, bad.support)
+    for factor, raises in ((0.7, False), (1.4, True)):
+        term = LocalTerm(4, bad.support, zero,
+                         ((0.3, z1), (factor * 1e-10 / np.sqrt(2), x1)))
+        V = term.patch_matrix()
+        dense = np.linalg.norm(P @ V @ Q) > 1e-10 * max(np.linalg.norm(V), 1)
+        assert dense == raises
+        qlo = QuasiLocalOperator(code, (term,))
+        if raises:
+            with pytest.raises(GeneratorConsistencyError):
+                solve_generator(code, qlo)
+        else:
+            assert solve_generator(code, qlo).terms == ()
 
 
 def test_step_with_zero_v_is_identity():
