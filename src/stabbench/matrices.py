@@ -21,6 +21,15 @@ def _z_parity_signs(z: int, states: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * par.astype(np.float64)
 
 
+def _compress_bits(bits: int, positions) -> int:
+    """The bits at ``positions``, packed in that order from bit 0."""
+    out = 0
+    for j, pos in enumerate(positions):
+        if (bits >> pos) & 1:
+            out |= 1 << j
+    return out
+
+
 def pauli_dense(p: PauliString) -> np.ndarray:
     """Dense 2^n x 2^n matrix of a Hermitian Pauli string."""
     dim = 1 << p.n
@@ -65,21 +74,13 @@ def independent_checks(code) -> list[int]:
     ]
 
 
-def stabilizer_group(code, generators=None) -> list[PauliString]:
-    """All signed products of an independent generating set (size 2^rank)."""
-    if generators is None:
-        generators = [code.checks[i] for i in independent_checks(code)]
-    group = [PauliString.identity(code.n)]
-    for g in generators:
-        group += [multiply(h, g) for h in group]
-    return group
-
-
 def codespace_projector_dense(code) -> np.ndarray:
-    """P = prod (I+Q)/2 as the normalized sum over the stabilizer group."""
-    group = stabilizer_group(code)
-    terms = [(1.0 / len(group), g) for g in group]
-    return operator_dense(code.n, terms)
+    """P = prod (I+Q)/2 as the normalized sum over the stabilizer group:
+    the 2^rank signed products of an independent set of checks."""
+    group = [PauliString.identity(code.n)]
+    for i in independent_checks(code):
+        group += [multiply(h, code.checks[i]) for h in group]
+    return operator_dense(code.n, [(1.0 / len(group), g) for g in group])
 
 
 _PAULI_T = 0.5 * np.array(
@@ -263,6 +264,10 @@ DENSE_BLOCK_MAX_DIM = 1 << 9
 # Largest residual ||Hv - lambda v|| accepted from a Lanczos eigenpair: the
 # tolerance to which eigenvalues are compared downstream.
 RESIDUAL_TOL = 1e-8
+# Most states in one invariant block, and most cosets, that ``_coset_split``
+# accepts: a Lanczos vector of 2^20 complex states takes 16 MB, and the
+# coset representatives and floors 8 MB each.
+COSET_MAX_DIM = 1 << 20
 
 
 def _hadamard_frame(terms) -> list:
@@ -304,12 +309,19 @@ def _coset_split(n: int, terms):
     (-1)^(c.z) coeff times its reduced r-qubit string (``_reduced_term``).
 
     Returns the terms in the chosen frame, their reduced strings, the coset
-    representatives (every state with zero pivot bits) and r.
+    representatives (every state with zero pivot bits) and r.  Raises
+    ValueError, before anything of that size is built, when a block or the
+    number of cosets would exceed ``COSET_MAX_DIM``.
     """
     rows = Echelon(p.x for _, p in terms).rows
     z_rows = Echelon(p.z for _, p in terms).rows
     if len(z_rows) < len(rows):
         terms, rows = _hadamard_frame(terms), z_rows
+    r = len(rows)
+    if max(1 << r, 1 << (n - r)) > COSET_MAX_DIM:
+        raise ValueError(
+            f"{n} qubits split into 2^{n - r} cosets of 2^{r} states; more "
+            f"than {COSET_MAX_DIM} of either is refused")
     pivots = sorted(rows)
     reduced = [_reduced_term(p, rows, pivots) for _, p in terms]
     free = [i for i in range(n) if i not in rows]
@@ -317,7 +329,7 @@ def _coset_split(n: int, terms):
     reps = np.zeros_like(index)
     for j, bit in enumerate(free):
         reps |= ((index >> j) & 1) << bit
-    return terms, reduced, reps, len(pivots)
+    return terms, reduced, reps, r
 
 
 def _lanczos_block(r: int, terms, k: int, rng, tol: float,
@@ -343,35 +355,86 @@ def _lanczos_block(r: int, terms, k: int, rng, tol: float,
     return vals
 
 
+def _cluster_floor(n: int, terms, reduced) -> float:
+    """Lower bound on the non-constant part of the sum on every coset.
+
+    One cluster per term whose reduced string flips states (x != 0); every
+    other non-constant term is split evenly between the clusters whose
+    support (in the chosen frame) contains its own, and one in no cluster
+    counts -|c|.  Each cluster's operator maps every coset into itself, so
+    its minimum on any coset is at least its lowest eigenvalue over the
+    whole space, taken densely as a Pauli sum on the cluster's support
+    qubits (P. W. Anderson, Phys. Rev. 83, 1260 (1951)).  A cluster whose
+    support spans more than ``DENSE_BLOCK_MAX_DIM`` states counts -sum |c|
+    of its share instead.  Every lowest eigenvalue is at least -sum |c| of
+    its share, so the bound is never below -sum |c| of the terms.
+    """
+    cores = [(c, p) for (c, p), q in zip(terms, reduced) if q.x]
+    supports = np.array([p.x | p.z for _, p in cores], dtype=np.int64)
+    members = [[core] for core in cores]
+    floor = 0.0
+    for (c, p), q in zip(terms, reduced):
+        if q.x or not q.z:  # a cluster's core, or constant on every coset
+            continue
+        support = np.int64(p.x | p.z)
+        hosts = np.flatnonzero((supports & support) == support)
+        if not len(hosts):
+            floor -= abs(c)
+        for j in hosts:
+            members[j].append((c / len(hosts), p))
+    for support, cluster in zip(supports.tolist(), members):
+        if 1 << support.bit_count() > DENSE_BLOCK_MAX_DIM:
+            floor -= sum(abs(c) for c, _ in cluster)
+            continue
+        qubits = [i for i in range(n) if (support >> i) & 1]
+        strings = [PauliString(len(qubits), _compress_bits(p.x, qubits),
+                               _compress_bits(p.z, qubits), p.sign)
+                   for _, p in cluster]
+        weights = np.array([[c for c, _ in cluster]])
+        M = _batched_blocks(len(qubits), strings, weights)[0]
+        floor += np.linalg.eigvalsh(M if M.imag.any() else M.real)[0]
+    return floor
+
+
+def _coset_floors(n: int, terms, reduced, reps) -> np.ndarray:
+    """Floor under every eigenvalue of each coset block: the terms constant
+    on the coset plus the cluster floor of the others (``_cluster_floor``)."""
+    floors = np.full(len(reps), _cluster_floor(n, terms, reduced))
+    for (c, p), q in zip(terms, reduced):
+        if q.x == 0 and q.z == 0:
+            floors += (c * q.sign).real * _z_parity_signs(p.z, reps)
+    return floors
+
+
 def lowest_eigenvalues_sparse(
     n: int, terms, k: int, seed: int = 7, tol: float = 0.0, maxiter: int = 50000
 ) -> np.ndarray:
     """Lowest k eigenvalues of a Pauli-sum Hamiltonian, sorted, solved one
-    invariant coset at a time (``_coset_split``).
+    invariant coset at a time (``_coset_split``); k = 2^n gives the exact
+    full spectrum, every block solved densely, with no 2^n x 2^n matrix.
 
-    Terms whose reduced string is the identity are constant on a coset;
-    their sum there minus sum |c| over the other terms is a floor under
-    every eigenvalue of the block.  Blocks are visited by rising floor until
-    the next floor reaches the k-th lowest level found so far, since no
-    block at or above it can change the k lowest values.
+    Terms whose reduced string is the identity are constant on a coset.
+    Their sum there plus a cluster floor of the other terms
+    (``_cluster_floor``: the lowest eigenvalues of small clusters of terms,
+    each a flipping term with its share of the diagonal terms on its
+    support) is a certified floor under every eigenvalue of the block.
+    Blocks are visited by rising floor until the next floor reaches the
+    k-th lowest level found so far, since no block at or above it can
+    change the k lowest values.
 
     A block of dimension up to ``DENSE_BLOCK_MAX_DIM``, or with fewer than
     k + 2 states, is diagonalized densely.  A larger one runs Lanczos from
     a start vector drawn from ``seed`` (deterministic given the seed) and
     raises ArithmeticError when an eigenpair's residual exceeds
     ``RESIDUAL_TOL``.  With one coset this is a Lanczos solve over all 2^n
-    states.
+    states.  Raises ValueError when a block or the number of cosets exceeds
+    ``COSET_MAX_DIM``.
     """
     terms = list(terms)
     if not 1 <= k <= 1 << n:
         raise ValueError(f"k = {k} is outside 1..2^{n}")
     terms, reduced, reps, r = _coset_split(n, terms)
-    floors = np.zeros(len(reps))
-    for (c, p), q in zip(terms, reduced):
-        if q.x == 0 and q.z == 0:
-            floors += (c * q.sign).real * _z_parity_signs(p.z, reps)
-        else:
-            floors -= abs(c)
+    floors = _coset_floors(n, terms, reduced, reps)
 
     rng = np.random.default_rng(seed)
     levels = np.empty(0)
@@ -390,9 +453,3 @@ def lowest_eigenvalues_sparse(
             vals = _lanczos_block(r, block, k, rng, tol, maxiter)
         levels = np.sort(np.concatenate([levels, vals]))[:k]
     return levels
-
-
-def lowest_eigensystem_dense(H: np.ndarray):
-    Hh = 0.5 * (H + H.conj().T)
-    vals, vecs = np.linalg.eigh(Hh)
-    return vals, vecs

@@ -23,7 +23,7 @@ import numpy as np
 
 from .code import StabilizerCode, syndrome_of
 from .gf2 import BitVector, Echelon
-from .matrices import operator_dense
+from .matrices import _compress_bits, operator_dense
 from .pauli import PauliString
 
 PATCH_LIMIT = 14  # norm evaluations refuse patches beyond 2^14 dimensions
@@ -32,14 +32,6 @@ DENSE_PATCH_LIMIT = 12  # patch algebra (projectors, splits, solves)
 
 class PatchTooLargeError(ValueError):
     pass
-
-
-def _compress_bits(bits: int, positions: tuple[int, ...]) -> int:
-    out = 0
-    for j, pos in enumerate(positions):
-        if (bits >> pos) & 1:
-            out |= 1 << j
-    return out
 
 
 def _expand_columns(bits: np.ndarray, positions: tuple[int, ...]) -> list:

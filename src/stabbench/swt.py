@@ -6,8 +6,9 @@ structure makes the local solution exact globally), rotates
 the full Hamiltonian by the matrix exponential, re-expands the remainder
 over Paulis, and routes wide-support terms into an untracked garbage
 matrix.  Spectral verification (ground clusters, gaps, splittings, Weyl
-stability, projector distances) runs dense to n = 12 and via Lanczos
-matvecs beyond.
+stability) runs through the coset solver of ``matrices``: every level to
+n = 12, the lowest few beyond.  Only projector distances diagonalize a
+dense 2^n x 2^n matrix.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .matrices import (
     lowest_eigenvalues_sparse,
     operator_dense,
     pauli_transform,
+    payload_norm,
 )
 from .pauli import PauliString
 from .quasilocal import (
@@ -298,34 +300,38 @@ def spectral_report(
 ) -> SpectralReport:
     """Low-lying spectrum of H0 + eps * V with ground-cluster statistics.
 
-    Dense mode (n <= 12) diagonalizes fully.  Sparse mode (n <= 20) takes
-    the lowest ``num_eigs`` levels from ``lowest_eigenvalues_sparse``, which
+    Both modes take their levels from ``lowest_eigenvalues_sparse``, which
     solves each invariant coset of the terms' x-span separately (densely,
-    or by seeded Lanczos on blocks above 2^9 states) and skips the cosets
-    whose certified energy floor lies above the levels found; it returns
-    no eigenvectors.  When an SWT run is supplied with dense mode, the
-    distance between the perturbed ground projector and the rotated
-    unperturbed one is reported as well.
+    or by seeded Lanczos on blocks above 2^9 states) and builds no 2^n x 2^n
+    matrix.  Dense mode (n <= 12) asks it for all 2^n levels, so every coset
+    is solved densely and the full spectrum is exact.  Sparse mode takes the
+    lowest ``num_eigs`` levels and skips the cosets whose certified cluster
+    floor lies above the levels found; it refuses a coset block or a coset
+    count above 2^20 (``matrices.COSET_MAX_DIM``) with ValueError.
+
+    Only when an SWT run is supplied with dense mode is the full matrix
+    diagonalized with eigenvectors, to report the distance between the
+    perturbed ground projector and the rotated unperturbed one.  The Weyl
+    check (dense mode) compares the spectrum with that of H0, both from the
+    coset solver, against eps ||V|| from ``payload_norm``.
     """
     if k is None:
         k = num_logical_qubits(code)
     if num_eigs is None:
         num_eigs = 2 ** k + 4
     v_list = list(v_terms)
+    terms = code_hamiltonian_terms(code) + [(epsilon * c, p) for c, p in v_list]
+    vecs = None
     if mode == "dense":
         if code.n > 12:
             raise ValueError("dense mode is limited to n <= 12")
-        H0 = code_hamiltonian_dense(code)
-        H = H0 + epsilon * operator_dense(code.n, v_list)
-        vals, vecs = np.linalg.eigh(0.5 * (H + H.conj().T))
+        if swt_result is None:
+            vals = lowest_eigenvalues_sparse(code.n, terms, k=1 << code.n)
+        else:
+            H = operator_dense(code.n, terms)
+            vals, vecs = np.linalg.eigh(0.5 * (H + H.conj().T))
     elif mode == "sparse":
-        if code.n > 20:
-            raise ValueError("sparse mode is limited to n <= 20")
-        terms = code_hamiltonian_terms(code) + [
-            (epsilon * c, p) for c, p in v_list
-        ]
         vals = lowest_eigenvalues_sparse(code.n, terms, k=num_eigs, seed=seed)
-        vecs = None
     else:
         raise ValueError(f"unknown mode {mode!r}")
     low = np.sort(vals)[: max(num_eigs, 2 ** k + 1)]
@@ -338,7 +344,7 @@ def spectral_report(
     )
     well_sep = gap >= 10.0 * max(splitting, 1e-300)
     proj_dist = None
-    if swt_result is not None and vecs is not None:
+    if vecs is not None:
         ground = vecs[:, : 2 ** k]
         p_new = ground @ ground.conj().T
         P = codespace_projector_dense(code)
@@ -346,8 +352,9 @@ def spectral_report(
         proj_dist = float(np.linalg.norm(p_new - U @ P @ U.conj().T, 2))
     weyl_margin = None
     if weyl_check and mode == "dense":
-        vals0 = np.linalg.eigvalsh(code_hamiltonian_dense(code))
-        vnorm = float(np.linalg.norm(operator_dense(code.n, v_list), 2))
+        vals0 = lowest_eigenvalues_sparse(code.n, code_hamiltonian_terms(code),
+                                          k=1 << code.n)
+        vnorm = payload_norm(code.n, v_list)
         weyl_margin = float(
             epsilon * vnorm - np.max(np.abs(np.sort(vals) - np.sort(vals0)))
         )

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stabbench import matrices
@@ -260,10 +260,21 @@ def test_sparse_eigenvalues_k_range():
                        dense[:1023], atol=1e-10)
 
 
-def test_sparse_eigenvalues_toric3_x_field_levels():
+def test_sparse_eigenvalues_toric3_x_field_levels(monkeypatch):
     code = toric_code(3)
     terms = code_hamiltonian_terms(code) + _field(code.n, "X", 0.1)
+    solved, block_dense = [], matrices.operator_dense
+
+    def spy_dense(r, ts):
+        solved.append(r)
+        return block_dense(r, ts)
+
+    monkeypatch.setattr(matrices, "operator_dense", spy_dense)
     vals = lowest_eigenvalues_sparse(code.n, terms, k=8)
+    # Hadamard frame, 1024 cosets of 2^8 states: the cluster floor (each
+    # plaquette with half the field on its four edges) admits only the four
+    # blocks without a violated star; the Sigma |c| floor admitted 148.
+    assert solved == [8] * 4
     expect = [-0.10524781911530995, -0.09328870777157455,
               -0.09328870777157224, -0.08302539033265915,
               1.1646619699916203, 1.3780005677777223,
@@ -271,6 +282,51 @@ def test_sparse_eigenvalues_toric3_x_field_levels():
     assert np.allclose(vals, expect, atol=1e-10)
     # The 8th level is threefold degenerate; it must not be cut to one copy.
     assert vals[5:] == pytest.approx([1.37800056777772] * 3, abs=1e-10)
+
+
+def test_coset_split_refuses_oversized_blocks_and_coset_counts(monkeypatch):
+    def no_block(*args, **kwargs):
+        raise AssertionError("a block was built")
+
+    monkeypatch.setattr(matrices, "operator_dense", no_block)
+    monkeypatch.setattr(matrices, "PauliMatvec", no_block)
+    # Toric L = 4 under a Y field: x- and z-masks both span all 32 qubits,
+    # one coset of 2^32 states.
+    code = toric_code(4)
+    terms = code_hamiltonian_terms(code) + _field(code.n, "Y", 0.1)
+    with pytest.raises(ValueError, match="2\\^0 cosets of 2\\^32 states"):
+        lowest_eigenvalues_sparse(code.n, terms, k=8)
+    # A Z field on a 22-qubit chain: every term diagonal, 2^22 cosets of
+    # one state.
+    terms = code_hamiltonian_terms(repetition_code(22)) + _field(22, "Z", 0.1)
+    with pytest.raises(ValueError, match="2\\^22 cosets of 2\\^0 states"):
+        lowest_eigenvalues_sparse(22, terms, k=2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pauli_sums())
+# X_0 heads the only cluster, and Z_0 Z_1, which it flips, lies outside its
+# support: a term in no cluster, which random draws seldom give.
+@example((2, [(0.5, PauliString(2, 1, 0)), (0.4, PauliString(2, 0, 3))]))
+# 0.4 Z and -0.4 (-Z) add up: a cluster that dropped the strings' signs
+# would see them cancel.
+@example((1, [(0.5, PauliString(1, 1, 0)), (0.4, PauliString(1, 0, 1)),
+              (-0.4, PauliString(1, 0, 1, -1))]))
+def test_cluster_floor_bounds_every_block(case):
+    # The cluster floor of each coset block lies at or below the block's
+    # dense minimum, and at or above the Sigma |c| floor it replaced.
+    n, terms = case
+    terms, reduced, reps, r = matrices._coset_split(n, terms)
+    floors = matrices._coset_floors(n, terms, reduced, reps)
+    for rep, floor in zip(reps.tolist(), floors):
+        signs = [-1 if (rep & p.z).bit_count() % 2 else 1 for _, p in terms]
+        block = [(s * c, q) for s, (c, _), q in zip(signs, terms, reduced)]
+        lowest = np.linalg.eigvalsh(operator_dense(r, block))[0]
+        sum_abs = sum(
+            s * (c * q.sign).real if q.x == 0 and q.z == 0 else -abs(c)
+            for s, (c, _), q in zip(signs, terms, reduced))
+        assert floor <= lowest + 1e-10
+        assert floor >= sum_abs - 1e-10
 
 
 def test_payload_norm_refuses_dense_fallback(monkeypatch):

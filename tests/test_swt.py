@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from stabbench import matrices
 from stabbench.constructors import (
     ising_toric,
     repetition_code,
@@ -15,6 +16,7 @@ from stabbench.constructors import (
     toric_face_support,
     toric_qubit_index,
 )
+from stabbench.experiments import uniform_field_terms
 from stabbench.flow import kappa_m
 from stabbench.gf2 import BitVector
 from stabbench.matrices import (
@@ -263,6 +265,45 @@ def test_spectral_report_toric_field_dense():
     assert rep.cluster_size == 4
     assert rep.gap > 0.5
     assert rep.weyl_margin is not None and rep.weyl_margin >= -1e-10
+
+
+@pytest.mark.parametrize("code,kind", [(toric_code(2), "X"),
+                                       (repetition_code(6), "X"),
+                                       (repetition_code(6), "Y")],
+                         ids=["toric2-x", "rep6-x", "rep6-y"])
+def test_spectral_report_dense_matches_full_diagonalization(code, kind):
+    # Dense reports come from the coset solver; the Weyl margin from the
+    # H0 spectrum of that solver and ||V|| from payload_norm.  Both agree
+    # with a diagonalization of the full 2^n x 2^n matrices.
+    eps = 0.07
+    terms = uniform_field_terms(code.n, kind)
+    rep = spectral_report(code, terms, eps, mode="dense", num_eigs=1 << code.n,
+                          weyl_check=True)
+    H0 = code_hamiltonian_dense(code)
+    V = operator_dense(code.n, terms)
+    vals = np.linalg.eigvalsh(H0 + eps * V)
+    assert np.allclose(rep.eigenvalues, vals, atol=1e-10)
+    margin = eps * np.linalg.norm(V, 2) - np.max(
+        np.abs(vals - np.linalg.eigvalsh(H0)))
+    assert rep.weyl_margin == pytest.approx(margin, abs=1e-10)
+
+
+def test_spectral_report_sparse_toric4_x_field(monkeypatch):
+    # n = 32, past the old n <= 20 limit: 2^17 cosets of 2^15 states, of
+    # which the cluster floor admits the four without a violated star.
+    solved, lanczos = [], matrices._lanczos_block
+
+    def spy_lanczos(r, *args):
+        solved.append(r)
+        return lanczos(r, *args)
+
+    monkeypatch.setattr(matrices, "_lanczos_block", spy_lanczos)
+    rep = spectral_report(toric_code(4), uniform_field_terms(32, "X"), 0.1,
+                          num_eigs=8, mode="sparse", k=2)
+    assert solved == [15] * 4
+    assert rep.cluster_size == 4
+    assert rep.splitting == pytest.approx(6.18e-3, abs=5e-6)
+    assert rep.gap == pytest.approx(1.169, abs=5e-4)
 
 
 def test_spectral_report_sparse_matches_dense():
