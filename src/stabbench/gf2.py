@@ -2,8 +2,12 @@
 
 Vectors are packed little-endian into Python ints (bit i of ``bits`` is
 coordinate i), so XOR/AND/popcount run at machine-word speed regardless of
-length.  All solvers here are exact at desk scale: they either return the
-true optimum or a certified statement that none exists below the cap.
+length.  The minimum-weight searches share one numpy kernel: the 2^j XOR
+combinations of up to ``TABLE_ROWS`` rows, built by doubling as a
+(2^j, ceil(cols/64)) uint64 table, with the combinations of any further
+rows streamed over it one table at a time.  All solvers here are exact at
+desk scale: they either return the true optimum or a certified statement
+that none exists below the cap.
 """
 
 from __future__ import annotations
@@ -11,10 +15,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
 
-# Row counts up to this are enumerated directly by ``min_support_solution``;
-# above it a meet-in-the-middle sweep takes over.
-DIRECT_MAX_ROWS = 24
+
+# Rows folded into one XOR table; the combinations of the other rows are
+# streamed over it, so a table holds at most 2^TABLE_ROWS words.
+TABLE_ROWS = 14
+# Generators with up to this many rows are searched over their whole span
+# by ``min_weight_codeword``; wider ones by candidate words in weight order.
+SPAN_MAX_ROWS = 20
 # Largest number of elements or half-subsets one exhaustive search visits.
 SEARCH_BUDGET = 1 << 22
 
@@ -197,14 +206,40 @@ def solve_affine(a: BitMatrix, b: BitVector):
     return BitVector(a.nrows, residual >> cols), null_basis
 
 
+def _words(values, cols: int) -> np.ndarray:
+    """Pack ints of ``cols`` bits into a (len, ceil(cols/64)) uint64 array."""
+    nwords = max(1, -(-cols // 64))
+    raw = b"".join(v.to_bytes(8 * nwords, "little") for v in values)
+    return np.frombuffer(raw, "<u8").reshape(len(values), nwords)
+
+
+def _span_table(words: np.ndarray) -> np.ndarray:
+    """Row s is the XOR of the rows of ``words`` selected by the bits of s."""
+    table = np.zeros((1, words.shape[1]), np.uint64)
+    for w in words:
+        table = np.concatenate([table, table ^ w])
+    return table
+
+
+def _span_chunks(words: np.ndarray):
+    """Yield (rows selected, XOR) over every subset of the rows of ``words``:
+    the table of the first ``TABLE_ROWS`` rows XOR each combination of the rest.
+    """
+    low = _span_table(words[:TABLE_ROWS])
+    low_w = np.bitwise_count(np.arange(len(low)))
+    for s, high in enumerate(_span_table(words[TABLE_ROWS:])):
+        yield low_w + s.bit_count(), low ^ high
+
+
 def min_support_solution(a: BitMatrix, b: BitVector, cap: int):
     """Exact minimum Hamming weight of x with x^T a = b^T, if it is <= cap.
 
     Returns None for infeasible systems and when every solution weighs more
-    than ``cap``.  Searches breadth-first over weight classes; above
-    ``DIRECT_MAX_ROWS`` rows a meet-in-the-middle sweep over half-subsets
-    replaces the direct enumeration.  Raises ValueError instead of starting
-    a sweep whose larger half has more than ``SEARCH_BUDGET`` subsets.
+    than ``cap``.  Meets in the middle for every row count: the XOR table
+    of the first half of the rows, cut to its lightest selection per word,
+    is matched by ``searchsorted`` against the other half's combinations,
+    streamed a table at a time.  Raises ValueError instead of starting a
+    sweep whose larger half has more than ``SEARCH_BUDGET`` subsets.
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")
@@ -214,55 +249,29 @@ def min_support_solution(a: BitMatrix, b: BitVector, cap: int):
     if b.is_zero():
         return 0
     m = a.nrows
-    rows = a.row_ints()
-    target = b.bits
-    if m <= DIRECT_MAX_ROWS:
-        for w in range(1, min(cap, m) + 1):
-            for comb in itertools.combinations(range(m), w):
-                acc = 0
-                for i in comb:
-                    acc ^= rows[i]
-                if acc == target:
-                    return w
-        return None
     if 1 << (m - m // 2) > SEARCH_BUDGET:
         raise ValueError(
             f"{m} rows: a meet-in-the-middle sweep over 2^{m - m // 2} "
             f"half-subsets exceeds the search budget of {SEARCH_BUDGET}"
         )
-    best = _mitm_min_weight(rows, target)
-    if best is not None and best <= cap:
-        return best
-    return None
-
-
-def _mitm_min_weight(rows: list[int], target: int):
-    """Meet-in-the-middle: min |x| with sum of selected rows == target."""
-    half = len(rows) // 2
-    left, right = rows[:half], rows[half:]
-    best_left: dict[int, int] = {}
-    for bits in range(1 << len(left)):
-        acc = 0
-        t = bits
-        while t:
-            acc ^= left[(t & -t).bit_length() - 1]
-            t &= t - 1
-        w = bits.bit_count()
-        if acc not in best_left or w < best_left[acc]:
-            best_left[acc] = w
-    best = None
-    for bits in range(1 << len(right)):
-        acc = 0
-        t = bits
-        while t:
-            acc ^= right[(t & -t).bit_length() - 1]
-            t &= t - 1
-        need = acc ^ target
-        if need in best_left:
-            w = bits.bit_count() + best_left[need]
-            if best is None or w < best:
-                best = w
-    return best
+    # A word of the rowspace is fixed by its bits at the pivot columns, and
+    # the budget keeps the rank at most 44, so each word keys as one uint64.
+    rows = a.row_ints()
+    pivots = sorted(Echelon(rows).rows)
+    keys = np.array([sum(((r >> p) & 1) << i for i, p in enumerate(pivots))
+                     for r in rows + [b.bits]], dtype=np.uint64)
+    half = m // 2
+    left = _span_table(keys[:half, None])[:, 0]
+    order = np.argsort(np.bitwise_count(np.arange(len(left))), kind="stable")
+    left, first = np.unique(left[order], return_index=True)
+    left_w = np.bitwise_count(order[first])
+    best = min(cap, m) + 1
+    for weights, chunk in _span_chunks(keys[half:m, None]):
+        need = chunk[:, 0] ^ keys[m]
+        pos = np.minimum(np.searchsorted(left, need), len(left) - 1)
+        hit = left[pos] == need
+        best = int((left_w[pos] + weights).min(initial=best, where=hit))
+    return best if best <= cap else None
 
 
 def in_rowspace(a: BitMatrix, b: BitVector) -> bool:
@@ -292,35 +301,23 @@ def min_weight_codeword(gen: BitMatrix, coset: BitVector, w_max: int):
     this is the minimum distance of the rowspace.  Returns None when the
     minimum exceeds ``w_max``, which certifies the bound "weight >= w_max+1".
 
-    Enumerates candidate words in increasing weight (with a rowspace
-    membership test) when the generator has many rows; for <= 20 rows a
-    Gray-code walk over all 2^rows combinations is faster and exact.
+    Generators of up to ``SPAN_MAX_ROWS`` rows are searched over their whole
+    span, a table of XOR combinations at a time; wider ones by candidate
+    words in increasing weight, with a rowspace membership test.
     """
     if w_max < 1:
         raise ValueError("w_max must be >= 1")
     if coset.length != gen.cols:
         raise ValueError("coset length must equal column count")
     rows = gen.row_ints()
-    m = len(rows)
-    if m <= 20:
-        best = None
-        word = coset.bits
-        prev = 0
-        exclude_zero = coset.is_zero()
-        for g in range(1 << m):
-            gray = g ^ (g >> 1)
-            diff = gray ^ prev
-            if diff:
-                word ^= rows[diff.bit_length() - 1]
-            prev = gray
-            w = word.bit_count()
-            if w == 0 and exclude_zero:
-                continue
-            if best is None or w < best:
-                best = w
-                if best == 0:
-                    break
-        return best if (best is not None and best <= w_max) else None
+    if len(rows) <= SPAN_MAX_ROWS:
+        word = _words([coset.bits], gen.cols)
+        best = w_max + 1
+        for _, chunk in _span_chunks(_words(rows, gen.cols)):
+            w = np.bitwise_count(chunk ^ word).sum(axis=1)
+            # A zero coset drops every zero word.
+            best = int(w.min(initial=best, where=(w > 0) | bool(coset.bits)))
+        return best if best <= w_max else None
     # Wide generator: walk candidate words by weight, testing membership in
     # the affine space coset + rowspace.
     basis = Echelon(rows)

@@ -19,14 +19,13 @@ from collections import deque
 from dataclasses import dataclass
 
 from .code import StabilizerCode, syndrome_of
-from .gf2 import (
-    DIRECT_MAX_ROWS,
-    SEARCH_BUDGET,
-    BitVector,
-    min_support_solution,
-    solve_affine,
-)
+from .gf2 import SEARCH_BUDGET, BitVector, min_support_solution, solve_affine
 from .pauli import PauliString, product
+
+# Method "auto" of ``min_expansion`` sweeps the signed group of up to this
+# many checks; more checks go to the meet-in-the-middle of
+# ``gf2.min_support_solution``.
+BFS_MAX_CHECKS = 24
 
 
 class NotAStabilizerError(ValueError):
@@ -75,7 +74,7 @@ def min_expansion(code: StabilizerCode, stab: PauliString,
     "dijkstra" sweeps the signed group breadth-first (best for few checks);
     "mitm" runs ``gf2.min_support_solution`` on the symplectic check rows
     and decides the sign from one product of checks; "auto" picks
-    "dijkstra" up to ``gf2.DIRECT_MAX_ROWS`` checks.
+    "dijkstra" up to ``BFS_MAX_CHECKS`` checks.
 
     Precondition: no product of checks equals -I, as ``code.validate``
     enforces.  Then the sign of a group element is a function of its
@@ -95,7 +94,7 @@ def min_expansion(code: StabilizerCode, stab: PauliString,
     if stab.is_identity() and stab.sign == 1:
         return 0
     if method == "auto":
-        method = "dijkstra" if code.num_checks <= DIRECT_MAX_ROWS else "mitm"
+        method = "dijkstra" if code.num_checks <= BFS_MAX_CHECKS else "mitm"
     wrong_sign = "operator has -1 sign relative to the check group"
     if method == "dijkstra":
         dist, _ = _check_group_bfs(list(code.checks))

@@ -147,11 +147,13 @@ class SwtEngine:
         a_m = solve_generator(code, v_m)
         pv = block_diagonal_part(v_m)
         d_next = d_m.add(pv)
-        a_dense = a_m.to_dense()
-        U = _expm_antihermitian(a_dense)
+        U = _expm_antihermitian(a_m.to_dense())
         tracked = self.h0 + d_m.to_dense() + v_m.to_dense()
-        conj_tracked = U.conj().T @ tracked @ U
-        remainder = conj_tracked - self.h0 - d_next.to_dense()
+        # d_next and v_next go dense once each and live until total_next;
+        # neither the conjugated sum nor the dense generator is kept, which
+        # pays for them in peak memory.
+        d_next_dense = d_next.to_dense()
+        remainder = U.conj().T @ tracked @ U - self.h0 - d_next_dense
         coeffs = pauli_transform(remainder, tol=self.prune_tol)
         small_terms = []
         term_items = [
@@ -162,10 +164,11 @@ class SwtEngine:
             if len(t.support) < self.d_s:
                 small_terms.append(t)
         v_next = QuasiLocalOperator(code, tuple(small_terms))
+        v_next_dense = v_next.to_dense()
         # Garbage absorbs everything not tracked as a small term, including
         # re-expansion dust, so the conjugation identity is exact.
-        e_next = (U.conj().T @ e_m @ U) + (remainder - v_next.to_dense())
-        total_next = self.h0 + d_next.to_dense() + v_next.to_dense() + e_next
+        e_next = (U.conj().T @ e_m @ U) + (remainder - v_next_dense)
+        total_next = self.h0 + d_next_dense + v_next_dense + e_next
         residual = float(
             np.linalg.norm(U.conj().T @ (tracked + e_m) @ U - total_next, 2)
         )

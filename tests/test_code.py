@@ -20,6 +20,7 @@ from stabbench.code import (
 from stabbench.constructors import (
     BipartiteTanner,
     hypergraph_product,
+    random_biregular_classical,
     repetition_code,
     toric_code,
 )
@@ -152,6 +153,55 @@ def test_code_parameters_hgp_rep3():
     code = hypergraph_product(rep3, rep3)
     params = code_parameters(code)
     assert (params.n, params.k, params.d) == (13, 1, 3)
+
+
+def test_code_parameters_hgp_rep5():
+    rep5 = BipartiteTanner.repetition(5)
+    params = code_parameters(hypergraph_product(rep5, rep5))
+    assert (params.n, params.k, params.d) == (41, 1, 5)
+    assert params.d_x == 5 and params.d_z == 5 and params.certified
+
+
+def _kernel_words(rows: list[int], n: int) -> list[int]:
+    """Every v with H v = 0 for the parity rows of H, by plain elimination."""
+    pivots: dict[int, int] = {}  # lowest set bit -> reduced row
+    for r in rows:
+        for col, prow in pivots.items():
+            if (r >> col) & 1:
+                r ^= prow
+        if r:
+            col = (r & -r).bit_length() - 1
+            pivots = {c: p ^ r if (p >> col) & 1 else p for c, p in pivots.items()}
+            pivots[col] = r
+    words = [0]
+    for free in range(n):
+        if free not in pivots:
+            v = 1 << free
+            for col, prow in pivots.items():
+                if (prow >> free) & 1:
+                    v |= 1 << col
+            words += [w ^ v for w in words]
+    return words
+
+
+@pytest.mark.parametrize("seed", [3, 6])
+def test_code_parameters_random_biregular_matches_kernel_enumeration(seed):
+    code = random_biregular_classical(20, 3, 4, seed).to_code()
+    rows = [c.z for c in code.checks]
+    kernel = _kernel_words(rows, code.n)
+    # X logicals are the nonzero kernel words; a Z logical is any word
+    # outside the rowspace of the checks, so d_z = 1 when a unit word is.
+    span = {0}
+    for r in rows:
+        span |= {s ^ r for s in span}
+    k = len(kernel).bit_length() - 1
+    d_x = min(w.bit_count() for w in kernel if w)
+    d_z = 1 if any(1 << i not in span for i in range(code.n)) else None
+    params = code_parameters(code)
+    # code_parameters searches up to weight 8 and reports 9 beyond it.
+    assert (params.n, params.k, params.d_x, params.d_z) == (
+        code.n, k, min(d_x, 9), d_z)
+    assert params.d == params.d_x
 
 
 def test_k_plus_rank_equals_n():

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stabbench import gf2
 from stabbench.code import StabilizerCode
 from stabbench.constructors import toric_code
 from stabbench.gf2 import (
@@ -29,6 +31,15 @@ def brute_rank(rows: list[int]) -> int:
     for r in rows:
         span |= {s ^ r for s in span}
     return len(span).bit_length() - 1
+
+
+def xor_of(rows: list[int], sel: int) -> int:
+    """XOR of the rows selected by the bits of ``sel``."""
+    acc = 0
+    for i, r in enumerate(rows):
+        if (sel >> i) & 1:
+            acc ^= r
+    return acc
 
 
 def toric2_z_support_matrix() -> BitMatrix:
@@ -249,3 +260,43 @@ def test_min_weight_codeword_wide_path_matches_gray():
     weights = [bin(w ^ coset.bits).count("1") for w in span]
     best = min(weights)
     assert wide == (best if best <= 4 else None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_min_weight_searches_match_span_enumeration(data):
+    cols = data.draw(st.one_of(st.sampled_from([1, 63, 64, 65, 128, 150]),
+                               st.integers(1, 150)))
+    # Sparse supports and dense bytes both reach the high words.
+    words = st.one_of(
+        st.sets(st.integers(0, cols - 1)).map(lambda s: sum(1 << i for i in s)),
+        st.binary(min_size=-(-cols // 8), max_size=-(-cols // 8)).map(
+            lambda b: int.from_bytes(b, "little") & ((1 << cols) - 1)),
+    )
+    rows = [data.draw(words) for _ in range(data.draw(st.integers(1, 8)))]
+    # Dependent rows: non-empty selections that give the zero word.
+    for _ in range(data.draw(st.integers(0, 3))):
+        sel = data.draw(st.integers(1, (1 << len(rows)) - 1))
+        rows.append(xor_of(rows, sel))
+    gen = BitMatrix.from_rows([BitVector(cols, r) for r in rows], cols)
+    span = [(sel.bit_count(), xor_of(rows, sel)) for sel in range(1 << len(rows))]
+    some_word = span[data.draw(st.integers(0, len(span) - 1))][1]
+    other = data.draw(words)  # often infeasible
+    # A small table makes the kernel stream several tables per search.
+    table_rows = data.draw(st.sampled_from([1, 3, gf2.TABLE_ROWS]))
+
+    coset = data.draw(st.sampled_from([0, some_word, other]))
+    w_max = data.draw(st.integers(1, cols + 1))
+    target = data.draw(st.sampled_from([0, some_word, other]))
+    cap = data.draw(st.integers(0, len(rows)))
+    # A zero coset drops every zero word, the dependent selections too.
+    lightest = min(((w ^ coset).bit_count() for _, w in span if coset or w),
+                   default=None)
+    fewest = min((n for n, w in span if w == target), default=None)
+    with mock.patch.object(gf2, "TABLE_ROWS", table_rows):
+        got_word = min_weight_codeword(gen, BitVector(cols, coset), w_max)
+        got_support = min_support_solution(gen, BitVector(cols, target), cap)
+    assert got_word == (lightest if lightest is not None and lightest <= w_max
+                        else None)
+    assert got_support == (fewest if fewest is not None and fewest <= cap
+                           else None)
