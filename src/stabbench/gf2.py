@@ -21,9 +21,9 @@ import numpy as np
 # Rows folded into one XOR table; the combinations of the other rows are
 # streamed over it, so a table holds at most 2^TABLE_ROWS words.
 TABLE_ROWS = 14
-# Generators with up to this many rows are searched over their whole span
-# by ``min_weight_codeword``; wider ones by candidate words in weight order.
-SPAN_MAX_ROWS = 20
+# Generators of up to this rank are searched over their whole span by
+# ``min_weight_codeword``; wider ones by candidate words in weight order.
+SPAN_MAX_ROWS = 24
 # Largest number of elements or half-subsets one exhaustive search visits.
 SEARCH_BUDGET = 1 << 22
 
@@ -301,7 +301,8 @@ def min_weight_codeword(gen: BitMatrix, coset: BitVector, w_max: int):
     this is the minimum distance of the rowspace.  Returns None when the
     minimum exceeds ``w_max``, which certifies the bound "weight >= w_max+1".
 
-    Generators of up to ``SPAN_MAX_ROWS`` rows are searched over their whole
+    The generator is first reduced to an echelon basis of its rowspace.
+    Bases of up to ``SPAN_MAX_ROWS`` rows are searched over their whole
     span, a table of XOR combinations at a time; wider ones by candidate
     words in increasing weight, with a rowspace membership test.
     """
@@ -309,7 +310,8 @@ def min_weight_codeword(gen: BitMatrix, coset: BitVector, w_max: int):
         raise ValueError("w_max must be >= 1")
     if coset.length != gen.cols:
         raise ValueError("coset length must equal column count")
-    rows = gen.row_ints()
+    basis = Echelon(gen.row_ints())
+    rows = list(basis.rows.values())
     if len(rows) <= SPAN_MAX_ROWS:
         word = _words([coset.bits], gen.cols)
         best = w_max + 1
@@ -320,7 +322,6 @@ def min_weight_codeword(gen: BitMatrix, coset: BitVector, w_max: int):
         return best if best <= w_max else None
     # Wide generator: walk candidate words by weight, testing membership in
     # the affine space coset + rowspace.
-    basis = Echelon(rows)
     for w in range(1 if coset.is_zero() else 0, w_max + 1):
         for comb in itertools.combinations(range(gen.cols), w):
             word = coset.bits

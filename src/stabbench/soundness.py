@@ -2,10 +2,13 @@
 
 Soundness asks: what is the minimal number of checks whose product equals a
 given small stabilizer?  Exact answers come from a breadth-first search
-over the signed check group, walked as plain (x, z, sign) integer triples
-(one sweep yields every minimal expansion), or, when the check count is
-large, from ``gf2.min_support_solution`` over the symplectic check rows
-plus one sign check.  The growth-sum bound machinery turns an assumed
+over the signed check group (one sweep yields every minimal expansion),
+run in numpy over the group's GF(2) coordinates: each element is an
+integer whose bits select independent checks, plus -I when the signs put
+it in the group, and a level is the XOR of the previous one with every
+check's mask.  When the check count is large, ``min_expansion`` instead
+runs ``gf2.min_support_solution`` over the symplectic check rows plus one
+sign check.  The growth-sum bound machinery turns an assumed
 power-law soundness function into the (alpha, c', c'') constants consumed
 by the flow bounds.
 """
@@ -15,54 +18,179 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from .code import StabilizerCode, syndrome_of
-from .gf2 import SEARCH_BUDGET, BitVector, min_support_solution, solve_affine
-from .pauli import PauliString, product
+from .gf2 import (
+    SEARCH_BUDGET,
+    TABLE_ROWS,
+    BitVector,
+    Echelon,
+    _span_table,
+    _words,
+    min_support_solution,
+    solve_affine,
+)
+from .pauli import PauliString, commutes, product
 
 # Method "auto" of ``min_expansion`` sweeps the signed group of up to this
 # many checks; more checks go to the meet-in-the-middle of
 # ``gf2.min_support_solution``.
 BFS_MAX_CHECKS = 24
+# Group elements decoded at a time by ``_CheckGroup.weights_and_signs``.
+DECODE_BLOCK = 1 << 16
 
 
 class NotAStabilizerError(ValueError):
     """Operator is outside the (+1-signed) check group."""
 
 
-def _check_group_bfs(generators: list[PauliString], budget: int | None = None):
-    """Minimal check counts over the signed group generated by ``generators``.
+class _CheckGroup:
+    """The signed group generated by commuting Pauli strings, in GF(2)
+    coordinates.
 
-    Returns (dist, complete): dist maps (x, z, sign) to the minimal number
-    of generators whose product equals that element; complete is False when
-    the budget stopped the sweep early.  Product signs follow the phase
-    count of ``pauli.multiply``.
+    The basis is the independent generators, taken in order, plus one
+    element -I when a dependent generator's sign differs from the product
+    of its basis combination.  Coordinate c stands for the product of the
+    basis elements its bits select, so a product of group elements XORs
+    their coordinates, generator i is the integer ``masks[i]``, and the
+    group is the span of the masks: 2^rank elements.
     """
-    gens = [(g.x, g.z, g.sign, (g.x & g.z).bit_count()) for g in generators]
-    start = (0, 0, 1)
-    dist = {start: 0}
-    queue = deque([start])
-    complete = True
-    while queue:
-        cur = queue.popleft()
-        x, z, sign = cur
-        dnext = dist[cur] + 1
-        y = (x & z).bit_count()
-        for gx, gz, gsign, gy in gens:
-            nx, nz = x ^ gx, z ^ gz
-            t = (y + gy + 2 * (z & gx).bit_count() - (nx & nz).bit_count()) & 3
-            if t & 1:
+
+    def __init__(self, generators, n: int):
+        generators = list(generators)
+        for i, p in enumerate(generators):
+            if not all(commutes(p, q) for q in generators[i + 1:]):
                 raise ValueError("product of anticommuting strings is not Hermitian")
-            key = (nx, nz, -sign * gsign if t else sign * gsign)
-            if key not in dist:
-                if budget is not None and len(dist) >= budget:
-                    complete = False
-                    continue
-                dist[key] = dnext
-                queue.append(key)
-    return dist, complete
+        self.n = n
+        self.basis: list[PauliString] = []
+        # Row b carries basis element b's selector bit above its 2n
+        # symplectic bits, so a reduced word records its basis combination.
+        self._echelon = Echelon()
+        self.masks: list[int] = []
+        flipped = []
+        for g in generators:
+            found = self._locate(g)
+            if found is None:
+                self._echelon.add(g.x | g.z << n | 1 << (2 * n + len(self.basis)))
+                self.masks.append(1 << len(self.basis))
+                self.basis.append(g)
+            else:
+                if found[1] != g.sign:
+                    flipped.append(len(self.masks))
+                self.masks.append(found[0])
+        self._minus = 0
+        if flipped:
+            self._minus = 1 << len(self.basis)
+            self.basis.append(PauliString(n, sign=-1))
+            for i in flipped:
+                self.masks[i] |= self._minus
+        self.rank = len(self.basis)
+
+    def _locate(self, p: PauliString):
+        """(basis combination, sign of its product) with the x and z of
+        ``p``; None when p's x and z lie outside the span."""
+        residual = self._echelon.reduce(p.x | p.z << self.n)
+        if residual & ((1 << 2 * self.n) - 1):
+            return None
+        sel = residual >> 2 * self.n
+        return sel, self.element(sel).sign
+
+    def element(self, coord: int) -> PauliString:
+        return product((b for i, b in enumerate(self.basis) if coord >> i & 1),
+                       self.n)
+
+    def coordinate(self, p: PauliString):
+        """Coordinate of the group element p, or None when p (sign
+        included) is not in the group."""
+        found = self._locate(p)
+        if found is None:
+            return None
+        sel, sign = found
+        if sign == p.sign:
+            return sel
+        return sel | self._minus if self._minus else None
+
+    def sweep(self, budget: int | None = None):
+        """Breadth-first sweep from the identity over the generator masks.
+
+        Returns (levels, complete): levels[d] holds, in visit order, the
+        coordinates of the elements whose minimal generator count is d;
+        complete is False when the budget, a cap on the elements visited,
+        stopped the sweep early.  Each level keeps its candidates'
+        first occurrences in (parent, generator) order, the insertion
+        order of a queue-driven search, so a budget cuts the same elements.
+        """
+        if self.rank > 64:
+            raise ValueError(
+                f"a check group of rank {self.rank} exceeds the 64-bit "
+                "coordinates of the sweep"
+            )
+        masks = np.array(self.masks, np.uint64)
+        levels = [np.zeros(1, np.uint64)]
+        size = 1
+        # A group that fits in the budget is marked off in a 2^rank array;
+        # a larger one against the at most ``budget`` coordinates visited.
+        seen = None
+        if budget is None or 1 << self.rank <= budget:
+            seen = np.zeros(1 << self.rank, bool)
+            seen[0] = True
+        complete = True
+        while len(levels[-1]):
+            cand = (levels[-1][:, None] ^ masks).ravel()
+            if seen is None:
+                cand = cand[~np.isin(cand, np.concatenate(levels))]
+            else:
+                cand = cand[~seen[cand]]
+            first = np.unique(cand, return_index=True)[1]
+            new = cand[np.sort(first)]
+            if budget is not None and size + len(new) > budget:
+                new = new[:max(budget - size, 0)]
+                complete = False
+            if seen is not None:
+                seen[new] = True
+            levels.append(new)
+            size += len(new)
+        return levels[:-1], complete
+
+    def weights_and_signs(self, coords: np.ndarray):
+        """Weight of each coordinate's element and whether its sign is +1.
+
+        The elements are built a block at a time from span tables of
+        ``TABLE_ROWS`` basis elements each, with the phase tracked as the
+        exponent e of i^e X^x Z^z: multiplying by X^x' Z^z' adds 2|z & x'|.
+        """
+        tables = []
+        for lo in range(0, self.rank, TABLE_ROWS):
+            part = self.basis[lo:lo + TABLE_ROWS]
+            xw = _words([b.x for b in part], self.n)
+            tx, tz = _span_table(xw), _span_table(_words([b.z for b in part], self.n))
+            # b = i^(|x & z| + 1 - sign) X^x Z^z.
+            te = np.zeros(len(tx), np.int64)
+            for i, b in enumerate(part):
+                h = 1 << i
+                te[h:2 * h] = (te[:h] + (b.x & b.z).bit_count() + 1 - b.sign
+                               + 2 * _popcount(tz[:h] & xw[i]))
+            tables.append((lo, tx, tz, te))
+        weights = np.empty(len(coords), np.min_scalar_type(self.n))
+        plus = np.empty(len(coords), bool)
+        for s in range(0, len(coords), DECODE_BLOCK):
+            block = coords[s:s + DECODE_BLOCK]
+            x = z = e = 0
+            for lo, tx, tz, te in tables:
+                d = (block >> lo) & (len(tx) - 1)
+                qx = tx[d]
+                e = e + te[d] + 2 * _popcount(z & qx)
+                x, z = x ^ qx, z ^ tz[d]
+            weights[s:s + len(block)] = _popcount(x | z)
+            plus[s:s + len(block)] = (e - _popcount(x & z)) % 4 == 0
+        return weights, plus
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
 
 
 def min_expansion(code: StabilizerCode, stab: PauliString,
@@ -71,10 +199,12 @@ def min_expansion(code: StabilizerCode, stab: PauliString,
     ``stab``; None when the minimum exceeds ``cap``.
 
     A -1 relative sign classifies the operator as not a stabilizer.  Method
-    "dijkstra" sweeps the signed group breadth-first (best for few checks);
-    "mitm" runs ``gf2.min_support_solution`` on the symplectic check rows
-    and decides the sign from one product of checks; "auto" picks
-    "dijkstra" up to ``BFS_MAX_CHECKS`` checks.
+    "dijkstra" sweeps the signed check group breadth-first in its GF(2)
+    coordinates (best for few checks) and raises ValueError, before the
+    sweep, for a group of more than 2^``BFS_MAX_CHECKS`` elements; "mitm"
+    runs ``gf2.min_support_solution`` on the symplectic check rows and
+    decides the sign from one product of checks; "auto" picks "dijkstra"
+    up to ``BFS_MAX_CHECKS`` checks, whose group is never too large.
 
     Precondition: no product of checks equals -I, as ``code.validate``
     enforces.  Then the sign of a group element is a function of its
@@ -97,10 +227,17 @@ def min_expansion(code: StabilizerCode, stab: PauliString,
         method = "dijkstra" if code.num_checks <= BFS_MAX_CHECKS else "mitm"
     wrong_sign = "operator has -1 sign relative to the check group"
     if method == "dijkstra":
-        dist, _ = _check_group_bfs(list(code.checks))
-        best = dist.get((stab.x, stab.z, stab.sign))
-        if best is None:
+        group = _CheckGroup(code.checks, code.n)
+        if group.rank > BFS_MAX_CHECKS:
+            raise ValueError(
+                f"the signed check group has rank {group.rank}: a sweep over "
+                f"its 2^{group.rank} elements exceeds 2^{BFS_MAX_CHECKS}"
+            )
+        target = group.coordinate(stab)
+        if target is None:
             raise NotAStabilizerError(wrong_sign)
+        levels, _ = group.sweep()
+        best = next(d for d, level in enumerate(levels) if (level == target).any())
         return best if best <= cap else None
     if method == "mitm":
         checks = [code.checks[i] for i in sol[0].indices()]
@@ -146,22 +283,28 @@ class SoundnessProfile:
         }
 
 
-def _profile_from_dist(dist: dict, m_max: int, n: int, sector: str,
-                       certified: bool) -> SoundnessProfile:
-    f_raw: dict = {}
-    witness: dict = {}
-    for (x, z, sign), cnt in dist.items():
-        if sign != 1:
-            continue  # -1-signed elements are not stabilizers
-        w = (x | z).bit_count()
-        if w == 0 or w > m_max:
-            continue
-        if cnt > f_raw.get(w, -1):
-            f_raw[w] = cnt
-            witness[w] = str(PauliString(n, x, z))
+def _sector_profile(generators, n: int, m_max: int, sector: str,
+                    budget: int) -> SoundnessProfile:
+    group = _CheckGroup(generators, n)
+    levels, complete = group.sweep(budget)
+    coords = np.concatenate(levels)
+    dist = np.repeat(np.arange(len(levels), dtype=np.min_scalar_type(len(levels))),
+                     [len(lv) for lv in levels])
+    weights, plus = group.weights_and_signs(coords)
+    # -1-signed elements are not stabilizers.
+    idx = np.flatnonzero(plus & (weights >= 1) & (weights <= m_max))
+    weights, dist = weights[idx], dist[idx]
+    top = np.zeros(n + 1, np.int64)
+    np.maximum.at(top, weights, dist)
+    # Witness: the first-visited element of each weight at its top count.
+    hit = np.flatnonzero(dist == top[weights])
+    found, first = np.unique(weights[hit], return_index=True)
+    f_raw = {m: int(top[m]) for m in found.tolist()}
+    witness = {m: str(group.element(int(coords[i])))
+               for m, i in zip(found.tolist(), idx[hit[first]].tolist())}
     f_emp: dict = {}
     running = 0
-    for m in sorted(f_raw):
+    for m in f_raw:
         running = max(running, f_raw[m])
         f_emp[m] = running
     return SoundnessProfile(
@@ -169,9 +312,9 @@ def _profile_from_dist(dist: dict, m_max: int, n: int, sector: str,
         f_emp=f_emp,
         f_raw=f_raw,
         witnesses=witness,
-        certified=certified,
+        certified=complete,
         sector=sector,
-        group_size=len(dist),
+        group_size=len(coords),
     )
 
 
@@ -183,7 +326,8 @@ def soundness_profile(code: StabilizerCode, m_max: int | None = None,
     only ever expands into checks of its own type); the combined profile
     for mixed stabilizers is the sum of the two sector envelopes, following
     the X-part/Z-part splitting rule, and is labeled as rule-derived rather
-    than enumerated.
+    than enumerated.  ``budget`` caps the group elements visited per
+    sector; a sector whose group has rank above 64 raises ValueError.
     """
     if m_max is None:
         m_max = code.n
@@ -194,10 +338,8 @@ def soundness_profile(code: StabilizerCode, m_max: int | None = None,
             gens = [code.checks[i] for i in idxs]
             if not gens:
                 continue
-            dist, complete = _check_group_bfs(gens, budget=budget)
-            out["sectors"][name] = _profile_from_dist(
-                dist, m_max, code.n, name, complete
-            )
+            out["sectors"][name] = _sector_profile(gens, code.n, m_max, name,
+                                                   budget)
         profiles = list(out["sectors"].values())
         combined: dict = {}
         for m in range(1, m_max + 1):
@@ -209,10 +351,8 @@ def soundness_profile(code: StabilizerCode, m_max: int | None = None,
                 combined[m] = sum(vals)
         out["combined_rule"] = combined
     else:
-        dist, complete = _check_group_bfs(list(code.checks), budget=budget)
-        out["sectors"]["all"] = _profile_from_dist(
-            dist, m_max, code.n, "all", complete
-        )
+        out["sectors"]["all"] = _sector_profile(code.checks, code.n, m_max,
+                                                "all", budget)
     return out
 
 

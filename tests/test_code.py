@@ -148,6 +148,13 @@ def test_code_parameters_toric():
     assert (p3.n, p3.k, p3.d) == (18, 2, 3)
 
 
+def test_code_parameters_toric5():
+    # 25 Z checks of rank 24: the rank, not the row count, picks the span
+    # search of min_weight_codeword.
+    p = code_parameters(toric_code(5))
+    assert (p.n, p.k, p.d, p.d_x, p.d_z) == (50, 2, 5, 5, 5)
+
+
 def test_code_parameters_hgp_rep3():
     rep3 = BipartiteTanner.repetition(3)
     code = hypergraph_product(rep3, rep3)

@@ -262,6 +262,27 @@ def test_min_weight_codeword_wide_path_matches_gray():
     assert wide == (best if best <= 4 else None)
 
 
+def test_min_weight_codeword_walk_above_span_rank():
+    # 27 rows of rank 25: the rank is above SPAN_MAX_ROWS, so the candidate
+    # walk answers; the span search, allowed that rank, checks it.
+    rng = random.Random(12)
+    cols = 38
+    rows = [rng.getrandbits(cols) for _ in range(25)]
+    rows += [rows[0] ^ rows[1], rows[2] ^ rows[3] ^ rows[4]]
+    gen = BitMatrix.from_rows([BitVector(cols, r) for r in rows], cols)
+    assert rank(gen) == 25 > gf2.SPAN_MAX_ROWS
+    weights = []
+    for coset in (0, rng.getrandbits(cols), rng.getrandbits(cols)):
+        coset = BitVector(cols, coset)
+        with mock.patch.object(gf2, "_span_chunks", side_effect=AssertionError):
+            walk = min_weight_codeword(gen, coset, w_max=4)
+        with mock.patch.object(gf2, "SPAN_MAX_ROWS", 25):
+            span = min_weight_codeword(gen, coset, w_max=4)
+        assert walk == span
+        weights.append(walk)
+    assert weights == [4, 3, 3]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_min_weight_searches_match_span_enumeration(data):

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import random
+from collections import deque
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stabbench import soundness
 from stabbench.code import StabilizerCode, validate
 from stabbench.constructors import (
     BipartiteTanner,
@@ -14,9 +19,11 @@ from stabbench.constructors import (
     repetition_code,
     toric_code,
 )
-from stabbench.pauli import PauliString, multiply
+from stabbench.pauli import PauliString, commutes, multiply, product
 from stabbench.soundness import (
+    BFS_MAX_CHECKS,
     NotAStabilizerError,
+    _CheckGroup,
     SoundnessFunction,
     expansion_profile,
     growth_bound_constants,
@@ -62,6 +69,143 @@ def exhaustive_f_raw(checks, n):
         if prod.sign == 1 and not prod.is_identity():
             f_raw[prod.weight()] = max(f_raw.get(prod.weight(), 0), size)
     return f_raw
+
+
+def bfs_oracle(generators, budget=None):
+    """Signed-group BFS on plain (x, z, sign) triples, queue-driven.
+
+    Returns (dist, complete): dist maps each visited element to its minimal
+    generator count, in visit order; complete is False when the budget
+    stopped the sweep.
+    """
+    gens = [(g.x, g.z, g.sign, (g.x & g.z).bit_count()) for g in generators]
+    start = (0, 0, 1)
+    dist = {start: 0}
+    queue = deque([start])
+    complete = True
+    while queue:
+        cur = queue.popleft()
+        x, z, sign = cur
+        dnext = dist[cur] + 1
+        y = (x & z).bit_count()
+        for gx, gz, gsign, gy in gens:
+            nx, nz = x ^ gx, z ^ gz
+            t = (y + gy + 2 * (z & gx).bit_count() - (nx & nz).bit_count()) & 3
+            if t & 1:
+                raise ValueError("product of anticommuting strings is not Hermitian")
+            key = (nx, nz, -sign * gsign if t else sign * gsign)
+            if key not in dist:
+                if budget is not None and len(dist) >= budget:
+                    complete = False
+                    continue
+                dist[key] = dnext
+                queue.append(key)
+    return dist, complete
+
+
+def profile_oracle(dist, n, m_max):
+    """(f_raw, witnesses) by one scan of ``dist`` in visit order."""
+    f_raw: dict = {}
+    witness: dict = {}
+    for (x, z, sign), cnt in dist.items():
+        w = (x | z).bit_count()
+        if sign != 1 or w == 0 or w > m_max:
+            continue
+        if cnt > f_raw.get(w, -1):
+            f_raw[w] = cnt
+            witness[w] = str(PauliString(n, x, z))
+    return f_raw, witness
+
+
+def assert_matches_oracle(n, gens, budget=None):
+    group = _CheckGroup(gens, n)
+    levels, complete = group.sweep(budget)
+    dist, want_complete = bfs_oracle(gens, budget)
+    visits = [((e.x, e.z, e.sign), d) for d, level in enumerate(levels)
+              for e in map(group.element, level.tolist())]
+    assert visits == list(dist.items())
+    assert complete == want_complete
+    if budget is None:
+        return
+    code = StabilizerCode.from_checks(n, gens, kind="general")
+    prof = soundness_profile(code, m_max=n - 1, budget=budget)["sectors"]["all"]
+    f_raw, witnesses = profile_oracle(dist, n, n - 1)
+    assert prof.f_raw == f_raw
+    assert prof.witnesses == witnesses
+    assert prof.group_size == len(dist)
+    assert prof.certified == complete
+
+
+def pauli_strategy(n):
+    return st.builds(PauliString, st.just(n), st.integers(0, (1 << n) - 1),
+                     st.integers(0, (1 << n) - 1), st.sampled_from([1, -1]))
+
+
+@st.composite
+def commuting_generators(draw):
+    """Commuting strings in order, with dependent ones of random sign."""
+    n = draw(st.integers(1, 4))
+    gens = []
+    for p in draw(st.lists(pauli_strategy(n), min_size=1, max_size=6)):
+        if all(commutes(p, g) for g in gens):
+            gens.append(p)
+    for _ in range(draw(st.integers(0, 3))):
+        sel = draw(st.lists(st.sampled_from(gens), max_size=len(gens)))
+        prod = product(sel, n)
+        sign = draw(st.sampled_from([1, -1]))
+        gens.insert(draw(st.integers(0, len(gens))),
+                    PauliString(n, prod.x, prod.z, sign))
+    return n, gens
+
+
+@settings(max_examples=150, deadline=None)
+@given(commuting_generators(), st.sampled_from([1, 2, soundness.TABLE_ROWS]),
+       st.sampled_from([1, 3, soundness.DECODE_BLOCK]))
+def test_group_sweep_matches_queue_bfs_at_every_budget(case, table_rows, block):
+    n, gens = case
+    dist, _ = bfs_oracle(gens)
+    # Small tables and blocks make the decode combine several of each.
+    with mock.patch.multiple(soundness, TABLE_ROWS=table_rows,
+                             DECODE_BLOCK=block):
+        for budget in (None, *range(1, len(dist) + 2)):
+            assert_matches_oracle(n, gens, budget)
+    code = StabilizerCode.from_checks(n, gens, kind="general")
+    for (x, z, sign), d in dist.items():
+        for s in (sign, -sign):
+            stab = PauliString(n, x, z, s)
+            if (x, z, s) in dist:
+                assert min_expansion(code, stab, method="dijkstra") == dist[x, z, s]
+            else:
+                with pytest.raises(NotAStabilizerError):
+                    min_expansion(code, stab, method="dijkstra")
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.lists(pauli_strategy(n), min_size=2, max_size=5)))
+def test_group_sweep_rejects_anticommuting_generators(gens):
+    n = gens[0].n
+    code = StabilizerCode.from_checks(n, gens, kind="general")
+    anticommuting = any(not commutes(p, q) for p in gens for q in gens)
+    for budget in (1, 2, 1 << 10):
+        if anticommuting:
+            with pytest.raises(ValueError, match="anticommuting"):
+                soundness_profile(code, budget=budget)
+        else:
+            assert_matches_oracle(n, gens, budget)
+
+
+def test_group_sweep_holds_minus_identity():
+    # XX * ZZ = -YY, so the group {XX, ZZ, YY} holds -I.
+    gens = [PauliString.from_label(s) for s in ("XX", "ZZ", "YY")]
+    group = _CheckGroup(gens, 2)
+    assert group.rank == 3
+    assert group.coordinate(PauliString.identity(2)) == 0
+    assert group.element(group.coordinate(PauliString(2, sign=-1))).sign == -1
+    dist, _ = bfs_oracle(gens)
+    assert len(dist) == 8 and dist[0, 0, -1] == 3
+    for budget in (None, *range(1, 10)):
+        assert_matches_oracle(2, gens, budget)
 
 
 def test_min_expansion_trivial_cases():
@@ -300,6 +444,62 @@ def test_min_expansion_units_across_constructors():
         assert min_expansion(code, PauliString.identity(code.n)) == 0
         for c in code.checks:
             assert min_expansion(code, c) == 1
+
+
+def test_soundness_profile_toric4_recorded():
+    """f_raw and witnesses of ``toric_code(4)`` as the queue-driven BFS
+    recorded them."""
+    prof = soundness_profile(toric_code(4))
+    f_raw = {4: 1, 6: 2, 8: 8, 10: 7, 12: 8, 14: 8, 16: 8, 18: 8, 20: 8,
+             22: 8, 24: 8, 26: 8, 28: 7, 32: 8}
+    witnesses = {
+        "X": {
+            4: "XXIIIIIXIIIIIIIIIIIIIIIIXIIIIIII",
+            6: "XIXXIIIXIIIIIIIIIIIIIIIIXIXIIIII",
+            8: "IIIIIIIIXIXIXIXIIIIIIIIIXIXIXIXI",
+            10: "IIIIIIXIXIXIXXIXIIIIIIIIXIXIXIXI",
+            12: "IIIIIIXIIIXIXXIXXXIIIIIXXIXIXIXI",
+            14: "IIIIIIXIXIXIXXXXIIIIIXXXXIXIXIXI",
+            16: "IIIIXIXIIIXXXIIXXXIXXXIXXIXIXIXI",
+            18: "IIXIIIXIXXXXXXIXXXXXIIIIIXXIXIXX",
+            20: "IIXIIIXIXXXXXXXXIXXXIXXXXIXIXIXI",
+            22: "IIXIIXIXXXXXXXXXXXXXIXXXIXXIXIIX",
+            24: "XIIIXXXXXXXXXXXXXXXXXXIXXXIXXIII",
+            26: "XIIIXXXXXXXXXXXXXXIXXXXXXIXIXXXX",
+            28: "XXXXXXXXXXXXXXXXXXXXXXIXXXXXXIII",
+            32: "XXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXX",
+        },
+        "Z": {
+            4: "ZZZIIIIIIZIIIIIIIIIIIIIIIIIIIIII",
+            6: "ZZIZZIIIIZIZIIIIIIIIIIIIIIIIIIII",
+            8: "IZIZIZIZIIIIIIIIIZIZIZIZIIIIIIII",
+            10: "IZIZIZIZZIIIIIZZIZIZIZIIIIIIIIII",
+            12: "IZIZIZIZZIIIIIZZZIZZIZIIIZIIIIII",
+            14: "IZIZIZIZZIIIIIZZZZIZIZZZIIIIIIIZ",
+            16: "IZIZIZIZZIIIZZIZZIZZZZZIIZIIIZII",
+            18: "IIIZIZIZZIZZZIZZIZZZZZIIZZZZIIII",
+            20: "IZIZIZIZZIZZZIZZZZZZZZZZIIIZIIIZ",
+            22: "ZIIZIZZIZIZZZIZIZZZZZZZZZZZZIIIZ",
+            24: "ZZIIIZZIZZZIZZZZZZZZZZZZIZZZZZII",
+            26: "ZZIZIZZZZZZIZZZZZZZZZZZZZZIIIZZZ",
+            28: "ZZZZZZZIZZZZZZZZZZZZZZZZIZZZZZII",
+            32: "ZZZZZZZZZZZZZZZZZZZZZZZZZZZZZZZZ",
+        },
+    }
+    for sector in ("X", "Z"):
+        p = prof["sectors"][sector]
+        assert p.certified and p.group_size == 32768
+        assert p.f_raw == f_raw
+        assert p.witnesses == witnesses[sector]
+
+
+def test_min_expansion_dijkstra_refuses_large_groups():
+    # 32 checks of rank 30: refused by rank before any sweep.
+    code = toric_code(4)
+    with pytest.raises(ValueError, match="rank 30"):
+        min_expansion(code, code.checks[0], method="dijkstra")
+    assert code.num_checks > BFS_MAX_CHECKS
+    assert min_expansion(code, code.checks[0]) == 1  # "auto" takes "mitm"
 
 
 def test_soundness_profile_budget_truncation_flagged():
