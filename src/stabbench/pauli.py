@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .gf2 import BitVector
 
 _CHAR_TO_XZ = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
@@ -150,3 +152,31 @@ def product(paulis, n: int | None = None) -> PauliString:
     for p in paulis[1:]:
         acc = multiply(acc, p)
     return acc
+
+
+def power_of_i(p: PauliString) -> int:
+    """Exponent e with p = i^e X^x Z^z."""
+    return (p.x & p.z).bit_count() + 1 - p.sign
+
+
+def signed_span(x: np.ndarray, z: np.ndarray, e) -> tuple:
+    """Products of every subset of the strings i^e_b X^x_b Z^z_b.
+
+    ``x`` and ``z`` hold one row per string, as ints or as rows of words;
+    row s of each returned array (x, z, e mod 4) is the product of the
+    strings the bits of s select, in order.  The phase follows
+    (i^a X^x Z^z)(i^b X^x' Z^z') = i^(a + b + 2|z & x'|) X^(x^x') Z^(z^z').
+    """
+    tx = np.zeros((1, *x.shape[1:]), x.dtype)
+    tz = np.zeros_like(tx)
+    te = np.zeros(1, np.int64)
+    if x.ndim == 1:
+        x, z = x.tolist(), z.tolist()
+    for bx, bz, be in zip(x, z, e):
+        overlap = np.bitwise_count(tz & bx)
+        if overlap.ndim > 1:
+            overlap = overlap.sum(axis=1, dtype=np.int64)
+        tx, tz, te = (np.concatenate([tx, tx ^ bx]),
+                      np.concatenate([tz, tz ^ bz]),
+                      np.concatenate([te, (te + be + 2 * overlap) % 4]))
+    return tx, tz, te

@@ -24,7 +24,7 @@ import numpy as np
 from .code import StabilizerCode, syndrome_of
 from .gf2 import BitVector, Echelon
 from .matrices import _compress_bits, operator_dense
-from .pauli import PauliString
+from .pauli import PauliString, power_of_i, signed_span
 
 PATCH_LIMIT = 14  # norm evaluations refuse patches beyond 2^14 dimensions
 DENSE_PATCH_LIMIT = 12  # patch algebra (projectors, splits, solves)
@@ -326,18 +326,12 @@ def _patch_columns(term: LocalTerm, code: StabilizerCode):
                   dtype=np.int64)
     flips = _odd_overlap(cx[:, None], cz[:, None], x, z)
     energy = np.array([code.lambdas[i] for i in inside]) @ flips
-    # Double the group by each independent check h: g h has the power
-    # ge + e_h + 2|gz & hx| of i.
-    gx = gz = ge = np.zeros(1, dtype=np.int64)
     independent = Echelon()
-    for i, hx, hz in zip(inside, cx.tolist(), cz.tolist()):
-        if independent.add(hx | (hz << len(qubits))):
-            eh = (hx & hz).bit_count() + 1 - code.checks[i].sign
-            power = (ge + eh + 2 * np.bitwise_count(gz & hx)) % 4
-            gx, gz, ge = (np.concatenate([gx, gx ^ hx]),
-                          np.concatenate([gz, gz ^ hz]),
-                          np.concatenate([ge, power]))
-    return c, x, z, flips.any(axis=0), energy, (gx, gz, ge)
+    basis = [k for k, (hx, hz) in enumerate(zip(cx.tolist(), cz.tolist()))
+             if independent.add(hx | (hz << len(qubits)))]
+    group = signed_span(cx[basis], cz[basis],
+                        [power_of_i(code.checks[inside[k]]) for k in basis])
+    return c, x, z, flips.any(axis=0), energy, group
 
 
 def _accumulate(c, x, z):

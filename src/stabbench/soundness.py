@@ -3,12 +3,13 @@
 Soundness asks: what is the minimal number of checks whose product equals a
 given small stabilizer?  Exact answers come from a breadth-first search
 over the signed check group (one sweep yields every minimal expansion),
-run in numpy over the group's GF(2) coordinates: each element is an
-integer whose bits select independent checks, plus -I when the signs put
-it in the group, and a level is the XOR of the previous one with every
-check's mask.  When the check count is large, ``min_expansion`` instead
-runs ``gf2.min_support_solution`` over the symplectic check rows plus one
-sign check.  The growth-sum bound machinery turns an assumed
+run in numpy over the group's GF(2) coordinates: each element is a row of
+uint64 words whose bits select independent checks, plus -I when the signs
+put it in the group, and a level is the XOR of the previous one with every
+check's mask.  A budget stops the sweep once that many elements are
+visited, at any rank.  When the check count is large, ``min_expansion``
+instead runs ``gf2.min_support_solution`` over the symplectic check rows
+plus one sign check.  The growth-sum bound machinery turns an assumed
 power-law soundness function into the (alpha, c', c'') constants consumed
 by the flow bounds.
 """
@@ -28,12 +29,11 @@ from .gf2 import (
     TABLE_ROWS,
     BitVector,
     Echelon,
-    _span_table,
     _words,
     min_support_solution,
     solve_affine,
 )
-from .pauli import PauliString, commutes, product
+from .pauli import PauliString, commutes, power_of_i, product, signed_span
 
 # Method "auto" of ``min_expansion`` sweeps the signed group of up to this
 # many checks; more checks go to the meet-in-the-middle of
@@ -41,6 +41,9 @@ from .pauli import PauliString, commutes, product
 BFS_MAX_CHECKS = 24
 # Group elements decoded at a time by ``_CheckGroup.weights_and_signs``.
 DECODE_BLOCK = 1 << 16
+# Fewest sweep candidates built at a time by ``_CheckGroup.sweep``; a
+# block grows with the elements visited, so it costs O(budget) words.
+SWEEP_BLOCK = 1 << 18
 
 
 class NotAStabilizerError(ValueError):
@@ -113,80 +116,135 @@ class _CheckGroup:
             return sel
         return sel | self._minus if self._minus else None
 
+    @staticmethod
+    def as_int(coord: np.ndarray) -> int:
+        """The integer a row of coordinate words stands for."""
+        return int.from_bytes(np.asarray(coord, "<u8").tobytes(), "little")
+
     def sweep(self, budget: int | None = None):
         """Breadth-first sweep from the identity over the generator masks.
 
         Returns (levels, complete): levels[d] holds, in visit order, the
-        coordinates of the elements whose minimal generator count is d;
-        complete is False when the budget, a cap on the elements visited,
-        stopped the sweep early.  Each level keeps its candidates'
-        first occurrences in (parent, generator) order, the insertion
-        order of a queue-driven search, so a budget cuts the same elements.
+        coordinates (rows of ceil(rank / 64) uint64 words) of the elements
+        whose minimal generator count is d; complete is False when the
+        budget, a cap on the elements visited, stopped the sweep early.
+        Each level keeps its candidates' first occurrences in (parent,
+        generator) order, the insertion order of a queue-driven search, so a
+        budget cuts the same elements.  Candidates are built a block of
+        parents at a time and the sweep stops as soon as the budget is
+        filled, so it holds O(budget) words.  A group within the budget (any
+        group, without one) is marked off in a 2^rank array, a larger one
+        in the sorted keys of the coordinates visited.
         """
-        if self.rank > 64:
-            raise ValueError(
-                f"a check group of rank {self.rank} exceeds the 64-bit "
-                "coordinates of the sweep"
-            )
-        masks = np.array(self.masks, np.uint64)
-        levels = [np.zeros(1, np.uint64)]
+        nwords = max(1, -(-self.rank // 64))
+        masks = _words(self.masks, self.rank)
+        levels = [np.zeros((1, nwords), np.uint64)]
         size = 1
-        # A group that fits in the budget is marked off in a 2^rank array;
-        # a larger one against the at most ``budget`` coordinates visited.
-        seen = None
         if budget is None or 1 << self.rank <= budget:
-            seen = np.zeros(1 << self.rank, bool)
-            seen[0] = True
+            visited = _DenseVisits(self.rank)
+        else:
+            visited = _SortedVisits(_keys(levels[0]))
         complete = True
-        while len(levels[-1]):
-            cand = (levels[-1][:, None] ^ masks).ravel()
-            if seen is None:
-                cand = cand[~np.isin(cand, np.concatenate(levels))]
-            else:
-                cand = cand[~seen[cand]]
-            first = np.unique(cand, return_index=True)[1]
-            new = cand[np.sort(first)]
-            if budget is not None and size + len(new) > budget:
-                new = new[:max(budget - size, 0)]
-                complete = False
-            if seen is not None:
-                seen[new] = True
-            levels.append(new)
-            size += len(new)
-        return levels[:-1], complete
+        while complete and len(levels[-1]):
+            frontier, parts = levels[-1], []
+            step = max(1, max(SWEEP_BLOCK, size) // len(masks))
+            for s in range(0, len(frontier), step):
+                cand = (frontier[s:s + step, None] ^ masks).reshape(-1, nwords)
+                keys = _keys(cand)
+                new = visited.first_new(keys)
+                if budget is not None and size + len(new) > budget:
+                    new = new[:max(budget - size, 0)]
+                    complete = False
+                visited.mark(keys[new])
+                parts.append(cand[new])
+                size += len(new)
+                if not complete:
+                    break
+            levels.append(np.concatenate(parts))
+        if not len(levels[-1]):
+            levels.pop()
+        return levels, complete
 
     def weights_and_signs(self, coords: np.ndarray):
         """Weight of each coordinate's element and whether its sign is +1.
 
-        The elements are built a block at a time from span tables of
-        ``TABLE_ROWS`` basis elements each, with the phase tracked as the
-        exponent e of i^e X^x Z^z: multiplying by X^x' Z^z' adds 2|z & x'|.
+        The elements are built a block at a time from ``signed_span``
+        tables of up to ``TABLE_ROWS`` basis elements each (none straddling
+        a coordinate word), with the phase tracked as the exponent e of
+        i^e X^x Z^z: multiplying by X^x' Z^z' adds 2|z & x'|.
         """
         tables = []
-        for lo in range(0, self.rank, TABLE_ROWS):
-            part = self.basis[lo:lo + TABLE_ROWS]
-            xw = _words([b.x for b in part], self.n)
-            tx, tz = _span_table(xw), _span_table(_words([b.z for b in part], self.n))
-            # b = i^(|x & z| + 1 - sign) X^x Z^z.
-            te = np.zeros(len(tx), np.int64)
-            for i, b in enumerate(part):
-                h = 1 << i
-                te[h:2 * h] = (te[:h] + (b.x & b.z).bit_count() + 1 - b.sign
-                               + 2 * _popcount(tz[:h] & xw[i]))
-            tables.append((lo, tx, tz, te))
+        lo = 0
+        while lo < self.rank:
+            hi = min(lo + TABLE_ROWS, self.rank, (lo // 64 + 1) * 64)
+            part = self.basis[lo:hi]
+            tx, tz, te = signed_span(_words([b.x for b in part], self.n),
+                                     _words([b.z for b in part], self.n),
+                                     [power_of_i(b) for b in part])
+            tables.append((lo // 64, lo % 64, tx, tz, te))
+            lo = hi
         weights = np.empty(len(coords), np.min_scalar_type(self.n))
         plus = np.empty(len(coords), bool)
         for s in range(0, len(coords), DECODE_BLOCK):
             block = coords[s:s + DECODE_BLOCK]
             x = z = e = 0
-            for lo, tx, tz, te in tables:
-                d = (block >> lo) & (len(tx) - 1)
+            for word, shift, tx, tz, te in tables:
+                d = (block[:, word] >> shift) & (len(tx) - 1)
                 qx = tx[d]
                 e = e + te[d] + 2 * _popcount(z & qx)
                 x, z = x ^ qx, z ^ tz[d]
             weights[s:s + len(block)] = _popcount(x | z)
             plus[s:s + len(block)] = (e - _popcount(x & z)) % 4 == 0
         return weights, plus
+
+
+class _DenseVisits:
+    """Visited coordinates of a group of 2^rank elements, in a 2^rank
+    array: -1 once visited, otherwise scratch for ``first_new``."""
+
+    def __init__(self, rank: int):
+        # Blocks stay below 2^31 candidates while 2^rank fits in memory.
+        self.slot = np.zeros(1 << rank, np.int32)
+        self.slot[0] = -1
+
+    def first_new(self, keys: np.ndarray) -> np.ndarray:
+        """Indices, in order, of the first occurrences of unvisited keys."""
+        fresh = np.flatnonzero(self.slot[keys] >= 0)
+        keys = keys[fresh]
+        order = np.arange(len(keys), dtype=np.int32)
+        self.slot[keys] = len(keys)
+        np.minimum.at(self.slot, keys, order)
+        return fresh[self.slot[keys] == order]
+
+    def mark(self, keys: np.ndarray) -> None:
+        self.slot[keys] = -1
+
+
+class _SortedVisits:
+    """Visited coordinates as sorted keys, for a group too large for
+    ``_DenseVisits``: O(visited) words."""
+
+    def __init__(self, keys: np.ndarray):
+        self.keys = np.sort(keys)
+
+    def first_new(self, keys: np.ndarray) -> np.ndarray:
+        # Sorted queries keep the binary searches cache-friendly.
+        unique, first = np.unique(keys, return_index=True)
+        at = np.minimum(np.searchsorted(self.keys, unique), len(self.keys) - 1)
+        return np.sort(first[self.keys[at] != unique])
+
+    def mark(self, keys: np.ndarray) -> None:
+        keys = np.sort(keys)
+        self.keys = np.insert(self.keys, np.searchsorted(self.keys, keys), keys)
+
+
+def _keys(coords: np.ndarray) -> np.ndarray:
+    """One sortable key per row of coordinate words: the word itself, or
+    the row's bytes when it spans several words."""
+    if coords.shape[1] == 1:
+        return coords[:, 0]
+    return np.ascontiguousarray(coords).view(
+        np.dtype((np.void, 8 * coords.shape[1])))[:, 0]
 
 
 def _popcount(words: np.ndarray) -> np.ndarray:
@@ -237,7 +295,8 @@ def min_expansion(code: StabilizerCode, stab: PauliString,
         if target is None:
             raise NotAStabilizerError(wrong_sign)
         levels, _ = group.sweep()
-        best = next(d for d, level in enumerate(levels) if (level == target).any())
+        best = next(d for d, level in enumerate(levels)
+                    if (level[:, 0] == target).any())
         return best if best <= cap else None
     if method == "mitm":
         checks = [code.checks[i] for i in sol[0].indices()]
@@ -300,7 +359,7 @@ def _sector_profile(generators, n: int, m_max: int, sector: str,
     hit = np.flatnonzero(dist == top[weights])
     found, first = np.unique(weights[hit], return_index=True)
     f_raw = {m: int(top[m]) for m in found.tolist()}
-    witness = {m: str(group.element(int(coords[i])))
+    witness = {m: str(group.element(group.as_int(coords[i])))
                for m, i in zip(found.tolist(), idx[hit[first]].tolist())}
     f_emp: dict = {}
     running = 0
@@ -327,7 +386,7 @@ def soundness_profile(code: StabilizerCode, m_max: int | None = None,
     for mixed stabilizers is the sum of the two sector envelopes, following
     the X-part/Z-part splitting rule, and is labeled as rule-derived rather
     than enumerated.  ``budget`` caps the group elements visited per
-    sector; a sector whose group has rank above 64 raises ValueError.
+    sector.
     """
     if m_max is None:
         m_max = code.n

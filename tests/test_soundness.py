@@ -122,7 +122,7 @@ def assert_matches_oracle(n, gens, budget=None):
     levels, complete = group.sweep(budget)
     dist, want_complete = bfs_oracle(gens, budget)
     visits = [((e.x, e.z, e.sign), d) for d, level in enumerate(levels)
-              for e in map(group.element, level.tolist())]
+              for e in (group.element(group.as_int(c)) for c in level)]
     assert visits == list(dist.items())
     assert complete == want_complete
     if budget is None:
@@ -160,13 +160,16 @@ def commuting_generators(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(commuting_generators(), st.sampled_from([1, 2, soundness.TABLE_ROWS]),
-       st.sampled_from([1, 3, soundness.DECODE_BLOCK]))
-def test_group_sweep_matches_queue_bfs_at_every_budget(case, table_rows, block):
+       st.sampled_from([1, 3, soundness.DECODE_BLOCK]),
+       st.sampled_from([1, soundness.SWEEP_BLOCK]))
+def test_group_sweep_matches_queue_bfs_at_every_budget(case, table_rows, block,
+                                                       sweep_block):
     n, gens = case
     dist, _ = bfs_oracle(gens)
-    # Small tables and blocks make the decode combine several of each.
+    # Small tables and blocks make the decode combine several of each, and
+    # the sweep expand a level a few parents at a time.
     with mock.patch.multiple(soundness, TABLE_ROWS=table_rows,
-                             DECODE_BLOCK=block):
+                             DECODE_BLOCK=block, SWEEP_BLOCK=sweep_block):
         for budget in (None, *range(1, len(dist) + 2)):
             assert_matches_oracle(n, gens, budget)
     code = StabilizerCode.from_checks(n, gens, kind="general")
@@ -204,8 +207,58 @@ def test_group_sweep_holds_minus_identity():
     assert group.element(group.coordinate(PauliString(2, sign=-1))).sign == -1
     dist, _ = bfs_oracle(gens)
     assert len(dist) == 8 and dist[0, 0, -1] == 3
-    for budget in (None, *range(1, 10)):
+    for budget in (None, *range(10)):
         assert_matches_oracle(2, gens, budget)
+
+
+def test_decode_carries_the_phase_across_tables():
+    # ZX * XZ = +YY: one table per generator gets the sign only through
+    # the 2|z & x'| term between tables.
+    gens = [PauliString.from_label(s) for s in ("ZX", "XZ")]
+    code = StabilizerCode.from_checks(2, gens, kind="general")
+    with mock.patch.object(soundness, "TABLE_ROWS", 1):
+        prof = soundness_profile(code)["sectors"]["all"]
+        assert_matches_oracle(2, gens, 4)
+    assert prof.f_raw == {2: 2}
+    assert prof.witnesses == {2: "YY"}
+
+
+def test_group_sweep_truncates_groups_above_64_bits():
+    # 81 X checks of rank 80: coordinates take two words, and a decode
+    # table that would straddle them stops at the word boundary.
+    code = toric_code(9)
+    prof = soundness_profile(code, budget=1000)
+    for p in prof["sectors"].values():
+        assert not p.certified
+        assert p.group_size == 1000
+        assert p.f_raw == {4: 1, 6: 2, 8: 2}
+    gens = [code.checks[i] for i in code.x_type_indices()]
+    assert _CheckGroup(gens, code.n).rank == 80
+    assert 64 % soundness.TABLE_ROWS
+    assert_matches_oracle(code.n, gens, 700)
+
+
+def test_group_sweep_stops_when_the_budget_is_filled():
+    # 36 X checks of rank 35: the budget cuts the sweep mid-level.
+    code = toric_code(6)
+    gens = [code.checks[i] for i in code.x_type_indices()]
+    found = []
+
+    class CountingVisits(soundness._SortedVisits):
+        def first_new(self, keys):
+            new = super().first_new(keys)
+            found.append(len(new))
+            return new
+
+    with mock.patch.multiple(soundness, _SortedVisits=CountingVisits,
+                             SWEEP_BLOCK=1):
+        levels, complete = _CheckGroup(gens, code.n).sweep(5000)
+    assert not complete
+    assert sum(map(len, levels)) == 5000
+    # Blocks of a few parents each; the one that filled the budget (after
+    # the identity) was the last one built.
+    assert len(found) > len(levels)
+    assert 1 + sum(found[:-1]) < 5000 <= 1 + sum(found)
 
 
 def test_min_expansion_trivial_cases():
