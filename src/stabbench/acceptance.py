@@ -588,7 +588,7 @@ def criterion_9_oracle_equivalences(seed: int = 2) -> CriterionResult:
             group[key] = (w, prod)
     mismatches = 0
     for w, stab in group.values():
-        if min_expansion(code, stab, method="dijkstra") != w:
+        if min_expansion(code, stab) != w:
             mismatches += 1
     details["min_expansion_mismatches"] = mismatches
     ok &= mismatches == 0

@@ -39,7 +39,7 @@ from .flow import (
     stability_certificate,
 )
 from .soundness import expansion_profile, soundness_profile
-from .swt import swt_run
+from .swt import spectral_report, swt_run
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -241,13 +241,11 @@ def cmd_spectrum(args) -> int:
             print("--swt-orders requires dense mode at n <= 12",
                   file=sys.stderr)
             return EXIT_NUMERIC
-        from .swt import spectral_report as _sr
-
         for row in rows:
             eps = row["epsilon"]
             scaled = [(eps * c, p) for c, p in terms]
             run = swt_run(code, scaled, m_target=args.swt_orders)
-            rep = _sr(code, terms, eps, mode="dense", swt_result=run)
+            rep = spectral_report(code, terms, eps, mode="dense", swt_result=run)
             row["projector_distance"] = rep.projector_distance
             for m, v in enumerate(run.v_norms, start=1):
                 row[f"v_{m}"] = v

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 
 from .gf2 import BitMatrix, BitVector, Echelon, min_weight_codeword, nullspace, rank
-from .pauli import PauliString, commutes
+from .pauli import PauliString, commutes, product
 
 
 class InvalidCodeError(ValueError):
@@ -125,11 +125,9 @@ def validate(code: StabilizerCode) -> CodeGraphMetrics:
                 f"{code.checks[i]} vs {code.checks[j]}"
             )
     # Redundant products must equal +I, otherwise the codespace is empty.
-    from .pauli import product as _pauli_product
-
     for combo in nullspace(code.symplectic_matrix().transpose()):
         sel = [code.checks[i] for i in combo.indices()]
-        if sel and _pauli_product(sel).sign != 1:
+        if sel and product(sel).sign != 1:
             raise InvalidCodeError(
                 f"redundant check product over {combo.indices()} equals -I"
             )

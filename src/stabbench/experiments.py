@@ -50,12 +50,6 @@ def plaquette_field_terms(L: int):
     return [(1.0, PauliString(n, 0, mask)) for mask in toric_face_masks(L)]
 
 
-def plaquette_sum_terms(L: int):
-    """(1/n) sum over faces of the plaquette operator on the L x L torus."""
-    n = 2 * L * L
-    return [(1.0 / n, PauliString(n, 0, mask)) for mask in toric_face_masks(L)]
-
-
 PERTURBATION_FAMILIES = ("x-field", "z-field", "two-body", "plaquette-sum")
 
 
@@ -70,7 +64,7 @@ def perturbation_terms(family: str, code: StabilizerCode, seed: int = 0,
     if family == "plaquette-sum":
         if L is None:
             L = _torus_side(code.n)
-        return plaquette_sum_terms(L)
+        return [(c / (2 * L * L), p) for c, p in plaquette_field_terms(L)]
     raise ValueError(f"unknown perturbation family {family!r}")
 
 

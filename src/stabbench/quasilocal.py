@@ -23,8 +23,8 @@ import numpy as np
 
 from .code import StabilizerCode, syndrome_of
 from .gf2 import BitVector, Echelon
-from .matrices import _compress_bits, operator_dense
-from .pauli import PauliString, power_of_i, signed_span
+from .matrices import _compress_bits, operator_dense, payload_norm
+from .pauli import PauliString, commutes, multiply_phase, power_of_i, signed_span
 
 PATCH_LIMIT = 14  # norm evaluations refuse patches beyond 2^14 dimensions
 DENSE_PATCH_LIMIT = 12  # patch algebra (projectors, splits, solves)
@@ -90,8 +90,6 @@ class LocalTerm:
             )
         if not self.paulis:
             return 0.0
-        from .matrices import payload_norm
-
         return payload_norm(len(self.support), self.patch_paulis())
 
     def scaled(self, factor: complex) -> "LocalTerm":
@@ -393,8 +391,6 @@ def commutator_qlo(d: QuasiLocalOperator, a: QuasiLocalOperator,
                    drop_tol: float = 1e-14) -> QuasiLocalOperator:
     """[D, A] with the pairwise term assignment: the commutator of terms
     keyed (S', s') and (S, s) lands in key (S' u S, s' + s)."""
-    from .pauli import commutes as _commutes, multiply_phase
-
     code = d.code
     grouped: dict = {}
     for td in d.terms:
@@ -406,7 +402,7 @@ def commutator_qlo(d: QuasiLocalOperator, a: QuasiLocalOperator,
             acc = grouped.setdefault((sup, sbits), {})
             for cd, pd in td.paulis:
                 for ca, pa in ta.paulis:
-                    if _commutes(pd, pa):
+                    if commutes(pd, pa):
                         continue
                     phase, canon = multiply_phase(pd, pa)
                     key = (canon.x, canon.z)

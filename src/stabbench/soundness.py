@@ -7,11 +7,11 @@ run in numpy over the group's GF(2) coordinates: each element is a row of
 uint64 words whose bits select independent checks, plus -I when the signs
 put it in the group, and a level is the XOR of the previous one with every
 check's mask.  A budget stops the sweep once that many elements are
-visited, at any rank.  When the check count is large, ``min_expansion``
-instead runs ``gf2.min_support_solution`` over the symplectic check rows
-plus one sign check.  The growth-sum bound machinery turns an assumed
-power-law soundness function into the (alpha, c', c'') constants consumed
-by the flow bounds.
+visited, at any rank.  ``min_expansion`` answers one target from the same
+coordinates: the meet in the middle of ``gf2.min_support_solution`` over
+the generator masks, exact with signs because -I is a basis element.  The
+growth-sum bound machinery turns an assumed power-law soundness function
+into the (alpha, c', c'') constants consumed by the flow bounds.
 """
 
 from __future__ import annotations
@@ -23,22 +23,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code import StabilizerCode, syndrome_of
+from .code import StabilizerCode
 from .gf2 import (
     SEARCH_BUDGET,
     TABLE_ROWS,
+    BitMatrix,
     BitVector,
     Echelon,
     _words,
     min_support_solution,
-    solve_affine,
 )
 from .pauli import PauliString, commutes, power_of_i, product, signed_span
 
-# Method "auto" of ``min_expansion`` sweeps the signed group of up to this
-# many checks; more checks go to the meet-in-the-middle of
-# ``gf2.min_support_solution``.
-BFS_MAX_CHECKS = 24
 # Group elements decoded at a time by ``_CheckGroup.weights_and_signs``.
 DECODE_BLOCK = 1 << 16
 # Fewest sweep candidates built at a time by ``_CheckGroup.sweep``; a
@@ -252,58 +248,29 @@ def _popcount(words: np.ndarray) -> np.ndarray:
 
 
 def min_expansion(code: StabilizerCode, stab: PauliString,
-                  cap: int | None = None, method: str = "auto"):
+                  cap: int | None = None, method: str = "mitm"):
     """Exact minimal number of checks multiplying (sign included) to
     ``stab``; None when the minimum exceeds ``cap``.
 
-    A -1 relative sign classifies the operator as not a stabilizer.  Method
-    "dijkstra" sweeps the signed check group breadth-first in its GF(2)
-    coordinates (best for few checks) and raises ValueError, before the
-    sweep, for a group of more than 2^``BFS_MAX_CHECKS`` elements; "mitm"
-    runs ``gf2.min_support_solution`` on the symplectic check rows and
-    decides the sign from one product of checks; "auto" picks "dijkstra"
-    up to ``BFS_MAX_CHECKS`` checks, whose group is never too large.
-
-    Precondition: no product of checks equals -I, as ``code.validate``
-    enforces.  Then the sign of a group element is a function of its
-    (x, z), which the "mitm" sign check relies on.
+    Raises NotAStabilizerError when ``stab`` (sign included) is outside the
+    signed check group.  The target's coordinate in the check group's GF(2)
+    basis, which holds -I when the signs put it in the group, carries the
+    sign linearly, so ``gf2.min_support_solution`` over the generator masks
+    is exact for every list of commuting checks; it refuses more than 44
+    checks.  ``method`` is kept for callers and has the single value "mitm".
     """
+    if method != "mitm":
+        raise ValueError(f"unknown method {method!r}")
     if stab.n != code.n:
         raise ValueError("qubit count mismatch")
-    if not syndrome_of(code, stab).is_zero():
-        raise NotAStabilizerError("operator anticommutes with some check")
-    sym = code.symplectic_matrix()
-    vec = BitVector(2 * code.n, stab.x | (stab.z << code.n))
-    sol = solve_affine(sym, vec)
-    if sol is None:
-        raise NotAStabilizerError("operator is outside the check group")
+    group = _CheckGroup(code.checks, code.n)
+    target = group.coordinate(stab)
+    if target is None:
+        raise NotAStabilizerError("operator is outside the signed check group")
     if cap is None:
         cap = code.num_checks
-    if stab.is_identity() and stab.sign == 1:
-        return 0
-    if method == "auto":
-        method = "dijkstra" if code.num_checks <= BFS_MAX_CHECKS else "mitm"
-    wrong_sign = "operator has -1 sign relative to the check group"
-    if method == "dijkstra":
-        group = _CheckGroup(code.checks, code.n)
-        if group.rank > BFS_MAX_CHECKS:
-            raise ValueError(
-                f"the signed check group has rank {group.rank}: a sweep over "
-                f"its 2^{group.rank} elements exceeds 2^{BFS_MAX_CHECKS}"
-            )
-        target = group.coordinate(stab)
-        if target is None:
-            raise NotAStabilizerError(wrong_sign)
-        levels, _ = group.sweep()
-        best = next(d for d, level in enumerate(levels)
-                    if (level[:, 0] == target).any())
-        return best if best <= cap else None
-    if method == "mitm":
-        checks = [code.checks[i] for i in sol[0].indices()]
-        if product(checks, code.n).sign != stab.sign:
-            raise NotAStabilizerError(wrong_sign)
-        return min_support_solution(sym, vec, cap)
-    raise ValueError(f"unknown method {method!r}")
+    masks = BitMatrix.from_rows(group.masks, group.rank)
+    return min_support_solution(masks, BitVector(group.rank, target), cap)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import scipy.linalg
 
 from .code import StabilizerCode, graph_distance, num_logical_qubits, validate
 from .flow import kappa_m
-from .gf2 import BitMatrix, BitVector, solve_affine
+from .gf2 import BitMatrix, BitVector, Echelon, nullspace
 from .matrices import (
     code_hamiltonian_dense,
     code_hamiltonian_terms,
@@ -30,7 +30,7 @@ from .matrices import (
     pauli_transform,
     payload_norm,
 )
-from .pauli import PauliString
+from .pauli import PauliString, commutes
 from .quasilocal import (
     QuasiLocalOperator,
     _accumulate,
@@ -38,6 +38,7 @@ from .quasilocal import (
     _group_products,
     _patch_columns,
     block_diagonal_part,
+    checks_inside,
     decompose,
     kappa_norm,
 )
@@ -414,9 +415,7 @@ def local_indistinguishability_check(
         region = frozenset(region)
     if not S <= region:
         raise ValueError("region must contain S")
-    inside = [
-        i for i, c in enumerate(code.checks) if c.support() <= region
-    ]
+    inside = checks_inside(code, region)
     squbits = tuple(sorted(S))
     ns = len(squbits)
     # Unknown Pauli on S: bits (x_0..x_{ns-1}, z_0..z_{ns-1}).  Commutation
@@ -431,19 +430,11 @@ def local_indistinguishability_check(
             if (c.x >> q) & 1:
                 row |= 1 << (ns + j)
         rows.append(BitVector(2 * ns, row))
-    from .gf2 import nullspace
-
     cand_basis = nullspace(BitMatrix.from_rows(rows, 2 * ns)) if rows else [
         BitVector(2 * ns, 1 << j) for j in range(2 * ns)
     ]
     dim = len(cand_basis)
-    inside_sym = BitMatrix.from_rows(
-        [
-            BitVector(2 * code.n, code.checks[i].x | (code.checks[i].z << code.n))
-            for i in inside
-        ],
-        2 * code.n,
-    )
+    inside_span = _symplectic_span(code, inside)
 
     def lift(bits: int) -> PauliString:
         x = z = 0
@@ -470,8 +461,7 @@ def local_indistinguishability_check(
             continue
         checked += 1
         p = lift(bits)
-        vec = BitVector(2 * code.n, p.x | (p.z << code.n))
-        if solve_affine(inside_sym, vec) is None:
+        if inside_span.reduce(p.x | p.z << code.n):
             return LtoReport(False, p, region, checked, exhaustive)
     return LtoReport(True, None, region, checked, exhaustive)
 
@@ -481,22 +471,16 @@ def operator_locally_trivial(code: StabilizerCode, p: PauliString,
     """Whether a single Pauli acts as a scalar on the joint +1 space of the
     checks contained in ``region``: it either anticommutes with one of them
     or is (up to sign) a product of them."""
-    region = frozenset(region)
-    inside = [i for i, c in enumerate(code.checks) if c.support() <= region]
-    from .pauli import commutes
+    inside = checks_inside(code, frozenset(region))
+    if not all(commutes(code.checks[i], p) for i in inside):
+        return True
+    return _symplectic_span(code, inside).reduce(p.x | p.z << code.n) == 0
 
-    for i in inside:
-        if not commutes(code.checks[i], p):
-            return True
-    inside_sym = BitMatrix.from_rows(
-        [
-            BitVector(2 * code.n, code.checks[i].x | (code.checks[i].z << code.n))
-            for i in inside
-        ],
-        2 * code.n,
-    )
-    vec = BitVector(2 * code.n, p.x | (p.z << code.n))
-    return solve_affine(inside_sym, vec) is not None
+
+def _symplectic_span(code: StabilizerCode, indices) -> Echelon:
+    """Echelon form of the ``x | z << n`` rows of the checks at ``indices``."""
+    return Echelon(code.checks[i].x | code.checks[i].z << code.n
+                   for i in indices)
 
 
 def relative_bound_estimate(code: StabilizerCode, d_matrix: np.ndarray,

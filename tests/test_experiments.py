@@ -13,7 +13,6 @@ from stabbench.experiments import (
     code_to_dict,
     perturbation_terms,
     plaquette_field_terms,
-    plaquette_sum_terms,
     spectrum_grid,
     splitting_versus_size,
     two_body_mix_terms,
@@ -38,14 +37,14 @@ def test_plaquette_field_terms():
     terms = plaquette_field_terms(3)
     assert len(terms) == 9
     assert all(c == 1.0 and p.x == 0 and p.weight() == 4 for c, p in terms)
-    assert [p for _, p in terms] == [p for _, p in plaquette_sum_terms(3)]
 
 
 def test_plaquette_sum_terms():
-    terms = plaquette_sum_terms(3)
+    terms = perturbation_terms("plaquette-sum", toric_code(3))
     assert len(terms) == 9
     assert all(c == pytest.approx(1 / 18) and p.x == 0 and p.weight() == 4
                for c, p in terms)
+    assert [p for _, p in terms] == [p for _, p in plaquette_field_terms(3)]
 
 
 def test_perturbation_family_dispatch():

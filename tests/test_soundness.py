@@ -21,7 +21,6 @@ from stabbench.constructors import (
 )
 from stabbench.pauli import PauliString, commutes, multiply, product
 from stabbench.soundness import (
-    BFS_MAX_CHECKS,
     NotAStabilizerError,
     _CheckGroup,
     SoundnessFunction,
@@ -177,10 +176,10 @@ def test_group_sweep_matches_queue_bfs_at_every_budget(case, table_rows, block,
         for s in (sign, -sign):
             stab = PauliString(n, x, z, s)
             if (x, z, s) in dist:
-                assert min_expansion(code, stab, method="dijkstra") == dist[x, z, s]
+                assert min_expansion(code, stab) == dist[x, z, s]
             else:
                 with pytest.raises(NotAStabilizerError):
-                    min_expansion(code, stab, method="dijkstra")
+                    min_expansion(code, stab)
 
 
 @settings(max_examples=50, deadline=None)
@@ -266,6 +265,9 @@ def test_min_expansion_trivial_cases():
     assert min_expansion(code, PauliString.identity(8)) == 0
     for c in code.checks:
         assert min_expansion(code, c) == 1
+    # Answered without sweeping the 2^30 and 2^23 group elements.
+    for big in (toric_code(4), repetition_code(24)):
+        assert min_expansion(big, big.checks[0]) == 1
 
 
 def test_min_expansion_two_adjacent_plaquettes():
@@ -303,9 +305,7 @@ def test_min_expansion_methods_agree_with_exhaustive():
              (general, {p for p, _ in subset_products(general.checks, 4)})]
     for code, sample in cases:
         for stab in sample:
-            expect = exhaustive_min_expansion(code, stab)
-            assert min_expansion(code, stab, method="dijkstra") == expect
-            assert min_expansion(code, stab, method="mitm") == expect
+            assert min_expansion(code, stab) == exhaustive_min_expansion(code, stab)
 
 
 def test_signed_general_code():
@@ -318,10 +318,9 @@ def test_signed_general_code():
     assert prof.group_size == 16 and prof.certified
     assert prof.f_raw == {2: 1, 4: 2}
     minus_zz = PauliString.from_label("ZZII", sign=-1)
-    for method in ("dijkstra", "mitm"):
-        assert min_expansion(code, minus_zz, method=method) == 2
-        with pytest.raises(NotAStabilizerError):
-            min_expansion(code, PauliString.from_label("ZZII"), method=method)
+    assert min_expansion(code, minus_zz) == 2
+    with pytest.raises(NotAStabilizerError):
+        min_expansion(code, PauliString.from_label("ZZII"))
 
 
 def test_soundness_profile_rejects_anticommuting_checks():
@@ -546,13 +545,27 @@ def test_soundness_profile_toric4_recorded():
         assert p.witnesses == witnesses[sector]
 
 
-def test_min_expansion_dijkstra_refuses_large_groups():
-    # 32 checks of rank 30: refused by rank before any sweep.
-    code = toric_code(4)
-    with pytest.raises(ValueError, match="rank 30"):
+def test_min_expansion_signs_past_24_checks():
+    # XX * ZZ = -YY on qubits 0-1, so the group holds -I, next to a chain
+    # of 22 ZZ checks on qubits 2-24: 25 checks in all.
+    n = 25
+    checks = [PauliString(n, 0b11, 0), PauliString(n, 0, 0b11),
+              PauliString(n, 0b11, 0b11)]
+    checks += [PauliString(n, 0, 0b11 << q) for q in range(2, 24)]
+    code = StabilizerCode.from_checks(n, checks, kind="general")
+    assert min_expansion(code, PauliString(n, 0b11, 0b11, -1)) == 2
+    assert min_expansion(code, PauliString(n, sign=-1)) == 3
+    ends = 1 << 2 | 1 << 24
+    assert min_expansion(code, PauliString(n, 0, ends)) == 22
+    assert min_expansion(code, PauliString(n, 0, ends, -1)) == 25
+    assert min_expansion(code, PauliString(n, 0, ends, -1), cap=24) is None
+
+
+def test_min_expansion_has_one_method():
+    code = toric_code(2)
+    assert min_expansion(code, code.checks[0], method="mitm") == 1
+    with pytest.raises(ValueError, match="dijkstra"):
         min_expansion(code, code.checks[0], method="dijkstra")
-    assert code.num_checks > BFS_MAX_CHECKS
-    assert min_expansion(code, code.checks[0]) == 1  # "auto" takes "mitm"
 
 
 def test_soundness_profile_budget_truncation_flagged():
