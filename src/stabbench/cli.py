@@ -3,8 +3,8 @@ bounds, run SWT orders, sweep spectra, and execute the acceptance suite.
 
 Exit codes: 0 success, 2 usage error, 3 numeric failure, 4 acceptance
 failure.  JSON reports embed their full input specification; grid sweeps
-write CSV.  The worker-count default honors STABBENCH_THREADS and is
-overridden by --threads.
+write CSV.  ``spectrum`` alone takes --threads, whose default honors
+STABBENCH_THREADS, and --format json|csv.
 """
 
 from __future__ import annotations
@@ -291,8 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=_default_threads())
-        p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("build", help="construct a code family")
     p.add_argument("--family", required=True,
@@ -371,6 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--swt-orders", type=int, default=0, dest="swt_orders",
                    help="also run this many transformation orders per point "
                         "and add per-order norms and projector distances")
+    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     common(p)
     p.set_defaults(func=cmd_spectrum)
 

@@ -103,18 +103,6 @@ class BitMatrix:
             cols = rows[0].length
         return cls(rows, cols)
 
-    @classmethod
-    def from_dense(cls, array) -> "BitMatrix":
-        rows = []
-        ncols = len(array[0]) if len(array) else 0
-        for row in array:
-            bits = 0
-            for j, v in enumerate(row):
-                if int(v) % 2:
-                    bits |= 1 << j
-            rows.append(BitVector(ncols, bits))
-        return cls(tuple(rows), ncols)
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -272,10 +260,6 @@ def min_support_solution(a: BitMatrix, b: BitVector, cap: int):
         hit = left[pos] == need
         best = int((left_w[pos] + weights).min(initial=best, where=hit))
     return best if best <= cap else None
-
-
-def in_rowspace(a: BitMatrix, b: BitVector) -> bool:
-    return solve_affine(a, b) is not None
 
 
 def nullspace(a: BitMatrix) -> list[BitVector]:

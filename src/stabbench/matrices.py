@@ -12,33 +12,13 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .gf2 import Echelon
-from .pauli import PauliString, multiply
+from .pauli import PauliString, multiply, restrict
 
 
 def _z_parity_signs(z: int, states: np.ndarray) -> np.ndarray:
     """(-1)^|b & z| for each basis state b of ``states``."""
     par = np.bitwise_count(states & np.int64(z)) & 1
     return 1.0 - 2.0 * par.astype(np.float64)
-
-
-def _compress_bits(bits: int, positions) -> int:
-    """The bits at ``positions``, packed in that order from bit 0."""
-    out = 0
-    for j, pos in enumerate(positions):
-        if (bits >> pos) & 1:
-            out |= 1 << j
-    return out
-
-
-def pauli_dense(p: PauliString) -> np.ndarray:
-    """Dense 2^n x 2^n matrix of a Hermitian Pauli string."""
-    dim = 1 << p.n
-    basis = np.arange(dim, dtype=np.int64)
-    phase = p.sign * (1j) ** ((p.x & p.z).bit_count() % 4)
-    col_phases = phase * _z_parity_signs(p.z, basis)
-    M = np.zeros((dim, dim), dtype=complex)
-    M[basis ^ np.int64(p.x), basis] = col_phases
-    return M
 
 
 def operator_dense(n: int, terms) -> np.ndarray:
@@ -332,9 +312,9 @@ def _coset_split(n: int, terms):
     return terms, reduced, reps, r
 
 
-def _lanczos_block(r: int, terms, k: int, rng, tol: float,
-                   maxiter: int) -> np.ndarray:
-    """Lowest k eigenvalues of an r-qubit Pauli sum by seeded Lanczos.
+def _lanczos_block(r: int, terms, k: int, rng) -> np.ndarray:
+    """Lowest k eigenvalues of an r-qubit Pauli sum by seeded Lanczos, run
+    to machine precision (``tol=0``).
 
     Raises ArithmeticError when an eigenpair's residual ||Hv - lambda v||
     exceeds ``RESIDUAL_TOL``.
@@ -344,7 +324,7 @@ def _lanczos_block(r: int, terms, k: int, rng, tol: float,
     if not mv.is_real:
         v0 = v0 + 1j * rng.standard_normal(mv.dim)
     vals, vecs = spla.eigsh(mv.as_linear_operator(), k=k, which="SA", v0=v0,
-                            tol=tol, maxiter=maxiter)
+                            tol=0.0, maxiter=50000)
     for j, lam in enumerate(vals):
         residual = float(np.linalg.norm(mv(vecs[:, j]) - lam * vecs[:, j]))
         if not residual <= RESIDUAL_TOL:
@@ -387,9 +367,7 @@ def _cluster_floor(n: int, terms, reduced) -> float:
             floor -= sum(abs(c) for c, _ in cluster)
             continue
         qubits = [i for i in range(n) if (support >> i) & 1]
-        strings = [PauliString(len(qubits), _compress_bits(p.x, qubits),
-                               _compress_bits(p.z, qubits), p.sign)
-                   for _, p in cluster]
+        strings = [restrict(p, qubits) for _, p in cluster]
         weights = np.array([[c for c, _ in cluster]])
         M = _batched_blocks(len(qubits), strings, weights)[0]
         floor += np.linalg.eigvalsh(M if M.imag.any() else M.real)[0]
@@ -406,9 +384,8 @@ def _coset_floors(n: int, terms, reduced, reps) -> np.ndarray:
     return floors
 
 
-def lowest_eigenvalues_sparse(
-    n: int, terms, k: int, seed: int = 7, tol: float = 0.0, maxiter: int = 50000
-) -> np.ndarray:
+def lowest_eigenvalues_sparse(n: int, terms, k: int,
+                              seed: int = 7) -> np.ndarray:
     """Lowest k eigenvalues of a Pauli-sum Hamiltonian, sorted, solved one
     invariant coset at a time (``_coset_split``); k = 2^n gives the exact
     full spectrum, every block solved densely, with no 2^n x 2^n matrix.
@@ -450,6 +427,6 @@ def lowest_eigenvalues_sparse(
             M = operator_dense(r, block)
             vals = np.linalg.eigvalsh(M if M.imag.any() else M.real)[:k]
         else:
-            vals = _lanczos_block(r, block, k, rng, tol, maxiter)
+            vals = _lanczos_block(r, block, k, rng)
         levels = np.sort(np.concatenate([levels, vals]))[:k]
     return levels

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import BitVector
-
 _CHAR_TO_XZ = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _XZ_TO_CHAR = {v: k for k, v in _CHAR_TO_XZ.items()}
 
@@ -77,12 +75,6 @@ class PauliString:
     def is_identity(self) -> bool:
         return self.x == 0 and self.z == 0
 
-    def x_vector(self) -> BitVector:
-        return BitVector(self.n, self.x)
-
-    def z_vector(self) -> BitVector:
-        return BitVector(self.n, self.z)
-
     def __str__(self) -> str:
         prefix = "" if self.sign == 1 else "-"
         return prefix + self.label()
@@ -102,22 +94,10 @@ def multiply(p: PauliString, q: PauliString) -> PauliString:
     Requires [p, q] = 0 so the product is again Hermitian; anticommuting
     inputs would produce an anti-Hermitian string and are rejected.
     """
-    if p.n != q.n:
-        raise ValueError("qubit count mismatch")
-    x3 = p.x ^ q.x
-    z3 = p.z ^ q.z
-    # Phase exponent of i: from unpacking both canonical Y factors, crossing
-    # Z^z1 past X^x2, and repacking the result's Y factors.
-    t = (
-        (p.x & p.z).bit_count()
-        + (q.x & q.z).bit_count()
-        + 2 * (p.z & q.x).bit_count()
-        - (x3 & z3).bit_count()
-    ) % 4
-    if t % 2:
+    phase, canon = multiply_phase(p, q)
+    if phase.imag:
         raise ValueError("product of anticommuting strings is not Hermitian")
-    sign = p.sign * q.sign * (1 if t == 0 else -1)
-    return PauliString(p.n, x3, z3, sign)
+    return PauliString(p.n, canon.x, canon.z, int(phase.real))
 
 
 def multiply_phase(p: PauliString, q: PauliString) -> tuple[complex, PauliString]:
@@ -131,6 +111,8 @@ def multiply_phase(p: PauliString, q: PauliString) -> tuple[complex, PauliString
         raise ValueError("qubit count mismatch")
     x3 = p.x ^ q.x
     z3 = p.z ^ q.z
+    # Phase exponent of i: from unpacking both canonical Y factors, crossing
+    # Z^z1 past X^x2, and repacking the result's Y factors.
     t = (
         (p.x & p.z).bit_count()
         + (q.x & q.z).bit_count()
@@ -139,6 +121,21 @@ def multiply_phase(p: PauliString, q: PauliString) -> tuple[complex, PauliString
     ) % 4
     phase = p.sign * q.sign * (1j) ** t
     return phase, PauliString(p.n, x3, z3)
+
+
+def restrict(p: PauliString, qubits) -> PauliString:
+    """p on ``qubits`` alone, renumbered 0, 1, ... in the order given.
+
+    The sign is kept: a Hermitian string is its sign times a tensor product
+    of single-qubit Paulis, and the factors off ``qubits`` are dropped.
+    """
+    qubits = tuple(qubits)
+    px, pz = p.x, p.z
+    x = z = 0
+    for j, q in enumerate(qubits):
+        x |= ((px >> q) & 1) << j
+        z |= ((pz >> q) & 1) << j
+    return PauliString(len(qubits), x, z, p.sign)
 
 
 def product(paulis, n: int | None = None) -> PauliString:

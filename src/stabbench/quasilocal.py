@@ -9,10 +9,13 @@ support assigned here is the canonical minimal choice
 
 which makes the key unique per Pauli and the decomposition exact.
 
-The block split of a term is a closed form over the signed group G_S of
-the checks inside its support, P_S = 2^-r sum_{g in G_S} g, computed on
-int64 columns of patch bits; the dense projectors and patch Hamiltonians
-are kept as references.
+A patch is the region S as a small code of its own (``_patch_code``): the
+checks inside S, restricted to the qubits of S with ``pauli.restrict``,
+with their lambdas.  The block split of a term is a closed form over the
+signed group G_S of those checks, P_S = 2^-r sum_{g in G_S} g, computed on
+int64 columns of patch bits.  The dense projector P_S and patch
+Hamiltonian H_S are the code-level builders of ``matrices`` applied to
+the patch code, kept as references.
 """
 
 from __future__ import annotations
@@ -22,12 +25,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .code import StabilizerCode, syndrome_of
-from .gf2 import BitVector, Echelon
-from .matrices import _compress_bits, operator_dense, payload_norm
-from .pauli import PauliString, commutes, multiply_phase, power_of_i, signed_span
+from .gf2 import BitVector
+from .matrices import (
+    code_hamiltonian_dense,
+    codespace_projector_dense,
+    independent_checks,
+    operator_dense,
+    payload_norm,
+)
+from .pauli import (
+    PauliString,
+    commutes,
+    multiply_phase,
+    power_of_i,
+    restrict,
+    signed_span,
+)
 
 PATCH_LIMIT = 14  # norm evaluations refuse patches beyond 2^14 dimensions
 DENSE_PATCH_LIMIT = 12  # patch algebra (projectors, splits, solves)
+DROP_TOL = 1e-14  # summed coefficients at or below this are dropped
 
 
 class PatchTooLargeError(ValueError):
@@ -55,26 +72,9 @@ class LocalTerm:
     def patch_qubits(self) -> tuple[int, ...]:
         return tuple(sorted(self.support))
 
-    @property
-    def patch_dim(self) -> int:
-        return 1 << len(self.support)
-
     def patch_paulis(self) -> list:
         qubits = self.patch_qubits
-        out = []
-        for coeff, p in self.paulis:
-            out.append(
-                (
-                    coeff,
-                    PauliString(
-                        len(qubits),
-                        _compress_bits(p.x, qubits),
-                        _compress_bits(p.z, qubits),
-                        p.sign,
-                    ),
-                )
-            )
-        return out
+        return [(coeff, restrict(p, qubits)) for coeff, p in self.paulis]
 
     def patch_matrix(self) -> np.ndarray:
         if len(self.support) > DENSE_PATCH_LIMIT:
@@ -131,30 +131,26 @@ class QuasiLocalOperator:
             self.code, tuple(t.scaled(factor) for t in self.terms)
         )
 
-    def add(self, other: "QuasiLocalOperator",
-            drop_tol: float = 1e-14) -> "QuasiLocalOperator":
+    def add(self, other: "QuasiLocalOperator") -> "QuasiLocalOperator":
         merged: dict = {}
         for t in list(self.terms) + list(other.terms):
             key = (t.support, t.syndrome.bits)
             if key in merged:
-                merged[key] = _merge_terms(merged[key], t, drop_tol)
+                merged[key] = _merge_terms(merged[key], t)
             else:
                 merged[key] = t
         terms = tuple(t for t in merged.values() if t.paulis)
         return QuasiLocalOperator(self.code, terms)
 
-    def max_support(self) -> int:
-        return max((len(t.support) for t in self.terms), default=0)
 
-
-def _merge_terms(a: LocalTerm, b: LocalTerm, drop_tol: float) -> LocalTerm:
+def _merge_terms(a: LocalTerm, b: LocalTerm) -> LocalTerm:
     acc: dict = {}
     for coeff, p in list(a.paulis) + list(b.paulis):
         key = (p.x, p.z)
         acc[key] = acc.get(key, 0.0) + coeff * p.sign
     paulis = tuple(
         (c, PauliString(a.n, x, z)) for (x, z), c in acc.items()
-        if abs(c) > drop_tol
+        if abs(c) > DROP_TOL
     )
     return LocalTerm(a.n, a.support, a.syndrome, paulis)
 
@@ -171,8 +167,7 @@ def strong_support(code: StabilizerCode, p: PauliString,
     return frozenset(sup)
 
 
-def decompose(op_terms, code: StabilizerCode,
-              drop_tol: float = 1e-14) -> QuasiLocalOperator:
+def decompose(op_terms, code: StabilizerCode) -> QuasiLocalOperator:
     """Group a weighted Pauli sum into (strong support, syndrome) terms.
 
     ``op_terms`` is an iterable of (coeff, PauliString).  Paulis with equal
@@ -187,7 +182,7 @@ def decompose(op_terms, code: StabilizerCode,
         combined[key] = combined.get(key, 0.0) + coeff * p.sign
     grouped: dict = {}
     for (x, z), coeff in combined.items():
-        if abs(coeff) <= drop_tol:
+        if abs(coeff) <= DROP_TOL:
             continue
         p = PauliString(code.n, x, z)
         synd = syndrome_of(code, p)
@@ -220,73 +215,39 @@ def kappa_norm(op: QuasiLocalOperator, kappa: float) -> float:
 
 
 def checks_inside(code: StabilizerCode, region: frozenset) -> list[int]:
-    return [
-        i for i, c in enumerate(code.checks) if c.support() <= region
-    ]
+    outside = ~sum(1 << q for q in region)
+    return [i for i, c in enumerate(code.checks) if not (c.x | c.z) & outside]
 
 
-def _apply_patch_pauli_left(p: PauliString, M: np.ndarray) -> np.ndarray:
-    """Q @ M for a patch Pauli Q given as perm+phase, without a matmul."""
-    dim = M.shape[0]
-    basis = np.arange(dim, dtype=np.int64)
-    phase = p.sign * (1j) ** ((p.x & p.z).bit_count() % 4)
-    par = np.bitwise_count(basis & np.int64(p.z)) & 1
-    phases = phase * (1.0 - 2.0 * par.astype(float))
-    out = np.empty_like(M, dtype=complex)
-    out[basis ^ np.int64(p.x), :] = phases[:, None] * M
-    return out
+def _patch_code(code: StabilizerCode, region) -> StabilizerCode:
+    """The checks inside ``region``, restricted to its qubits in sorted
+    order, with their lambdas, as a code on len(region) qubits.
 
-
-def local_projectors(code: StabilizerCode, region, space: str = "patch"):
-    """(P_S, Q_S): projector onto the joint +1 space of checks inside S.
-
-    ``space="patch"`` returns 2^|S| matrices over the region's qubits in
-    sorted order; ``space="full"`` returns 2^n matrices.
+    Raises PatchTooLargeError past ``DENSE_PATCH_LIMIT`` qubits.
     """
     region = frozenset(region)
-    inside = checks_inside(code, region)
-    if space == "full":
-        dim = 1 << code.n
-        P = np.eye(dim, dtype=complex)
-        for i in inside:
-            P = 0.5 * (P + _apply_patch_pauli_left(code.checks[i], P))
-        return P, np.eye(dim) - P
-    qubits = tuple(sorted(region))
-    if len(qubits) > DENSE_PATCH_LIMIT:
-        raise PatchTooLargeError(f"projector patch too large: {len(qubits)}")
-    dim = 1 << len(qubits)
-    P = np.eye(dim, dtype=complex)
-    for i in inside:
-        c = code.checks[i]
-        patch = PauliString(
-            len(qubits),
-            _compress_bits(c.x, qubits),
-            _compress_bits(c.z, qubits),
-            c.sign,
+    if len(region) > DENSE_PATCH_LIMIT:
+        raise PatchTooLargeError(
+            f"patch on {len(region)} qubits exceeds the dense limit"
         )
-        P = 0.5 * (P + _apply_patch_pauli_left(patch, P))
-    return P, np.eye(dim) - P
+    qubits = sorted(region)
+    inside = checks_inside(code, region)
+    return StabilizerCode(
+        len(qubits), tuple(restrict(code.checks[i], qubits) for i in inside),
+        tuple(code.lambdas[i] for i in inside), code.kind)
+
+
+def local_projectors(code: StabilizerCode, region):
+    """(P_S, Q_S): projector onto the joint +1 space of the checks inside S
+    and its complement, as 2^|S| matrices over the region's qubits in
+    sorted order."""
+    P = codespace_projector_dense(_patch_code(code, region))
+    return P, np.eye(len(P)) - P
 
 
 def patch_hamiltonian(code: StabilizerCode, region) -> np.ndarray:
     """H_S = sum over checks inside S of lambda (I - Q)/2, on the patch."""
-    region = frozenset(region)
-    qubits = tuple(sorted(region))
-    if len(qubits) > DENSE_PATCH_LIMIT:
-        raise PatchTooLargeError(f"patch too large: {len(qubits)}")
-    dim = 1 << len(qubits)
-    H = np.zeros((dim, dim), dtype=complex)
-    eye = np.eye(dim, dtype=complex)
-    for i in checks_inside(code, region):
-        c = code.checks[i]
-        patch = PauliString(
-            len(qubits),
-            _compress_bits(c.x, qubits),
-            _compress_bits(c.z, qubits),
-            c.sign,
-        )
-        H += code.lambdas[i] * 0.5 * (eye - _apply_patch_pauli_left(patch, eye))
-    return H
+    return code_hamiltonian_dense(_patch_code(code, region))
 
 
 _I_POWERS = np.array([1, 1j, -1, -1j])
@@ -308,27 +269,18 @@ def _patch_columns(term: LocalTerm, code: StabilizerCode):
     2^r elements i^ge X^gx Z^gz of the signed group G_S the inside checks
     generate.
     """
-    qubits = term.patch_qubits
-    if len(qubits) > DENSE_PATCH_LIMIT:
-        raise PatchTooLargeError(
-            f"patch on {len(qubits)} qubits exceeds the dense limit"
-        )
+    patch = _patch_code(code, term.support)
     paulis = term.patch_paulis()
     c = np.array([coeff * p.sign for coeff, p in paulis], dtype=complex)
     x = np.array([p.x for _, p in paulis], dtype=np.int64)
     z = np.array([p.z for _, p in paulis], dtype=np.int64)
-    inside = checks_inside(code, term.support)
-    cx = np.array([_compress_bits(code.checks[i].x, qubits) for i in inside],
-                  dtype=np.int64)
-    cz = np.array([_compress_bits(code.checks[i].z, qubits) for i in inside],
-                  dtype=np.int64)
+    cx = np.array([q.x for q in patch.checks], dtype=np.int64)
+    cz = np.array([q.z for q in patch.checks], dtype=np.int64)
     flips = _odd_overlap(cx[:, None], cz[:, None], x, z)
-    energy = np.array([code.lambdas[i] for i in inside]) @ flips
-    independent = Echelon()
-    basis = [k for k, (hx, hz) in enumerate(zip(cx.tolist(), cz.tolist()))
-             if independent.add(hx | (hz << len(qubits)))]
+    energy = np.array(patch.lambdas) @ flips
+    basis = independent_checks(patch)
     group = signed_span(cx[basis], cz[basis],
-                        [power_of_i(code.checks[inside[k]]) for k in basis])
+                        [power_of_i(patch.checks[k]) for k in basis])
     return c, x, z, flips.any(axis=0), energy, group
 
 
@@ -387,8 +339,8 @@ def block_split(term: LocalTerm, code: StabilizerCode):
     return _columns_to_term(*diag, term), _columns_to_term(*off, term)
 
 
-def commutator_qlo(d: QuasiLocalOperator, a: QuasiLocalOperator,
-                   drop_tol: float = 1e-14) -> QuasiLocalOperator:
+def commutator_qlo(d: QuasiLocalOperator,
+                   a: QuasiLocalOperator) -> QuasiLocalOperator:
     """[D, A] with the pairwise term assignment: the commutator of terms
     keyed (S', s') and (S, s) lands in key (S' u S, s' + s)."""
     code = d.code
@@ -411,7 +363,7 @@ def commutator_qlo(d: QuasiLocalOperator, a: QuasiLocalOperator,
     for (sup, sbits), acc in grouped.items():
         paulis = tuple(
             (c, PauliString(code.n, x, z)) for (x, z), c in acc.items()
-            if abs(c) > drop_tol
+            if abs(c) > DROP_TOL
         )
         if paulis:
             terms.append(

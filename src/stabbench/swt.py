@@ -48,8 +48,8 @@ class GeneratorConsistencyError(RuntimeError):
     """A zero-syndrome term produced a nonzero off-diagonal block."""
 
 
-def solve_generator(code: StabilizerCode, v: QuasiLocalOperator,
-                    tol: float = 1e-10) -> QuasiLocalOperator:
+def solve_generator(code: StabilizerCode,
+                    v: QuasiLocalOperator) -> QuasiLocalOperator:
     """Anti-Hermitian generator solving [H0, A] + V = PV term by term.
 
     Per term: A_{S,s} = P_S V Q_S H_S^+ - H_S^+ Q_S V P_S on the patch,
@@ -61,7 +61,7 @@ def solve_generator(code: StabilizerCode, v: QuasiLocalOperator,
     anticommuting with T of g T / E, and one that flips none adds nothing.
 
     Terms with empty syndrome contribute nothing; an off-diagonal block
-    there, ||P_S V Q_S|| > tol max(||V||, 1) in the Frobenius norm, would
+    there, ||P_S V Q_S|| > 1e-10 max(||V||, 1) in the Frobenius norm, would
     contradict the decomposition invariant and raises
     GeneratorConsistencyError.
     """
@@ -79,7 +79,7 @@ def solve_generator(code: StabilizerCode, v: QuasiLocalOperator,
             ]
             pvq = _accumulate(*map(np.concatenate, zip(*parts)))[0] / 2
             v_coeffs = _accumulate(c, x, z)[0]
-            if np.linalg.norm(pvq) > tol * max(
+            if np.linalg.norm(pvq) > 1e-10 * max(
                     np.linalg.norm(v_coeffs), 2.0 ** (-len(t.support) / 2)):
                 raise GeneratorConsistencyError(
                     f"zero-syndrome term on {sorted(t.support)} has an "
@@ -119,14 +119,11 @@ class StepResult:
 class SwtEngine:
     """Runs exact SWT orders for one code at dense-tractable size."""
 
-    def __init__(self, code: StabilizerCode, d_s: int | None = None,
-                 kappa1: float = 1.0, prune_tol: float = 1e-13):
+    def __init__(self, code: StabilizerCode, d_s: int | None = None):
         if code.n > 12:
             raise ValueError("dense engine is limited to n <= 12")
         self.code = code
         self.d_s = d_s if d_s is not None else code.n + 1
-        self.kappa1 = kappa1
-        self.prune_tol = prune_tol
         self.h0 = code_hamiltonian_dense(code)
 
     def split_input(self, v_terms):
@@ -143,10 +140,10 @@ class SwtEngine:
         return v1, e1
 
     def step(self, d_m: QuasiLocalOperator, v_m: QuasiLocalOperator,
-             e_m: np.ndarray) -> StepResult:
+             e_m: np.ndarray, pv: QuasiLocalOperator) -> StepResult:
+        """One order, given PV = ``block_diagonal_part(v_m)``."""
         code = self.code
         a_m = solve_generator(code, v_m)
-        pv = block_diagonal_part(v_m)
         d_next = d_m.add(pv)
         U = _expm_antihermitian(a_m.to_dense())
         tracked = self.h0 + d_m.to_dense() + v_m.to_dense()
@@ -155,7 +152,7 @@ class SwtEngine:
         # pays for them in peak memory.
         d_next_dense = d_next.to_dense()
         remainder = U.conj().T @ tracked @ U - self.h0 - d_next_dense
-        coeffs = pauli_transform(remainder, tol=self.prune_tol)
+        coeffs = pauli_transform(remainder)
         small_terms = []
         term_items = [
             (c, PauliString(code.n, x, z)) for (x, z), c in coeffs.items()
@@ -207,7 +204,7 @@ def swt_run(code: StabilizerCode, v_terms, m_target: int,
     A(t) = 2^m A_m measured at kappa_1/2.  Divergence (three consecutive
     growing v_m) is flagged, not fatal.
     """
-    engine = SwtEngine(code, d_s=d_s, kappa1=kappa1)
+    engine = SwtEngine(code, d_s=d_s)
     v_m, e_m = engine.split_input(v_terms)
     d_m = QuasiLocalOperator(code, ())
     dim = 1 << code.n
@@ -217,11 +214,12 @@ def swt_run(code: StabilizerCode, v_terms, m_target: int,
     for m in range(1, m_target + 1):
         km = kappa_m(kappa1, m)
         v_norms.append(kappa_norm(v_m, km))
-        vt_norms.append(
-            kappa_norm(block_diagonal_part(v_m, keep_offdiag=True)[1], km))
+        pv, off = block_diagonal_part(v_m, keep_offdiag=True)
+        vt_norms.append(kappa_norm(off, km))
+        del off
         if m == m_target:
             break
-        res = engine.step(d_m, v_m, e_m)
+        res = engine.step(d_m, v_m, e_m, pv)
         gens.append(res.generator)
         a_norms.append(kappa_norm(res.generator, km))
         schedule_sup = max(

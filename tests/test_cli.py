@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from stabbench.cli import main
 from stabbench.constructors import BipartiteTanner, save_alist
 
@@ -58,6 +60,15 @@ def test_params_round_trip(tmp_path, capsys):
     data = json.loads(out)
     assert data["parameters"]["k"] == 1
     assert data["parameters"]["d_z"] == 1
+
+
+def test_threads_is_a_spectrum_option_only(tmp_path, capsys):
+    art = tmp_path / "rep4.json"
+    assert run_cli(["build", "--family", "repetition", "--n", "4",
+                    "--out", str(art)], capsys)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["params", str(art), "--threads", "2"])
+    assert exc.value.code == 2
 
 
 def test_soundness_command(tmp_path, capsys):

@@ -20,7 +20,6 @@ from stabbench.matrices import (
     lowest_eigenvalues_sparse,
     code_hamiltonian_terms,
     operator_dense,
-    pauli_dense,
     payload_norm,
     pauli_transform,
     terms_from_transform,
@@ -28,18 +27,22 @@ from stabbench.matrices import (
 from stabbench.pauli import PauliString
 
 
-def test_pauli_dense_singles():
-    X = pauli_dense(PauliString.from_label("X"))
-    Y = pauli_dense(PauliString.from_label("Y"))
-    Z = pauli_dense(PauliString.from_label("Z"))
+def pauli_matrix(p: PauliString) -> np.ndarray:
+    return operator_dense(p.n, [(1.0, p)])
+
+
+def test_single_qubit_pauli_matrices():
+    X = pauli_matrix(PauliString.from_label("X"))
+    Y = pauli_matrix(PauliString.from_label("Y"))
+    Z = pauli_matrix(PauliString.from_label("Z"))
     assert np.allclose(X, [[0, 1], [1, 0]])
     assert np.allclose(Y, [[0, -1j], [1j, 0]])
     assert np.allclose(Z, [[1, 0], [0, -1]])
 
 
-def test_pauli_dense_tensor_order():
+def test_dense_tensor_order():
     # qubit 0 is the least significant bit of the basis index
-    zi = pauli_dense(PauliString.from_label("ZI"))  # Z on qubit 0
+    zi = pauli_matrix(PauliString.from_label("ZI"))  # Z on qubit 0
     expect = np.diag([1, -1, 1, -1])
     assert np.allclose(zi, expect)
 
@@ -71,7 +74,7 @@ def test_pauli_transform_round_trip_random():
 def test_pauli_transform_asymmetric_string():
     # X on qubit 0 and Z on qubit 2: catches qubit-order mistakes
     p = PauliString.from_label("XIZ")
-    coeffs = pauli_transform(pauli_dense(p))
+    coeffs = pauli_transform(pauli_matrix(p))
     assert coeffs == {(p.x, p.z): pytest.approx(1.0)}
 
 

@@ -8,8 +8,12 @@ import random
 import numpy as np
 import pytest
 
-from stabbench.matrices import pauli_dense
-from stabbench.pauli import PauliString, commutes, multiply, product
+from stabbench.matrices import operator_dense
+from stabbench.pauli import PauliString, commutes, multiply, product, restrict
+
+
+def pauli_matrix(p: PauliString) -> np.ndarray:
+    return operator_dense(p.n, [(1.0, p)])
 
 
 def all_paulis(n):
@@ -37,7 +41,7 @@ def test_commutes_examples():
 def test_commutes_matches_dense_commutator_small():
     for n in (1, 2):
         for p, q in itertools.product(all_paulis(n), repeat=2):
-            mp, mq = pauli_dense(p), pauli_dense(q)
+            mp, mq = pauli_matrix(p), pauli_matrix(q)
             dense = np.allclose(mp @ mq, mq @ mp)
             assert commutes(p, q) == dense
 
@@ -55,7 +59,7 @@ def test_multiply_sign_convention():
     zz = PauliString.from_label("ZZ")
     prod = multiply(xx, zz)
     assert prod.label() == "YY" and prod.sign == -1
-    assert np.allclose(pauli_dense(prod), pauli_dense(xx) @ pauli_dense(zz))
+    assert np.allclose(pauli_matrix(prod), pauli_matrix(xx) @ pauli_matrix(zz))
 
 
 def test_multiply_rejects_anticommuting():
@@ -76,8 +80,22 @@ def test_multiply_matches_dense_for_random_commuting_pairs():
             continue
         count += 1
         assert np.allclose(
-            pauli_dense(multiply(p, q)), pauli_dense(p) @ pauli_dense(q)
+            pauli_matrix(multiply(p, q)), pauli_matrix(p) @ pauli_matrix(q)
         )
+
+
+def test_restrict_renumbers_in_the_given_order():
+    p = PauliString.from_label("XIZY", sign=-1)
+    assert restrict(p, (3, 0)) == PauliString.from_label("YX", sign=-1)
+    assert restrict(p, (1,)) == PauliString.from_label("I", sign=-1)
+    assert restrict(p, ()) == PauliString(0, sign=-1)
+    # On a region holding p's support the restriction is p itself: with
+    # qubit 1 as the new highest bit, new bit j is old qubit order[j].
+    lifted = np.kron(np.eye(2), pauli_matrix(restrict(p, (0, 2, 3))))
+    order = (0, 2, 3, 1)
+    old = [sum(((b >> j) & 1) << q for j, q in enumerate(order))
+           for b in range(16)]
+    assert np.allclose(lifted, pauli_matrix(p)[np.ix_(old, old)])
 
 
 def test_empty_product_needs_n():
@@ -86,13 +104,13 @@ def test_empty_product_needs_n():
         product([])
 
 
-def test_pauli_dense_is_hermitian_and_involutory():
+def test_dense_pauli_is_hermitian_and_involutory():
     rng = random.Random(7)
     for _ in range(20):
         n = rng.randint(1, 4)
         p = PauliString(n, rng.getrandbits(n), rng.getrandbits(n),
                         rng.choice([1, -1]))
-        m = pauli_dense(p)
+        m = pauli_matrix(p)
         assert np.allclose(m, m.conj().T)
         assert np.allclose(m @ m, np.eye(1 << n))
 
@@ -108,5 +126,5 @@ def test_property_symplectic_form_matches_dense(n, data):
                     data.draw(st.integers(0, (1 << n) - 1)))
     q = PauliString(n, data.draw(st.integers(0, (1 << n) - 1)),
                     data.draw(st.integers(0, (1 << n) - 1)))
-    mp, mq = pauli_dense(p), pauli_dense(q)
+    mp, mq = pauli_matrix(p), pauli_matrix(q)
     assert commutes(p, q) == np.allclose(mp @ mq, mq @ mp)

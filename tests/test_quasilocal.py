@@ -2,7 +2,10 @@
 
 The dense patch algebra (``local_projectors``, ``patch_hamiltonian``,
 ``pauli_transform``) is kept here as the oracle of the closed-form block
-split and generator."""
+split and generator.  The first two build the patch code's group
+projector and Hamiltonian with the code-level builders of ``matrices``;
+they are pinned in turn against the product prod (I + Q)/2 and the sum
+sum lambda (I - Q)/2 over the restricted checks inside the patch."""
 
 from __future__ import annotations
 
@@ -18,12 +21,13 @@ from stabbench.code import StabilizerCode
 from stabbench.constructors import ising_toric, repetition_code, toric_code
 from stabbench.gf2 import BitVector
 from stabbench.matrices import operator_dense, pauli_transform
-from stabbench.pauli import PauliString
+from stabbench.pauli import PauliString, restrict
 from stabbench.quasilocal import (
     LocalTerm,
     PatchTooLargeError,
     QuasiLocalOperator,
     block_split,
+    checks_inside,
     decompose,
     kappa_norm,
     local_projectors,
@@ -135,7 +139,7 @@ def test_local_projectors_empty_and_full():
     code = toric_code(2)
     P, Q = local_projectors(code, frozenset())
     assert P.shape == (1, 1) and P[0, 0] == 1.0
-    Pfull, _ = local_projectors(code, frozenset(range(8)), space="full")
+    Pfull, _ = local_projectors(code, frozenset(range(8)))
     assert abs(np.trace(Pfull).real - 4.0) < 1e-9  # 2^k with k = 2
     assert np.allclose(Pfull @ Pfull, Pfull, atol=1e-10)
 
@@ -148,6 +152,37 @@ def test_local_projector_algebra_on_patch():
     assert np.allclose(P @ Q, np.zeros_like(P), atol=1e-12)
     # region holds two checks; local ground space is 2^3 / 2^2 = 2 states
     assert abs(np.trace(P).real - 2.0) < 1e-12
+
+
+def product_form(code: StabilizerCode, region: frozenset):
+    """prod (I + Q)/2 and sum lambda (I - Q)/2 over the checks inside the
+    region, each restricted to the region's qubits in sorted order."""
+    qubits = sorted(region)
+    eye = np.eye(1 << len(qubits))
+    P, H = eye, np.zeros_like(eye)
+    for i in checks_inside(code, region):
+        Q = operator_dense(len(qubits), [(1.0, restrict(code.checks[i], qubits))])
+        P = P @ (eye + Q) / 2
+        H = H + code.lambdas[i] * (eye - Q) / 2
+    return P, H
+
+
+@pytest.mark.parametrize("code", [toric_code(2), repetition_code(5),
+                                  general_code()],
+                         ids=["toric2", "rep5", "general"])
+def test_patch_references_match_product_form(code):
+    weighted = StabilizerCode.from_checks(
+        code.n, code.checks, [1.0 + 0.5 * i for i in range(code.num_checks)])
+    s = [c.support() for c in code.checks]
+    regions = [frozenset(), s[0], s[0] | s[1] | {code.n - 1},
+               frozenset(range(code.n))]
+    for region in regions:
+        P_ref, H_ref = product_form(weighted, region)
+        P, Q = local_projectors(weighted, region)
+        assert np.allclose(P, P_ref, atol=1e-12)
+        assert np.allclose(Q, np.eye(len(P)) - P_ref, atol=1e-12)
+        assert np.allclose(patch_hamiltonian(weighted, region), H_ref,
+                           atol=1e-12)
 
 
 def test_patch_hamiltonian_full_region_matches_h0():

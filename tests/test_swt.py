@@ -166,7 +166,7 @@ def test_step_with_zero_v_is_identity():
     from stabbench.quasilocal import QuasiLocalOperator
 
     zero = QuasiLocalOperator(code, ())
-    res = engine.step(zero, zero, np.zeros((16, 16)))
+    res = engine.step(zero, zero, np.zeros((16, 16)), zero)
     assert res.generator.terms == ()
     assert np.allclose(res.unitary, np.eye(16))
     assert res.conjugation_residual < 1e-12
@@ -196,7 +196,8 @@ def test_step_produces_expected_d2_on_field_code():
     from stabbench.quasilocal import QuasiLocalOperator
 
     v1, e1 = engine.split_input(terms)
-    res = engine.step(QuasiLocalOperator(code, ()), v1, e1)
+    res = engine.step(QuasiLocalOperator(code, ()), v1, e1,
+                      block_diagonal_part(v1))
     assert res.conjugation_residual < 1e-9
     # D2 must contain each Z_i Z_j with coefficient eps_ij / n
     from stabbench.matrices import pauli_transform
