@@ -1,14 +1,15 @@
-"""Materialize Pauli sums as dense matrices, fast matvecs, and transforms.
+"""Materialize Pauli sums as dense matrices, CSR matvecs, and transforms.
 
-Dense work is index-arithmetic based (no Kronecker chains): a Pauli string
-acts on a basis state by an XOR permutation plus a Z-parity phase.  The
-inverse direction, expanding a dense matrix over the Hermitian Pauli basis,
-is a by-qubit tensor transform costing O(n 4^n).
+Dense and sparse builds are index-arithmetic based (no Kronecker chains): a
+Pauli string acts on a basis state by an XOR permutation plus a Z-parity
+phase.  The inverse direction, expanding a dense matrix over the Hermitian
+Pauli basis, is a by-qubit tensor transform costing O(n 4^n).
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
 from .gf2 import Echelon
@@ -115,62 +116,57 @@ def terms_from_transform(n: int, coeffs: dict) -> list:
 
 
 class PauliMatvec:
-    """Fast H @ psi for a real-coefficient Pauli sum.
+    """H @ psi for a Pauli sum through one prebuilt CSR matrix.
 
-    Z-type terms fold into one diagonal; terms with an X component apply an
-    XOR permutation with a per-basis phase vector (constant when z = 0).
+    Row r holds one entry per distinct x-mask of the terms, at column
+    c = r ^ x, with value sum phase (-1)^(c.z) over the terms with that
+    mask, where phase = coeff * sign * i^|x & z|.  The Z-type terms
+    (x = 0) fold into the first entry of every row, the diagonal.  The data
+    is float64 when every phase is real (``is_real``), complex128
+    otherwise; indices and indptr are int32 unless the entry count needs
+    int64.  The CSR arrays are filled in place, one x-mask at a time, and
+    then sorted by column within each row.  Calling the object is the
+    matvec that every Lanczos solve of this module goes through.
     """
 
     def __init__(self, n: int, terms):
         self.n = n
-        self.dim = 1 << n
-        basis = np.arange(self.dim, dtype=np.int64)
-        diag = np.zeros(self.dim, dtype=complex)
-        offdiag = []
+        self.dim = dim = 1 << n
+        masks: dict[int, list] = {}
         for coeff, p in terms:
             phase = coeff * p.sign * (1j) ** ((p.x & p.z).bit_count() % 4)
-            if p.x == 0:
-                diag += phase * _z_parity_signs(p.z, basis)
-            elif p.z == 0:
-                offdiag.append((basis ^ np.int64(p.x), complex(phase), None))
-            else:
-                vec = phase * _z_parity_signs(p.z, basis)
-                offdiag.append((basis ^ np.int64(p.x), None, vec))
-        self.is_real = bool(
-            np.max(np.abs(diag.imag)) < 1e-14
-            and all(
-                (c is None or abs(c.imag) < 1e-14)
-                and (v is None or np.max(np.abs(v.imag)) < 1e-14)
-                for _, c, v in offdiag
-            )
-        )
-        if self.is_real:
-            self.diag = diag.real
-            self.offdiag = [
-                (idx, c.real if c is not None else None,
-                 v.real if v is not None else None)
-                for idx, c, v in offdiag
-            ]
-        else:
-            self.diag = diag
-            self.offdiag = offdiag
+            masks.setdefault(p.x, []).append((complex(phase), p.z))
+        self.is_real = all(
+            phase.imag == 0 for group in masks.values() for phase, _ in group)
+        width = len(masks)
+        index = np.int32 if dim * width <= np.iinfo(np.int32).max else np.int64
+        data = np.zeros((dim, width),
+                        dtype=np.float64 if self.is_real else np.complex128)
+        indices = np.empty((dim, width), dtype=index)
+        basis = np.arange(dim, dtype=np.int64)
+        for j, x in enumerate(sorted(masks)):  # x = 0 first
+            cols = basis ^ np.int64(x)
+            indices[:, j] = cols
+            for phase, z in masks[x]:
+                data[:, j] += ((phase.real if self.is_real else phase)
+                               * _z_parity_signs(z, cols))
+        self.matrix = sps.csr_array(
+            (data.reshape(-1), indices.reshape(-1),
+             width * np.arange(dim + 1, dtype=index)),
+            shape=(dim, dim))
+        self.matrix.sort_indices()
 
     def __call__(self, psi: np.ndarray) -> np.ndarray:
-        out = self.diag * psi
-        for idx, const, vec in self.offdiag:
-            if const is not None:
-                out += const * psi[idx]
-            else:
-                out += (vec * psi)[idx]
-        return out
+        return self.matrix @ psi
 
-    def as_linear_operator(self, adjoint: "PauliMatvec | None" = None
-                           ) -> spla.LinearOperator:
-        dtype = np.float64 if self.is_real else np.complex128
+    def _adjoint(self, psi: np.ndarray) -> np.ndarray:
+        """H^dagger @ psi by the transpose of the same CSR matrix."""
+        return (self.matrix.T @ psi.conj()).conj()
+
+    def as_linear_operator(self) -> spla.LinearOperator:
         return spla.LinearOperator(
-            (self.dim, self.dim), matvec=self,
-            rmatvec=adjoint if adjoint is not None else None, dtype=dtype
-        )
+            (self.dim, self.dim), matvec=self, rmatvec=self._adjoint,
+            dtype=self.matrix.dtype)
 
 
 def payload_norm(n: int, terms) -> float:
@@ -180,12 +176,16 @@ def payload_norm(n: int, terms) -> float:
     (``_coset_split``).  Cosets whose signs (-1)^(c.z) agree on every term
     carry the same block, so one block per distinct sign pattern is built,
     all in one batch, and the norm is the largest singular value over them:
-    by ``eigvalsh`` when every coefficient is real (Hermitian blocks) or
-    every one imaginary (anti-Hermitian), by ``svd`` otherwise.
+    by ``svd`` in general, by ``eigvalsh`` when the sum is Hermitian or
+    anti-Hermitian.  A sum counts as such when every imaginary (or every
+    real) part is at most 1e-14 max|c|, rounding dust from a transform;
+    that part is dropped and its sum |c| added to the norm, which keeps the
+    value an upper bound.
 
-    Above n = 12 a Lanczos singular-value solve runs through the matvec;
-    it raises ArithmeticError when that solve fails, because a dense
-    fallback would need a 2^n x 2^n matrix (4 GB at n = 14).
+    Above n = 12 a Lanczos singular-value solve runs on one
+    ``PauliMatvec``, with the conjugate transpose of the same CSR matrix as
+    the adjoint.  It raises ArithmeticError when that solve fails, because
+    a dense fallback would need a 2^n x 2^n matrix (4 GB at n = 14).
     """
     terms = list(terms)
     if not terms:
@@ -196,19 +196,22 @@ def payload_norm(n: int, terms) -> float:
         terms, reduced, reps, r = _coset_split(n, terms)
         coeffs = np.array([c for c, _ in terms], dtype=complex)
         z = np.array([p.z for _, p in terms], dtype=np.int64)
-        flips = np.unique(np.bitwise_count(reps[:, None] & z) & 1, axis=0)
-        blocks = _batched_blocks(r, reduced, coeffs * (1.0 - 2.0 * flips))
-        if not coeffs.imag.any() or not coeffs.real.any():
-            if coeffs.imag.any():
-                blocks *= -1j  # anti-Hermitian -> Hermitian, same norm
-            vals = np.linalg.eigvalsh(blocks if blocks.imag.any()
-                                      else blocks.real)
+        signs = 1.0 - 2.0 * np.unique(np.bitwise_count(reps[:, None] & z) & 1,
+                                      axis=0)
+        dust = 1e-14 * np.max(np.abs(coeffs))
+        if np.max(np.abs(coeffs.imag)) <= dust:
+            kept, dropped = coeffs.real, coeffs.imag  # Hermitian
+        elif np.max(np.abs(coeffs.real)) <= dust:
+            kept, dropped = coeffs.imag, coeffs.real  # i times Hermitian
         else:
-            vals = np.linalg.svd(blocks, compute_uv=False)
-        return float(np.max(np.abs(vals)))
+            blocks = _batched_blocks(r, reduced, coeffs * signs)
+            return float(np.max(np.linalg.svd(blocks, compute_uv=False)))
+        blocks = _batched_blocks(r, reduced, kept * signs)
+        vals = np.linalg.eigvalsh(blocks if blocks.imag.any() else blocks.real)
+        # The dropped part has norm at most its sum |c|.
+        return float(np.max(np.abs(vals)) + np.sum(np.abs(dropped)))
     mv = PauliMatvec(n, terms)
-    adj = PauliMatvec(n, [(np.conj(c), p) for c, p in terms])
-    op = mv.as_linear_operator(adjoint=adj)
+    op = mv.as_linear_operator()
     rng = np.random.default_rng(11)
     v0 = rng.standard_normal(mv.dim)
     try:
@@ -313,18 +316,22 @@ def _coset_split(n: int, terms):
 
 
 def _lanczos_block(r: int, terms, k: int, rng) -> np.ndarray:
-    """Lowest k eigenvalues of an r-qubit Pauli sum by seeded Lanczos, run
-    to machine precision (``tol=0``).
+    """Lowest k eigenvalues of an r-qubit Pauli sum by seeded Lanczos.
 
-    Raises ArithmeticError when an eigenpair's residual ||Hv - lambda v||
-    exceeds ``RESIDUAL_TOL``.
+    ARPACK stops when every Ritz residual estimate is at most
+    tol * max(eps^(2/3), |theta|).  Every Ritz value has |theta| <= sum |c|,
+    so tol = RESIDUAL_TOL / (10 max(1, sum |c|)) stops it a factor ten
+    inside the gate.  The gate still recomputes each residual
+    ||Hv - lambda v|| and raises ArithmeticError when one exceeds
+    ``RESIDUAL_TOL``.
     """
     mv = PauliMatvec(r, terms)
     v0 = rng.standard_normal(mv.dim)
     if not mv.is_real:
         v0 = v0 + 1j * rng.standard_normal(mv.dim)
+    tol = RESIDUAL_TOL / (10.0 * max(1.0, sum(abs(c) for c, _ in terms)))
     vals, vecs = spla.eigsh(mv.as_linear_operator(), k=k, which="SA", v0=v0,
-                            tol=0.0, maxiter=50000)
+                            tol=tol, maxiter=50000)
     for j, lam in enumerate(vals):
         residual = float(np.linalg.norm(mv(vecs[:, j]) - lam * vecs[:, j]))
         if not residual <= RESIDUAL_TOL:

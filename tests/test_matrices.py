@@ -369,6 +369,89 @@ def test_payload_norm_matches_dense_svd(case):
     assert payload_norm(n, terms) == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
 
+@settings(max_examples=150, deadline=None)
+@given(norm_cases())
+# Two terms on one x-mask (X_0 and Y_0) share one entry per row.
+@example((2, [(0.5, PauliString(2, 1, 0)), (-0.3j, PauliString(2, 1, 1)),
+              (0.2, PauliString(2, 0, 2))]))
+# Identity only: a diagonal matrix, one entry per row.
+@example((3, [(0.7, PauliString.identity(3)),
+              (-0.2, PauliString.identity(3))]))
+def test_matvec_matches_dense_random_sums(case):
+    n, terms = case
+    mv = PauliMatvec(n, terms)
+    dense = operator_dense(n, terms)
+    psi = np.random.default_rng(n).standard_normal((1 << n, 2)) @ [1, 1j]
+    assert np.allclose(mv(psi), dense @ psi, atol=1e-12)
+    # Real exactly when every term's own matrix is real.
+    assert mv.is_real == all(
+        not operator_dense(n, [term]).imag.any() for term in terms)
+    assert mv.matrix.dtype == (np.float64 if mv.is_real else np.complex128)
+    assert mv.matrix.has_sorted_indices
+    widths = np.diff(mv.matrix.indptr)
+    assert (widths == len({p.x for _, p in terms})).all()
+
+
+def test_matvec_csr_of_rep16_x_field_block():
+    # The Lanczos block of the sparse_rep16 benchmark task: in the Hadamard
+    # frame, 2 cosets of 2^15 states, 15 flipping checks plus the diagonal
+    # per row, stored with int32 indices and float64 data (6 MB).
+    n = 16
+    terms = (code_hamiltonian_terms(repetition_code(n))
+             + _field(n, "X", 0.3))
+    terms, reduced, reps, r = matrices._coset_split(n, terms)
+    assert r == 15 and reps[0] == 0
+    mv = PauliMatvec(r, [(c, q) for (c, _), q in zip(terms, reduced)])
+    assert mv.matrix.nnz == (1 << 15) * 16
+    assert mv.matrix.indices.dtype == np.int32
+    assert mv.matrix.indptr.dtype == np.int32
+    assert mv.matrix.data.dtype == np.float64
+
+
+def test_payload_norm_lanczos_above_n12(monkeypatch):
+    built = []
+    matvec = matrices.PauliMatvec
+
+    def spy(n, terms):
+        built.append(n)
+        return matvec(n, terms)
+
+    monkeypatch.setattr(matrices, "PauliMatvec", spy)
+    n = 13
+    x0, y0, z0 = (PauliString.single(n, kind, 0) for kind in "XYZ")
+    assert payload_norm(n, [(0.3, x0), (0.4, z0)]) == pytest.approx(
+        0.5, rel=1e-8)
+    # X + iY = 2 |0><1| is not normal; its singular values are 2 and 0, so
+    # the adjoint must be the conjugate transpose, not the matrix itself.
+    assert payload_norm(n, [(1.0, x0), (1j, y0)]) == pytest.approx(
+        2.0, rel=1e-8)
+    assert built == [n, n]
+
+
+@pytest.mark.parametrize("phase", [1, 1j], ids=["hermitian", "antihermitian"])
+def test_payload_norm_drops_rounding_dust(phase, monkeypatch):
+    # Rounding-level parts of the other kind, as a transform leaves them,
+    # still take the eigvalsh path, and the norm stays an upper bound.
+    labels = ("XXI", "IZZ", "YIY", "ZII")
+    coeffs = (0.3, -0.45, 0.2, 0.25)
+    dust = (1e-19, -3e-19, 2e-19, 0.0)
+    terms = [(phase * c + 1j * phase * d, PauliString.from_label(label))
+             for c, d, label in zip(coeffs, dust, labels)]
+    expect = np.linalg.norm(operator_dense(3, terms), 2)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(matrices.np.linalg, "eigvalsh", spy)
+    got = payload_norm(3, terms)
+    assert calls
+    assert got == pytest.approx(expect, rel=1e-12)
+    assert got >= expect - 1e-15
+
+
 def test_payload_norm_non_normal_sum():
     # M = X + iZ: M M^dagger = 2 - 2Y and M^dagger M = 2 + 2Y, so M is not
     # normal; its singular values are 2 and 0.
