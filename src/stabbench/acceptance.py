@@ -43,7 +43,11 @@ from .flow import (
     initial_flow_state,
     kappa_m,
 )
-from .matrices import code_hamiltonian_dense, pauli_transform
+from .matrices import (
+    code_hamiltonian_dense,
+    pauli_transform,
+    terms_from_transform,
+)
 from .pauli import PauliString, multiply
 from .quasilocal import (
     block_diagonal_part,
@@ -459,10 +463,7 @@ def criterion_7_inequality_suite(seed: int = 1) -> CriterionResult:
         bound = 18.0 / (kap_p * dk) * na * no
 
         def norm_of(matrix):
-            items = [
-                (c, PauliString(code.n, x, z))
-                for (x, z), c in pauli_transform(matrix).items()
-            ]
+            items = terms_from_transform(code.n, pauli_transform(matrix))
             return kappa_norm(decompose(items, code), kap_p)
 
         margins["conjugation"] = min(margins["conjugation"],

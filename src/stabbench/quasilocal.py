@@ -9,11 +9,17 @@ support assigned here is the canonical minimal choice
 
 which makes the key unique per Pauli and the decomposition exact.
 
+A term is stored as columns over the qubits of S in sorted order (its
+patch, at most 63 of them): int64 bit masks x, z and complex c, Pauli i
+being c_i i^|x_i & z_i| X^x_i Z^z_i.  All local algebra works on these
+columns; (coeff, PauliString) pairs (``paulis``, ``patch_paulis``) are
+views for dense matrices and norms.
+
 A patch is the region S as a small code of its own (``_patch_code``): the
 checks inside S, restricted to the qubits of S with ``pauli.restrict``,
-with their lambdas.  The block split of a term is a closed form over the
-signed group G_S of those checks, P_S = 2^-r sum_{g in G_S} g, computed on
-int64 columns of patch bits.  The dense projector P_S and patch
+with their lambdas.  The block split and the SWT generator of a term are
+closed forms over the signed group G_S of those checks,
+P_S = 2^-r sum_{g in G_S} g.  The dense projector P_S and patch
 Hamiltonian H_S are the code-level builders of ``matrices`` applied to
 the patch code, kept as references.
 """
@@ -33,14 +39,7 @@ from .matrices import (
     operator_dense,
     payload_norm,
 )
-from .pauli import (
-    PauliString,
-    commutes,
-    multiply_phase,
-    power_of_i,
-    restrict,
-    signed_span,
-)
+from .pauli import PauliString, power_of_i, restrict, signed_span
 
 PATCH_LIMIT = 14  # norm evaluations refuse patches beyond 2^14 dimensions
 DENSE_PATCH_LIMIT = 12  # patch algebra (projectors, splits, solves)
@@ -51,54 +50,78 @@ class PatchTooLargeError(ValueError):
     pass
 
 
-def _expand_columns(bits: np.ndarray, positions: tuple[int, ...]) -> list:
-    """Patch masks lifted to full qubit indices, as Python ints."""
-    dtype = np.int64 if max(positions, default=0) < 63 else object
-    weights = np.array([1 << pos for pos in positions], dtype=dtype)
-    return (((bits[:, None] >> np.arange(len(positions))) & 1)
-            @ weights).tolist()
+def _refuse_wider(support, limit: int) -> None:
+    if len(support) > limit:
+        raise PatchTooLargeError(
+            f"patch on {len(support)} qubits exceeds the limit of {limit}")
 
 
-@dataclass(frozen=True)
 class LocalTerm:
-    """Weighted Pauli sum with a declared strong support and syndrome."""
+    """Weighted Pauli sum with a declared strong support and syndrome,
+    stored as patch columns (c, x, z)."""
 
-    n: int
-    support: frozenset
-    syndrome: BitVector
-    paulis: tuple  # of (complex coeff, PauliString)
+    __slots__ = ("n", "support", "syndrome", "c", "x", "z")
+
+    def __init__(self, n: int, support, syndrome: BitVector, paulis):
+        """From (coeff, PauliString) pairs, each acting inside ``support``."""
+        self.n, self.support, self.syndrome = n, frozenset(support), syndrome
+        _refuse_wider(self.support, 63)  # bits of an int64 mask
+        qubits = self.patch_qubits
+        outside = ~sum(1 << q for q in qubits)
+        patch = []
+        for coeff, p in paulis:
+            if (p.x | p.z) & outside:
+                raise ValueError(f"{p} acts outside the support {qubits}")
+            patch.append((coeff * p.sign, restrict(p, qubits)))
+        self.c = np.array([c for c, _ in patch], dtype=complex)
+        self.x = np.array([p.x for _, p in patch], dtype=np.int64)
+        self.z = np.array([p.z for _, p in patch], dtype=np.int64)
+
+    @classmethod
+    def _from_columns(cls, n, support, syndrome, c, x, z) -> "LocalTerm":
+        term = cls.__new__(cls)
+        term.n, term.support, term.syndrome = n, support, syndrome
+        term.c, term.x, term.z = c, x, z
+        return term
 
     @property
     def patch_qubits(self) -> tuple[int, ...]:
         return tuple(sorted(self.support))
 
+    def _masks_at(self, positions) -> list:
+        """x and z with patch bit j moved to bit positions[j] (object arrays
+        of Python ints past bit 62)."""
+        dtype = np.int64 if max(positions, default=0) < 63 else object
+        weights = np.array([1 << int(pos) for pos in positions], dtype=dtype)
+        bits = np.arange(len(positions))
+        return [((m[:, None] >> bits) & 1) @ weights for m in (self.x, self.z)]
+
+    @property
+    def paulis(self) -> tuple:
+        """(coeff, PauliString) pairs on the full qubits."""
+        x, z = self._masks_at(self.patch_qubits)
+        return tuple((coeff, PauliString(self.n, px, pz)) for coeff, px, pz
+                     in zip(self.c.tolist(), x.tolist(), z.tolist()))
+
     def patch_paulis(self) -> list:
-        qubits = self.patch_qubits
-        return [(coeff, restrict(p, qubits)) for coeff, p in self.paulis]
+        """(coeff, PauliString) pairs on the patch qubits."""
+        width = len(self.support)
+        return [(coeff, PauliString(width, px, pz)) for coeff, px, pz
+                in zip(self.c.tolist(), self.x.tolist(), self.z.tolist())]
 
     def patch_matrix(self) -> np.ndarray:
-        if len(self.support) > DENSE_PATCH_LIMIT:
-            raise PatchTooLargeError(
-                f"patch on {len(self.support)} qubits exceeds the dense limit"
-            )
+        _refuse_wider(self.support, DENSE_PATCH_LIMIT)
         return operator_dense(len(self.support), self.patch_paulis())
 
     def operator_norm(self) -> float:
-        if len(self.support) > PATCH_LIMIT:
-            raise PatchTooLargeError(
-                f"norm evaluation rejected: |S| = {len(self.support)} > {PATCH_LIMIT}"
-            )
-        if not self.paulis:
+        _refuse_wider(self.support, PATCH_LIMIT)
+        if not self.c.size:
             return 0.0
         return payload_norm(len(self.support), self.patch_paulis())
 
     def scaled(self, factor: complex) -> "LocalTerm":
-        return LocalTerm(
-            self.n,
-            self.support,
-            self.syndrome,
-            tuple((factor * c, p) for c, p in self.paulis),
-        )
+        return LocalTerm._from_columns(self.n, self.support, self.syndrome,
+                                       factor * self.c, self.x, self.z)
 
 
 @dataclass
@@ -111,14 +134,9 @@ class QuasiLocalOperator:
     def key_index(self) -> dict:
         return {(t.support, t.syndrome.bits): t for t in self.terms}
 
-    def pauli_items(self) -> list:
-        out = []
-        for t in self.terms:
-            out.extend(t.paulis)
-        return out
-
     def to_dense(self) -> np.ndarray:
-        return operator_dense(self.code.n, self.pauli_items())
+        return operator_dense(
+            self.code.n, [pair for t in self.terms for pair in t.paulis])
 
     def term_norm(self, term: LocalTerm) -> float:
         key = (term.support, term.syndrome.bits)
@@ -132,27 +150,17 @@ class QuasiLocalOperator:
         )
 
     def add(self, other: "QuasiLocalOperator") -> "QuasiLocalOperator":
+        """Terms of equal key merge, dropping sums at or below DROP_TOL."""
         merged: dict = {}
         for t in list(self.terms) + list(other.terms):
             key = (t.support, t.syndrome.bits)
             if key in merged:
-                merged[key] = _merge_terms(merged[key], t)
-            else:
-                merged[key] = t
-        terms = tuple(t for t in merged.values() if t.paulis)
+                m = merged[key]
+                t = _summed_term(t.n, t.support, t.syndrome,
+                                 (m.c, m.x, m.z), (t.c, t.x, t.z))
+            merged[key] = t
+        terms = tuple(t for t in merged.values() if t.c.size)
         return QuasiLocalOperator(self.code, terms)
-
-
-def _merge_terms(a: LocalTerm, b: LocalTerm) -> LocalTerm:
-    acc: dict = {}
-    for coeff, p in list(a.paulis) + list(b.paulis):
-        key = (p.x, p.z)
-        acc[key] = acc.get(key, 0.0) + coeff * p.sign
-    paulis = tuple(
-        (c, PauliString(a.n, x, z)) for (x, z), c in acc.items()
-        if abs(c) > DROP_TOL
-    )
-    return LocalTerm(a.n, a.support, a.syndrome, paulis)
 
 
 def strong_support(code: StabilizerCode, p: PauliString,
@@ -226,10 +234,7 @@ def _patch_code(code: StabilizerCode, region) -> StabilizerCode:
     Raises PatchTooLargeError past ``DENSE_PATCH_LIMIT`` qubits.
     """
     region = frozenset(region)
-    if len(region) > DENSE_PATCH_LIMIT:
-        raise PatchTooLargeError(
-            f"patch on {len(region)} qubits exceeds the dense limit"
-        )
+    _refuse_wider(region, DENSE_PATCH_LIMIT)
     qubits = sorted(region)
     inside = checks_inside(code, region)
     return StabilizerCode(
@@ -258,38 +263,46 @@ def _odd_overlap(ax, az, bx, bz) -> np.ndarray:
     return (np.bitwise_count(ax & bz) + np.bitwise_count(az & bx)) & 1
 
 
-def _patch_columns(term: LocalTerm, code: StabilizerCode):
-    """The term's Paulis and the checks inside its support, as int64
-    columns over patch bits.
+def _times(ae, ax, az, bx, bz):
+    """(i^ae X^ax Z^az)(i^be X^bx Z^bz) = i^(ae + be + 2|az & bx|) X^px Z^pz
+    elementwise, for be = |bx & bz|, as (phase, px, pz): the product is
+    phase times the canonical string i^|px & pz| X^px Z^pz."""
+    px, pz = ax ^ bx, az ^ bz
+    power = (np.asarray(ae, dtype=np.int64) + np.bitwise_count(bx & bz)
+             + 2 * np.bitwise_count(az & bx) - np.bitwise_count(px & pz))
+    return _I_POWERS[power % 4], px, pz
 
-    Returns (c, x, z, flipped, energy, group).  Pauli i is c_i times the
-    string i^|x_i & z_i| X^x_i Z^z_i (its sign folded into c_i); flipped_i
-    says whether it anticommutes with any inside check, and energy_i is the
-    sum of lambda over those it does.  ``group`` = (gx, gz, ge) lists the
-    2^r elements i^ge X^gx Z^gz of the signed group G_S the inside checks
-    generate.
+
+def _patch_columns(term: LocalTerm, code: StabilizerCode):
+    """The checks inside the term's support, as int64 columns over patch
+    bits, against the term's Paulis.
+
+    Returns (flipped, energy, group): flipped_i says whether Pauli i
+    anticommutes with any inside check, and energy_i is the sum of lambda
+    over those it does.  ``group`` = (gx, gz, ge) lists the 2^r elements
+    i^ge X^gx Z^gz of the signed group G_S the inside checks generate.
     """
     patch = _patch_code(code, term.support)
-    paulis = term.patch_paulis()
-    c = np.array([coeff * p.sign for coeff, p in paulis], dtype=complex)
-    x = np.array([p.x for _, p in paulis], dtype=np.int64)
-    z = np.array([p.z for _, p in paulis], dtype=np.int64)
     cx = np.array([q.x for q in patch.checks], dtype=np.int64)
     cz = np.array([q.z for q in patch.checks], dtype=np.int64)
-    flips = _odd_overlap(cx[:, None], cz[:, None], x, z)
+    flips = _odd_overlap(cx[:, None], cz[:, None], term.x, term.z)
     energy = np.array(patch.lambdas) @ flips
     basis = independent_checks(patch)
     group = signed_span(cx[basis], cz[basis],
                         [power_of_i(patch.checks[k]) for k in basis])
-    return c, x, z, flips.any(axis=0), energy, group
+    return flips.any(axis=0), energy, group
 
 
-def _accumulate(c, x, z):
-    """Sum the coefficients of equal strings: (c, x, z) with unique (x, z)."""
-    keys, inverse = np.unique(x | (z << DENSE_PATCH_LIMIT), return_inverse=True)
-    sums = (np.bincount(inverse, c.real, len(keys))
-            + 1j * np.bincount(inverse, c.imag, len(keys)))
-    return sums, keys & ((1 << DENSE_PATCH_LIMIT) - 1), keys >> DENSE_PATCH_LIMIT
+def _accumulate(*parts):
+    """Sum the coefficients of equal strings over (c, x, z) column parts:
+    one (c, x, z) with unique (x, z)."""
+    c, x, z = map(np.concatenate, zip(*parts))
+    order = np.lexsort((z, x))
+    x, z = x[order], z[order]
+    first = np.ones(len(x), dtype=bool)
+    first[1:] = (x[1:] != x[:-1]) | (z[1:] != z[:-1])
+    starts = np.flatnonzero(first)
+    return np.add.reduceat(c[order], starts), x[starts], z[starts]
 
 
 def _group_products(c, x, z, group, anticommuting: bool = False):
@@ -298,28 +311,27 @@ def _group_products(c, x, z, group, anticommuting: bool = False):
     gx, gz, ge = group
     odd = _odd_overlap(gx[:, None], gz[:, None], x, z).astype(bool)
     g, i = np.nonzero(odd if anticommuting else ~odd)
-    px, pz = gx[g] ^ x[i], gz[g] ^ z[i]
-    # (i^a X^gx Z^gz)(i^b X^x Z^z) = i^(a + b + 2|gz & x|) X^px Z^pz, and
-    # the canonical string of (px, pz) carries i^|px & pz|.
-    power = (ge[g] + np.bitwise_count(x[i] & z[i])
-             + 2 * np.bitwise_count(gz[g] & x[i]) - np.bitwise_count(px & pz))
+    phase, px, pz = _times(ge[g], gx[g], gz[g], x[i], z[i])
     scale = 2.0 / len(gx)
-    return _accumulate(scale * c[i] * _I_POWERS[power % 4], px, pz)
+    return _accumulate((scale * c[i] * phase, px, pz))
+
+
+def _summed_term(n, support, syndrome, *parts) -> LocalTerm:
+    """The (c, x, z) column parts summed into one term, dropping sums at or
+    below DROP_TOL."""
+    c, x, z = _accumulate(*parts)
+    keep = np.abs(c) > DROP_TOL
+    return LocalTerm._from_columns(n, support, syndrome,
+                                   c[keep], x[keep], z[keep])
 
 
 def _columns_to_term(c, x, z, template: LocalTerm) -> LocalTerm:
-    """Lift (c, x, z) patch columns into a term with the template's support
-    and syndrome, dropping |c| <= 1e-13 max(max |c|, 1) as
-    ``pauli_transform`` does."""
+    """(c, x, z) patch columns as a term with the template's support and
+    syndrome, dropping |c| <= 1e-13 max(max |c|, 1) as ``pauli_transform``
+    does."""
     keep = np.abs(c) > 1e-13 * max(np.max(np.abs(c), initial=0.0), 1.0)
-    qubits = template.patch_qubits
-    paulis = tuple(
-        (coeff, PauliString(template.n, px, pz))
-        for coeff, px, pz in zip(c[keep].tolist(),
-                                 _expand_columns(x[keep], qubits),
-                                 _expand_columns(z[keep], qubits))
-    )
-    return LocalTerm(template.n, template.support, template.syndrome, paulis)
+    return LocalTerm._from_columns(template.n, template.support,
+                                   template.syndrome, c[keep], x[keep], z[keep])
 
 
 def block_split(term: LocalTerm, code: StabilizerCode):
@@ -331,45 +343,91 @@ def block_split(term: LocalTerm, code: StabilizerCode):
     of g T.  Both halves keep the term's support and syndrome; their sum is
     the input and neither operator norm exceeds the input's.
     """
-    c, x, z, flipped, _, group = _patch_columns(term, code)
+    flipped, _, group = _patch_columns(term, code)
+    c, x, z = term.c, term.x, term.z
     off = _group_products(c[flipped], x[flipped], z[flipped], group)
-    off_c, off_x, off_z = off
-    diag = _accumulate(np.concatenate([c, -off_c]), np.concatenate([x, off_x]),
-                       np.concatenate([z, off_z]))
+    diag = _accumulate((c, x, z), (-off[0], off[1], off[2]))
     return _columns_to_term(*diag, term), _columns_to_term(*off, term)
+
+
+class GeneratorConsistencyError(RuntimeError):
+    """A zero-syndrome term produced a nonzero off-diagonal block."""
+
+
+def solve_generator(code: StabilizerCode,
+                    v: QuasiLocalOperator) -> QuasiLocalOperator:
+    """Anti-Hermitian generator solving [H0, A] + V = PV term by term.
+
+    Per term: A_{S,s} = P_S V Q_S H_S^+ - H_S^+ Q_S V P_S on the patch,
+    with H_S^+ the pseudo-inverse of the patch Hamiltonian (kernel = local
+    codespace).  In closed form over the group G_S of the checks inside S,
+    P_S = 2^-r sum_{g in G_S} g: a Pauli T that flips inside checks of
+    total weight E maps the local codespace into the eigenspace of H_S at
+    E, so its part is (P_S T - T P_S) / E = 2^(1-r) sum over the g in G_S
+    anticommuting with T of g T / E, and one that flips none adds nothing.
+
+    Terms with empty syndrome contribute nothing; an off-diagonal block
+    there, ||P_S V Q_S|| > 1e-10 max(||V||, 1) in the Frobenius norm, would
+    contradict the decomposition invariant and raises
+    GeneratorConsistencyError.
+    """
+    out_terms = []
+    for t in v.terms:
+        flipped, energy, group = _patch_columns(t, code)
+        c, x, z = t.c, t.x, t.z
+        if t.syndrome.is_zero():
+            # P V Q = P V_f for the part V_f that flips inside checks, and
+            # P V_f = ((P V_f + V_f P) + (P V_f - V_f P)) / 2.  A patch
+            # Pauli has squared Frobenius norm 2^|S|.
+            parts = [
+                _group_products(c[flipped], x[flipped], z[flipped], group,
+                                anticommuting=odd)
+                for odd in (False, True)
+            ]
+            pvq = _accumulate(*parts)[0] / 2
+            v_coeffs = _accumulate((c, x, z))[0]
+            if np.linalg.norm(pvq) > 1e-10 * max(
+                    np.linalg.norm(v_coeffs), 2.0 ** (-len(t.support) / 2)):
+                raise GeneratorConsistencyError(
+                    f"zero-syndrome term on {sorted(t.support)} has an "
+                    "off-diagonal block"
+                )
+            continue
+        a = _group_products(c[flipped] / energy[flipped], x[flipped],
+                            z[flipped], group, anticommuting=True)
+        term = _columns_to_term(*a, t)
+        if term.c.size:
+            out_terms.append(term)
+    return QuasiLocalOperator(code, tuple(out_terms))
 
 
 def commutator_qlo(d: QuasiLocalOperator,
                    a: QuasiLocalOperator) -> QuasiLocalOperator:
     """[D, A] with the pairwise term assignment: the commutator of terms
-    keyed (S', s') and (S, s) lands in key (S' u S, s' + s)."""
+    keyed (S', s') and (S, s) lands in key (S' u S, s' + s).  Both terms
+    are re-indexed into the patch of S' u S, and [P, Q] = 2 P Q is summed
+    over the anticommuting pairs of their Paulis."""
     code = d.code
     grouped: dict = {}
     for td in d.terms:
         for ta in a.terms:
-            if not (td.support & ta.support) and td.support and ta.support:
+            if not td.support & ta.support:
                 continue  # disjoint supports commute
             sup = td.support | ta.support
-            sbits = td.syndrome.bits ^ ta.syndrome.bits
-            acc = grouped.setdefault((sup, sbits), {})
-            for cd, pd in td.paulis:
-                for ca, pa in ta.paulis:
-                    if commutes(pd, pa):
-                        continue
-                    phase, canon = multiply_phase(pd, pa)
-                    key = (canon.x, canon.z)
-                    acc[key] = acc.get(key, 0.0) + 2.0 * cd * ca * phase
-    terms = []
-    for (sup, sbits), acc in grouped.items():
-        paulis = tuple(
-            (c, PauliString(code.n, x, z)) for (x, z), c in acc.items()
-            if abs(c) > DROP_TOL
-        )
-        if paulis:
-            terms.append(
-                LocalTerm(code.n, sup, BitVector(code.num_checks, sbits), paulis)
-            )
-    return QuasiLocalOperator(code, tuple(terms))
+            _refuse_wider(sup, 63)  # bits of an int64 mask
+            qubits = sorted(sup)
+            (dx, dz), (ax, az) = (
+                t._masks_at(np.searchsorted(qubits, t.patch_qubits))
+                for t in (td, ta))
+            i, j = np.nonzero(_odd_overlap(dx[:, None], dz[:, None], ax, az))
+            phase, px, pz = _times(np.bitwise_count(dx & dz)[i], dx[i], dz[i],
+                                   ax[j], az[j])
+            grouped.setdefault(
+                (sup, td.syndrome.bits ^ ta.syndrome.bits), []
+            ).append((2.0 * td.c[i] * ta.c[j] * phase, px, pz))
+    terms = (_summed_term(code.n, sup, BitVector(code.num_checks, sbits), *parts)
+             for (sup, sbits), parts in grouped.items())
+    return QuasiLocalOperator(code, tuple(t for t in terms if t.c.size))
 
 
 def block_diagonal_part(op: QuasiLocalOperator,
@@ -378,9 +436,9 @@ def block_diagonal_part(op: QuasiLocalOperator,
     diags, offs = [], []
     for t in op.terms:
         d, o = block_split(t, op.code)
-        if d.paulis:
+        if d.c.size:
             diags.append(d)
-        if o.paulis:
+        if o.c.size:
             offs.append(o)
     pv = QuasiLocalOperator(op.code, tuple(diags))
     if keep_offdiag:

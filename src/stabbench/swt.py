@@ -29,69 +29,19 @@ from .matrices import (
     operator_dense,
     pauli_transform,
     payload_norm,
+    terms_from_transform,
 )
-from .pauli import PauliString, commutes
+from .pauli import PauliString, commutes, restrict
+# solve_generator and its error are re-exported from here.
 from .quasilocal import (
+    GeneratorConsistencyError,
     QuasiLocalOperator,
-    _accumulate,
-    _columns_to_term,
-    _group_products,
-    _patch_columns,
     block_diagonal_part,
     checks_inside,
     decompose,
     kappa_norm,
+    solve_generator,
 )
-
-
-class GeneratorConsistencyError(RuntimeError):
-    """A zero-syndrome term produced a nonzero off-diagonal block."""
-
-
-def solve_generator(code: StabilizerCode,
-                    v: QuasiLocalOperator) -> QuasiLocalOperator:
-    """Anti-Hermitian generator solving [H0, A] + V = PV term by term.
-
-    Per term: A_{S,s} = P_S V Q_S H_S^+ - H_S^+ Q_S V P_S on the patch,
-    with H_S^+ the pseudo-inverse of the patch Hamiltonian (kernel = local
-    codespace).  In closed form over the group G_S of the checks inside S,
-    P_S = 2^-r sum_{g in G_S} g: a Pauli T that flips inside checks of
-    total weight E maps the local codespace into the eigenspace of H_S at
-    E, so its part is (P_S T - T P_S) / E = 2^(1-r) sum over the g in G_S
-    anticommuting with T of g T / E, and one that flips none adds nothing.
-
-    Terms with empty syndrome contribute nothing; an off-diagonal block
-    there, ||P_S V Q_S|| > 1e-10 max(||V||, 1) in the Frobenius norm, would
-    contradict the decomposition invariant and raises
-    GeneratorConsistencyError.
-    """
-    out_terms = []
-    for t in v.terms:
-        c, x, z, flipped, energy, group = _patch_columns(t, code)
-        if t.syndrome.is_zero():
-            # P V Q = P V_f for the part V_f that flips inside checks, and
-            # P V_f = ((P V_f + V_f P) + (P V_f - V_f P)) / 2.  A patch
-            # Pauli has squared Frobenius norm 2^|S|.
-            parts = [
-                _group_products(c[flipped], x[flipped], z[flipped], group,
-                                anticommuting=odd)
-                for odd in (False, True)
-            ]
-            pvq = _accumulate(*map(np.concatenate, zip(*parts)))[0] / 2
-            v_coeffs = _accumulate(c, x, z)[0]
-            if np.linalg.norm(pvq) > 1e-10 * max(
-                    np.linalg.norm(v_coeffs), 2.0 ** (-len(t.support) / 2)):
-                raise GeneratorConsistencyError(
-                    f"zero-syndrome term on {sorted(t.support)} has an "
-                    "off-diagonal block"
-                )
-            continue
-        a = _group_products(c[flipped] / energy[flipped], x[flipped],
-                            z[flipped], group, anticommuting=True)
-        term = _columns_to_term(*a, t)
-        if term.paulis:
-            out_terms.append(term)
-    return QuasiLocalOperator(code, tuple(out_terms))
 
 
 def _antihermitian_eigh(A: np.ndarray):
@@ -135,8 +85,8 @@ class SwtEngine:
         for t in qlo.terms:
             (small if len(t.support) < self.d_s else big).append(t)
         v1 = QuasiLocalOperator(self.code, tuple(small))
-        e1 = operator_dense(self.code.n, QuasiLocalOperator(
-            self.code, tuple(big)).pauli_items()) if big else np.zeros_like(self.h0)
+        e1 = QuasiLocalOperator(self.code, tuple(big)).to_dense() if big \
+            else np.zeros_like(self.h0)
         return v1, e1
 
     def step(self, d_m: QuasiLocalOperator, v_m: QuasiLocalOperator,
@@ -152,16 +102,10 @@ class SwtEngine:
         # pays for them in peak memory.
         d_next_dense = d_next.to_dense()
         remainder = U.conj().T @ tracked @ U - self.h0 - d_next_dense
-        coeffs = pauli_transform(remainder)
-        small_terms = []
-        term_items = [
-            (c, PauliString(code.n, x, z)) for (x, z), c in coeffs.items()
-        ]
-        rdec = decompose(term_items, code)
-        for t in rdec.terms:
-            if len(t.support) < self.d_s:
-                small_terms.append(t)
-        v_next = QuasiLocalOperator(code, tuple(small_terms))
+        rdec = decompose(
+            terms_from_transform(code.n, pauli_transform(remainder)), code)
+        v_next = QuasiLocalOperator(
+            code, tuple(t for t in rdec.terms if len(t.support) < self.d_s))
         v_next_dense = v_next.to_dense()
         # Garbage absorbs everything not tracked as a small term, including
         # re-expansion dust, so the conjugation identity is exact.
@@ -418,16 +362,8 @@ def local_indistinguishability_check(
     ns = len(squbits)
     # Unknown Pauli on S: bits (x_0..x_{ns-1}, z_0..z_{ns-1}).  Commutation
     # with check c needs even overlap of x with c.z and z with c.x.
-    rows = []
-    for i in inside:
-        c = code.checks[i]
-        row = 0
-        for j, q in enumerate(squbits):
-            if (c.z >> q) & 1:
-                row |= 1 << j
-            if (c.x >> q) & 1:
-                row |= 1 << (ns + j)
-        rows.append(BitVector(2 * ns, row))
+    rows = [BitVector(2 * ns, r.z | r.x << ns)
+            for r in (restrict(code.checks[i], squbits) for i in inside)]
     cand_basis = nullspace(BitMatrix.from_rows(rows, 2 * ns)) if rows else [
         BitVector(2 * ns, 1 << j) for j in range(2 * ns)
     ]

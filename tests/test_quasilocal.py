@@ -5,7 +5,9 @@ The dense patch algebra (``local_projectors``, ``patch_hamiltonian``,
 split and generator.  The first two build the patch code's group
 projector and Hamiltonian with the code-level builders of ``matrices``;
 they are pinned in turn against the product prod (I + Q)/2 and the sum
-sum lambda (I - Q)/2 over the restricted checks inside the patch."""
+sum lambda (I - Q)/2 over the restricted checks inside the patch.  The
+loop over pairs of Paulis (``pairwise_commutator``) is the oracle of the
+column commutator."""
 
 from __future__ import annotations
 
@@ -21,13 +23,15 @@ from stabbench.code import StabilizerCode
 from stabbench.constructors import ising_toric, repetition_code, toric_code
 from stabbench.gf2 import BitVector
 from stabbench.matrices import operator_dense, pauli_transform
-from stabbench.pauli import PauliString, restrict
+from stabbench.pauli import PauliString, commutes, multiply_phase, restrict
 from stabbench.quasilocal import (
+    DROP_TOL,
     LocalTerm,
     PatchTooLargeError,
     QuasiLocalOperator,
     block_split,
     checks_inside,
+    commutator_qlo,
     decompose,
     kappa_norm,
     local_projectors,
@@ -315,19 +319,9 @@ ORACLE_CODES = {
 }
 
 
-@st.composite
-def oracle_cases(draw):
-    """(code with drawn check weights, local terms): the terms of a
-    decomposed Pauli sum, or one hand-built term with a drawn syndrome
-    whose support is the Paulis' own support plus drawn qubits, so that it
-    may omit checks they flip.  Coefficients are all real, all imaginary
-    or complex."""
-    base = ORACLE_CODES[draw(st.sampled_from(sorted(ORACLE_CODES)))]
-    lambdas = draw(st.lists(st.sampled_from((1.0, 1.5, 2.0, 3.0)),
-                            min_size=base.num_checks,
-                            max_size=base.num_checks))
-    code = StabilizerCode(base.n, base.checks, tuple(lambdas), base.kind)
-    n = code.n
+def drawn_pauli_sum(draw, n: int) -> list:
+    """1 to 6 (coeff, signed Pauli) pairs of weight 1 to 3 on n qubits, the
+    coefficients all real, all imaginary or complex."""
     kind = draw(st.sampled_from(("hermitian", "antihermitian", "complex")))
     scale = {"hermitian": 1.0, "antihermitian": 1j,
              "complex": complex(1, draw(st.floats(-1, 1)))}[kind]
@@ -344,6 +338,23 @@ def oracle_cases(draw):
             x |= (k in "XY") << q
             z |= (k in "YZ") << q
         paulis.append((scale * c, PauliString(n, x, z, sign)))
+    return paulis
+
+
+@st.composite
+def oracle_cases(draw):
+    """(code with drawn check weights, local terms): the terms of a
+    decomposed Pauli sum, or one hand-built term with a drawn syndrome
+    whose support is the Paulis' own support plus drawn qubits, so that it
+    may omit checks they flip.  Coefficients are all real, all imaginary
+    or complex."""
+    base = ORACLE_CODES[draw(st.sampled_from(sorted(ORACLE_CODES)))]
+    lambdas = draw(st.lists(st.sampled_from((1.0, 1.5, 2.0, 3.0)),
+                            min_size=base.num_checks,
+                            max_size=base.num_checks))
+    code = StabilizerCode(base.n, base.checks, tuple(lambdas), base.kind)
+    n = code.n
+    paulis = drawn_pauli_sum(draw, n)
     if draw(st.booleans()):
         return code, decompose(paulis, code).terms
     support = frozenset().union(*(p.support() for _, p in paulis))
@@ -392,3 +403,136 @@ def test_block_split_on_qubits_past_int64():
         assert_same_term(diag, want_diag)
         assert_same_term(off, want_off)
         assert off.paulis
+
+
+def test_local_term_refuses_wide_supports_and_outside_paulis():
+    zero = BitVector(1, 0)
+    with pytest.raises(PatchTooLargeError):
+        LocalTerm(70, range(64), zero, ())
+    wide = LocalTerm(70, range(63), zero,
+                     ((0.5, PauliString.single(70, "Y", 62)),))
+    assert wide.x.tolist() == wide.z.tolist() == [1 << 62]
+    with pytest.raises(ValueError, match="outside"):
+        LocalTerm(4, {0, 1}, zero, ((1.0, PauliString.single(4, "X", 2)),))
+
+
+# ---------------------------------------------------------------------------
+# Merging and commutators.
+
+def test_add_merges_equal_keys_to_the_dense_sum():
+    code = toric_code(2)
+    rng = random.Random(5)
+    a = decompose(random_pauli_sum(code, rng, num_terms=10), code)
+    b = decompose(random_pauli_sum(code, rng, num_terms=10), code)
+    assert a.key_index().keys() & b.key_index().keys()
+    total = a.add(b)
+    assert len(total.key_index()) == len(total.terms)
+    assert total.key_index().keys() == a.key_index().keys() | b.key_index().keys()
+    assert np.allclose(total.to_dense(), a.to_dense() + b.to_dense(),
+                       atol=1e-12)
+
+
+def test_add_removes_an_exactly_cancelling_term():
+    code = repetition_code(5)
+    x2, z1 = PauliString.single(5, "X", 2), PauliString.single(5, "Z", 1)
+    a = decompose([(0.3, x2), (0.2, z1)], code)
+    assert a.add(a.scaled(-1)).terms == ()
+    (left,) = a.add(decompose([(-0.3, x2)], code)).terms
+    assert coefficients(left) == {(0, z1.z): 0.2}
+
+
+def test_add_on_a_support_past_the_dense_limit():
+    # On 14 patch qubits the masks x | z << 12 of X_12 and Z_0 coincide;
+    # the merge must keep them apart.
+    code = field_code(14)
+    n, zero = 14, BitVector(14, 0)
+    x12, z0 = PauliString.single(n, "X", 12), PauliString.single(n, "Z", 0)
+    y3 = PauliString.single(n, "Y", 3)
+    a = QuasiLocalOperator(code, (LocalTerm(n, range(n), zero,
+                                            ((0.5, x12), (0.1, y3))),))
+    b = QuasiLocalOperator(code, (LocalTerm(n, range(n), zero,
+                                            ((0.25, z0), (-0.1, y3))),))
+    (merged,) = a.add(b).terms
+    assert coefficients(merged) == {(x12.x, 0): 0.5, (0, z0.z): 0.25}
+
+
+def pairwise_commutator(d: QuasiLocalOperator, a: QuasiLocalOperator) -> dict:
+    """[D, A] by the loop over pairs of Paulis of overlapping terms, as
+    {(support, syndrome bits): {(x, z): coeff}}, dropping coefficients at
+    or below DROP_TOL and keys left empty."""
+    grouped: dict = {}
+    for td in d.terms:
+        for ta in a.terms:
+            if not td.support & ta.support:
+                continue
+            acc = grouped.setdefault(
+                (td.support | ta.support, td.syndrome.bits ^ ta.syndrome.bits),
+                {})
+            for cd, pd in td.paulis:
+                for ca, pa in ta.paulis:
+                    if commutes(pd, pa):
+                        continue
+                    phase, canon = multiply_phase(pd, pa)
+                    key = (canon.x, canon.z)
+                    acc[key] = acc.get(key, 0.0) + 2.0 * cd * ca * phase
+    out = {}
+    for key, acc in grouped.items():
+        kept = {k: c for k, c in acc.items() if abs(c) > DROP_TOL}
+        if kept:
+            out[key] = kept
+    return out
+
+
+def assert_matches_pairwise(d, a, atol: float = 1e-12):
+    """Same keys and coefficients as the pairwise loop; keys whose every
+    coefficient is within atol of zero may sit on either side."""
+    got = {(t.support, t.syndrome.bits): coefficients(t)
+           for t in commutator_qlo(d, a).terms}
+    want = pairwise_commutator(d, a)
+
+    def visible(terms):
+        return {k for k, acc in terms.items()
+                if max(map(abs, acc.values())) > atol}
+
+    assert visible(got) == visible(want)
+    for key in got.keys() | want.keys():
+        g, w = got.get(key, {}), want.get(key, {})
+        for pauli in g.keys() | w.keys():
+            assert abs(g.get(pauli, 0.0) - w.get(pauli, 0.0)) <= atol, key
+
+
+@st.composite
+def commutator_cases(draw):
+    """(code, D, A): two decomposed Pauli sums on one code of
+    ORACLE_CODES, either of them with an identity term."""
+    code = ORACLE_CODES[draw(st.sampled_from(sorted(ORACLE_CODES)))]
+    ops = []
+    for _ in range(2):
+        paulis = drawn_pauli_sum(draw, code.n)
+        if draw(st.booleans()):
+            paulis.append((draw(st.floats(-1, 1)), PauliString.identity(code.n)))
+        ops.append(decompose(paulis, code))
+    return code, *ops
+
+
+@settings(max_examples=150, deadline=None)
+@given(commutator_cases())
+def test_commutator_matches_pairwise_loop_and_dense(case):
+    code, d, a = case
+    assert_matches_pairwise(d, a)
+    D, A = d.to_dense(), a.to_dense()
+    assert np.allclose(commutator_qlo(d, a).to_dense(), D @ A - A @ D,
+                       atol=1e-12)
+
+
+def test_commutator_on_a_union_past_the_dense_limit():
+    # Strong supports {0..7} and {6..15} on rep16 meet in a 16-qubit patch.
+    code = repetition_code(16)
+    d = decompose([(0.4, PauliString.from_support(16, "X", range(1, 7))),
+                   (0.3, PauliString.from_support(16, "Y", (6, 7)))], code)
+    a = decompose([(0.2j, PauliString.from_support(16, "Z", range(6, 16))),
+                   (0.5j, PauliString.from_support(16, "X", range(7, 15)))],
+                  code)
+    comm = commutator_qlo(d, a)
+    assert max(len(t.support) for t in comm.terms) == 16
+    assert_matches_pairwise(d, a)
