@@ -38,6 +38,7 @@ from .flow import (
     flow_trajectory,
     stability_certificate,
 )
+from .matrices import DENSE_MAX_QUBITS
 from .soundness import expansion_profile, soundness_profile
 from .swt import spectral_report, swt_run
 
@@ -186,8 +187,8 @@ def cmd_flow(args) -> int:
 
 def cmd_swt(args) -> int:
     code, meta = _load_code(args.code)
-    if code.n > 12:
-        print("SWT engine requires n <= 12", file=sys.stderr)
+    if code.n > DENSE_MAX_QUBITS:
+        print(f"SWT engine requires n <= {DENSE_MAX_QUBITS}", file=sys.stderr)
         return EXIT_NUMERIC
     terms = perturbation_terms(args.perturbation, code, seed=args.seed)
     scaled = [(args.epsilon * c, p) for c, p in terms]
@@ -237,9 +238,9 @@ def cmd_spectrum(args) -> int:
         for r in reports
     ]
     if args.swt_orders:
-        if args.mode != "dense" or code.n > 12:
-            print("--swt-orders requires dense mode at n <= 12",
-                  file=sys.stderr)
+        if args.mode != "dense" or code.n > DENSE_MAX_QUBITS:
+            print("--swt-orders requires dense mode at n <= "
+                  f"{DENSE_MAX_QUBITS}", file=sys.stderr)
             return EXIT_NUMERIC
         for row in rows:
             eps = row["epsilon"]

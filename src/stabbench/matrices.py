@@ -1,5 +1,10 @@
 """Materialize Pauli sums as dense matrices, CSR matvecs, and transforms.
 
+A Pauli sum enters this module in one column form, a triple (c, x, z) of
+numpy arrays: complex coefficients c with each string's sign folded in and
+int64 bit masks x and z, row k standing for c_k i^|x_k & z_k| X^x_k Z^z_k.
+``pauli.columns`` converts (coeff, PauliString) pairs row for row.
+
 Dense and sparse builds are index-arithmetic based (no Kronecker chains): a
 Pauli string acts on a basis state by an XOR permutation plus a Z-parity
 phase.  The inverse direction, expanding a dense matrix over the Hermitian
@@ -13,24 +18,38 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
 from .gf2 import Echelon
-from .pauli import PauliString, multiply, restrict
+from .pauli import I_POWERS, PauliString, columns, power_of_i, signed_span
+
+# Most qubits of a dense 2^n x 2^n matrix (256 MB complex at the limit):
+# the limit of every dense build here, of the exact SWT engine, of dense
+# spectra and of dense patch algebra.
+DENSE_MAX_QUBITS = 12
 
 
-def _z_parity_signs(z: int, states: np.ndarray) -> np.ndarray:
+def _z_parity_signs(z, states: np.ndarray) -> np.ndarray:
     """(-1)^|b & z| for each basis state b of ``states``."""
-    par = np.bitwise_count(states & np.int64(z)) & 1
+    par = np.bitwise_count(states & z) & 1
     return 1.0 - 2.0 * par.astype(np.float64)
 
 
+def _phases(c, x, z) -> np.ndarray:
+    """c i^|x & z|: each string's coefficient on X^x Z^z."""
+    return c * I_POWERS[np.bitwise_count(x & z) % 4]
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Rows of 0/1 columns as int64 masks, column j at bit j."""
+    return bits @ np.left_shift(1, np.arange(bits.shape[1], dtype=np.int64))
+
+
+def _gather(masks: np.ndarray, positions) -> np.ndarray:
+    """Each mask's bit positions[j] moved to bit j."""
+    return _pack((masks[:, None] >> np.asarray(positions, dtype=np.int64)) & 1)
+
+
 def operator_dense(n: int, terms) -> np.ndarray:
-    """Dense matrix of sum_k coeff_k P_k given (coeff, PauliString) pairs."""
-    dim = 1 << n
-    basis = np.arange(dim, dtype=np.int64)
-    M = np.zeros((dim, dim), dtype=complex)
-    for coeff, p in terms:
-        phase = coeff * p.sign * (1j) ** ((p.x & p.z).bit_count() % 4)
-        M[basis ^ np.int64(p.x), basis] += phase * _z_parity_signs(p.z, basis)
-    return M
+    """Dense matrix of the Pauli sum ``terms`` = (c, x, z) on n qubits."""
+    return _batched_blocks(n, terms[1], terms[2], terms[0][None])[0]
 
 
 def code_hamiltonian_terms(code) -> list:
@@ -44,7 +63,7 @@ def code_hamiltonian_terms(code) -> list:
 
 
 def code_hamiltonian_dense(code) -> np.ndarray:
-    return operator_dense(code.n, code_hamiltonian_terms(code))
+    return operator_dense(code.n, columns(code_hamiltonian_terms(code)))
 
 
 def independent_checks(code) -> list[int]:
@@ -57,11 +76,14 @@ def independent_checks(code) -> list[int]:
 
 def codespace_projector_dense(code) -> np.ndarray:
     """P = prod (I+Q)/2 as the normalized sum over the stabilizer group:
-    the 2^rank signed products of an independent set of checks."""
-    group = [PauliString.identity(code.n)]
-    for i in independent_checks(code):
-        group += [multiply(h, code.checks[i]) for h in group]
-    return operator_dense(code.n, [(1.0 / len(group), g) for g in group])
+    the 2^rank signed products of an independent set of checks, each
+    i^e X^x Z^z of ``pauli.signed_span`` weighted i^(e - |x & z|) / 2^rank."""
+    basis = [code.checks[i] for i in independent_checks(code)]
+    x, z, e = signed_span(np.array([q.x for q in basis], dtype=np.int64),
+                          np.array([q.z for q in basis], dtype=np.int64),
+                          [power_of_i(q) for q in basis])
+    c = I_POWERS[(e - np.bitwise_count(x & z)) % 4] / len(x)
+    return operator_dense(code.n, (c, x, z))
 
 
 _PAULI_T = 0.5 * np.array(
@@ -116,40 +138,38 @@ def terms_from_transform(n: int, coeffs: dict) -> list:
 
 
 class PauliMatvec:
-    """H @ psi for a Pauli sum through one prebuilt CSR matrix.
+    """H @ psi for a Pauli sum (c, x, z) through one prebuilt CSR matrix.
 
     Row r holds one entry per distinct x-mask of the terms, at column
-    c = r ^ x, with value sum phase (-1)^(c.z) over the terms with that
-    mask, where phase = coeff * sign * i^|x & z|.  The Z-type terms
-    (x = 0) fold into the first entry of every row, the diagonal.  The data
-    is float64 when every phase is real (``is_real``), complex128
-    otherwise; indices and indptr are int32 unless the entry count needs
-    int64.  The CSR arrays are filled in place, one x-mask at a time, and
-    then sorted by column within each row.  Calling the object is the
-    matvec that every Lanczos solve of this module goes through.
+    r ^ x, with value sum phase (-1)^|(r ^ x) & z| over the terms with that
+    mask, where phase = c i^|x & z|.  The Z-type terms (x = 0) fold into
+    the first entry of every row, the diagonal.  The data is float64 when
+    every phase is real (``is_real``), complex128 otherwise; indices and
+    indptr are int32 unless the entry count needs int64.  The CSR arrays
+    are filled in place, one x-mask at a time, and then sorted by column
+    within each row.  Calling the object is the matvec that every Lanczos
+    solve of this module goes through.
     """
 
     def __init__(self, n: int, terms):
+        _, x, z = terms
         self.n = n
         self.dim = dim = 1 << n
-        masks: dict[int, list] = {}
-        for coeff, p in terms:
-            phase = coeff * p.sign * (1j) ** ((p.x & p.z).bit_count() % 4)
-            masks.setdefault(p.x, []).append((complex(phase), p.z))
-        self.is_real = all(
-            phase.imag == 0 for group in masks.values() for phase, _ in group)
+        phases = _phases(*terms)
+        self.is_real = not phases.imag.any()
+        if self.is_real:
+            phases = phases.real
+        masks, slot = np.unique(x, return_inverse=True)  # x = 0 first
         width = len(masks)
         index = np.int32 if dim * width <= np.iinfo(np.int32).max else np.int64
-        data = np.zeros((dim, width),
-                        dtype=np.float64 if self.is_real else np.complex128)
+        data = np.zeros((dim, width), dtype=phases.dtype)
         indices = np.empty((dim, width), dtype=index)
         basis = np.arange(dim, dtype=np.int64)
-        for j, x in enumerate(sorted(masks)):  # x = 0 first
-            cols = basis ^ np.int64(x)
+        for j, mask in enumerate(masks):
+            cols = basis ^ mask
             indices[:, j] = cols
-            for phase, z in masks[x]:
-                data[:, j] += ((phase.real if self.is_real else phase)
-                               * _z_parity_signs(z, cols))
+            for k in np.flatnonzero(slot == j):
+                data[:, j] += phases[k] * _z_parity_signs(z[k], cols)
         self.matrix = sps.csr_array(
             (data.reshape(-1), indices.reshape(-1),
              width * np.arange(dim + 1, dtype=index)),
@@ -170,43 +190,40 @@ class PauliMatvec:
 
 
 def payload_norm(n: int, terms) -> float:
-    """Operator 2-norm of a Pauli sum, Hermitian or not.
+    """Operator 2-norm of a Pauli sum (c, x, z), Hermitian or not.
 
-    Up to n = 12 the sum is split into its invariant cosets
-    (``_coset_split``).  Cosets whose signs (-1)^(c.z) agree on every term
-    carry the same block, so one block per distinct sign pattern is built,
-    all in one batch, and the norm is the largest singular value over them:
-    by ``svd`` in general, by ``eigvalsh`` when the sum is Hermitian or
-    anti-Hermitian.  A sum counts as such when every imaginary (or every
-    real) part is at most 1e-14 max|c|, rounding dust from a transform;
-    that part is dropped and its sum |c| added to the norm, which keeps the
-    value an upper bound.
+    Up to ``DENSE_MAX_QUBITS`` qubits the sum is split into its invariant
+    cosets (``_coset_split``).  Cosets whose signs (-1)^|rep & z| agree on
+    every term carry the same block, so one block per distinct sign pattern
+    is built, all in one batch, and the norm is the largest singular value
+    over them: by ``svd`` in general, by ``eigvalsh`` when the sum is
+    Hermitian or anti-Hermitian.  A sum counts as such when every imaginary
+    (or every real) part is at most 1e-14 max|c|, rounding dust from a
+    transform; that part is dropped and its sum |c| added to the norm,
+    which keeps the value an upper bound.
 
-    Above n = 12 a Lanczos singular-value solve runs on one
+    Past that limit a Lanczos singular-value solve runs on one
     ``PauliMatvec``, with the conjugate transpose of the same CSR matrix as
     the adjoint.  It raises ArithmeticError when that solve fails, because
     a dense fallback would need a 2^n x 2^n matrix (4 GB at n = 14).
     """
-    terms = list(terms)
-    if not terms:
+    if not terms[0].size:
         return 0.0
-    if len(terms) == 1:
-        return abs(terms[0][0])  # Pauli strings are unitary
-    if n <= 12:
-        terms, reduced, reps, r = _coset_split(n, terms)
-        coeffs = np.array([c for c, _ in terms], dtype=complex)
-        z = np.array([p.z for _, p in terms], dtype=np.int64)
+    if terms[0].size == 1:
+        return float(abs(terms[0][0]))  # Pauli strings are unitary
+    if n <= DENSE_MAX_QUBITS:
+        (_, _, z), (c, rx, rz), reps, r = _coset_split(n, terms)
         signs = 1.0 - 2.0 * np.unique(np.bitwise_count(reps[:, None] & z) & 1,
                                       axis=0)
-        dust = 1e-14 * np.max(np.abs(coeffs))
-        if np.max(np.abs(coeffs.imag)) <= dust:
-            kept, dropped = coeffs.real, coeffs.imag  # Hermitian
-        elif np.max(np.abs(coeffs.real)) <= dust:
-            kept, dropped = coeffs.imag, coeffs.real  # i times Hermitian
+        dust = 1e-14 * np.max(np.abs(c))
+        if np.max(np.abs(c.imag)) <= dust:
+            kept, dropped = c.real, c.imag  # Hermitian
+        elif np.max(np.abs(c.real)) <= dust:
+            kept, dropped = c.imag, c.real  # i times Hermitian
         else:
-            blocks = _batched_blocks(r, reduced, coeffs * signs)
+            blocks = _batched_blocks(r, rx, rz, c * signs)
             return float(np.max(np.linalg.svd(blocks, compute_uv=False)))
-        blocks = _batched_blocks(r, reduced, kept * signs)
+        blocks = _batched_blocks(r, rx, rz, kept * signs)
         vals = np.linalg.eigvalsh(blocks if blocks.imag.any() else blocks.real)
         # The dropped part has norm at most its sum |c|.
         return float(np.max(np.abs(vals)) + np.sum(np.abs(dropped)))
@@ -225,16 +242,23 @@ def payload_norm(n: int, terms) -> float:
     return float(val)
 
 
-def _batched_blocks(r: int, strings, weights: np.ndarray) -> np.ndarray:
-    """Dense r-qubit matrices sum_k weights[j, k] strings[k], one per row j
-    of ``weights``, as one (rows, 2^r, 2^r) array."""
+def _batched_blocks(r: int, x, z, weights: np.ndarray) -> np.ndarray:
+    """Dense r-qubit matrices sum_k weights[j, k] i^|x_k & z_k| X^x_k Z^z_k,
+    one per row j of ``weights``, as one (rows, 2^r, 2^r) array.
+
+    Raises ValueError past ``DENSE_MAX_QUBITS`` qubits, before anything of
+    that size is built.
+    """
+    if r > DENSE_MAX_QUBITS:
+        raise ValueError(f"a dense matrix on {r} qubits exceeds the limit "
+                         f"of {DENSE_MAX_QUBITS}")
     dim = 1 << r
     basis = np.arange(dim, dtype=np.int64)
+    phases = _phases(weights, x, z)
     out = np.zeros((len(weights), dim, dim), dtype=complex)
-    for k, q in enumerate(strings):
-        phase = q.sign * (1j) ** ((q.x & q.z).bit_count() % 4)
-        out[:, basis ^ np.int64(q.x), basis] += (
-            (phase * weights[:, k])[:, None] * _z_parity_signs(q.z, basis))
+    for k, mask in enumerate(x):
+        out[:, basis ^ mask, basis] += (
+            phases[:, k, None] * _z_parity_signs(z[k], basis))
     return out
 
 
@@ -253,31 +277,11 @@ RESIDUAL_TOL = 1e-8
 COSET_MAX_DIM = 1 << 20
 
 
-def _hadamard_frame(terms) -> list:
+def _hadamard_frame(terms) -> tuple:
     """Conjugate every term by a Hadamard on all qubits.  X and Z swap, and
-    H Y H = -Y multiplies the sign by (-1)^|x & z|; the spectrum is kept."""
-    return [
-        (c, PauliString(p.n, p.z, p.x,
-                        -p.sign if (p.x & p.z).bit_count() % 2 else p.sign))
-        for c, p in terms
-    ]
-
-
-def _reduced_term(p: PauliString, rows: dict, pivots: list) -> PauliString:
-    """The string that p acts as on every coset of the x-span.
-
-    A state of the coset with representative c is c ^ (XOR of the rows
-    picked by its local index l).  p maps l to l ^ m, where m picks the rows
-    that make up p.x, with the phase (-1)^(c.z) times that of the r-qubit
-    string (m, z') whose bit j is the parity of row j & p.z.  m.z' = x.z
-    (mod 2), so the two strings' i-powers differ by a sign.
-    """
-    m = zr = 0
-    for j, pivot in enumerate(pivots):
-        m |= ((p.x >> pivot) & 1) << j
-        zr |= ((rows[pivot] & p.z).bit_count() & 1) << j
-    twist = ((p.x & p.z).bit_count() - (m & zr).bit_count()) % 4
-    return PauliString(len(pivots), m, zr, -p.sign if twist else p.sign)
+    H Y H = -Y multiplies c by (-1)^|x & z|; the spectrum is kept."""
+    c, x, z = terms
+    return np.where(np.bitwise_count(x & z) & 1, -c, c), z, x
 
 
 def _coset_split(n: int, terms):
@@ -288,31 +292,44 @@ def _coset_split(n: int, terms):
     2^r states, r = rank(S).  The frame with the smaller such span is used:
     when the z-masks have the lower rank, every term is conjugated by a
     Hadamard on all qubits first, which keeps the spectrum and the singular
-    values.  On the coset with representative c, term (coeff, p) acts as
-    (-1)^(c.z) coeff times its reduced r-qubit string (``_reduced_term``).
+    values.
 
-    Returns the terms in the chosen frame, their reduced strings, the coset
-    representatives (every state with zero pivot bits) and r.  Raises
-    ValueError, before anything of that size is built, when a block or the
-    number of cosets would exceed ``COSET_MAX_DIM``.
+    A state of the coset with representative rep is rep ^ (XOR of the rows
+    its local index picks), so term (c, x, z) maps local index l to l ^ m,
+    with m the rows that make up x, times (-1)^|rep & z| and the phase of
+    the r-qubit string (m, z'), where bit j of z' is the parity of row
+    j & z.  m.z' = x.z (mod 2), so the two strings' i-powers differ by a
+    sign, folded into the reduced coefficient.
+
+    Returns the terms in the chosen frame, their reduced r-qubit strings,
+    both as (c, x, z), the coset representatives (every state with zero
+    pivot bits) and r.  Raises ValueError, before anything of that size is
+    built, when a block or the number of cosets would exceed
+    ``COSET_MAX_DIM``.
     """
-    rows = Echelon(p.x for _, p in terms).rows
-    z_rows = Echelon(p.z for _, p in terms).rows
+    rows = Echelon(terms[1].tolist()).rows
+    z_rows = Echelon(terms[2].tolist()).rows
     if len(z_rows) < len(rows):
         terms, rows = _hadamard_frame(terms), z_rows
+    c, x, z = terms
     r = len(rows)
     if max(1 << r, 1 << (n - r)) > COSET_MAX_DIM:
         raise ValueError(
             f"{n} qubits split into 2^{n - r} cosets of 2^{r} states; more "
             f"than {COSET_MAX_DIM} of either is refused")
     pivots = sorted(rows)
-    reduced = [_reduced_term(p, rows, pivots) for _, p in terms]
+    m = _gather(x, pivots)
+    row_masks = np.array([rows[p] for p in pivots], dtype=np.int64)
+    zr = _pack(np.bitwise_count(z[:, None] & row_masks) & 1)
+    # 0 or 2: bitwise_count is uint8, and its wrap-around keeps the
+    # difference mod 4.
+    twist = (np.bitwise_count(x & z) - np.bitwise_count(m & zr)) % 4
     free = [i for i in range(n) if i not in rows]
     index = np.arange(1 << len(free), dtype=np.int64)
     reps = np.zeros_like(index)
     for j, bit in enumerate(free):
         reps |= ((index >> j) & 1) << bit
-    return terms, reduced, reps, r
+    return terms, (np.where(twist, -c, c), m, zr), reps, r
 
 
 def _lanczos_block(r: int, terms, k: int, rng) -> np.ndarray:
@@ -329,7 +346,7 @@ def _lanczos_block(r: int, terms, k: int, rng) -> np.ndarray:
     v0 = rng.standard_normal(mv.dim)
     if not mv.is_real:
         v0 = v0 + 1j * rng.standard_normal(mv.dim)
-    tol = RESIDUAL_TOL / (10.0 * max(1.0, sum(abs(c) for c, _ in terms)))
+    tol = RESIDUAL_TOL / (10.0 * max(1.0, sum(np.abs(terms[0]).tolist())))
     vals, vecs = spla.eigsh(mv.as_linear_operator(), k=k, which="SA", v0=v0,
                             tol=tol, maxiter=50000)
     for j, lam in enumerate(vals):
@@ -356,27 +373,26 @@ def _cluster_floor(n: int, terms, reduced) -> float:
     of its share instead.  Every lowest eigenvalue is at least -sum |c| of
     its share, so the bound is never below -sum |c| of the terms.
     """
-    cores = [(c, p) for (c, p), q in zip(terms, reduced) if q.x]
-    supports = np.array([p.x | p.z for _, p in cores], dtype=np.int64)
-    members = [[core] for core in cores]
+    c, x, z = terms
+    _, m, zr = reduced
+    support = x | z
+    cores = np.flatnonzero(m)
+    members = [[(c[k], k)] for k in cores]  # (share of c, term)
     floor = 0.0
-    for (c, p), q in zip(terms, reduced):
-        if q.x or not q.z:  # a cluster's core, or constant on every coset
-            continue
-        support = np.int64(p.x | p.z)
-        hosts = np.flatnonzero((supports & support) == support)
+    for k in np.flatnonzero((m == 0) & (zr != 0)):
+        hosts = np.flatnonzero((support[cores] & support[k]) == support[k])
         if not len(hosts):
-            floor -= abs(c)
-        for j in hosts:
-            members[j].append((c / len(hosts), p))
-    for support, cluster in zip(supports.tolist(), members):
-        if 1 << support.bit_count() > DENSE_BLOCK_MAX_DIM:
-            floor -= sum(abs(c) for c, _ in cluster)
+            floor -= abs(c[k])
+        for j in hosts:  # complex(): each part divided, not times 1/len
+            members[j].append((complex(c[k]) / len(hosts), k))
+    for core, cluster in zip(cores, members):
+        share, idx = map(np.array, zip(*cluster))
+        if 1 << int(np.bitwise_count(support[core])) > DENSE_BLOCK_MAX_DIM:
+            floor -= sum(np.abs(share).tolist())
             continue
-        qubits = [i for i in range(n) if (support >> i) & 1]
-        strings = [restrict(p, qubits) for _, p in cluster]
-        weights = np.array([[c for c, _ in cluster]])
-        M = _batched_blocks(len(qubits), strings, weights)[0]
+        qubits = np.flatnonzero((support[core] >> np.arange(n)) & 1)
+        M = _batched_blocks(len(qubits), _gather(x[idx], qubits),
+                            _gather(z[idx], qubits), share[None])[0]
         floor += np.linalg.eigvalsh(M if M.imag.any() else M.real)[0]
     return floor
 
@@ -385,17 +401,18 @@ def _coset_floors(n: int, terms, reduced, reps) -> np.ndarray:
     """Floor under every eigenvalue of each coset block: the terms constant
     on the coset plus the cluster floor of the others (``_cluster_floor``)."""
     floors = np.full(len(reps), _cluster_floor(n, terms, reduced))
-    for (c, p), q in zip(terms, reduced):
-        if q.x == 0 and q.z == 0:
-            floors += (c * q.sign).real * _z_parity_signs(p.z, reps)
+    c, m, zr = reduced
+    for k in np.flatnonzero((m == 0) & (zr == 0)):
+        floors += c[k].real * _z_parity_signs(terms[2][k], reps)
     return floors
 
 
 def lowest_eigenvalues_sparse(n: int, terms, k: int,
                               seed: int = 7) -> np.ndarray:
-    """Lowest k eigenvalues of a Pauli-sum Hamiltonian, sorted, solved one
-    invariant coset at a time (``_coset_split``); k = 2^n gives the exact
-    full spectrum, every block solved densely, with no 2^n x 2^n matrix.
+    """Lowest k eigenvalues of a Pauli-sum Hamiltonian (c, x, z), sorted,
+    solved one invariant coset at a time (``_coset_split``); k = 2^n gives
+    the exact full spectrum, every block solved densely, with no 2^n x 2^n
+    matrix.
 
     Terms whose reduced string is the identity are constant on a coset.
     Their sum there plus a cluster floor of the other terms
@@ -404,7 +421,8 @@ def lowest_eigenvalues_sparse(n: int, terms, k: int,
     support) is a certified floor under every eigenvalue of the block.
     Blocks are visited by rising floor until the next floor reaches the
     k-th lowest level found so far, since no block at or above it can
-    change the k lowest values.
+    change the k lowest values.  On the coset with representative rep the
+    block is the reduced strings with c (-1)^|rep & z|.
 
     A block of dimension up to ``DENSE_BLOCK_MAX_DIM``, or with fewer than
     k + 2 states, is diagonalized densely.  A larger one runs Lanczos from
@@ -412,24 +430,20 @@ def lowest_eigenvalues_sparse(n: int, terms, k: int,
     raises ArithmeticError when an eigenpair's residual exceeds
     ``RESIDUAL_TOL``.  With one coset this is a Lanczos solve over all 2^n
     states.  Raises ValueError when a block or the number of cosets exceeds
-    ``COSET_MAX_DIM``.
+    ``COSET_MAX_DIM``, or when a block to be diagonalized densely has more
+    than ``DENSE_MAX_QUBITS`` qubits.
     """
-    terms = list(terms)
     if not 1 <= k <= 1 << n:
         raise ValueError(f"k = {k} is outside 1..2^{n}")
-    terms, reduced, reps, r = _coset_split(n, terms)
-    floors = _coset_floors(n, terms, reduced, reps)
+    terms, (c, m, zr), reps, r = _coset_split(n, terms)
+    floors = _coset_floors(n, terms, (c, m, zr), reps)
 
     rng = np.random.default_rng(seed)
     levels = np.empty(0)
     for i in np.argsort(floors, kind="stable"):
         if len(levels) == k and floors[i] >= levels[-1]:
             break
-        rep = int(reps[i])
-        block = [
-            (-c if (rep & p.z).bit_count() % 2 else c, q)
-            for (c, p), q in zip(terms, reduced)
-        ]
+        block = (c * _z_parity_signs(reps[i], terms[2]), m, zr)
         if 1 << r <= DENSE_BLOCK_MAX_DIM or k >= (1 << r) - 1:
             M = operator_dense(r, block)
             vals = np.linalg.eigvalsh(M if M.imag.any() else M.real)[:k]

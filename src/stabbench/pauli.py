@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+I_POWERS = np.array([1, 1j, -1, -1j])  # i^e, indexed by e mod 4
 _CHAR_TO_XZ = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _XZ_TO_CHAR = {v: k for k, v in _CHAR_TO_XZ.items()}
 
@@ -154,6 +155,16 @@ def product(paulis, n: int | None = None) -> PauliString:
 def power_of_i(p: PauliString) -> int:
     """Exponent e with p = i^e X^x Z^z."""
     return (p.x & p.z).bit_count() + 1 - p.sign
+
+
+def columns(pairs) -> tuple:
+    """(coeff, PauliString) pairs as the column form (c, x, z) of a Pauli
+    sum, row for row: complex c = coeff * sign and int64 masks x and z, row
+    k standing for c_k i^|x_k & z_k| X^x_k Z^z_k."""
+    pairs = list(pairs)
+    return (np.array([coeff * p.sign for coeff, p in pairs], dtype=complex),
+            np.array([p.x for _, p in pairs], dtype=np.int64),
+            np.array([p.z for _, p in pairs], dtype=np.int64))
 
 
 def signed_span(x: np.ndarray, z: np.ndarray, e) -> tuple:

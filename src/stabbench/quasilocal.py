@@ -11,9 +11,9 @@ which makes the key unique per Pauli and the decomposition exact.
 
 A term is stored as columns over the qubits of S in sorted order (its
 patch, at most 63 of them): int64 bit masks x, z and complex c, Pauli i
-being c_i i^|x_i & z_i| X^x_i Z^z_i.  All local algebra works on these
-columns; (coeff, PauliString) pairs (``paulis``, ``patch_paulis``) are
-views for dense matrices and norms.
+being c_i i^|x_i & z_i| X^x_i Z^z_i, the column form that ``matrices``
+takes.  All local algebra, dense matrices and norms work on these columns;
+the (coeff, PauliString) pairs of ``paulis`` are a view on full qubits.
 
 A patch is the region S as a small code of its own (``_patch_code``): the
 checks inside S, restricted to the qubits of S with ``pauli.restrict``,
@@ -33,16 +33,23 @@ import numpy as np
 from .code import StabilizerCode, syndrome_of
 from .gf2 import BitVector
 from .matrices import (
+    DENSE_MAX_QUBITS,
     code_hamiltonian_dense,
     codespace_projector_dense,
     independent_checks,
     operator_dense,
     payload_norm,
 )
-from .pauli import PauliString, power_of_i, restrict, signed_span
+from .pauli import (
+    I_POWERS,
+    PauliString,
+    columns,
+    power_of_i,
+    restrict,
+    signed_span,
+)
 
 PATCH_LIMIT = 14  # norm evaluations refuse patches beyond 2^14 dimensions
-DENSE_PATCH_LIMIT = 12  # patch algebra (projectors, splits, solves)
 DROP_TOL = 1e-14  # summed coefficients at or below this are dropped
 
 
@@ -72,10 +79,8 @@ class LocalTerm:
         for coeff, p in paulis:
             if (p.x | p.z) & outside:
                 raise ValueError(f"{p} acts outside the support {qubits}")
-            patch.append((coeff * p.sign, restrict(p, qubits)))
-        self.c = np.array([c for c, _ in patch], dtype=complex)
-        self.x = np.array([p.x for _, p in patch], dtype=np.int64)
-        self.z = np.array([p.z for _, p in patch], dtype=np.int64)
+            patch.append((coeff, restrict(p, qubits)))
+        self.c, self.x, self.z = columns(patch)
 
     @classmethod
     def _from_columns(cls, n, support, syndrome, c, x, z) -> "LocalTerm":
@@ -103,21 +108,13 @@ class LocalTerm:
         return tuple((coeff, PauliString(self.n, px, pz)) for coeff, px, pz
                      in zip(self.c.tolist(), x.tolist(), z.tolist()))
 
-    def patch_paulis(self) -> list:
-        """(coeff, PauliString) pairs on the patch qubits."""
-        width = len(self.support)
-        return [(coeff, PauliString(width, px, pz)) for coeff, px, pz
-                in zip(self.c.tolist(), self.x.tolist(), self.z.tolist())]
-
     def patch_matrix(self) -> np.ndarray:
-        _refuse_wider(self.support, DENSE_PATCH_LIMIT)
-        return operator_dense(len(self.support), self.patch_paulis())
+        _refuse_wider(self.support, DENSE_MAX_QUBITS)
+        return operator_dense(len(self.support), (self.c, self.x, self.z))
 
     def operator_norm(self) -> float:
         _refuse_wider(self.support, PATCH_LIMIT)
-        if not self.c.size:
-            return 0.0
-        return payload_norm(len(self.support), self.patch_paulis())
+        return payload_norm(len(self.support), (self.c, self.x, self.z))
 
     def scaled(self, factor: complex) -> "LocalTerm":
         return LocalTerm._from_columns(self.n, self.support, self.syndrome,
@@ -135,8 +132,10 @@ class QuasiLocalOperator:
         return {(t.support, t.syndrome.bits): t for t in self.terms}
 
     def to_dense(self) -> np.ndarray:
-        return operator_dense(
-            self.code.n, [pair for t in self.terms for pair in t.paulis])
+        # The empty sum columns(()) heads the parts: no terms, zero matrix.
+        lifted = [(t.c, *t._masks_at(t.patch_qubits)) for t in self.terms]
+        return operator_dense(self.code.n, tuple(
+            map(np.concatenate, zip(columns(()), *lifted))))
 
     def term_norm(self, term: LocalTerm) -> float:
         key = (term.support, term.syndrome.bits)
@@ -231,10 +230,10 @@ def _patch_code(code: StabilizerCode, region) -> StabilizerCode:
     """The checks inside ``region``, restricted to its qubits in sorted
     order, with their lambdas, as a code on len(region) qubits.
 
-    Raises PatchTooLargeError past ``DENSE_PATCH_LIMIT`` qubits.
+    Raises PatchTooLargeError past ``DENSE_MAX_QUBITS`` qubits.
     """
     region = frozenset(region)
-    _refuse_wider(region, DENSE_PATCH_LIMIT)
+    _refuse_wider(region, DENSE_MAX_QUBITS)
     qubits = sorted(region)
     inside = checks_inside(code, region)
     return StabilizerCode(
@@ -255,9 +254,6 @@ def patch_hamiltonian(code: StabilizerCode, region) -> np.ndarray:
     return code_hamiltonian_dense(_patch_code(code, region))
 
 
-_I_POWERS = np.array([1, 1j, -1, -1j])
-
-
 def _odd_overlap(ax, az, bx, bz) -> np.ndarray:
     """1 where the strings (ax, az) and (bx, bz) anticommute, else 0."""
     return (np.bitwise_count(ax & bz) + np.bitwise_count(az & bx)) & 1
@@ -270,7 +266,7 @@ def _times(ae, ax, az, bx, bz):
     px, pz = ax ^ bx, az ^ bz
     power = (np.asarray(ae, dtype=np.int64) + np.bitwise_count(bx & bz)
              + 2 * np.bitwise_count(az & bx) - np.bitwise_count(px & pz))
-    return _I_POWERS[power % 4], px, pz
+    return I_POWERS[power % 4], px, pz
 
 
 def _patch_columns(term: LocalTerm, code: StabilizerCode):

@@ -6,9 +6,9 @@ structure makes the local solution exact globally), rotates
 the full Hamiltonian by the matrix exponential, re-expands the remainder
 over Paulis, and routes wide-support terms into an untracked garbage
 matrix.  Spectral verification (ground clusters, gaps, splittings, Weyl
-stability) runs through the coset solver of ``matrices``: every level to
-n = 12, the lowest few beyond.  Only projector distances diagonalize a
-dense 2^n x 2^n matrix.
+stability) runs through the coset solver of ``matrices``: every level up
+to ``matrices.DENSE_MAX_QUBITS`` qubits, the lowest few beyond.  Only
+projector distances diagonalize a dense 2^n x 2^n matrix.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .code import StabilizerCode, graph_distance, num_logical_qubits, validate
 from .flow import kappa_m
 from .gf2 import BitMatrix, BitVector, Echelon, nullspace
 from .matrices import (
+    DENSE_MAX_QUBITS,
     code_hamiltonian_dense,
     code_hamiltonian_terms,
     codespace_projector_dense,
@@ -31,7 +32,7 @@ from .matrices import (
     payload_norm,
     terms_from_transform,
 )
-from .pauli import PauliString, commutes, restrict
+from .pauli import PauliString, columns, commutes, restrict
 # solve_generator and its error are re-exported from here.
 from .quasilocal import (
     GeneratorConsistencyError,
@@ -70,8 +71,9 @@ class SwtEngine:
     """Runs exact SWT orders for one code at dense-tractable size."""
 
     def __init__(self, code: StabilizerCode, d_s: int | None = None):
-        if code.n > 12:
-            raise ValueError("dense engine is limited to n <= 12")
+        if code.n > DENSE_MAX_QUBITS:
+            raise ValueError(
+                f"dense engine is limited to n <= {DENSE_MAX_QUBITS}")
         self.code = code
         self.d_s = d_s if d_s is not None else code.n + 1
         self.h0 = code_hamiltonian_dense(code)
@@ -249,11 +251,12 @@ def spectral_report(
     Both modes take their levels from ``lowest_eigenvalues_sparse``, which
     solves each invariant coset of the terms' x-span separately (densely,
     or by seeded Lanczos on blocks above 2^9 states) and builds no 2^n x 2^n
-    matrix.  Dense mode (n <= 12) asks it for all 2^n levels, so every coset
-    is solved densely and the full spectrum is exact.  Sparse mode takes the
-    lowest ``num_eigs`` levels and skips the cosets whose certified cluster
-    floor lies above the levels found; it refuses a coset block or a coset
-    count above 2^20 (``matrices.COSET_MAX_DIM``) with ValueError.
+    matrix.  Dense mode (n <= ``DENSE_MAX_QUBITS``) asks it for all 2^n
+    levels, so every coset is solved densely and the full spectrum is
+    exact.  Sparse mode takes the lowest ``num_eigs`` levels and skips the
+    cosets whose certified cluster floor lies above the levels found; it
+    refuses a coset block or a coset count above 2^20
+    (``matrices.COSET_MAX_DIM``) with ValueError.
 
     Only when an SWT run is supplied with dense mode is the full matrix
     diagonalized with eigenvectors, to report the distance between the
@@ -265,12 +268,13 @@ def spectral_report(
         k = num_logical_qubits(code)
     if num_eigs is None:
         num_eigs = 2 ** k + 4
-    v_list = list(v_terms)
-    terms = code_hamiltonian_terms(code) + [(epsilon * c, p) for c, p in v_list]
+    h0, v = columns(code_hamiltonian_terms(code)), columns(v_terms)
+    terms = tuple(map(np.concatenate, zip(h0, (epsilon * v[0], *v[1:]))))
     vecs = None
     if mode == "dense":
-        if code.n > 12:
-            raise ValueError("dense mode is limited to n <= 12")
+        if code.n > DENSE_MAX_QUBITS:
+            raise ValueError(
+                f"dense mode is limited to n <= {DENSE_MAX_QUBITS}")
         if swt_result is None:
             vals = lowest_eigenvalues_sparse(code.n, terms, k=1 << code.n)
         else:
@@ -298,9 +302,8 @@ def spectral_report(
         proj_dist = float(np.linalg.norm(p_new - U @ P @ U.conj().T, 2))
     weyl_margin = None
     if weyl_check and mode == "dense":
-        vals0 = lowest_eigenvalues_sparse(code.n, code_hamiltonian_terms(code),
-                                          k=1 << code.n)
-        vnorm = payload_norm(code.n, v_list)
+        vals0 = lowest_eigenvalues_sparse(code.n, h0, k=1 << code.n)
+        vnorm = payload_norm(code.n, v)
         weyl_margin = float(
             epsilon * vnorm - np.max(np.abs(np.sort(vals) - np.sort(vals0)))
         )

@@ -24,11 +24,12 @@ from stabbench.matrices import (
     pauli_transform,
     terms_from_transform,
 )
-from stabbench.pauli import PauliString
+from stabbench.pauli import PauliString, columns
+from stabbench.quasilocal import decompose
 
 
 def pauli_matrix(p: PauliString) -> np.ndarray:
-    return operator_dense(p.n, [(1.0, p)])
+    return operator_dense(p.n, columns([(1.0, p)]))
 
 
 def test_single_qubit_pauli_matrices():
@@ -61,13 +62,13 @@ def test_pauli_transform_round_trip_random():
                 (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1),
                  PauliString(n, x, z))
             )
-        M = operator_dense(n, terms)
+        M = operator_dense(n, columns(terms))
         coeffs = pauli_transform(M)
         expect = {(p.x, p.z): c * p.sign for c, p in terms}
         assert set(coeffs) == {k for k, v in expect.items() if abs(v) > 1e-13}
         for key, val in coeffs.items():
             assert val == pytest.approx(expect[key], abs=1e-12)
-        back = operator_dense(n, terms_from_transform(n, coeffs))
+        back = operator_dense(n, columns(terms_from_transform(n, coeffs)))
         assert np.allclose(back, M, atol=1e-12)
 
 
@@ -104,7 +105,7 @@ def test_pauli_transform_matches_per_entry_decode():
 
 def test_matvec_matches_dense():
     code = toric_code(2)
-    terms = code_hamiltonian_terms(code)
+    terms = columns(code_hamiltonian_terms(code))
     H = operator_dense(code.n, terms)
     mv = PauliMatvec(code.n, terms)
     rng = np.random.default_rng(0)
@@ -115,9 +116,9 @@ def test_matvec_matches_dense():
 
 def test_sparse_eigenvalues_match_dense():
     code = repetition_code(6)
-    terms = code_hamiltonian_terms(code) + [
+    terms = columns(code_hamiltonian_terms(code) + [
         (0.07, PauliString.single(6, "X", i)) for i in range(6)
-    ]
+    ])
     dense_vals = np.linalg.eigvalsh(operator_dense(6, terms).real)
     sparse_vals = lowest_eigenvalues_sparse(6, terms, k=5, seed=3)
     assert np.allclose(sparse_vals, dense_vals[:5], atol=1e-8)
@@ -146,10 +147,54 @@ def pauli_sums(draw):
     return n, [(c, PauliString(n, x, z, sign)) for c, x, z, sign in terms]
 
 
+def dense_from_pairs(n: int, pairs) -> np.ndarray:
+    """The per-pair dense builder that the column form replaced, kept as
+    the reference: coeff * sign * i^|x & z| times the Z-parity signs, added
+    at rows b ^ x."""
+    dim = 1 << n
+    basis = np.arange(dim, dtype=np.int64)
+    M = np.zeros((dim, dim), dtype=complex)
+    for coeff, p in pairs:
+        phase = coeff * p.sign * (1j) ** ((p.x & p.z).bit_count() % 4)
+        signs = 1.0 - 2.0 * (np.bitwise_count(basis & np.int64(p.z)) & 1)
+        M[basis ^ np.int64(p.x), basis] += phase * signs
+    return M
+
+
+@settings(max_examples=150, deadline=None)
+@given(pauli_sums(), st.data())
+def test_column_form_matches_per_pair_reference(case, data):
+    # Repeated strings, and a complex second row of coefficients for a
+    # two-row weight batch.
+    n, pairs = case
+    pairs = pairs + data.draw(st.lists(st.sampled_from(pairs), max_size=3))
+    imag = data.draw(st.lists(st.floats(-1, 1), min_size=len(pairs),
+                              max_size=len(pairs)))
+    rows = [pairs, [(c + 1j * f, p) for (c, p), f in zip(pairs, imag)]]
+    refs = [dense_from_pairs(n, row) for row in rows]
+    for row, ref in zip(rows, refs):
+        assert np.array_equal(operator_dense(n, columns(row)), ref)
+    _, x, z = columns(pairs)
+    weights = np.stack([columns(row)[0] for row in rows])
+    assert np.array_equal(matrices._batched_blocks(n, x, z, weights),
+                          np.stack(refs))
+    # The CSR matrix keeps the per-pair rule: real data exactly when every
+    # phase coeff * sign * i^|x & z| is real, one entry per distinct x-mask.
+    for row in rows:
+        mv = PauliMatvec(n, columns(row))
+        real = all(
+            complex(c * p.sign * (1j) ** ((p.x & p.z).bit_count() % 4)).imag
+            == 0 for c, p in row)
+        assert mv.is_real == real
+        assert mv.matrix.dtype == (np.float64 if real else np.complex128)
+        assert mv.matrix.indices.dtype == mv.matrix.indptr.dtype == np.int32
+        assert mv.matrix.nnz == (1 << n) * len({p.x for _, p in row})
+
+
 @settings(max_examples=150, deadline=None)
 @given(pauli_sums(), st.data())
 def test_sparse_eigenvalues_match_dense_random_sums(case, data):
-    n, terms = case
+    n, terms = case[0], columns(case[1])
     k = data.draw(st.integers(1, (1 << n) - 1))
     dense = np.linalg.eigvalsh(operator_dense(n, terms))
     assert np.allclose(lowest_eigenvalues_sparse(n, terms, k), dense[:k],
@@ -198,6 +243,7 @@ _PATH_CASES = {
 @pytest.mark.parametrize("name", sorted(_PATH_CASES))
 def test_sparse_eigenvalue_paths(name, monkeypatch):
     n, terms, switched, qubits, blocks = _PATH_CASES[name]
+    terms = columns(terms)
     dense = np.linalg.eigvalsh(operator_dense(n, terms))
     frames, solved = [], []
     frame, block_dense = matrices._hadamard_frame, matrices.operator_dense
@@ -223,8 +269,8 @@ def test_sparse_eigenvalue_paths(name, monkeypatch):
 def test_sparse_eigenvalues_lanczos_blocks_match_full_space():
     # Hadamard frame: 2 cosets of 2^10 states, each past the dense limit.
     n = 11
-    terms = (code_hamiltonian_terms(repetition_code(n, lam=2.0))
-             + _field(n, "X", 0.3))
+    terms = columns(code_hamiltonian_terms(repetition_code(n, lam=2.0))
+                    + _field(n, "X", 0.3))
     full = spla.eigsh(PauliMatvec(n, terms).as_linear_operator(), k=6,
                       which="SA", tol=0.0, return_eigenvectors=False)
     assert np.allclose(lowest_eigenvalues_sparse(n, terms, k=6),
@@ -233,8 +279,8 @@ def test_sparse_eigenvalues_lanczos_blocks_match_full_space():
 
 def test_sparse_eigenvalues_residual_gate(monkeypatch):
     n = 11
-    terms = (code_hamiltonian_terms(repetition_code(n, lam=2.0))
-             + _field(n, "X", 0.3))
+    terms = columns(code_hamiltonian_terms(repetition_code(n, lam=2.0))
+                    + _field(n, "X", 0.3))
     eigsh = spla.eigsh
 
     def corrupted(*args, **kwargs):
@@ -247,7 +293,7 @@ def test_sparse_eigenvalues_residual_gate(monkeypatch):
 
 
 def test_sparse_eigenvalues_k_range():
-    terms = [(1.0, PauliString.from_label("XZ"))]
+    terms = columns([(1.0, PauliString.from_label("XZ"))])
     assert np.allclose(lowest_eigenvalues_sparse(2, terms, k=4),
                        [-1, -1, 1, 1])
     for k in (0, 5):
@@ -256,8 +302,8 @@ def test_sparse_eigenvalues_k_range():
     # One coset of 2^10 states, past the dense limit, but too few states
     # for Lanczos to return k = 2^10 - 1 levels: solved densely.
     rng = np.random.default_rng(5)
-    terms = [(rng.uniform(-1, 1), PauliString.single(10, kind, i))
-             for i in range(10) for kind in "XZ"]
+    terms = columns([(rng.uniform(-1, 1), PauliString.single(10, kind, i))
+                     for i in range(10) for kind in "XZ"])
     dense = np.linalg.eigvalsh(operator_dense(10, terms))
     assert np.allclose(lowest_eigenvalues_sparse(10, terms, k=1023),
                        dense[:1023], atol=1e-10)
@@ -265,7 +311,7 @@ def test_sparse_eigenvalues_k_range():
 
 def test_sparse_eigenvalues_toric3_x_field_levels(monkeypatch):
     code = toric_code(3)
-    terms = code_hamiltonian_terms(code) + _field(code.n, "X", 0.1)
+    terms = columns(code_hamiltonian_terms(code) + _field(code.n, "X", 0.1))
     solved, block_dense = [], matrices.operator_dense
 
     def spy_dense(r, ts):
@@ -296,14 +342,46 @@ def test_coset_split_refuses_oversized_blocks_and_coset_counts(monkeypatch):
     # Toric L = 4 under a Y field: x- and z-masks both span all 32 qubits,
     # one coset of 2^32 states.
     code = toric_code(4)
-    terms = code_hamiltonian_terms(code) + _field(code.n, "Y", 0.1)
+    terms = columns(code_hamiltonian_terms(code) + _field(code.n, "Y", 0.1))
     with pytest.raises(ValueError, match="2\\^0 cosets of 2\\^32 states"):
         lowest_eigenvalues_sparse(code.n, terms, k=8)
     # A Z field on a 22-qubit chain: every term diagonal, 2^22 cosets of
     # one state.
-    terms = code_hamiltonian_terms(repetition_code(22)) + _field(22, "Z", 0.1)
+    terms = columns(code_hamiltonian_terms(repetition_code(22))
+                    + _field(22, "Z", 0.1))
     with pytest.raises(ValueError, match="2\\^22 cosets of 2\\^0 states"):
         lowest_eigenvalues_sparse(22, terms, k=2)
+
+
+@pytest.fixture
+def no_large_zeros(monkeypatch):
+    """numpy.zeros refusing arrays past 2^22 entries (64 MB complex), so
+    that a refusal is seen to come before the array is built."""
+    zeros = np.zeros
+
+    def guarded(shape, *args, **kwargs):
+        if np.prod(shape) > 1 << 22:
+            raise AssertionError(f"an array of shape {shape} was allocated")
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", guarded)
+
+
+def test_dense_block_past_limit_refused(no_large_zeros):
+    # X and Z on each of 13 qubits: one coset of 2^13 states, which
+    # k = 2^13 sends to the dense path, a 1 GB complex matrix.
+    n = 13
+    terms = columns([(0.5, PauliString.single(n, kind, i))
+                     for i in range(n) for kind in "XZ"])
+    with pytest.raises(ValueError, match="13 qubits exceeds the limit of 12"):
+        lowest_eigenvalues_sparse(n, terms, k=1 << n)
+
+
+def test_to_dense_past_limit_refused(no_large_zeros):
+    # A 14-qubit operator as one 4 GB complex matrix.
+    qlo = decompose(_field(14, "X", 0.1), repetition_code(14))
+    with pytest.raises(ValueError, match="14 qubits exceeds the limit of 12"):
+        qlo.to_dense()
 
 
 @settings(max_examples=150, deadline=None)
@@ -318,16 +396,17 @@ def test_coset_split_refuses_oversized_blocks_and_coset_counts(monkeypatch):
 def test_cluster_floor_bounds_every_block(case):
     # The cluster floor of each coset block lies at or below the block's
     # dense minimum, and at or above the Sigma |c| floor it replaced.
-    n, terms = case
-    terms, reduced, reps, r = matrices._coset_split(n, terms)
-    floors = matrices._coset_floors(n, terms, reduced, reps)
+    n, terms = case[0], columns(case[1])
+    terms, (c, qx, qz), reps, r = matrices._coset_split(n, terms)
+    floors = matrices._coset_floors(n, terms, (c, qx, qz), reps)
     for rep, floor in zip(reps.tolist(), floors):
-        signs = [-1 if (rep & p.z).bit_count() % 2 else 1 for _, p in terms]
-        block = [(s * c, q) for s, (c, _), q in zip(signs, terms, reduced)]
+        signs = [-1 if (rep & z).bit_count() % 2 else 1
+                 for z in terms[2].tolist()]
+        block = (np.array(signs) * c, qx, qz)
         lowest = np.linalg.eigvalsh(operator_dense(r, block))[0]
         sum_abs = sum(
-            s * (c * q.sign).real if q.x == 0 and q.z == 0 else -abs(c)
-            for s, (c, _), q in zip(signs, terms, reduced))
+            s * ck.real if x == 0 and z == 0 else -abs(ck)
+            for s, ck, x, z in zip(signs, c, qx, qz))
         assert floor <= lowest + 1e-10
         assert floor >= sum_abs - 1e-10
 
@@ -343,7 +422,7 @@ def test_payload_norm_refuses_dense_fallback(monkeypatch):
     monkeypatch.setattr(matrices.spla, "svds", no_convergence)
     monkeypatch.setattr(matrices, "operator_dense", no_dense)
     with pytest.raises(ArithmeticError, match="n = 14"):
-        payload_norm(14, _field(14, "X", 1.0)[:2])
+        payload_norm(14, columns(_field(14, "X", 1.0)[:2]))
 
 
 @st.composite
@@ -364,7 +443,7 @@ def norm_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(norm_cases())
 def test_payload_norm_matches_dense_svd(case):
-    n, terms = case
+    n, terms = case[0], columns(case[1])
     expect = np.linalg.norm(operator_dense(n, terms), 2)
     assert payload_norm(n, terms) == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
@@ -378,18 +457,19 @@ def test_payload_norm_matches_dense_svd(case):
 @example((3, [(0.7, PauliString.identity(3)),
               (-0.2, PauliString.identity(3))]))
 def test_matvec_matches_dense_random_sums(case):
-    n, terms = case
+    n, pairs = case
+    terms = columns(pairs)
     mv = PauliMatvec(n, terms)
     dense = operator_dense(n, terms)
     psi = np.random.default_rng(n).standard_normal((1 << n, 2)) @ [1, 1j]
     assert np.allclose(mv(psi), dense @ psi, atol=1e-12)
     # Real exactly when every term's own matrix is real.
     assert mv.is_real == all(
-        not operator_dense(n, [term]).imag.any() for term in terms)
+        not operator_dense(n, columns([term])).imag.any() for term in pairs)
     assert mv.matrix.dtype == (np.float64 if mv.is_real else np.complex128)
     assert mv.matrix.has_sorted_indices
     widths = np.diff(mv.matrix.indptr)
-    assert (widths == len({p.x for _, p in terms})).all()
+    assert (widths == len({p.x for _, p in pairs})).all()
 
 
 def test_matvec_csr_of_rep16_x_field_block():
@@ -397,11 +477,11 @@ def test_matvec_csr_of_rep16_x_field_block():
     # frame, 2 cosets of 2^15 states, 15 flipping checks plus the diagonal
     # per row, stored with int32 indices and float64 data (6 MB).
     n = 16
-    terms = (code_hamiltonian_terms(repetition_code(n))
-             + _field(n, "X", 0.3))
+    terms = columns(code_hamiltonian_terms(repetition_code(n))
+                    + _field(n, "X", 0.3))
     terms, reduced, reps, r = matrices._coset_split(n, terms)
     assert r == 15 and reps[0] == 0
-    mv = PauliMatvec(r, [(c, q) for (c, _), q in zip(terms, reduced)])
+    mv = PauliMatvec(r, reduced)
     assert mv.matrix.nnz == (1 << 15) * 16
     assert mv.matrix.indices.dtype == np.int32
     assert mv.matrix.indptr.dtype == np.int32
@@ -419,11 +499,11 @@ def test_payload_norm_lanczos_above_n12(monkeypatch):
     monkeypatch.setattr(matrices, "PauliMatvec", spy)
     n = 13
     x0, y0, z0 = (PauliString.single(n, kind, 0) for kind in "XYZ")
-    assert payload_norm(n, [(0.3, x0), (0.4, z0)]) == pytest.approx(
+    assert payload_norm(n, columns([(0.3, x0), (0.4, z0)])) == pytest.approx(
         0.5, rel=1e-8)
     # X + iY = 2 |0><1| is not normal; its singular values are 2 and 0, so
     # the adjoint must be the conjugate transpose, not the matrix itself.
-    assert payload_norm(n, [(1.0, x0), (1j, y0)]) == pytest.approx(
+    assert payload_norm(n, columns([(1.0, x0), (1j, y0)])) == pytest.approx(
         2.0, rel=1e-8)
     assert built == [n, n]
 
@@ -435,8 +515,8 @@ def test_payload_norm_drops_rounding_dust(phase, monkeypatch):
     labels = ("XXI", "IZZ", "YIY", "ZII")
     coeffs = (0.3, -0.45, 0.2, 0.25)
     dust = (1e-19, -3e-19, 2e-19, 0.0)
-    terms = [(phase * c + 1j * phase * d, PauliString.from_label(label))
-             for c, d, label in zip(coeffs, dust, labels)]
+    terms = columns([(phase * c + 1j * phase * d, PauliString.from_label(label))
+                     for c, d, label in zip(coeffs, dust, labels)])
     expect = np.linalg.norm(operator_dense(3, terms), 2)
     calls = []
     eigvalsh = np.linalg.eigvalsh
@@ -455,8 +535,8 @@ def test_payload_norm_drops_rounding_dust(phase, monkeypatch):
 def test_payload_norm_non_normal_sum():
     # M = X + iZ: M M^dagger = 2 - 2Y and M^dagger M = 2 + 2Y, so M is not
     # normal; its singular values are 2 and 0.
-    terms = [(1.0, PauliString.from_label("X")),
-             (1j, PauliString.from_label("Z"))]
+    terms = columns([(1.0, PauliString.from_label("X")),
+                     (1j, PauliString.from_label("Z"))])
     assert payload_norm(1, terms) == pytest.approx(2.0, rel=1e-14)
 
 
@@ -469,8 +549,10 @@ def test_payload_norm_hadamard_frame_blocks(phases, monkeypatch):
     n = 6
     labels = ("ZIIIII", "IZIIII", "XXIIII", "IIXXII", "IIIIXX", "YIIIII")
     coeffs = (0.3, -0.4, 0.5, 0.2, 0.35, 0.25)
-    terms = [(phases[j % 2] * c, PauliString.from_label(label))
-             for j, (c, label) in enumerate(zip(coeffs, labels))]
+    terms = columns([(phases[j % 2] * c, PauliString.from_label(label))
+                     for j, (c, label) in enumerate(zip(coeffs, labels))])
+    # The reference is built first: operator_dense runs on _batched_blocks.
+    expect = np.linalg.norm(operator_dense(n, terms), 2)
     frames, shapes = [], []
     frame, blocks = matrices._hadamard_frame, matrices._batched_blocks
 
@@ -478,13 +560,12 @@ def test_payload_norm_hadamard_frame_blocks(phases, monkeypatch):
         frames.append(len(ts))
         return frame(ts)
 
-    def spy_blocks(r, strings, weights):
-        out = blocks(r, strings, weights)
+    def spy_blocks(r, x, z, weights):
+        out = blocks(r, x, z, weights)
         shapes.append(out.shape)
         return out
 
     monkeypatch.setattr(matrices, "_hadamard_frame", spy_frame)
     monkeypatch.setattr(matrices, "_batched_blocks", spy_blocks)
-    expect = np.linalg.norm(operator_dense(n, terms), 2)
     assert payload_norm(n, terms) == pytest.approx(expect, rel=1e-12)
     assert frames and shapes == [(4, 4, 4)]

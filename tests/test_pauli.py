@@ -9,11 +9,18 @@ import numpy as np
 import pytest
 
 from stabbench.matrices import operator_dense
-from stabbench.pauli import PauliString, commutes, multiply, product, restrict
+from stabbench.pauli import (
+    PauliString,
+    columns,
+    commutes,
+    multiply,
+    product,
+    restrict,
+)
 
 
 def pauli_matrix(p: PauliString) -> np.ndarray:
-    return operator_dense(p.n, [(1.0, p)])
+    return operator_dense(p.n, columns([(1.0, p)]))
 
 
 def all_paulis(n):

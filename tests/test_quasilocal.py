@@ -23,7 +23,13 @@ from stabbench.code import StabilizerCode
 from stabbench.constructors import ising_toric, repetition_code, toric_code
 from stabbench.gf2 import BitVector
 from stabbench.matrices import operator_dense, pauli_transform
-from stabbench.pauli import PauliString, commutes, multiply_phase, restrict
+from stabbench.pauli import (
+    PauliString,
+    columns,
+    commutes,
+    multiply_phase,
+    restrict,
+)
 from stabbench.quasilocal import (
     DROP_TOL,
     LocalTerm,
@@ -101,7 +107,7 @@ def test_decompose_reconstructs_exactly():
     rng = random.Random(8)
     terms = random_pauli_sum(code, rng, num_terms=10, max_weight=3)
     qlo = decompose(terms, code)
-    assert np.allclose(qlo.to_dense(), operator_dense(code.n, terms))
+    assert np.allclose(qlo.to_dense(), operator_dense(code.n, columns(terms)))
 
 
 def test_strong_support_contains_flipped_checks():
@@ -165,7 +171,8 @@ def product_form(code: StabilizerCode, region: frozenset):
     eye = np.eye(1 << len(qubits))
     P, H = eye, np.zeros_like(eye)
     for i in checks_inside(code, region):
-        Q = operator_dense(len(qubits), [(1.0, restrict(code.checks[i], qubits))])
+        Q = operator_dense(len(qubits),
+                           columns([(1.0, restrict(code.checks[i], qubits))]))
         P = P @ (eye + Q) / 2
         H = H + code.lambdas[i] * (eye - Q) / 2
     return P, H
@@ -205,7 +212,8 @@ def test_block_split_stabilizer_payload_is_diagonal():
     diag, off = block_split(t, code)
     assert off.paulis == ()
     assert np.allclose(
-        operator_dense(code.n, diag.paulis), operator_dense(code.n, t.paulis)
+        operator_dense(code.n, columns(diag.paulis)),
+        operator_dense(code.n, columns(t.paulis)),
     )
 
 
@@ -215,8 +223,8 @@ def test_block_split_two_qubit_flip_on_field_code():
     qlo = decompose([(eps, PauliString.from_label("XX"))], code)
     (t,) = qlo.terms
     diag, off = block_split(t, code)
-    Md = operator_dense(2, diag.paulis)
-    Mo = operator_dense(2, off.paulis)
+    Md = operator_dense(2, columns(diag.paulis))
+    Mo = operator_dense(2, columns(off.paulis))
     # basis order |00>,|01>,|10>,|11>: the block-diagonal piece couples the
     # excited pair |01>,|10>; the off part couples |00> and |11>
     expect_diag = np.zeros((4, 4), dtype=complex)
@@ -233,8 +241,10 @@ def test_block_split_sum_and_norm_contract():
     qlo = decompose(random_pauli_sum(code, rng, num_terms=8, max_weight=2), code)
     for t in qlo.terms:
         diag, off = block_split(t, code)
-        total = operator_dense(code.n, list(diag.paulis) + list(off.paulis))
-        assert np.allclose(total, operator_dense(code.n, t.paulis), atol=1e-11)
+        total = operator_dense(code.n,
+                               columns(list(diag.paulis) + list(off.paulis)))
+        assert np.allclose(total, operator_dense(code.n, columns(t.paulis)),
+                           atol=1e-11)
         vnorm = t.operator_norm()
         assert diag.operator_norm() <= vnorm + 1e-10
         assert off.operator_norm() <= vnorm + 1e-10
@@ -251,7 +261,7 @@ def test_block_diagonal_part_commutes_with_local_projector():
     for t in qlo.terms:
         diag, _ = block_split(t, code)
         P, _ = local_projectors(code, t.support)
-        M = operator_dense(len(t.support), diag.patch_paulis())
+        M = operator_dense(len(t.support), (diag.c, diag.x, diag.z))
         assert np.linalg.norm(P @ M - M @ P) < 1e-10
 
 

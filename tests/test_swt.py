@@ -23,7 +23,7 @@ from stabbench.matrices import (
     code_hamiltonian_dense,
     operator_dense,
 )
-from stabbench.pauli import PauliString
+from stabbench.pauli import PauliString, columns
 from stabbench.quasilocal import (
     LocalTerm,
     QuasiLocalOperator,
@@ -234,7 +234,7 @@ def test_swt_run_on_toric_field():
     assert not run.diverging
     assert 0 < run.schedule_sup < float("inf")
     # spectrum invariance under the assembled unitary
-    H = code_hamiltonian_dense(code) + operator_dense(code.n, terms)
+    H = code_hamiltonian_dense(code) + operator_dense(code.n, columns(terms))
     vals = np.linalg.eigvalsh(H)
     rotated = run.unitary.conj().T @ H @ run.unitary
     vals_rot = np.linalg.eigvalsh(0.5 * (rotated + rotated.conj().T))
@@ -281,7 +281,7 @@ def test_spectral_report_dense_matches_full_diagonalization(code, kind):
     rep = spectral_report(code, terms, eps, mode="dense", num_eigs=1 << code.n,
                           weyl_check=True)
     H0 = code_hamiltonian_dense(code)
-    V = operator_dense(code.n, terms)
+    V = operator_dense(code.n, columns(terms))
     vals = np.linalg.eigvalsh(H0 + eps * V)
     assert np.allclose(rep.eigenvalues, vals, atol=1e-10)
     margin = eps * np.linalg.norm(V, 2) - np.max(
