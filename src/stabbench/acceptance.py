@@ -116,10 +116,12 @@ def _timed(fn):
     return wrapper
 
 
-def _random_perturbation(code, rng, num_terms=5, max_weight=2, scale=0.1):
+def _random_perturbation(code, rng, scale=0.1):
+    """Five random Paulis of weight 1 or 2, coefficients uniform in
+    [-scale, scale]."""
     terms = []
-    for _ in range(num_terms):
-        w = rng.randint(1, max_weight)
+    for _ in range(5):
+        w = rng.randint(1, 2)
         sup = rng.sample(range(code.n), w)
         x = z = 0
         for q in sup:
@@ -379,7 +381,7 @@ def criterion_6_flow_fidelity() -> CriterionResult:
     ci = c_iter_const(consts)
     e0 = epsilon_zero_search(consts, m_check=10_000, c_iter=ci.value)
     traj = flow_trajectory(e0.value, consts, 200)
-    rows = check_envelope(traj, consts, ci.value, e0.value, rtol=1e-10)
+    rows = check_envelope(traj, consts, ci.value, e0.value)
     bad = [
         r for r in rows
         if not all(v for k, v in r.items() if k != "m")

@@ -145,7 +145,10 @@ def validate(code: StabilizerCode) -> CodeGraphMetrics:
             adj[b].add(a)
     q_prime = max(per_qubit, default=0)
     delta = max((len(s) for s in adj), default=0)
-    ball_sizes = tuple(_ball_profile(adj, i) for i in range(code.n))
+    ball_sizes = tuple(
+        tuple(itertools.accumulate(map(len, _bfs_layers(adj, (i,)))))
+        for i in range(code.n)
+    )
     return CodeGraphMetrics(
         n=code.n,
         edges=frozenset(edges),
@@ -156,43 +159,31 @@ def validate(code: StabilizerCode) -> CodeGraphMetrics:
     )
 
 
-def _ball_profile(adj, start: int) -> tuple[int, ...]:
-    seen = {start}
-    frontier = [start]
-    profile = [1]
-    while frontier:
+def _bfs_layers(adj, sources) -> list[list[int]]:
+    """Breadth-first layers of the code graph: layer d holds the qubits at
+    distance d from the sources, up to the last nonempty layer."""
+    seen = set(sources)
+    layers = [list(seen)]
+    while True:
         nxt = []
-        for v in frontier:
+        for v in layers[-1]:
             for w in adj[v]:
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)
         if not nxt:
-            break
-        profile.append(profile[-1] + len(nxt))
-        frontier = nxt
-    return tuple(profile)
+            return layers
+        layers.append(nxt)
 
 
-def graph_distance(metrics: CodeGraphMetrics, sources, targets=None) -> dict:
+def graph_distance(metrics: CodeGraphMetrics, sources) -> dict:
     """BFS distances on the code graph from a set of source qubits."""
     adj: list[set[int]] = [set() for _ in range(metrics.n)]
     for a, b in metrics.edges:
         adj[a].add(b)
         adj[b].add(a)
-    dist = {s: 0 for s in sources}
-    frontier = list(sources)
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if w not in dist:
-                    dist[w] = d
-                    nxt.append(w)
-        frontier = nxt
-    return dist
+    return {q: d for d, layer in enumerate(_bfs_layers(adj, sources))
+            for q in layer}
 
 
 def syndrome_of(code: StabilizerCode, p: PauliString) -> BitVector:

@@ -225,13 +225,13 @@ def hypergraph_product(c1: BipartiteTanner, c2: BipartiteTanner) -> StabilizerCo
 
 
 def random_biregular_classical(
-    n_bits: int, deg_bit: int, deg_check: int, seed: int, max_repair_rounds: int = 100
+    n_bits: int, deg_bit: int, deg_check: int, seed: int
 ) -> BipartiteTanner:
     """Configuration-model bipartite graph with exact (deg_bit, deg_check)
     degrees; parallel edges are resolved by re-pairing stub pairs.
 
     Deterministic for a fixed seed.  Raises on infeasible degree sequences
-    or when the repair budget runs out.
+    or when 100 repair rounds leave a parallel edge.
     """
     if deg_bit <= 2 or deg_check <= 2:
         raise ValueError("degrees must exceed 2")
@@ -247,7 +247,7 @@ def random_biregular_classical(
     check_stubs = [i // deg_check for i in range(total)]
     rng.shuffle(check_stubs)
     pairs = list(zip(bit_stubs, check_stubs))
-    for _ in range(max_repair_rounds):
+    for _ in range(100):
         seen = set()
         dup_positions = []
         for pos, pr in enumerate(pairs):

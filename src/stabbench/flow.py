@@ -169,12 +169,12 @@ class IterationConstant:
     truncation_index: int
 
 
-def c_iter_const(consts: FlowConstants, rel_tol: float = 1e-12) -> IterationConstant:
+def c_iter_const(consts: FlowConstants) -> IterationConstant:
     """The iteration constant: max of the growth-weighted geometric sum arm
     and the 27/(kappa_2 delta kappa_1) floor arm.
 
-    The infinite sum is truncated once the running term drops below
-    ``rel_tol`` of the partial sum; the truncation index is reported.
+    The infinite sum is truncated once the running term drops below 1e-12
+    of the partial sum; the truncation index is reported.
     """
     k1 = consts.kappa1
     dkt1 = delta_kappa_tilde(k1, 1)
@@ -189,7 +189,7 @@ def c_iter_const(consts: FlowConstants, rel_tol: float = 1e-12) -> IterationCons
             / delta_kappa(k1, m - 1)
         )
         total += term
-        if term < rel_tol * total and m > 8:
+        if term < 1e-12 * total and m > 8:
             break
         if m > 100000:
             raise RuntimeError("iteration-constant sum failed to settle")
@@ -291,23 +291,24 @@ def envelope_bounds(consts: FlowConstants, c_iter: float, epsilon: float,
 
 
 def check_envelope(traj: list[FlowState], consts: FlowConstants,
-                   c_iter: float, epsilon: float,
-                   rtol: float = 1e-10) -> list[dict]:
+                   c_iter: float, epsilon: float) -> list[dict]:
     """Compare a trajectory against the envelope and the step-validity
-    condition v~_m <= delta kappa_m / 3; returns one report row per order."""
+    condition v~_m <= delta kappa_m / 3, each at relative tolerance 1e-10;
+    returns one report row per order."""
+    slack = 1.0 + 1e-10
     rows = []
     for st in traj:
         dk = delta_kappa(consts.kappa1, st.m)
         row = {
             "m": st.m,
-            "valid_swt": st.v_tilde <= dk / 3.0 * (1.0 + rtol),
+            "valid_swt": st.v_tilde <= dk / 3.0 * slack,
         }
         if st.m >= 2:
             env = envelope_bounds(consts, c_iter, epsilon, st.m)
-            row["v_ok"] = st.v <= env["v"] * (1.0 + rtol)
-            row["v_tilde_ok"] = st.v_tilde <= env["v_tilde"] * (1.0 + rtol)
-            row["d_ok"] = st.d <= env["d"] * (1.0 + rtol)
-            row["d_tilde_ok"] = st.d_tilde <= env["d_tilde"] * (1.0 + rtol) or (
+            row["v_ok"] = st.v <= env["v"] * slack
+            row["v_tilde_ok"] = st.v_tilde <= env["v_tilde"] * slack
+            row["d_ok"] = st.d <= env["d"] * slack
+            row["d_tilde_ok"] = st.d_tilde <= env["d_tilde"] * slack or (
                 st.m < 3 and st.d_tilde == 0.0
             )
         rows.append(row)

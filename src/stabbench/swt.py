@@ -329,7 +329,6 @@ class LtoReport:
     counterexample: PauliString | None
     region: frozenset
     candidates_checked: int
-    exhaustive: bool
 
 
 def local_indistinguishability_check(
@@ -337,9 +336,6 @@ def local_indistinguishability_check(
     s,
     r: int,
     region=None,
-    max_enumeration: int = 4096,
-    samples: int = 512,
-    seed: int = 0,
 ) -> LtoReport:
     """Test whether every operator supported in S is locally trivial on the
     enlarged region (the r-neighborhood of S unless given explicitly).
@@ -348,16 +344,23 @@ def local_indistinguishability_check(
     the region is compressed to zero by the local projector, so the only
     candidates are Paulis commuting with all inside checks; such a Pauli
     acts as a scalar on the local ground space iff (up to sign) it is a
-    product of inside checks, a pure GF(2) membership question.  Returns
-    the first counterexample otherwise.
+    product of inside checks, a pure GF(2) membership question.  Both the
+    candidates and the products of inside checks are GF(2) subspaces, so
+    the check is exact on a basis of the candidates: it holds iff every
+    basis vector reduces to zero against the inside checks, and the first
+    basis vector that does not is returned as the counterexample.  Raises
+    ValueError for qubits of S or of an explicit region outside range(n).
     """
     S = frozenset(s)
+    explicit = frozenset(region) if region is not None else frozenset()
+    outside = sorted(q for q in S | explicit if not 0 <= q < code.n)
+    if outside:
+        raise ValueError(f"qubits {outside} lie outside range({code.n})")
     if region is None:
-        metrics = validate(code)
-        dist = graph_distance(metrics, S)
+        dist = graph_distance(validate(code), S)
         region = frozenset(q for q, d in dist.items() if d <= r)
     else:
-        region = frozenset(region)
+        region = explicit
     if not S <= region:
         raise ValueError("region must contain S")
     inside = checks_inside(code, region)
@@ -370,37 +373,15 @@ def local_indistinguishability_check(
     cand_basis = nullspace(BitMatrix.from_rows(rows, 2 * ns)) if rows else [
         BitVector(2 * ns, 1 << j) for j in range(2 * ns)
     ]
-    dim = len(cand_basis)
     inside_span = _symplectic_span(code, inside)
-
-    def lift(bits: int) -> PauliString:
+    for checked, v in enumerate(cand_basis, 1):
         x = z = 0
         for j, q in enumerate(squbits):
-            if (bits >> j) & 1:
-                x |= 1 << q
-            if (bits >> (ns + j)) & 1:
-                z |= 1 << q
-        return PauliString(code.n, x, z)
-
-    exhaustive = (1 << dim) <= max_enumeration
-    if exhaustive:
-        combos = range(1, 1 << dim)
-    else:
-        rng = np.random.default_rng(seed)
-        combos = (int(rng.integers(1, 1 << dim)) for _ in range(samples))
-    checked = 0
-    for combo in combos:
-        bits = 0
-        for j in range(dim):
-            if (combo >> j) & 1:
-                bits ^= cand_basis[j].bits
-        if bits == 0:
-            continue
-        checked += 1
-        p = lift(bits)
-        if inside_span.reduce(p.x | p.z << code.n):
-            return LtoReport(False, p, region, checked, exhaustive)
-    return LtoReport(True, None, region, checked, exhaustive)
+            x |= (v.bits >> j & 1) << q
+            z |= (v.bits >> (ns + j) & 1) << q
+        if inside_span.reduce(x | z << code.n):
+            return LtoReport(False, PauliString(code.n, x, z), region, checked)
+    return LtoReport(True, None, region, len(cand_basis))
 
 
 def operator_locally_trivial(code: StabilizerCode, p: PauliString,

@@ -11,6 +11,7 @@ from stabbench.code import (
     InvalidCodeError,
     StabilizerCode,
     code_parameters,
+    graph_distance,
     hamiltonian_description,
     logicals,
     num_logical_qubits,
@@ -20,6 +21,7 @@ from stabbench.code import (
 from stabbench.constructors import (
     BipartiteTanner,
     hypergraph_product,
+    ising_toric,
     random_biregular_classical,
     repetition_code,
     toric_code,
@@ -68,6 +70,42 @@ def test_growth_profile_bounds():
             assert m.gamma_cumulative(i, r) <= 1 + sum(
                 m.delta ** j for j in range(1, r + 1)
             )
+
+
+def plain_distances(code, sources) -> dict:
+    """Reference BFS: distances from ``sources`` on the graph whose qubits
+    are adjacent when some check acts on both."""
+    dist = {q: 0 for q in sources}
+    queue = list(sources)
+    for v in queue:
+        for c in code.checks:
+            sup = c.support()
+            if v in sup:
+                for w in sup:
+                    if w not in dist:
+                        dist[w] = dist[v] + 1
+                        queue.append(w)
+    return dist
+
+
+@pytest.mark.parametrize("code", [
+    toric_code(3),
+    hypergraph_product(BipartiteTanner.repetition(3),
+                       BipartiteTanner.repetition(4)),
+    ising_toric(3),
+], ids=["toric3", "hgp_rep3_rep4", "ising_toric3"])
+def test_ball_sizes_and_graph_distance_match_plain_bfs(code):
+    m = validate(code)
+    for i in range(code.n):
+        dist = plain_distances(code, [i])
+        want = tuple(sum(d <= r for d in dist.values())
+                     for r in range(max(dist.values()) + 1))
+        assert m.ball_sizes[i] == want
+        assert graph_distance(m, [i]) == dist
+    rng = random.Random(3)
+    for size in (0, 1, 2, 5):
+        sources = rng.sample(range(code.n), size)
+        assert graph_distance(m, sources) == plain_distances(code, sources)
 
 
 def test_syndrome_identity_and_midchain_x():

@@ -7,8 +7,10 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabbench import matrices
+from stabbench.code import StabilizerCode
 from stabbench.constructors import (
     ising_toric,
     repetition_code,
@@ -18,16 +20,17 @@ from stabbench.constructors import (
 )
 from stabbench.experiments import uniform_field_terms
 from stabbench.flow import kappa_m
-from stabbench.gf2 import BitVector
+from stabbench.gf2 import BitMatrix, BitVector, Echelon, nullspace
 from stabbench.matrices import (
     code_hamiltonian_dense,
     operator_dense,
 )
-from stabbench.pauli import PauliString, columns
+from stabbench.pauli import PauliString, columns, commutes, restrict
 from stabbench.quasilocal import (
     LocalTerm,
     QuasiLocalOperator,
     block_diagonal_part,
+    checks_inside,
     decompose,
     kappa_norm,
     local_projectors,
@@ -42,7 +45,9 @@ from stabbench.swt import (
     spectral_report,
     swt_run,
 )
+from tests.test_code import plain_distances
 from tests.test_quasilocal import (
+    ORACLE_CODES,
     assert_same_term,
     dense_generator_term,
     field_code,
@@ -419,6 +424,96 @@ def test_lto_ising_toric_explicit_dual_neighborhood_L3():
     assert not rep.holds
     b_f = PauliString.from_support(code.n, "Z", support)
     assert not operator_locally_trivial(code, b_f, frozenset(region))
+
+
+def enumerated_lto(code, s, r, region=None):
+    """Reference local-indistinguishability check: (holds, counterexample,
+    region) from every nonzero combination of the candidate basis, in the
+    order of their bit patterns, the first combination outside the span of
+    the inside checks being the counterexample."""
+    S = frozenset(s)
+    if region is None:
+        region = frozenset(q for q, d in plain_distances(code, S).items()
+                           if d <= r)
+    region = frozenset(region)
+    inside = checks_inside(code, region)
+    squbits = sorted(S)
+    ns = len(squbits)
+    rows = [BitVector(2 * ns, c.z | c.x << ns)
+            for c in (restrict(code.checks[i], squbits) for i in inside)]
+    basis = nullspace(BitMatrix.from_rows(rows, 2 * ns)) if rows else [
+        BitVector(2 * ns, 1 << j) for j in range(2 * ns)]
+    span = Echelon(code.checks[i].x | code.checks[i].z << code.n
+                   for i in inside)
+    for combo in range(1, 1 << len(basis)):
+        bits = 0
+        for j, v in enumerate(basis):
+            if combo >> j & 1:
+                bits ^= v.bits
+        x = z = 0
+        for j, q in enumerate(squbits):
+            x |= (bits >> j & 1) << q
+            z |= (bits >> (ns + j) & 1) << q
+        if span.reduce(x | z << code.n):
+            return False, PauliString(code.n, x, z), region
+    return True, None, region
+
+
+@st.composite
+def lto_cases(draw):
+    """(code, S, r, region or None) on the small oracle codes, with up to
+    five qubits in S so that the reference enumerates at most 2^10
+    combinations."""
+    code = ORACLE_CODES[draw(st.sampled_from(sorted(ORACLE_CODES)))]
+    qubits = st.integers(0, code.n - 1)
+    s = draw(st.sets(qubits, min_size=1, max_size=5))
+    region = None
+    if draw(st.booleans()):
+        region = s | draw(st.sets(qubits))
+    return code, s, draw(st.integers(0, 2)), region
+
+
+@settings(max_examples=200, deadline=None)
+@given(lto_cases())
+def test_lto_basis_check_matches_enumeration(case):
+    code, s, r, region = case
+    rep = local_indistinguishability_check(code, s, r, region=region)
+    assert (rep.holds, rep.counterexample, rep.region) == \
+        enumerated_lto(code, s, r, region)
+
+
+def test_lto_79_candidate_dimensions():
+    # One check Z0 Z1 on 40 qubits with S = region = every qubit leaves 79
+    # candidate dimensions, past what a 2^dim enumeration could reach.
+    n = 40
+    code = StabilizerCode.from_checks(
+        n, [PauliString.from_support(n, "Z", (0, 1))])
+    everything = frozenset(range(n))
+    rep = local_indistinguishability_check(code, everything, r=0,
+                                           region=everything)
+    assert not rep.holds
+    assert 1 <= rep.candidates_checked <= 79
+    assert commutes(rep.counterexample, code.checks[0])
+    assert not operator_locally_trivial(code, rep.counterexample, everything)
+
+
+def test_lto_toric8_block_holds_on_all_18_candidates():
+    L = 8
+    block = frozenset(toric_qubit_index(L, x, y, o)
+                      for x in range(4) for y in range(4) for o in (0, 1))
+    rep = local_indistinguishability_check(toric_code(L), block, r=1)
+    assert rep.holds and rep.counterexample is None
+    assert rep.candidates_checked == 18
+
+
+@pytest.mark.parametrize("s, region", [
+    ({100}, None),
+    ({-1}, None),
+    ({3}, {3, 100}),
+], ids=["s_above_n", "s_negative", "region_above_n"])
+def test_lto_rejects_qubits_outside_the_code(s, region):
+    with pytest.raises(ValueError, match=r"qubits \[(100|-1)\] lie outside"):
+        local_indistinguishability_check(toric_code(2), s, r=1, region=region)
 
 
 def test_relative_bound_trivial_cases():
