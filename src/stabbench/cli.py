@@ -119,8 +119,7 @@ def cmd_params(args) -> int:
 def cmd_soundness(args) -> int:
     code, meta = _load_code(args.code)
     prof = soundness_profile(code, m_max=args.m_max, budget=args.budget)
-    exp = expansion_profile(code, size_max=args.size_max,
-                            samples=args.samples, seed=args.seed)
+    exp = expansion_profile(code, size_max=args.size_max)
     payload = {
         "input": {"code": meta, "m_max": args.m_max,
                   "size_max": args.size_max, "seed": args.seed},
@@ -131,10 +130,13 @@ def cmd_soundness(args) -> int:
         "expansion": exp.as_dict(),
     }
     _write_json(payload, args.out)
-    partial = any(not p.certified for p in prof["sectors"].values())
-    if partial:
-        print("warning: profile truncated by budget (sampled, not certified)",
-              file=sys.stderr)
+    if any(not p.certified for p in prof["sectors"].values()):
+        print("warning: soundness sweep truncated at --budget elements: "
+              "lower estimates, not certified", file=sys.stderr)
+    if not exp.certified:
+        print("warning: expansion profile truncated at the search budget: "
+              f"subset sizes up to {max(exp.min_weight_by_size, default=0)} "
+              "only, not certified", file=sys.stderr)
     return EXIT_OK
 
 
@@ -148,7 +150,7 @@ def cmd_flow(args) -> int:
         ci = c_iter_const(consts)
         e0 = epsilon_zero_search(consts, m_check=args.m_check,
                                  c_iter=ci.value)
-    except RuntimeError as exc:
+    except (RuntimeError, OverflowError) as exc:
         print(f"infeasible flow constants: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     epsilon = args.epsilon if args.epsilon is not None else e0.value
@@ -319,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("code")
     p.add_argument("--m-max", type=int, default=None, dest="m_max")
     p.add_argument("--size-max", type=int, default=4, dest="size_max")
-    p.add_argument("--samples", type=int, default=20000)
     p.add_argument("--budget", type=int, default=1 << 22)
     common(p)
     p.set_defaults(func=cmd_soundness)

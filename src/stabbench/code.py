@@ -1,4 +1,5 @@
-"""Stabilizer codes: validation, syndromes, logicals, parameters, code graph.
+"""Stabilizer codes: the signed check group, validation, syndromes,
+logicals, parameters, code graph.
 
 A code is a list of mutually commuting checks with weights lambda >= 1.
 Redundant checks are kept as-is because syndromes are indexed by the full
@@ -10,12 +11,111 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .gf2 import BitMatrix, BitVector, Echelon, min_weight_codeword, nullspace, rank
-from .pauli import PauliString, commutes, product
+from .pauli import PauliString, commutes, power_of_i, signed_span
 
 
 class InvalidCodeError(ValueError):
     """The check set does not define a stabilizer code."""
+
+
+class CheckGroup:
+    """The signed group generated by commuting Pauli strings, in GF(2)
+    coordinates.
+
+    The basis is the independent generators, taken in order (``indices``
+    holds the generator index of each), plus one element -I when a
+    dependent generator's sign differs from the product of its basis
+    combination; ``minus`` is then the coordinate of -I, otherwise 0.
+    Coordinate c stands for the product of the basis elements its bits
+    select, so a product of group elements XORs their coordinates,
+    generator i is the integer ``masks[i]``, and the group is the span of
+    the masks: 2^rank elements.  Raises InvalidCodeError naming the first
+    pair of anticommuting generators.
+    """
+
+    def __init__(self, generators, n: int):
+        generators = list(generators)
+        self.n = n
+        self.basis: list[PauliString] = []
+        self.indices: list[int] = []
+        self.masks: list[int] = []
+        # Row b carries basis element b's selector bit above its 2n
+        # symplectic bits, so a reduced word records its basis combination.
+        self._echelon = Echelon()
+        # Odd overlaps of x | z << n with the basis's z | x << n rows: a
+        # generator commuting with the basis commutes with the span.
+        twisted: list[int] = []
+        flipped = []
+        for i, g in enumerate(generators):
+            row = g.x | g.z << n
+            if any((row & t).bit_count() & 1 for t in twisted):
+                a, b = next(pair for pair in itertools.combinations(
+                    range(len(generators)), 2)
+                    if not commutes(*(generators[c] for c in pair)))
+                raise InvalidCodeError(f"checks {a} and {b} are anticommuting")
+            sel = self._combination(row)
+            if sel is None:
+                sel = 1 << len(self.basis)
+                self._echelon.add(row | sel << 2 * n)
+                self.indices.append(i)
+                self.basis.append(g)
+                twisted.append(g.z | g.x << n)
+            elif self._product(sel)[2] != g.sign:
+                flipped.append(i)
+            self.masks.append(sel)
+        self.minus = 0
+        if flipped:
+            self.minus = 1 << len(self.basis)
+            self.basis.append(PauliString(n, sign=-1))
+            for i in flipped:
+                self.masks[i] |= self.minus
+        self.rank = len(self.basis)
+
+    def _combination(self, row: int):
+        """Basis combination with the symplectic row ``row``, or None when
+        the row lies outside the span."""
+        residual = self._echelon.reduce(row)
+        if residual & ((1 << 2 * self.n) - 1):
+            return None
+        return residual >> 2 * self.n
+
+    def _product(self, coord: int) -> tuple[int, int, int]:
+        """(x, z, sign) of the product of the basis elements the bits of
+        ``coord`` select, its phase tracked as in ``pauli.signed_span``."""
+        x = z = e = 0
+        for b, p in enumerate(self.basis):
+            if coord >> b & 1:
+                e += power_of_i(p) + 2 * (z & p.x).bit_count()
+                x, z = x ^ p.x, z ^ p.z
+        return x, z, 1 if (e - (x & z).bit_count()) % 4 == 0 else -1
+
+    def element(self, coord: int) -> PauliString:
+        return PauliString(self.n, *self._product(coord))
+
+    def coordinate(self, p: PauliString):
+        """Coordinate of the group element p, or None when p (sign
+        included) is not in the group."""
+        sel = self._combination(p.x | p.z << self.n)
+        if sel is None:
+            return None
+        if self._product(sel)[2] == p.sign:
+            return sel
+        return sel | self.minus if self.minus else None
+
+    def spans(self, p: PauliString) -> bool:
+        """Whether p or -p is in the group."""
+        return self._combination(p.x | p.z << self.n) is not None
+
+    def signed_span(self) -> tuple:
+        """Every group element, as the int64 (x, z, e mod 4) columns of
+        ``pauli.signed_span`` over the basis: row c is the element with
+        coordinate c.  Needs n <= 63."""
+        return signed_span(np.array([b.x for b in self.basis], dtype=np.int64),
+                           np.array([b.z for b in self.basis], dtype=np.int64),
+                           [power_of_i(b) for b in self.basis])
 
 
 @dataclass(frozen=True)
@@ -109,8 +209,9 @@ class CodeGraphMetrics:
 def validate(code: StabilizerCode) -> CodeGraphMetrics:
     """Check commutation/weight invariants and compute code-graph metrics.
 
-    Raises InvalidCodeError naming the first offending pair when two checks
-    anticommute; also rejects lambda < 1 and checks with -1 signs.
+    Raises InvalidCodeError for lambda < 1, for checks with -1 signs, and
+    through ``CheckGroup`` for the first pair of anticommuting checks and
+    for a check group holding -I (an empty code space).
     """
     for i, lam in enumerate(code.lambdas):
         if lam < 1.0:
@@ -118,45 +219,40 @@ def validate(code: StabilizerCode) -> CodeGraphMetrics:
     for i, c in enumerate(code.checks):
         if c.sign != 1:
             raise InvalidCodeError(f"check {i} has sign -1")
-    for i, j in itertools.combinations(range(code.num_checks), 2):
-        if not commutes(code.checks[i], code.checks[j]):
+    group = CheckGroup(code.checks, code.n)
+    for i, m in enumerate(group.masks):
+        if m & group.minus:  # The code space is empty.
+            combo = [c for b, c in enumerate(group.indices) if m >> b & 1]
             raise InvalidCodeError(
-                f"checks {i} and {j} anticommute: "
-                f"{code.checks[i]} vs {code.checks[j]}"
-            )
-    # Redundant products must equal +I, otherwise the codespace is empty.
-    for combo in nullspace(code.symplectic_matrix().transpose()):
-        sel = [code.checks[i] for i in combo.indices()]
-        if sel and product(sel).sign != 1:
-            raise InvalidCodeError(
-                f"redundant check product over {combo.indices()} equals -I"
-            )
-    q = max((c.weight() for c in code.checks), default=0)
+                f"checks {sorted(combo + [i])} multiply to -I")
+    adj = _adjacency(code)
     per_qubit = [0] * code.n
-    adj: list[set[int]] = [set() for _ in range(code.n)]
-    edges = set()
     for c in code.checks:
-        sup = sorted(c.support())
-        for qb in sup:
+        for qb in c.support():
             per_qubit[qb] += 1
-        for a, b in itertools.combinations(sup, 2):
-            edges.add((a, b))
-            adj[a].add(b)
-            adj[b].add(a)
-    q_prime = max(per_qubit, default=0)
-    delta = max((len(s) for s in adj), default=0)
     ball_sizes = tuple(
         tuple(itertools.accumulate(map(len, _bfs_layers(adj, (i,)))))
         for i in range(code.n)
     )
     return CodeGraphMetrics(
         n=code.n,
-        edges=frozenset(edges),
-        delta=delta,
-        q=q,
-        q_prime=q_prime,
+        edges=frozenset((a, b) for a, near in enumerate(adj) for b in near
+                        if a < b),
+        delta=max(map(len, adj), default=0),
+        q=max((c.weight() for c in code.checks), default=0),
+        q_prime=max(per_qubit, default=0),
         ball_sizes=ball_sizes,
     )
+
+
+def _adjacency(code: StabilizerCode) -> list[set[int]]:
+    """The code graph as neighbour sets: qubits sharing a check."""
+    adj: list[set[int]] = [set() for _ in range(code.n)]
+    for c in code.checks:
+        sup = c.support()
+        for qb in sup:
+            adj[qb] |= sup - {qb}
+    return adj
 
 
 def _bfs_layers(adj, sources) -> list[list[int]]:
@@ -184,6 +280,11 @@ def graph_distance(metrics: CodeGraphMetrics, sources) -> dict:
         adj[b].add(a)
     return {q: d for d, layer in enumerate(_bfs_layers(adj, sources))
             for q in layer}
+
+
+def ball(code: StabilizerCode, sources, r: int) -> frozenset:
+    """The qubits within code-graph distance r of the sources."""
+    return frozenset().union(*_bfs_layers(_adjacency(code), sources)[:r + 1])
 
 
 def syndrome_of(code: StabilizerCode, p: PauliString) -> BitVector:

@@ -110,16 +110,6 @@ class BitMatrix:
     def row_ints(self) -> list[int]:
         return [r.bits for r in self.rows]
 
-    def transpose(self) -> "BitMatrix":
-        cols = []
-        for j in range(self.cols):
-            bits = 0
-            for i, r in enumerate(self.rows):
-                if r.get(j):
-                    bits |= 1 << i
-            cols.append(BitVector(self.nrows, bits))
-        return BitMatrix(tuple(cols), self.nrows)
-
     def mul_left(self, x: BitVector) -> BitVector:
         """Row combination x^T * self (x selects rows to XOR)."""
         if x.length != self.nrows:

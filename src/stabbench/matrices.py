@@ -17,8 +17,9 @@ import numpy as np
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
+from .code import CheckGroup
 from .gf2 import Echelon
-from .pauli import I_POWERS, PauliString, columns, power_of_i, signed_span
+from .pauli import I_POWERS, PauliString, columns
 
 # Most qubits of a dense 2^n x 2^n matrix (256 MB complex at the limit):
 # the limit of every dense build here, of the exact SWT engine, of dense
@@ -66,22 +67,11 @@ def code_hamiltonian_dense(code) -> np.ndarray:
     return operator_dense(code.n, columns(code_hamiltonian_terms(code)))
 
 
-def independent_checks(code) -> list[int]:
-    """Indices of a maximal independent subset of the check list."""
-    basis = Echelon()
-    return [
-        i for i, c in enumerate(code.checks) if basis.add(c.x | (c.z << code.n))
-    ]
-
-
 def codespace_projector_dense(code) -> np.ndarray:
-    """P = prod (I+Q)/2 as the normalized sum over the stabilizer group:
-    the 2^rank signed products of an independent set of checks, each
-    i^e X^x Z^z of ``pauli.signed_span`` weighted i^(e - |x & z|) / 2^rank."""
-    basis = [code.checks[i] for i in independent_checks(code)]
-    x, z, e = signed_span(np.array([q.x for q in basis], dtype=np.int64),
-                          np.array([q.z for q in basis], dtype=np.int64),
-                          [power_of_i(q) for q in basis])
+    """P = prod (I+Q)/2 as the normalized sum over the signed check group
+    (``code.CheckGroup``): its 2^rank elements i^e X^x Z^z, each weighted
+    i^(e - |x & z|) / 2^rank.  P = 0 when the group holds -I."""
+    x, z, e = CheckGroup(code.checks, code.n).signed_span()
     c = I_POWERS[(e - np.bitwise_count(x & z)) % 4] / len(x)
     return operator_dense(code.n, (c, x, z))
 

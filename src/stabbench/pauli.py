@@ -174,17 +174,20 @@ def signed_span(x: np.ndarray, z: np.ndarray, e) -> tuple:
     row s of each returned array (x, z, e mod 4) is the product of the
     strings the bits of s select, in order.  The phase follows
     (i^a X^x Z^z)(i^b X^x' Z^z') = i^(a + b + 2|z & x'|) X^(x^x') Z^(z^z').
+    The tables are filled by doubling: rows 2^b..2^(b+1) are rows 0..2^b
+    times string b.
     """
-    tx = np.zeros((1, *x.shape[1:]), x.dtype)
+    tx = np.zeros((1 << len(e), *x.shape[1:]), x.dtype)
     tz = np.zeros_like(tx)
-    te = np.zeros(1, np.int64)
+    te = np.zeros(len(tx), np.int64)
     if x.ndim == 1:
         x, z = x.tolist(), z.tolist()
-    for bx, bz, be in zip(x, z, e):
-        overlap = np.bitwise_count(tz & bx)
+    for b, (bx, bz, be) in enumerate(zip(x, z, e)):
+        low, high = slice(0, 1 << b), slice(1 << b, 2 << b)
+        overlap = np.bitwise_count(tz[low] & bx)
         if overlap.ndim > 1:
             overlap = overlap.sum(axis=1, dtype=np.int64)
-        tx, tz, te = (np.concatenate([tx, tx ^ bx]),
-                      np.concatenate([tz, tz ^ bz]),
-                      np.concatenate([te, (te + be + 2 * overlap) % 4]))
+        np.bitwise_xor(tx[low], bx, out=tx[high])
+        np.bitwise_xor(tz[low], bz, out=tz[high])
+        te[high] = (te[low] + be + 2 * overlap) % 4
     return tx, tz, te

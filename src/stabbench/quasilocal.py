@@ -30,24 +30,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .code import StabilizerCode, syndrome_of
+from .code import CheckGroup, StabilizerCode, syndrome_of
 from .gf2 import BitVector
 from .matrices import (
     DENSE_MAX_QUBITS,
     code_hamiltonian_dense,
     codespace_projector_dense,
-    independent_checks,
     operator_dense,
     payload_norm,
 )
-from .pauli import (
-    I_POWERS,
-    PauliString,
-    columns,
-    power_of_i,
-    restrict,
-    signed_span,
-)
+from .pauli import I_POWERS, PauliString, columns, restrict
 
 PATCH_LIMIT = 14  # norm evaluations refuse patches beyond 2^14 dimensions
 DROP_TOL = 1e-14  # summed coefficients at or below this are dropped
@@ -276,16 +268,14 @@ def _patch_columns(term: LocalTerm, code: StabilizerCode):
     Returns (flipped, energy, group): flipped_i says whether Pauli i
     anticommutes with any inside check, and energy_i is the sum of lambda
     over those it does.  ``group`` = (gx, gz, ge) lists the 2^r elements
-    i^ge X^gx Z^gz of the signed group G_S the inside checks generate.
+    i^ge X^gx Z^gz of G_S, the ``CheckGroup`` of the inside checks.
     """
     patch = _patch_code(code, term.support)
     cx = np.array([q.x for q in patch.checks], dtype=np.int64)
     cz = np.array([q.z for q in patch.checks], dtype=np.int64)
     flips = _odd_overlap(cx[:, None], cz[:, None], term.x, term.z)
     energy = np.array(patch.lambdas) @ flips
-    basis = independent_checks(patch)
-    group = signed_span(cx[basis], cz[basis],
-                        [power_of_i(patch.checks[k]) for k in basis])
+    group = CheckGroup(patch.checks, patch.n).signed_span()
     return flips.any(axis=0), energy, group
 
 

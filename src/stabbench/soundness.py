@@ -1,44 +1,43 @@
 """Empirical check-soundness and check-expansion certification.
 
 Soundness asks: what is the minimal number of checks whose product equals a
-given small stabilizer?  Exact answers come from a breadth-first search
-over the signed check group (one sweep yields every minimal expansion),
-run in numpy over the group's GF(2) coordinates: each element is a row of
-uint64 words whose bits select independent checks, plus -I when the signs
-put it in the group, and a level is the XOR of the previous one with every
-check's mask.  A budget stops the sweep once that many elements are
-visited, at any rank.  ``min_expansion`` answers one target from the same
-coordinates: the meet in the middle of ``gf2.min_support_solution`` over
-the generator masks, exact with signs because -I is a basis element.  The
-growth-sum bound machinery turns an assumed power-law soundness function
-into the (alpha, c', c'') constants consumed by the flow bounds.
+given small stabilizer?  Each answer is read off the signed check group in
+the GF(2) coordinates of ``code.CheckGroup`` (the independent checks, plus
+-I when the signs put it in the group).  ``sweep`` is a breadth-first
+search from the identity over those coordinates, in numpy: each element is
+a row of uint64 words, and a level is the XOR of the previous one with
+every check's mask; one sweep yields every minimal expansion, and a budget
+stops it once that many elements are visited, at any rank.
+``min_expansion`` answers one target from the same coordinates: the meet
+in the middle of ``gf2.min_support_solution`` over the generator masks,
+exact with signs because -I is a basis element.  ``expansion_profile``
+enumerates check subsets exactly, up to ``gf2.SEARCH_BUDGET`` of them.
+The growth-sum bound machinery turns an assumed power-law soundness
+function into the (alpha, c', c'') constants consumed by the flow bounds.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .code import StabilizerCode
+from .code import CheckGroup, StabilizerCode
 from .gf2 import (
     SEARCH_BUDGET,
     TABLE_ROWS,
     BitMatrix,
     BitVector,
-    Echelon,
     _words,
     min_support_solution,
 )
-from .pauli import PauliString, commutes, power_of_i, product, signed_span
+from .pauli import PauliString, power_of_i, signed_span
 
-# Group elements decoded at a time by ``_CheckGroup.weights_and_signs``.
+# Group elements decoded at a time by ``weights_and_signs``.
 DECODE_BLOCK = 1 << 16
-# Fewest sweep candidates built at a time by ``_CheckGroup.sweep``; a
-# block grows with the elements visited, so it costs O(budget) words.
+# Fewest sweep candidates built at a time by ``sweep``; a block grows with
+# the elements visited, so it costs O(budget) words.
 SWEEP_BLOCK = 1 << 18
 
 
@@ -46,152 +45,87 @@ class NotAStabilizerError(ValueError):
     """Operator is outside the (+1-signed) check group."""
 
 
-class _CheckGroup:
-    """The signed group generated by commuting Pauli strings, in GF(2)
-    coordinates.
+def as_int(coord: np.ndarray) -> int:
+    """The integer coordinate a row of coordinate words stands for."""
+    return int.from_bytes(np.asarray(coord, "<u8").tobytes(), "little")
 
-    The basis is the independent generators, taken in order, plus one
-    element -I when a dependent generator's sign differs from the product
-    of its basis combination.  Coordinate c stands for the product of the
-    basis elements its bits select, so a product of group elements XORs
-    their coordinates, generator i is the integer ``masks[i]``, and the
-    group is the span of the masks: 2^rank elements.
+
+def sweep(group: CheckGroup, budget: int | None = None):
+    """Breadth-first sweep from the identity over the generator masks.
+
+    Returns (levels, complete): levels[d] holds, in visit order, the
+    coordinates (rows of ceil(rank / 64) uint64 words) of the elements
+    whose minimal generator count is d; complete is False when the budget,
+    a cap on the elements visited, stopped the sweep early.  Each level
+    keeps its candidates' first occurrences in (parent, generator) order,
+    the insertion order of a queue-driven search, so a budget cuts the same
+    elements.  Candidates are built a block of parents at a time and the
+    sweep stops as soon as the budget is filled, so it holds O(budget)
+    words.  A group within the budget (any group, without one) is marked
+    off in a 2^rank array, a larger one in the sorted keys of the
+    coordinates visited.
     """
+    nwords = max(1, -(-group.rank // 64))
+    masks = _words(group.masks, group.rank)
+    levels = [np.zeros((1, nwords), np.uint64)]
+    size = 1
+    if budget is None or 1 << group.rank <= budget:
+        visited = _DenseVisits(group.rank)
+    else:
+        visited = _SortedVisits(_keys(levels[0]))
+    complete = True
+    while complete and len(levels[-1]):
+        frontier, parts = levels[-1], []
+        step = max(1, max(SWEEP_BLOCK, size) // len(masks))
+        for s in range(0, len(frontier), step):
+            cand = (frontier[s:s + step, None] ^ masks).reshape(-1, nwords)
+            keys = _keys(cand)
+            new = visited.first_new(keys)
+            if budget is not None and size + len(new) > budget:
+                new = new[:max(budget - size, 0)]
+                complete = False
+            visited.mark(keys[new])
+            parts.append(cand[new])
+            size += len(new)
+            if not complete:
+                break
+        levels.append(np.concatenate(parts))
+    if not len(levels[-1]):
+        levels.pop()
+    return levels, complete
 
-    def __init__(self, generators, n: int):
-        generators = list(generators)
-        for i, p in enumerate(generators):
-            if not all(commutes(p, q) for q in generators[i + 1:]):
-                raise ValueError("product of anticommuting strings is not Hermitian")
-        self.n = n
-        self.basis: list[PauliString] = []
-        # Row b carries basis element b's selector bit above its 2n
-        # symplectic bits, so a reduced word records its basis combination.
-        self._echelon = Echelon()
-        self.masks: list[int] = []
-        flipped = []
-        for g in generators:
-            found = self._locate(g)
-            if found is None:
-                self._echelon.add(g.x | g.z << n | 1 << (2 * n + len(self.basis)))
-                self.masks.append(1 << len(self.basis))
-                self.basis.append(g)
-            else:
-                if found[1] != g.sign:
-                    flipped.append(len(self.masks))
-                self.masks.append(found[0])
-        self._minus = 0
-        if flipped:
-            self._minus = 1 << len(self.basis)
-            self.basis.append(PauliString(n, sign=-1))
-            for i in flipped:
-                self.masks[i] |= self._minus
-        self.rank = len(self.basis)
 
-    def _locate(self, p: PauliString):
-        """(basis combination, sign of its product) with the x and z of
-        ``p``; None when p's x and z lie outside the span."""
-        residual = self._echelon.reduce(p.x | p.z << self.n)
-        if residual & ((1 << 2 * self.n) - 1):
-            return None
-        sel = residual >> 2 * self.n
-        return sel, self.element(sel).sign
+def weights_and_signs(group: CheckGroup, coords: np.ndarray):
+    """Weight of each coordinate's element and whether its sign is +1.
 
-    def element(self, coord: int) -> PauliString:
-        return product((b for i, b in enumerate(self.basis) if coord >> i & 1),
-                       self.n)
-
-    def coordinate(self, p: PauliString):
-        """Coordinate of the group element p, or None when p (sign
-        included) is not in the group."""
-        found = self._locate(p)
-        if found is None:
-            return None
-        sel, sign = found
-        if sign == p.sign:
-            return sel
-        return sel | self._minus if self._minus else None
-
-    @staticmethod
-    def as_int(coord: np.ndarray) -> int:
-        """The integer a row of coordinate words stands for."""
-        return int.from_bytes(np.asarray(coord, "<u8").tobytes(), "little")
-
-    def sweep(self, budget: int | None = None):
-        """Breadth-first sweep from the identity over the generator masks.
-
-        Returns (levels, complete): levels[d] holds, in visit order, the
-        coordinates (rows of ceil(rank / 64) uint64 words) of the elements
-        whose minimal generator count is d; complete is False when the
-        budget, a cap on the elements visited, stopped the sweep early.
-        Each level keeps its candidates' first occurrences in (parent,
-        generator) order, the insertion order of a queue-driven search, so a
-        budget cuts the same elements.  Candidates are built a block of
-        parents at a time and the sweep stops as soon as the budget is
-        filled, so it holds O(budget) words.  A group within the budget (any
-        group, without one) is marked off in a 2^rank array, a larger one
-        in the sorted keys of the coordinates visited.
-        """
-        nwords = max(1, -(-self.rank // 64))
-        masks = _words(self.masks, self.rank)
-        levels = [np.zeros((1, nwords), np.uint64)]
-        size = 1
-        if budget is None or 1 << self.rank <= budget:
-            visited = _DenseVisits(self.rank)
-        else:
-            visited = _SortedVisits(_keys(levels[0]))
-        complete = True
-        while complete and len(levels[-1]):
-            frontier, parts = levels[-1], []
-            step = max(1, max(SWEEP_BLOCK, size) // len(masks))
-            for s in range(0, len(frontier), step):
-                cand = (frontier[s:s + step, None] ^ masks).reshape(-1, nwords)
-                keys = _keys(cand)
-                new = visited.first_new(keys)
-                if budget is not None and size + len(new) > budget:
-                    new = new[:max(budget - size, 0)]
-                    complete = False
-                visited.mark(keys[new])
-                parts.append(cand[new])
-                size += len(new)
-                if not complete:
-                    break
-            levels.append(np.concatenate(parts))
-        if not len(levels[-1]):
-            levels.pop()
-        return levels, complete
-
-    def weights_and_signs(self, coords: np.ndarray):
-        """Weight of each coordinate's element and whether its sign is +1.
-
-        The elements are built a block at a time from ``signed_span``
-        tables of up to ``TABLE_ROWS`` basis elements each (none straddling
-        a coordinate word), with the phase tracked as the exponent e of
-        i^e X^x Z^z: multiplying by X^x' Z^z' adds 2|z & x'|.
-        """
-        tables = []
-        lo = 0
-        while lo < self.rank:
-            hi = min(lo + TABLE_ROWS, self.rank, (lo // 64 + 1) * 64)
-            part = self.basis[lo:hi]
-            tx, tz, te = signed_span(_words([b.x for b in part], self.n),
-                                     _words([b.z for b in part], self.n),
-                                     [power_of_i(b) for b in part])
-            tables.append((lo // 64, lo % 64, tx, tz, te))
-            lo = hi
-        weights = np.empty(len(coords), np.min_scalar_type(self.n))
-        plus = np.empty(len(coords), bool)
-        for s in range(0, len(coords), DECODE_BLOCK):
-            block = coords[s:s + DECODE_BLOCK]
-            x = z = e = 0
-            for word, shift, tx, tz, te in tables:
-                d = (block[:, word] >> shift) & (len(tx) - 1)
-                qx = tx[d]
-                e = e + te[d] + 2 * _popcount(z & qx)
-                x, z = x ^ qx, z ^ tz[d]
-            weights[s:s + len(block)] = _popcount(x | z)
-            plus[s:s + len(block)] = (e - _popcount(x & z)) % 4 == 0
-        return weights, plus
+    The elements are built a block at a time from ``signed_span`` tables
+    of up to ``TABLE_ROWS`` basis elements each (none straddling a
+    coordinate word), with the phase tracked as the exponent e of
+    i^e X^x Z^z: multiplying by X^x' Z^z' adds 2|z & x'|.
+    """
+    tables = []
+    lo = 0
+    while lo < group.rank:
+        hi = min(lo + TABLE_ROWS, group.rank, (lo // 64 + 1) * 64)
+        part = group.basis[lo:hi]
+        tx, tz, te = signed_span(_words([b.x for b in part], group.n),
+                                 _words([b.z for b in part], group.n),
+                                 [power_of_i(b) for b in part])
+        tables.append((lo // 64, lo % 64, tx, tz, te))
+        lo = hi
+    weights = np.empty(len(coords), np.min_scalar_type(group.n))
+    plus = np.empty(len(coords), bool)
+    for s in range(0, len(coords), DECODE_BLOCK):
+        block = coords[s:s + DECODE_BLOCK]
+        x = z = e = 0
+        for word, shift, tx, tz, te in tables:
+            d = (block[:, word] >> shift) & (len(tx) - 1)
+            qx = tx[d]
+            e = e + te[d] + 2 * _popcount(z & qx)
+            x, z = x ^ qx, z ^ tz[d]
+        weights[s:s + len(block)] = _popcount(x | z)
+        plus[s:s + len(block)] = (e - _popcount(x & z)) % 4 == 0
+    return weights, plus
 
 
 class _DenseVisits:
@@ -263,7 +197,7 @@ def min_expansion(code: StabilizerCode, stab: PauliString,
         raise ValueError(f"unknown method {method!r}")
     if stab.n != code.n:
         raise ValueError("qubit count mismatch")
-    group = _CheckGroup(code.checks, code.n)
+    group = CheckGroup(code.checks, code.n)
     target = group.coordinate(stab)
     if target is None:
         raise NotAStabilizerError("operator is outside the signed check group")
@@ -311,12 +245,12 @@ class SoundnessProfile:
 
 def _sector_profile(generators, n: int, m_max: int, sector: str,
                     budget: int) -> SoundnessProfile:
-    group = _CheckGroup(generators, n)
-    levels, complete = group.sweep(budget)
+    group = CheckGroup(generators, n)
+    levels, complete = sweep(group, budget)
     coords = np.concatenate(levels)
     dist = np.repeat(np.arange(len(levels), dtype=np.min_scalar_type(len(levels))),
                      [len(lv) for lv in levels])
-    weights, plus = group.weights_and_signs(coords)
+    weights, plus = weights_and_signs(group, coords)
     # -1-signed elements are not stabilizers.
     idx = np.flatnonzero(plus & (weights >= 1) & (weights <= m_max))
     weights, dist = weights[idx], dist[idx]
@@ -326,7 +260,7 @@ def _sector_profile(generators, n: int, m_max: int, sector: str,
     hit = np.flatnonzero(dist == top[weights])
     found, first = np.unique(weights[hit], return_index=True)
     f_raw = {m: int(top[m]) for m in found.tolist()}
-    witness = {m: str(group.element(group.as_int(coords[i])))
+    witness = {m: str(group.element(as_int(coords[i])))
                for m, i in zip(found.tolist(), idx[hit[first]].tolist())}
     f_emp: dict = {}
     running = 0
@@ -402,56 +336,51 @@ class ExpansionProfile:
         }
 
 
-def expansion_profile(code: StabilizerCode, size_max: int,
-                      samples: int = 20_000, seed: int = 0,
-                      enumeration_limit: int = 10 ** 6) -> ExpansionProfile:
-    """Minimum (product weight)/(subset size) over check subsets.
+def expansion_profile(code: StabilizerCode, size_max: int) -> ExpansionProfile:
+    """Minimum (product weight)/(subset size) over check subsets of up to
+    ``size_max`` checks.  Product weights ignore signs.
 
-    Exact enumeration when the subset count fits the limit, otherwise
-    seeded sampling (per-sample generators derived by counter so results
-    do not depend on scheduling).  Product weights ignore signs.
+    The subsets are enumerated exactly, a size at a time, while the count
+    of subsets up to that size stays within ``gf2.SEARCH_BUDGET``; the
+    sizes past it are left out of ``min_weight_by_size`` and ``certified``
+    is False.  A size with no subsets maps to None.  The products of one
+    size are those of the previous size, as rows of uint64 words, each XOR
+    one check past its last; those of the largest size are only scanned,
+    one check at a time, never stored.
     """
     if size_max < 1:
         raise ValueError("size_max must be >= 1")
     m = code.num_checks
-    masks = [(c.x, c.z) for c in code.checks]
-    total = sum(math.comb(m, s) for s in range(1, size_max + 1))
+    top = counted = 0
+    while top < size_max and counted + math.comb(m, top + 1) <= SEARCH_BUDGET:
+        top += 1
+        counted += math.comb(m, top)
+    cx = _words([c.x for c in code.checks], code.n)
+    cz = _words([c.z for c in code.checks], code.n)
+    # The products of the current size and each one's last check, from
+    # the empty subset.
+    x = z = np.zeros((1, cx.shape[1]), np.uint64)
+    last = np.array([-1])
     min_by_size: dict = {}
-    if total <= enumeration_limit:
-        certified = True
-        for s in range(1, size_max + 1):
-            best = None
-            for comb in itertools.combinations(range(m), s):
-                x = z = 0
-                for i in comb:
-                    x ^= masks[i][0]
-                    z ^= masks[i][1]
-                w = (x | z).bit_count()
-                if best is None or w < best:
-                    best = w
-            min_by_size[s] = best
-    else:
-        certified = False
-        for counter in range(samples):
-            rng = random.Random(seed * 1_000_003 + counter)
-            s = rng.randint(1, size_max)
-            comb = rng.sample(range(m), s)
-            x = z = 0
-            for i in comb:
-                x ^= masks[i][0]
-                z ^= masks[i][1]
-            w = (x | z).bit_count()
-            if s not in min_by_size or w < min_by_size[s]:
-                min_by_size[s] = w
-    eta = min(
-        (w / s for s, w in min_by_size.items() if w is not None),
-        default=float("inf"),
-    )
-    witness = min(
-        (s for s, w in min_by_size.items() if w is not None and w / s == eta),
-        default=0,
-    )
-    return ExpansionProfile(size_max, eta, min_by_size, witness, certified)
+    for s in range(1, top + 1):
+        ends = np.searchsorted(last, np.arange(m))  # products before check j
+        best = code.n + 1
+        xs, zs = [x[:0]], [z[:0]]
+        for j, k in enumerate(ends):
+            px, pz = x[:k] ^ cx[j], z[:k] ^ cz[j]
+            best = int(_popcount(px | pz).min(initial=best))
+            if s < top:
+                xs.append(px)
+                zs.append(pz)
+        min_by_size[s] = best if best <= code.n else None
+        if s < top:
+            x, z = np.concatenate(xs), np.concatenate(zs)
+            last = np.repeat(np.arange(m), ends)
+    ratios = {s: w / s for s, w in min_by_size.items() if w is not None}
+    eta = min(ratios.values(), default=float("inf"))
+    witness = min((s for s, r in ratios.items() if r == eta), default=0)
+    return ExpansionProfile(size_max, eta, min_by_size, witness,
+                            top == size_max)
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .code import StabilizerCode, graph_distance, num_logical_qubits, validate
+from .code import CheckGroup, StabilizerCode, ball, num_logical_qubits
 from .flow import kappa_m
-from .gf2 import BitMatrix, BitVector, Echelon, nullspace
+from .gf2 import BitMatrix, BitVector, nullspace
 from .matrices import (
     DENSE_MAX_QUBITS,
     code_hamiltonian_dense,
@@ -348,19 +348,17 @@ def local_indistinguishability_check(
     candidates and the products of inside checks are GF(2) subspaces, so
     the check is exact on a basis of the candidates: it holds iff every
     basis vector reduces to zero against the inside checks, and the first
-    basis vector that does not is returned as the counterexample.  Raises
-    ValueError for qubits of S or of an explicit region outside range(n).
+    basis vector that does not is returned as the counterexample
+    (``CheckGroup.spans``).  Raises ValueError for qubits of S or of an
+    explicit region outside range(n), and InvalidCodeError when two checks
+    inside the region anticommute.
     """
     S = frozenset(s)
     explicit = frozenset(region) if region is not None else frozenset()
     outside = sorted(q for q in S | explicit if not 0 <= q < code.n)
     if outside:
         raise ValueError(f"qubits {outside} lie outside range({code.n})")
-    if region is None:
-        dist = graph_distance(validate(code), S)
-        region = frozenset(q for q, d in dist.items() if d <= r)
-    else:
-        region = explicit
+    region = ball(code, S, r) if region is None else explicit
     if not S <= region:
         raise ValueError("region must contain S")
     inside = checks_inside(code, region)
@@ -373,14 +371,15 @@ def local_indistinguishability_check(
     cand_basis = nullspace(BitMatrix.from_rows(rows, 2 * ns)) if rows else [
         BitVector(2 * ns, 1 << j) for j in range(2 * ns)
     ]
-    inside_span = _symplectic_span(code, inside)
+    group = CheckGroup((code.checks[i] for i in inside), code.n)
     for checked, v in enumerate(cand_basis, 1):
         x = z = 0
         for j, q in enumerate(squbits):
             x |= (v.bits >> j & 1) << q
             z |= (v.bits >> (ns + j) & 1) << q
-        if inside_span.reduce(x | z << code.n):
-            return LtoReport(False, PauliString(code.n, x, z), region, checked)
+        p = PauliString(code.n, x, z)
+        if not group.spans(p):
+            return LtoReport(False, p, region, checked)
     return LtoReport(True, None, region, len(cand_basis))
 
 
@@ -389,16 +388,10 @@ def operator_locally_trivial(code: StabilizerCode, p: PauliString,
     """Whether a single Pauli acts as a scalar on the joint +1 space of the
     checks contained in ``region``: it either anticommutes with one of them
     or is (up to sign) a product of them."""
-    inside = checks_inside(code, frozenset(region))
-    if not all(commutes(code.checks[i], p) for i in inside):
+    inside = [code.checks[i] for i in checks_inside(code, frozenset(region))]
+    if not all(commutes(c, p) for c in inside):
         return True
-    return _symplectic_span(code, inside).reduce(p.x | p.z << code.n) == 0
-
-
-def _symplectic_span(code: StabilizerCode, indices) -> Echelon:
-    """Echelon form of the ``x | z << n`` rows of the checks at ``indices``."""
-    return Echelon(code.checks[i].x | code.checks[i].z << code.n
-                   for i in indices)
+    return CheckGroup(inside, code.n).spans(p)
 
 
 def relative_bound_estimate(code: StabilizerCode, d_matrix: np.ndarray,

@@ -214,6 +214,38 @@ def test_flow_certificate_valid_with_good_constants(capsys):
     assert hi[0] > lo[1]  # disjoint intervals
 
 
+def test_flow_overflowing_constants_exit_numeric(capsys):
+    # exp(c' dk^-alpha) in the iteration constant passes the float range.
+    code, out, err = run_cli(
+        ["flow", "--cf-prime", "135", "--alpha", "1", "--delta", "8",
+         "--n", "18", "--ds", "3"],
+        capsys,
+    )
+    assert code == 3
+    assert out == ""
+    assert "infeasible flow constants: math range error" in err
+
+
+def test_soundness_command_warns_on_truncation(tmp_path, capsys,
+                                               monkeypatch):
+    import stabbench.soundness as snd
+
+    art = tmp_path / "toric2.json"
+    run_cli(["build", "--family", "toric", "--L", "2", "--out", str(art)],
+            capsys)
+    # 8 checks: 8 + 28 subsets of up to 2 checks fit a budget of 40.
+    monkeypatch.setattr(snd, "SEARCH_BUDGET", 40)
+    code, out, err = run_cli(
+        ["soundness", str(art), "--size-max", "3", "--budget", "4"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert not data["expansion"]["certified"]
+    assert set(data["expansion"]["min_weight_by_size"]) == {"1", "2"}
+    assert "soundness sweep truncated" in err
+    assert "sizes up to 2 only" in err
+    assert "sampled" not in err
+
+
 def test_suite_exit_code_on_failure(capsys, monkeypatch):
     import stabbench.acceptance as acc
     from stabbench.acceptance import CriterionResult

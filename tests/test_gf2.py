@@ -11,7 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabbench import gf2
-from stabbench.code import StabilizerCode
+from stabbench.code import (
+    CheckGroup,
+    InvalidCodeError,
+    StabilizerCode,
+    validate,
+)
 from stabbench.constructors import toric_code
 from stabbench.gf2 import (
     BitMatrix,
@@ -22,8 +27,7 @@ from stabbench.gf2 import (
     rank,
     solve_affine,
 )
-from stabbench.matrices import independent_checks
-from stabbench.pauli import PauliString, commutes
+from stabbench.pauli import PauliString, commutes, product
 
 
 def brute_rank(rows: list[int]) -> int:
@@ -198,10 +202,11 @@ def test_min_support_refuses_sweep_past_budget():
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_independent_checks_pick_rank_increments(data):
+def test_check_group_picks_rank_increments(data):
     n = data.draw(st.integers(1, 5))
     checks: list[PauliString] = []
     for _ in range(data.draw(st.integers(0, 10))):
+        sign = data.draw(st.sampled_from((1, -1)))
         if checks and data.draw(st.booleans()):
             # A product of earlier checks: commutes, often redundant.
             sel = data.draw(st.integers(0, (1 << len(checks)) - 1))
@@ -210,17 +215,48 @@ def test_independent_checks_pick_rank_increments(data):
             for c in picked:
                 x ^= c.x
                 z ^= c.z
-            cand = PauliString(n, x, z)
+            cand = PauliString(n, x, z, sign)
         else:
             cand = PauliString(n, data.draw(st.integers(0, (1 << n) - 1)),
-                               data.draw(st.integers(0, (1 << n) - 1)))
+                               data.draw(st.integers(0, (1 << n) - 1)), sign)
         if all(commutes(cand, c) for c in checks):
             checks.append(cand)
-    code = StabilizerCode.from_checks(n, checks)
+    group = CheckGroup(checks, n)
     rows = [c.x | (c.z << n) for c in checks]
     expect = [i for i in range(len(rows))
               if brute_rank(rows[: i + 1]) > brute_rank(rows[:i])]
-    assert independent_checks(code) == expect
+    assert group.indices == expect
+    # Brute force: the signs each (x, z) takes over all subset products.
+    signs: dict = {}
+    for sel in range(1 << len(checks)):
+        p = product([c for i, c in enumerate(checks) if (sel >> i) & 1], n)
+        signs.setdefault((p.x, p.z), set()).add(p.sign)
+    has_minus = -1 in signs[0, 0]
+    assert bool(group.minus) == has_minus
+    assert group.rank == len(expect) + has_minus
+    assert [group.element(m) for m in group.masks] == checks
+    for x, z, sign in itertools.product(range(1 << n), range(1 << n), (1, -1)):
+        p = PauliString(n, x, z, sign)
+        assert group.spans(p) == ((x, z) in signs)
+        coord = group.coordinate(p)
+        assert (coord is not None) == (sign in signs.get((x, z), ()))
+        if coord is not None:
+            assert group.element(coord) == p
+    if all(c.sign == 1 for c in checks):
+        if has_minus:
+            with pytest.raises(InvalidCodeError, match="-I"):
+                validate(StabilizerCode.from_checks(n, checks))
+        else:
+            validate(StabilizerCode.from_checks(n, checks))
+
+
+def test_check_group_names_the_first_anticommuting_pair():
+    # (1, 2) is met first when checks are added in order; (0, 3) comes
+    # first among all pairs.
+    checks = [PauliString.from_label(s) for s in ("XI", "IZ", "IX", "ZI")]
+    with pytest.raises(InvalidCodeError,
+                       match="checks 0 and 3 are anticommuting"):
+        CheckGroup(checks, 2)
 
 
 def test_min_weight_codeword_allones_row():

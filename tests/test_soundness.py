@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import deque
 from unittest import mock
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabbench import soundness
-from stabbench.code import StabilizerCode, validate
+from stabbench.code import CheckGroup, StabilizerCode, validate
 from stabbench.constructors import (
     BipartiteTanner,
     hypergraph_product,
@@ -22,13 +23,14 @@ from stabbench.constructors import (
 from stabbench.pauli import PauliString, commutes, multiply, product
 from stabbench.soundness import (
     NotAStabilizerError,
-    _CheckGroup,
     SoundnessFunction,
+    as_int,
     expansion_profile,
     growth_bound_constants,
     min_expansion,
     soundness_profile,
     soundness_sum,
+    sweep,
     tilde_f_eval,
 )
 
@@ -117,11 +119,11 @@ def profile_oracle(dist, n, m_max):
 
 
 def assert_matches_oracle(n, gens, budget=None):
-    group = _CheckGroup(gens, n)
-    levels, complete = group.sweep(budget)
+    group = CheckGroup(gens, n)
+    levels, complete = sweep(group, budget)
     dist, want_complete = bfs_oracle(gens, budget)
     visits = [((e.x, e.z, e.sign), d) for d, level in enumerate(levels)
-              for e in (group.element(group.as_int(c)) for c in level)]
+              for e in (group.element(as_int(c)) for c in level)]
     assert visits == list(dist.items())
     assert complete == want_complete
     if budget is None:
@@ -200,7 +202,7 @@ def test_group_sweep_rejects_anticommuting_generators(gens):
 def test_group_sweep_holds_minus_identity():
     # XX * ZZ = -YY, so the group {XX, ZZ, YY} holds -I.
     gens = [PauliString.from_label(s) for s in ("XX", "ZZ", "YY")]
-    group = _CheckGroup(gens, 2)
+    group = CheckGroup(gens, 2)
     assert group.rank == 3
     assert group.coordinate(PauliString.identity(2)) == 0
     assert group.element(group.coordinate(PauliString(2, sign=-1))).sign == -1
@@ -232,7 +234,7 @@ def test_group_sweep_truncates_groups_above_64_bits():
         assert p.group_size == 1000
         assert p.f_raw == {4: 1, 6: 2, 8: 2}
     gens = [code.checks[i] for i in code.x_type_indices()]
-    assert _CheckGroup(gens, code.n).rank == 80
+    assert CheckGroup(gens, code.n).rank == 80
     assert 64 % soundness.TABLE_ROWS
     assert_matches_oracle(code.n, gens, 700)
 
@@ -251,7 +253,7 @@ def test_group_sweep_stops_when_the_budget_is_filled():
 
     with mock.patch.multiple(soundness, _SortedVisits=CountingVisits,
                              SWEEP_BLOCK=1):
-        levels, complete = _CheckGroup(gens, code.n).sweep(5000)
+        levels, complete = sweep(CheckGroup(gens, code.n), 5000)
     assert not complete
     assert sum(map(len, levels)) == 5000
     # Blocks of a few parents each; the one that filled the budget (after
@@ -420,12 +422,45 @@ def test_expansion_profile_ising_toric_chains_saturate():
     assert prof.eta_emp <= 8 / 3
 
 
-def test_expansion_profile_sampled_mode_flags():
-    code = toric_code(3)
-    prof = expansion_profile(code, size_max=10, samples=500, seed=1,
-                             enumeration_limit=100)
+def brute_min_weights(code, size_max):
+    """Minimum product weight per subset size, by itertools."""
+    out = {}
+    for s in range(1, size_max + 1):
+        weights = []
+        for comb in itertools.combinations(code.checks, s):
+            x = z = 0
+            for c in comb:
+                x, z = x ^ c.x, z ^ c.z
+            weights.append((x | z).bit_count())
+        out[s] = min(weights, default=None)
+    return out
+
+
+def test_expansion_profile_truncates_sizes_past_the_search_budget():
+    code = toric_code(3)  # 18 checks: 18 + 153 + 816 = 987 subsets up to 3
+    for budget, sizes in ((987, 3), (986, 2), (17, 0)):
+        with mock.patch.object(soundness, "SEARCH_BUDGET", budget):
+            prof = expansion_profile(code, size_max=10)
+        assert not prof.certified
+        assert prof.min_weight_by_size == brute_min_weights(code, sizes)
+    assert prof.eta_emp == float("inf") and prof.witness_size == 0
+    # Under the default budget: 199 checks, 1,333,199 subsets up to size 3,
+    # and 64 million more of size 4.
+    prof = expansion_profile(repetition_code(200), size_max=4)
     assert not prof.certified
-    assert prof.eta_emp > 0
+    assert prof.min_weight_by_size == {1: 2, 2: 2, 3: 2}
+    assert prof.eta_emp == pytest.approx(2 / 3) and prof.witness_size == 3
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_expansion_profile_matches_brute_force(data):
+    code = data.draw(st.sampled_from([toric_code(2), general_code(),
+                                      repetition_code(4), ising_toric(2)]))
+    size_max = data.draw(st.integers(1, code.num_checks + 2))
+    prof = expansion_profile(code, size_max)
+    assert prof.certified
+    assert prof.min_weight_by_size == brute_min_weights(code, size_max)
 
 
 def test_tilde_f_linear_geometric_growth():
