@@ -23,7 +23,6 @@ from .constructors import (
     toric_code,
 )
 from .flow import FlowConstants, flow_trajectory, stability_certificate
-from .gf2 import BitMatrix, BitVector
 from .pauli import PauliString, commutes, multiply
 from .quasilocal import QuasiLocalOperator, decompose, kappa_norm
 from .soundness import (
@@ -43,8 +42,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BipartiteTanner",
-    "BitMatrix",
-    "BitVector",
     "CodeGraphMetrics",
     "CodeParameters",
     "FlowConstants",

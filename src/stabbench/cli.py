@@ -4,7 +4,8 @@ bounds, run SWT orders, sweep spectra, and execute the acceptance suite.
 Exit codes: 0 success, 2 usage error, 3 numeric failure, 4 acceptance
 failure.  JSON reports embed their full input specification; grid sweeps
 write CSV.  ``spectrum`` alone takes --threads, whose default honors
-STABBENCH_THREADS, and --format json|csv.
+STABBENCH_THREADS, and --format json|csv; --seed is taken by the commands
+that draw random numbers: build, swt, spectrum and suite.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ def cmd_soundness(args) -> int:
     exp = expansion_profile(code, size_max=args.size_max)
     payload = {
         "input": {"code": meta, "m_max": args.m_max,
-                  "size_max": args.size_max, "seed": args.seed},
+                  "size_max": args.size_max},
         "soundness": {
             name: p.as_dict() for name, p in prof["sectors"].items()
         },
@@ -293,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("build", help="construct a code family")
     p.add_argument("--family", required=True,
@@ -309,6 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cyclic", action="store_true")
     p.add_argument("--w-max", type=int, default=None, dest="w_max")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("params", help="recompute code parameters")
@@ -358,6 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ds", type=int, default=None)
     p.add_argument("--kappa1", type=float, default=1.0)
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_swt)
 
     p = sub.add_parser("spectrum", help="spectral sweep over an eps grid")
@@ -374,12 +376,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=_default_threads())
     p.add_argument("--format", choices=("json", "csv"), default="json")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("suite", help="run the acceptance criteria")
     p.add_argument("--only", default=None,
                    help="comma-separated criteria or groups")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_suite)
 
     return parser

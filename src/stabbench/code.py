@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import BitMatrix, BitVector, Echelon, min_weight_codeword, nullspace, rank
+from .gf2 import Echelon, min_weight_codeword, nullspace, rank
 from .pauli import PauliString, commutes, power_of_i, signed_span
 
 
@@ -56,15 +56,19 @@ class CheckGroup:
                     range(len(generators)), 2)
                     if not commutes(*(generators[c] for c in pair)))
                 raise InvalidCodeError(f"checks {a} and {b} are anticommuting")
-            sel = self._combination(row)
-            if sel is None:
+            residual = self._echelon.reduce(row)
+            if residual & ((1 << 2 * n) - 1):
                 sel = 1 << len(self.basis)
-                self._echelon.add(row | sel << 2 * n)
+                # The new selector bit lies above every pivot, so the
+                # residual plus that bit is the reduced row to insert.
+                self._echelon._insert(residual | sel << 2 * n)
                 self.indices.append(i)
                 self.basis.append(g)
                 twisted.append(g.z | g.x << n)
-            elif self._product(sel)[2] != g.sign:
-                flipped.append(i)
+            else:
+                sel = residual >> 2 * n
+                if self._product(sel)[2] != g.sign:
+                    flipped.append(i)
             self.masks.append(sel)
         self.minus = 0
         if flipped:
@@ -146,18 +150,6 @@ class StabilizerCode:
     @property
     def num_checks(self) -> int:
         return len(self.checks)
-
-    def check_support_matrix(self) -> BitMatrix:
-        return BitMatrix.from_rows(
-            [BitVector(self.n, c.x | c.z) for c in self.checks], self.n
-        )
-
-    def symplectic_matrix(self) -> BitMatrix:
-        """Checks as 2n-bit rows x | (z << n)."""
-        return BitMatrix.from_rows(
-            [BitVector(2 * self.n, c.x | (c.z << self.n)) for c in self.checks],
-            2 * self.n,
-        )
 
     def x_type_indices(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.checks) if c.z == 0)
@@ -287,7 +279,7 @@ def ball(code: StabilizerCode, sources, r: int) -> frozenset:
     return frozenset().union(*_bfs_layers(_adjacency(code), sources)[:r + 1])
 
 
-def syndrome_of(code: StabilizerCode, p: PauliString) -> BitVector:
+def syndrome_of(code: StabilizerCode, p: PauliString) -> int:
     """Bit c is set iff p anticommutes with check c."""
     if p.n != code.n:
         raise ValueError("qubit count mismatch")
@@ -295,11 +287,11 @@ def syndrome_of(code: StabilizerCode, p: PauliString) -> BitVector:
     for i, c in enumerate(code.checks):
         if not commutes(c, p):
             bits |= 1 << i
-    return BitVector(code.num_checks, bits)
+    return bits
 
 
 def num_logical_qubits(code: StabilizerCode) -> int:
-    return code.n - rank(code.symplectic_matrix())
+    return code.n - rank(c.x | (c.z << code.n) for c in code.checks)
 
 
 def _symplectic_form(u: int, v: int, n: int) -> int:
@@ -340,10 +332,8 @@ def logicals(code: StabilizerCode) -> list[tuple[PauliString, PauliString]]:
 
 def _general_quotient_basis(code, stabilizers: Echelon) -> list[int]:
     n = code.n
-    twisted = BitMatrix.from_rows(
-        [BitVector(2 * n, c.z | (c.x << n)) for c in code.checks], 2 * n
-    )
-    return [v.bits for v in nullspace(twisted) if stabilizers.add(v.bits)]
+    twisted = [c.z | (c.x << n) for c in code.checks]
+    return [v for v in nullspace(twisted, 2 * n) if stabilizers.add(v)]
 
 
 def _css_quotient_basis(code, stabilizers: Echelon) -> list[int]:
@@ -352,10 +342,8 @@ def _css_quotient_basis(code, stabilizers: Echelon) -> list[int]:
     z_rows = [code.checks[i].z for i in code.z_type_indices()]
     x_rows = [code.checks[i].x for i in code.x_type_indices()]
     # X-type logical candidates: even overlap with every Z check support.
-    zmat = BitMatrix.from_rows([BitVector(n, r) for r in z_rows], n)
-    xmat = BitMatrix.from_rows([BitVector(n, r) for r in x_rows], n)
-    candidates = [v.bits for v in nullspace(zmat)]
-    candidates += [v.bits << n for v in nullspace(xmat)]  # z part only
+    candidates = nullspace(z_rows, n)
+    candidates += [v << n for v in nullspace(x_rows, n)]  # z part only
     return [v for v in candidates if stabilizers.add(v)]
 
 
@@ -402,10 +390,8 @@ class CodeParameters:
         }
 
 
-def _sector_distance(code, check_rows, logical_rows, w_max):
+def _sector_distance(check_rows, logical_rows, w_max):
     """Min weight over nonzero logical cosets of the sector rowspace."""
-    n = code.n
-    gen = BitMatrix.from_rows([BitVector(n, r) for r in check_rows], n)
     k = len(logical_rows)
     best = None
     certified = True
@@ -414,7 +400,7 @@ def _sector_distance(code, check_rows, logical_rows, w_max):
         for i in range(k):
             if (combo >> i) & 1:
                 coset ^= logical_rows[i]
-        w = min_weight_codeword(gen, BitVector(n, coset), w_max)
+        w = min_weight_codeword(check_rows, coset, w_max)
         if w is None:
             certified = False
             continue
@@ -443,8 +429,8 @@ def code_parameters(code: StabilizerCode, w_max: int | None = None) -> CodeParam
         z_checks = [code.checks[i].z for i in code.z_type_indices()]
         lx = [p.x for p, _ in pairs]
         lz = [q.z for _, q in pairs]
-        d_x, cert_x = _sector_distance(code, x_checks, lx, w_max)
-        d_z, cert_z = _sector_distance(code, z_checks, lz, w_max)
+        d_x, cert_x = _sector_distance(x_checks, lx, w_max)
+        d_z, cert_z = _sector_distance(z_checks, lz, w_max)
         if code.kind == "classical":
             return CodeParameters(code.n, k, d_x, d_x, d_z, cert_x)
         return CodeParameters(code.n, k, min(d_x, d_z), d_x, d_z, cert_x and cert_z)

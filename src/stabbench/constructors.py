@@ -14,7 +14,6 @@ import random
 from dataclasses import dataclass
 
 from .code import StabilizerCode
-from .gf2 import BitMatrix, BitVector
 from .pauli import PauliString
 
 
@@ -58,39 +57,39 @@ class SimpleGraph:
 
 @dataclass(frozen=True)
 class BipartiteTanner:
-    """Classical Tanner graph: biadjacency rows are checks, columns bits."""
+    """Classical Tanner graph: ``biadjacency`` holds one int row per check,
+    bit b set when the check contains bit b of ``n_cla``."""
 
     n_cla: int
-    m_cla: int
-    biadjacency: BitMatrix
+    biadjacency: tuple[int, ...]
 
     def __post_init__(self):
-        if self.biadjacency.nrows != self.m_cla or self.biadjacency.cols != self.n_cla:
-            raise ValueError("biadjacency shape mismatch")
-        for i, row in enumerate(self.biadjacency.rows):
-            if row.is_zero():
+        for i, row in enumerate(self.biadjacency):
+            if not row:
                 raise ValueError(f"check {i} is empty")
+            if row >> self.n_cla:
+                raise ValueError(
+                    f"check {i} has a bit at or past n_cla = {self.n_cla}")
+
+    @property
+    def m_cla(self) -> int:
+        return len(self.biadjacency)
 
     @classmethod
     def repetition(cls, n: int, cyclic: bool = False) -> "BipartiteTanner":
         g = SimpleGraph.cycle(n) if cyclic else SimpleGraph.path(n)
-        rows = [BitVector.from_indices(n, e) for e in g.edges]
-        return cls(n, len(rows), BitMatrix.from_rows(rows, n))
+        return cls(n, tuple(1 << a | 1 << b for a, b in g.edges))
 
     def bit_degrees(self) -> list[int]:
-        return [
-            sum(row.get(j) for row in self.biadjacency.rows)
-            for j in range(self.n_cla)
-        ]
+        return [sum(row >> j & 1 for row in self.biadjacency)
+                for j in range(self.n_cla)]
 
     def check_degrees(self) -> list[int]:
-        return [row.weight() for row in self.biadjacency.rows]
+        return [row.bit_count() for row in self.biadjacency]
 
     def to_code(self, lam: float = 1.0) -> StabilizerCode:
         """Z-check stabilizer code with one check per Tanner row."""
-        checks = [
-            PauliString(self.n_cla, 0, row.bits) for row in self.biadjacency.rows
-        ]
+        checks = [PauliString(self.n_cla, 0, row) for row in self.biadjacency]
         return StabilizerCode.from_checks(
             self.n_cla, checks, [lam] * len(checks), kind="classical"
         )
@@ -180,6 +179,10 @@ def ising_toric(L: int) -> StabilizerCode:
     return StabilizerCode.from_checks(n, checks, kind="css")
 
 
+def _bits(mask: int, n: int) -> tuple[int, ...]:
+    return tuple(b for b in range(n) if mask >> b & 1)
+
+
 def hypergraph_product(c1: BipartiteTanner, c2: BipartiteTanner) -> StabilizerCode:
     """CSS hypergraph product of two classical Tanner graphs.
 
@@ -199,15 +202,14 @@ def hypergraph_product(c1: BipartiteTanner, c2: BipartiteTanner) -> StabilizerCo
     def cc(c: int, ct: int) -> int:
         return n1 * n2 + c * m2 + ct
 
-    rows1 = [c1.biadjacency.rows[i] for i in range(m1)]
-    rows2 = [c2.biadjacency.rows[i] for i in range(m2)]
-    bits_of_check1 = [r.indices() for r in rows1]
-    bits_of_check2 = [r.indices() for r in rows2]
+    rows1, rows2 = c1.biadjacency, c2.biadjacency
+    bits_of_check1 = [_bits(r, n1) for r in rows1]
+    bits_of_check2 = [_bits(r, n2) for r in rows2]
     checks_of_bit1 = [
-        tuple(c for c in range(m1) if rows1[c].get(b)) for b in range(n1)
+        tuple(c for c in range(m1) if rows1[c] >> b & 1) for b in range(n1)
     ]
     checks_of_bit2 = [
-        tuple(c for c in range(m2) if rows2[c].get(b)) for b in range(n2)
+        tuple(c for c in range(m2) if rows2[c] >> b & 1) for b in range(n2)
     ]
 
     checks = []
@@ -268,8 +270,7 @@ def random_biregular_classical(
     rows = [0] * m_checks
     for b, c in pairs:
         rows[c] |= 1 << b
-    mat = BitMatrix.from_rows([BitVector(n_bits, r) for r in rows], n_bits)
-    return BipartiteTanner(n_bits, m_checks, mat)
+    return BipartiteTanner(n_bits, tuple(rows))
 
 
 class AlistError(ValueError):
@@ -339,8 +340,7 @@ def load_alist(path) -> BipartiteTanner:
                 f"line {5 + n + c}: check {c} neighbor list disagrees with "
                 "the bit lists"
             )
-    mat = BitMatrix.from_rows([BitVector(n, r) for r in rows], n)
-    return BipartiteTanner(n, m, mat)
+    return BipartiteTanner(n, tuple(rows))
 
 
 def save_alist(tanner: BipartiteTanner, path) -> None:
@@ -354,10 +354,10 @@ def save_alist(tanner: BipartiteTanner, path) -> None:
         " ".join(str(d) for d in check_deg),
     ]
     for b in range(n):
-        cs = [c + 1 for c in range(m) if tanner.biadjacency.rows[c].get(b)]
+        cs = [c + 1 for c in range(m) if tanner.biadjacency[c] >> b & 1]
         lines.append(" ".join(str(c) for c in cs))
     for c in range(m):
-        bs = [b + 1 for b in tanner.biadjacency.rows[c].indices()]
+        bs = [b + 1 for b in _bits(tanner.biadjacency[c], n)]
         lines.append(" ".join(str(b) for b in bs))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -67,10 +67,19 @@ def code_hamiltonian_dense(code) -> np.ndarray:
     return operator_dense(code.n, columns(code_hamiltonian_terms(code)))
 
 
+def _refuse_dense(n: int) -> None:
+    if n > DENSE_MAX_QUBITS:
+        raise ValueError(f"a dense matrix on {n} qubits exceeds the limit "
+                         f"of {DENSE_MAX_QUBITS}")
+
+
 def codespace_projector_dense(code) -> np.ndarray:
     """P = prod (I+Q)/2 as the normalized sum over the signed check group
     (``code.CheckGroup``): its 2^rank elements i^e X^x Z^z, each weighted
-    i^(e - |x & z|) / 2^rank.  P = 0 when the group holds -I."""
+    i^(e - |x & z|) / 2^rank.  P = 0 when the group holds -I.  Raises
+    ValueError past ``DENSE_MAX_QUBITS`` qubits, before the group table of
+    up to 2^(n+1) rows is built."""
+    _refuse_dense(code.n)
     x, z, e = CheckGroup(code.checks, code.n).signed_span()
     c = I_POWERS[(e - np.bitwise_count(x & z)) % 4] / len(x)
     return operator_dense(code.n, (c, x, z))
@@ -239,9 +248,7 @@ def _batched_blocks(r: int, x, z, weights: np.ndarray) -> np.ndarray:
     Raises ValueError past ``DENSE_MAX_QUBITS`` qubits, before anything of
     that size is built.
     """
-    if r > DENSE_MAX_QUBITS:
-        raise ValueError(f"a dense matrix on {r} qubits exceeds the limit "
-                         f"of {DENSE_MAX_QUBITS}")
+    _refuse_dense(r)
     dim = 1 << r
     basis = np.arange(dim, dtype=np.int64)
     phases = _phases(weights, x, z)

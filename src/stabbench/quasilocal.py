@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .code import CheckGroup, StabilizerCode, syndrome_of
-from .gf2 import BitVector
 from .matrices import (
     DENSE_MAX_QUBITS,
     code_hamiltonian_dense,
@@ -61,7 +60,7 @@ class LocalTerm:
 
     __slots__ = ("n", "support", "syndrome", "c", "x", "z")
 
-    def __init__(self, n: int, support, syndrome: BitVector, paulis):
+    def __init__(self, n: int, support, syndrome: int, paulis):
         """From (coeff, PauliString) pairs, each acting inside ``support``."""
         self.n, self.support, self.syndrome = n, frozenset(support), syndrome
         _refuse_wider(self.support, 63)  # bits of an int64 mask
@@ -121,7 +120,7 @@ class QuasiLocalOperator:
     _norm_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def key_index(self) -> dict:
-        return {(t.support, t.syndrome.bits): t for t in self.terms}
+        return {(t.support, t.syndrome): t for t in self.terms}
 
     def to_dense(self) -> np.ndarray:
         # The empty sum columns(()) heads the parts: no terms, zero matrix.
@@ -130,7 +129,7 @@ class QuasiLocalOperator:
             map(np.concatenate, zip(columns(()), *lifted))))
 
     def term_norm(self, term: LocalTerm) -> float:
-        key = (term.support, term.syndrome.bits)
+        key = (term.support, term.syndrome)
         if key not in self._norm_cache:
             self._norm_cache[key] = term.operator_norm()
         return self._norm_cache[key]
@@ -144,7 +143,7 @@ class QuasiLocalOperator:
         """Terms of equal key merge, dropping sums at or below DROP_TOL."""
         merged: dict = {}
         for t in list(self.terms) + list(other.terms):
-            key = (t.support, t.syndrome.bits)
+            key = (t.support, t.syndrome)
             if key in merged:
                 m = merged[key]
                 t = _summed_term(t.n, t.support, t.syndrome,
@@ -155,14 +154,15 @@ class QuasiLocalOperator:
 
 
 def strong_support(code: StabilizerCode, p: PauliString,
-                   synd: BitVector | None = None) -> frozenset:
+                   synd: int | None = None) -> frozenset:
     """Minimal strong support: the Pauli's own support plus every check it
     flips."""
     if synd is None:
         synd = syndrome_of(code, p)
     sup = set(p.support())
-    for c in synd.indices():
-        sup |= code.checks[c].support()
+    for c, check in enumerate(code.checks):
+        if synd >> c & 1:
+            sup |= check.support()
     return frozenset(sup)
 
 
@@ -186,12 +186,9 @@ def decompose(op_terms, code: StabilizerCode) -> QuasiLocalOperator:
         p = PauliString(code.n, x, z)
         synd = syndrome_of(code, p)
         sup = strong_support(code, p, synd)
-        key = (sup, synd.bits)
-        grouped.setdefault(key, []).append((coeff, p))
-    terms = tuple(
-        LocalTerm(code.n, sup, BitVector(code.num_checks, sbits), tuple(paulis))
-        for (sup, sbits), paulis in grouped.items()
-    )
+        grouped.setdefault((sup, synd), []).append((coeff, p))
+    terms = tuple(LocalTerm(code.n, sup, synd, tuple(paulis))
+                  for (sup, synd), paulis in grouped.items())
     return QuasiLocalOperator(code, terms)
 
 
@@ -361,7 +358,7 @@ def solve_generator(code: StabilizerCode,
     for t in v.terms:
         flipped, energy, group = _patch_columns(t, code)
         c, x, z = t.c, t.x, t.z
-        if t.syndrome.is_zero():
+        if not t.syndrome:
             # P V Q = P V_f for the part V_f that flips inside checks, and
             # P V_f = ((P V_f + V_f P) + (P V_f - V_f P)) / 2.  A patch
             # Pauli has squared Frobenius norm 2^|S|.
@@ -409,10 +406,10 @@ def commutator_qlo(d: QuasiLocalOperator,
             phase, px, pz = _times(np.bitwise_count(dx & dz)[i], dx[i], dz[i],
                                    ax[j], az[j])
             grouped.setdefault(
-                (sup, td.syndrome.bits ^ ta.syndrome.bits), []
+                (sup, td.syndrome ^ ta.syndrome), []
             ).append((2.0 * td.c[i] * ta.c[j] * phase, px, pz))
-    terms = (_summed_term(code.n, sup, BitVector(code.num_checks, sbits), *parts)
-             for (sup, sbits), parts in grouped.items())
+    terms = (_summed_term(code.n, sup, synd, *parts)
+             for (sup, synd), parts in grouped.items())
     return QuasiLocalOperator(code, tuple(t for t in terms if t.c.size))
 
 

@@ -27,8 +27,6 @@ from .code import CheckGroup, StabilizerCode
 from .gf2 import (
     SEARCH_BUDGET,
     TABLE_ROWS,
-    BitMatrix,
-    BitVector,
     _words,
     min_support_solution,
 )
@@ -203,8 +201,7 @@ def min_expansion(code: StabilizerCode, stab: PauliString,
         raise NotAStabilizerError("operator is outside the signed check group")
     if cap is None:
         cap = code.num_checks
-    masks = BitMatrix.from_rows(group.masks, group.rank)
-    return min_support_solution(masks, BitVector(group.rank, target), cap)
+    return min_support_solution(group.masks, target, cap)
 
 
 @dataclass(frozen=True)

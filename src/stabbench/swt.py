@@ -20,7 +20,7 @@ import scipy.linalg
 
 from .code import CheckGroup, StabilizerCode, ball, num_logical_qubits
 from .flow import kappa_m
-from .gf2 import BitMatrix, BitVector, nullspace
+from .gf2 import nullspace
 from .matrices import (
     DENSE_MAX_QUBITS,
     code_hamiltonian_dense,
@@ -366,17 +366,15 @@ def local_indistinguishability_check(
     ns = len(squbits)
     # Unknown Pauli on S: bits (x_0..x_{ns-1}, z_0..z_{ns-1}).  Commutation
     # with check c needs even overlap of x with c.z and z with c.x.
-    rows = [BitVector(2 * ns, r.z | r.x << ns)
+    rows = [r.z | r.x << ns
             for r in (restrict(code.checks[i], squbits) for i in inside)]
-    cand_basis = nullspace(BitMatrix.from_rows(rows, 2 * ns)) if rows else [
-        BitVector(2 * ns, 1 << j) for j in range(2 * ns)
-    ]
+    cand_basis = nullspace(rows, 2 * ns)
     group = CheckGroup((code.checks[i] for i in inside), code.n)
     for checked, v in enumerate(cand_basis, 1):
         x = z = 0
         for j, q in enumerate(squbits):
-            x |= (v.bits >> j & 1) << q
-            z |= (v.bits >> (ns + j) & 1) << q
+            x |= (v >> j & 1) << q
+            z |= (v >> (ns + j) & 1) << q
         p = PauliString(code.n, x, z)
         if not group.spans(p):
             return LtoReport(False, p, region, checked)

@@ -71,6 +71,16 @@ def test_threads_is_a_spectrum_option_only(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_seed_is_an_option_of_the_seeded_commands_only(tmp_path, capsys):
+    art = tmp_path / "rep4.json"
+    assert run_cli(["build", "--family", "repetition", "--n", "4",
+                    "--out", str(art)], capsys)[0] == 0
+    for argv in (["params", str(art)], ["soundness", str(art)], ["flow"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "1"])
+        assert exc.value.code == 2
+
+
 def test_soundness_command(tmp_path, capsys):
     art = tmp_path / "toric2.json"
     run_cli(["build", "--family", "toric", "--L", "2", "--out", str(art)],

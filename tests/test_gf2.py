@@ -19,8 +19,6 @@ from stabbench.code import (
 )
 from stabbench.constructors import toric_code
 from stabbench.gf2 import (
-    BitMatrix,
-    BitVector,
     min_support_solution,
     min_weight_codeword,
     nullspace,
@@ -46,58 +44,45 @@ def xor_of(rows: list[int], sel: int) -> int:
     return acc
 
 
-def toric2_z_support_matrix() -> BitMatrix:
+def toric2_z_support_matrix() -> list[int]:
     code = toric_code(2)
-    rows = [
-        BitVector(8, code.checks[i].z) for i in code.z_type_indices()
-    ]
-    return BitMatrix.from_rows(rows, 8)
-
-
-def test_bitvector_masking_and_ops():
-    v = BitVector.from_indices(5, [0, 3])
-    w = BitVector.from_indices(5, [3, 4])
-    assert (v ^ w).indices() == (0, 4)
-    assert (v ^ v).weight() == 0
-    assert str(v) == "10010"
-    with pytest.raises(ValueError):
-        BitVector(3, 0b1000)
+    return [code.checks[i].z for i in code.z_type_indices()]
 
 
 def test_rank_identity_and_zero():
-    ident = BitMatrix.from_rows([BitVector(3, 1 << i) for i in range(3)], 3)
+    ident = [1 << i for i in range(3)]
     assert rank(ident) == 3
-    zero = BitMatrix.from_rows([BitVector(4, 0) for _ in range(3)], 4)
+    zero = [0 for _ in range(3)]
     assert rank(zero) == 0
 
 
 def test_rank_toric2_z_sector_has_one_redundancy():
     m = toric2_z_support_matrix()
-    assert m.nrows == 4
+    assert len(m) == 4
     assert rank(m) == 3
-    assert rank(m) == brute_rank(m.row_ints())
+    assert rank(m) == brute_rank(m)
 
 
 def test_solve_affine_identity_and_infeasible():
-    ident = BitMatrix.from_rows([BitVector(4, 1 << i) for i in range(4)], 4)
-    b = BitVector(4, 0b1010)
+    ident = [1 << i for i in range(4)]
+    b = 0b1010
     x, null = solve_affine(ident, b)
-    assert x.bits == 0b1010 and null == []
-    zero = BitMatrix.from_rows([BitVector(4, 0) for _ in range(2)], 4)
+    assert x == 0b1010 and null == []
+    zero = [0 for _ in range(2)]
     assert solve_affine(zero, b) is None
 
 
 def test_solve_affine_toric2_two_plaquette_support():
     m = toric2_z_support_matrix()
-    target = m.rows[0] ^ m.rows[1]
+    target = m[0] ^ m[1]
     got = solve_affine(m, target)
     assert got is not None
     x, _ = got
-    assert m.mul_left(x).bits == target.bits
+    assert xor_of(m, x) == target
     # Exhaustive over all 2^4 check combinations: a weight-2 solution exists.
     best = min(
         (bin(sel).count("1") for sel in range(16)
-         if m.mul_left(BitVector(4, sel)).bits == target.bits),
+         if xor_of(m, sel) == target),
     )
     assert best == 2
     assert min_support_solution(m, target, cap=4) == 2
@@ -108,24 +93,20 @@ def test_solve_affine_toric2_two_plaquette_support():
 def test_solve_affine_random_verified_by_multiplication(data):
     rows = data.draw(st.integers(1, 10))
     cols = data.draw(st.integers(1, 10))
-    mat = BitMatrix.from_rows(
-        [BitVector(cols, data.draw(st.integers(0, (1 << cols) - 1)))
-         for _ in range(rows)],
-        cols,
-    )
-    b = BitVector(cols, data.draw(st.integers(0, (1 << cols) - 1)))
+    mat = [data.draw(st.integers(0, (1 << cols) - 1)) for _ in range(rows)]
+    b = data.draw(st.integers(0, (1 << cols) - 1))
     got = solve_affine(mat, b)
     if got is None:
         # b outside the rowspace: no subset reproduces it.
         span = {0}
-        for r in mat.row_ints():
+        for r in mat:
             span |= {s ^ r for s in span}
-        assert b.bits not in span
+        assert b not in span
     else:
         x, null = got
-        assert mat.mul_left(x).bits == b.bits
+        assert xor_of(mat, x) == b
         for v in null:
-            assert mat.mul_left(v).bits == 0
+            assert xor_of(mat, v) == 0
         assert rank(mat) + len(null) == rows
 
 
@@ -134,19 +115,17 @@ def test_nullspace_annihilates():
     for _ in range(30):
         rows = rng.randint(1, 8)
         cols = rng.randint(1, 8)
-        mat = BitMatrix.from_rows(
-            [BitVector(cols, rng.getrandbits(cols)) for _ in range(rows)], cols
-        )
-        for v in nullspace(mat):
+        mat = [rng.getrandbits(cols) for _ in range(rows)]
+        for v in nullspace(mat, cols):
             # a v = 0 means every row has even overlap with v
-            for r in mat.rows:
-                assert (r.bits & v.bits).bit_count() % 2 == 0
+            for r in mat:
+                assert (r & v).bit_count() % 2 == 0
 
 
 def test_min_support_trivial_cases():
     m = toric2_z_support_matrix()
-    assert min_support_solution(m, BitVector(8, 0), cap=4) == 0
-    assert min_support_solution(m, m.rows[2], cap=4) == 1
+    assert min_support_solution(m, 0, cap=4) == 0
+    assert min_support_solution(m, m[2], cap=4) == 1
 
 
 def test_min_support_agrees_with_exhaustive_small():
@@ -154,13 +133,11 @@ def test_min_support_agrees_with_exhaustive_small():
     for _ in range(25):
         rows = rng.randint(1, 12)
         cols = rng.randint(1, 10)
-        mat = BitMatrix.from_rows(
-            [BitVector(cols, rng.getrandbits(cols)) for _ in range(rows)], cols
-        )
-        b = BitVector(cols, rng.getrandbits(cols))
+        mat = [rng.getrandbits(cols) for _ in range(rows)]
+        b = rng.getrandbits(cols)
         best = None
         for sel in range(1 << rows):
-            if mat.mul_left(BitVector(rows, sel)).bits == b.bits:
+            if xor_of(mat, sel) == b:
                 w = bin(sel).count("1")
                 best = w if best is None else min(best, w)
         assert min_support_solution(mat, b, cap=rows) == best
@@ -169,21 +146,19 @@ def test_min_support_agrees_with_exhaustive_small():
 def test_min_support_mitm_matches_direct():
     rng = random.Random(5)
     rows, cols = 26, 9
-    mat = BitMatrix.from_rows(
-        [BitVector(cols, rng.getrandbits(cols) | 1) for _ in range(rows)], cols
-    )
+    mat = [rng.getrandbits(cols) | 1 for _ in range(rows)]
     picks = rng.sample(range(rows), 3)
     target = 0
     for i in picks:
-        target ^= mat.rows[i].bits
-    got = min_support_solution(mat, BitVector(cols, target), cap=26)
+        target ^= mat[i]
+    got = min_support_solution(mat, target, cap=26)
     # oracle: direct enumeration up to weight 3 plus feasibility of the pick
     best = None
     for w in range(1, 4):
         for comb in itertools.combinations(range(rows), w):
             acc = 0
             for i in comb:
-                acc ^= mat.rows[i].bits
+                acc ^= mat[i]
             if acc == target:
                 best = w
                 break
@@ -193,11 +168,10 @@ def test_min_support_mitm_matches_direct():
 
 
 def test_min_support_refuses_sweep_past_budget():
-    rows = [BitVector(6, (i % 63) + 1) for i in range(50)]
-    mat = BitMatrix.from_rows(rows, 6)
+    rows = [(i % 63) + 1 for i in range(50)]
     # Half of a 50-row sweep is 2^25 subsets: it must raise, not enumerate.
     with pytest.raises(ValueError, match="50 rows"):
-        min_support_solution(mat, rows[0] ^ rows[1], cap=50)
+        min_support_solution(rows, rows[0] ^ rows[1], cap=50)
 
 
 @settings(max_examples=100, deadline=None)
@@ -260,40 +234,38 @@ def test_check_group_names_the_first_anticommuting_pair():
 
 
 def test_min_weight_codeword_allones_row():
-    gen = BitMatrix.from_rows([BitVector(5, 0b11111)], 5)
-    assert min_weight_codeword(gen, BitVector(5, 0), w_max=5) == 5
+    gen = [0b11111]
+    assert min_weight_codeword(gen, 0, w_max=5) == 5
 
 
 def test_min_weight_codeword_coset_cancellation():
-    gen = BitMatrix.from_rows([BitVector(4, 0b0110), BitVector(4, 0b1001)], 4)
-    assert min_weight_codeword(gen, gen.rows[0], w_max=4) == 0
+    gen = [0b0110, 0b1001]
+    assert min_weight_codeword(gen, gen[0], w_max=4) == 0
 
 
 def test_min_weight_codeword_repetition_z_distance():
     # rows are Z_i Z_{i+1} supports; a single-bit coset has weight-1 cosets
     n = 5
-    rows = [BitVector(n, 0b11 << i) for i in range(n - 1)]
-    gen = BitMatrix.from_rows(rows, n)
-    assert min_weight_codeword(gen, BitVector(n, 1), w_max=n) == 1
+    gen = [0b11 << i for i in range(n - 1)]
+    assert min_weight_codeword(gen, 1, w_max=n) == 1
 
 
 def test_min_weight_codeword_lower_bound_certificate():
-    gen = BitMatrix.from_rows([BitVector(6, 0b111111)], 6)
-    assert min_weight_codeword(gen, BitVector(6, 0), w_max=5) is None
+    gen = [0b111111]
+    assert min_weight_codeword(gen, 0, w_max=5) is None
 
 
 def test_min_weight_codeword_wide_path_matches_gray():
     rng = random.Random(9)
     cols = 10
-    rows = [BitVector(cols, rng.getrandbits(cols) | 1) for _ in range(22)]
-    gen = BitMatrix.from_rows(rows, cols)
-    coset = BitVector(cols, rng.getrandbits(cols))
+    gen = [rng.getrandbits(cols) | 1 for _ in range(22)]
+    coset = rng.getrandbits(cols)
     wide = min_weight_codeword(gen, coset, w_max=4)
     # oracle: brute force over the rowspace (rank <= 10 so this is cheap)
     span = {0}
-    for r in gen.row_ints():
+    for r in gen:
         span |= {s ^ r for s in span}
-    weights = [bin(w ^ coset.bits).count("1") for w in span]
+    weights = [bin(w ^ coset).count("1") for w in span]
     best = min(weights)
     assert wide == (best if best <= 4 else None)
 
@@ -305,15 +277,13 @@ def test_min_weight_codeword_walk_above_span_rank():
     cols = 38
     rows = [rng.getrandbits(cols) for _ in range(25)]
     rows += [rows[0] ^ rows[1], rows[2] ^ rows[3] ^ rows[4]]
-    gen = BitMatrix.from_rows([BitVector(cols, r) for r in rows], cols)
-    assert rank(gen) == 25 > gf2.SPAN_MAX_ROWS
+    assert rank(rows) == 25 > gf2.SPAN_MAX_ROWS
     weights = []
     for coset in (0, rng.getrandbits(cols), rng.getrandbits(cols)):
-        coset = BitVector(cols, coset)
         with mock.patch.object(gf2, "_span_chunks", side_effect=AssertionError):
-            walk = min_weight_codeword(gen, coset, w_max=4)
+            walk = min_weight_codeword(rows, coset, w_max=4)
         with mock.patch.object(gf2, "SPAN_MAX_ROWS", 25):
-            span = min_weight_codeword(gen, coset, w_max=4)
+            span = min_weight_codeword(rows, coset, w_max=4)
         assert walk == span
         weights.append(walk)
     assert weights == [4, 3, 3]
@@ -335,7 +305,6 @@ def test_min_weight_searches_match_span_enumeration(data):
     for _ in range(data.draw(st.integers(0, 3))):
         sel = data.draw(st.integers(1, (1 << len(rows)) - 1))
         rows.append(xor_of(rows, sel))
-    gen = BitMatrix.from_rows([BitVector(cols, r) for r in rows], cols)
     span = [(sel.bit_count(), xor_of(rows, sel)) for sel in range(1 << len(rows))]
     some_word = span[data.draw(st.integers(0, len(span) - 1))][1]
     other = data.draw(words)  # often infeasible
@@ -351,8 +320,8 @@ def test_min_weight_searches_match_span_enumeration(data):
                    default=None)
     fewest = min((n for n, w in span if w == target), default=None)
     with mock.patch.object(gf2, "TABLE_ROWS", table_rows):
-        got_word = min_weight_codeword(gen, BitVector(cols, coset), w_max)
-        got_support = min_support_solution(gen, BitVector(cols, target), cap)
+        got_word = min_weight_codeword(rows, coset, w_max)
+        got_support = min_support_solution(rows, target, cap)
     assert got_word == (lightest if lightest is not None and lightest <= w_max
                         else None)
     assert got_support == (fewest if fewest is not None and fewest <= cap

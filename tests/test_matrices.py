@@ -377,6 +377,13 @@ def test_dense_block_past_limit_refused(no_large_zeros):
         lowest_eigenvalues_sparse(n, terms, k=1 << n)
 
 
+def test_codespace_projector_past_limit_refused(no_large_zeros):
+    # Toric L = 4: 32 qubits and a check group of 2^30 elements, whose
+    # table alone would take 8 GB per column.
+    with pytest.raises(ValueError, match="32 qubits exceeds the limit of 12"):
+        codespace_projector_dense(toric_code(4))
+
+
 def test_to_dense_past_limit_refused(no_large_zeros):
     # A 14-qubit operator as one 4 GB complex matrix.
     qlo = decompose(_field(14, "X", 0.1), repetition_code(14))

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from stabbench.code import StabilizerCode
 from stabbench.constructors import ising_toric, repetition_code, toric_code
-from stabbench.gf2 import BitVector
 from stabbench.matrices import operator_dense, pauli_transform
 from stabbench.pauli import (
     PauliString,
@@ -79,7 +78,7 @@ def test_decompose_identity():
     assert len(qlo.terms) == 1
     t = qlo.terms[0]
     assert t.support == frozenset()
-    assert t.syndrome.is_zero()
+    assert t.syndrome == 0
 
 
 def test_decompose_midchain_x_strong_support():
@@ -87,7 +86,7 @@ def test_decompose_midchain_x_strong_support():
     qlo = decompose([(1.0, PauliString.single(5, "X", 2))], code)
     (t,) = qlo.terms
     assert t.support == frozenset({1, 2, 3})
-    assert t.syndrome.indices() == (1, 2)
+    assert t.syndrome == 0b110
 
 
 def test_decompose_two_body_on_field_code():
@@ -95,7 +94,7 @@ def test_decompose_two_body_on_field_code():
     xx = PauliString.from_label("XXII")
     zz = PauliString.from_label("ZZII")
     qlo = decompose([(0.1, xx), (0.1, zz)], code)
-    by_syndrome = {t.syndrome.bits: t for t in qlo.terms}
+    by_syndrome = {t.syndrome: t for t in qlo.terms}
     assert len(qlo.terms) == 2
     assert set(by_syndrome) == {0, 0b0011}
     for t in qlo.terms:
@@ -116,8 +115,9 @@ def test_strong_support_contains_flipped_checks():
     for coeff, p in random_pauli_sum(code, rng, num_terms=15, max_weight=3):
         qlo = decompose([(coeff, p)], code)
         for t in qlo.terms:
-            for ci in t.syndrome.indices():
-                assert code.checks[ci].support() <= t.support
+            for ci in range(code.num_checks):
+                if t.syndrome >> ci & 1:
+                    assert code.checks[ci].support() <= t.support
 
 
 def test_kappa_norm_zero_and_midchain():
@@ -250,7 +250,7 @@ def test_block_split_sum_and_norm_contract():
         assert off.operator_norm() <= vnorm + 1e-10
         # both halves keep the syndrome and support keys
         assert diag.support == t.support and off.support == t.support
-        assert diag.syndrome.bits == t.syndrome.bits
+        assert diag.syndrome == t.syndrome
 
 
 def test_block_diagonal_part_commutes_with_local_projector():
@@ -369,8 +369,7 @@ def oracle_cases(draw):
         return code, decompose(paulis, code).terms
     support = frozenset().union(*(p.support() for _, p in paulis))
     support |= draw(st.sets(st.integers(0, n - 1), max_size=3))
-    syndrome = BitVector(code.num_checks,
-                         draw(st.integers(1, (1 << code.num_checks) - 1)))
+    syndrome = draw(st.integers(1, (1 << code.num_checks) - 1))
     return code, (LocalTerm(n, support, syndrome, tuple(paulis)),)
 
 
@@ -391,7 +390,7 @@ def test_block_split_term_omitting_a_flipped_check():
     # I and Z1Z2 commute with X_3: the off part is (X_3 + Z1Z2 X_3) / 2.
     code = repetition_code(5)
     p = PauliString.single(5, "X", 3)
-    term = LocalTerm(5, frozenset({1, 2, 3}), BitVector(code.num_checks, 0b1100),
+    term = LocalTerm(5, frozenset({1, 2, 3}), 0b1100,
                      ((0.5, p), (0.25, PauliString.single(5, "Z", 1))))
     diag, off = block_split(term, code)
     want_diag, want_off = dense_block_split(term, code)
@@ -416,7 +415,7 @@ def test_block_split_on_qubits_past_int64():
 
 
 def test_local_term_refuses_wide_supports_and_outside_paulis():
-    zero = BitVector(1, 0)
+    zero = 0
     with pytest.raises(PatchTooLargeError):
         LocalTerm(70, range(64), zero, ())
     wide = LocalTerm(70, range(63), zero,
@@ -455,7 +454,7 @@ def test_add_on_a_support_past_the_dense_limit():
     # On 14 patch qubits the masks x | z << 12 of X_12 and Z_0 coincide;
     # the merge must keep them apart.
     code = field_code(14)
-    n, zero = 14, BitVector(14, 0)
+    n, zero = 14, 0
     x12, z0 = PauliString.single(n, "X", 12), PauliString.single(n, "Z", 0)
     y3 = PauliString.single(n, "Y", 3)
     a = QuasiLocalOperator(code, (LocalTerm(n, range(n), zero,
@@ -476,7 +475,7 @@ def pairwise_commutator(d: QuasiLocalOperator, a: QuasiLocalOperator) -> dict:
             if not td.support & ta.support:
                 continue
             acc = grouped.setdefault(
-                (td.support | ta.support, td.syndrome.bits ^ ta.syndrome.bits),
+                (td.support | ta.support, td.syndrome ^ ta.syndrome),
                 {})
             for cd, pd in td.paulis:
                 for ca, pa in ta.paulis:
@@ -496,7 +495,7 @@ def pairwise_commutator(d: QuasiLocalOperator, a: QuasiLocalOperator) -> dict:
 def assert_matches_pairwise(d, a, atol: float = 1e-12):
     """Same keys and coefficients as the pairwise loop; keys whose every
     coefficient is within atol of zero may sit on either side."""
-    got = {(t.support, t.syndrome.bits): coefficients(t)
+    got = {(t.support, t.syndrome): coefficients(t)
            for t in commutator_qlo(d, a).terms}
     want = pairwise_commutator(d, a)
 
