@@ -13,7 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .code import StabilizerCode
+from .code import StabilizerCode, _bfs_layers
 from .pauli import PauliString
 
 
@@ -44,15 +44,7 @@ class SimpleGraph:
         for a, b in self.edges:
             adj[a].append(b)
             adj[b].append(a)
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.num_vertices
+        return sum(map(len, _bfs_layers(adj, (0,)))) == self.num_vertices
 
 
 @dataclass(frozen=True)

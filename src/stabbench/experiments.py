@@ -119,8 +119,19 @@ def splitting_versus_size(sizes, epsilon: float, lam: float = 2.0,
     return {"rows": rows, "slope": slope}
 
 
+# The size arguments of each family, as named by the ``build`` flags.
+_SIZES = {"repetition": "n", "cycle": "n", "toric": "L", "ising-toric": "L",
+          "hgp": "left", "hgp-repetition": "n",
+          "random-biregular": "n deg_bit deg_check"}
+
+
 def build_code(family: str, **kw) -> tuple[StabilizerCode, dict]:
-    """Construct a code family by name; returns (code, provenance dict)."""
+    """Construct a code family by name; returns (code, provenance dict).
+    Raises ValueError naming the flags of missing size arguments."""
+    missing = [f"--{k.replace('_', '-')}"
+               for k in _SIZES.get(family, "").split() if kw.get(k) is None]
+    if missing:
+        raise ValueError(f"family {family!r} needs {', '.join(missing)}")
     meta = {"family": family, **{k: v for k, v in kw.items() if v is not None}}
     if family == "repetition":
         code = ising_code(SimpleGraph.path(kw["n"]), lam=kw.get("lam") or 1.0)

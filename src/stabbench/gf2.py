@@ -98,10 +98,11 @@ def _words(values, cols: int) -> np.ndarray:
 
 
 def _span_table(words: np.ndarray) -> np.ndarray:
-    """Row s is the XOR of the rows of ``words`` selected by the bits of s."""
-    table = np.zeros((1, words.shape[1]), np.uint64)
-    for w in words:
-        table = np.concatenate([table, table ^ w])
+    """Row s is the XOR of the rows of ``words`` (ints or rows of words)
+    that the bits of s select; rows 0..2^b are the table of the first b."""
+    table = np.zeros((1 << len(words), *words.shape[1:]), words.dtype)
+    for b, w in enumerate(words):
+        np.bitwise_xor(table[:1 << b], w, out=table[1 << b:2 << b])
     return table
 
 

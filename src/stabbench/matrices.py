@@ -18,7 +18,7 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
 from .code import CheckGroup
-from .gf2 import Echelon
+from .gf2 import Echelon, _span_table, _words
 from .pauli import I_POWERS, PauliString, columns
 
 # Most qubits of a dense 2^n x 2^n matrix (256 MB complex at the limit):
@@ -67,10 +67,13 @@ def code_hamiltonian_dense(code) -> np.ndarray:
     return operator_dense(code.n, columns(code_hamiltonian_terms(code)))
 
 
-def _refuse_dense(n: int) -> None:
-    if n > DENSE_MAX_QUBITS:
-        raise ValueError(f"a dense matrix on {n} qubits exceeds the limit "
-                         f"of {DENSE_MAX_QUBITS}")
+def refuse_dense(n: int, rows: int = 1) -> None:
+    """Raise ValueError when ``rows`` dense 2^n x 2^n matrices would hold
+    more entries than one on ``DENSE_MAX_QUBITS`` qubits."""
+    if rows << 2 * n > 1 << 2 * DENSE_MAX_QUBITS:
+        what = "a dense matrix" if rows == 1 else f"a batch of {rows} matrices"
+        raise ValueError(f"{what} on {n} qubits exceeds the limit of "
+                         f"{DENSE_MAX_QUBITS}")
 
 
 def codespace_projector_dense(code) -> np.ndarray:
@@ -79,7 +82,7 @@ def codespace_projector_dense(code) -> np.ndarray:
     i^(e - |x & z|) / 2^rank.  P = 0 when the group holds -I.  Raises
     ValueError past ``DENSE_MAX_QUBITS`` qubits, before the group table of
     up to 2^(n+1) rows is built."""
-    _refuse_dense(code.n)
+    refuse_dense(code.n)
     x, z, e = CheckGroup(code.checks, code.n).signed_span()
     c = I_POWERS[(e - np.bitwise_count(x & z)) % 4] / len(x)
     return operator_dense(code.n, (c, x, z))
@@ -178,77 +181,77 @@ class PauliMatvec:
     def __call__(self, psi: np.ndarray) -> np.ndarray:
         return self.matrix @ psi
 
-    def _adjoint(self, psi: np.ndarray) -> np.ndarray:
-        """H^dagger @ psi by the transpose of the same CSR matrix."""
-        return (self.matrix.T @ psi.conj()).conj()
-
     def as_linear_operator(self) -> spla.LinearOperator:
-        return spla.LinearOperator(
-            (self.dim, self.dim), matvec=self, rmatvec=self._adjoint,
-            dtype=self.matrix.dtype)
+        return spla.LinearOperator((self.dim, self.dim), matvec=self,
+                                   dtype=self.matrix.dtype)
+
+
+def _sign_rows(n: int, r: int, z, reps) -> np.ndarray:
+    """The distinct rows of signs (-1)^|rep & z_k| over the coset
+    representatives: linear in rep, so the ``gf2._span_table`` of the rows
+    of reps[2^j], the representatives with one free bit."""
+    single = reps[1 << np.arange(n - r)]
+    bits = np.bitwise_count(single[:, None] & z) & 1
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    basis = list(Echelon(int.from_bytes(row.tobytes(), "little")
+                         for row in packed).rows.values())
+    if len(basis) > DENSE_MAX_QUBITS:
+        raise ValueError(
+            f"{len(z)} terms on {n} qubits take 2^{len(basis)} distinct "
+            f"coset signs, more than 2^{DENSE_MAX_QUBITS}")
+    table = _span_table(_words(basis, len(z)))
+    bits = np.unpackbits(table.view(np.uint8), axis=1, count=len(z),
+                         bitorder="little")
+    return 1.0 - 2.0 * bits
 
 
 def payload_norm(n: int, terms) -> float:
     """Operator 2-norm of a Pauli sum (c, x, z), Hermitian or not.
 
-    Up to ``DENSE_MAX_QUBITS`` qubits the sum is split into its invariant
-    cosets (``_coset_split``).  Cosets whose signs (-1)^|rep & z| agree on
-    every term carry the same block, so one block per distinct sign pattern
-    is built, all in one batch, and the norm is the largest singular value
-    over them: by ``svd`` in general, by ``eigvalsh`` when the sum is
-    Hermitian or anti-Hermitian.  A sum counts as such when every imaginary
-    (or every real) part is at most 1e-14 max|c|, rounding dust from a
-    transform; that part is dropped and its sum |c| added to the norm,
-    which keeps the value an upper bound.
+    The sum is split into its invariant cosets (``_coset_split``).  Cosets
+    whose signs (-1)^|rep & z| agree on every term carry the same block, so
+    one block per distinct sign pattern (``_sign_rows``) is built, all in
+    one batch, and the norm is the largest singular value over them: by
+    ``svd`` in general, by ``eigvalsh`` when the sum is Hermitian or
+    anti-Hermitian.  A sum counts as such when every imaginary (or every
+    real) part is at most 1e-14 max|c|, rounding dust from a transform;
+    that part is dropped and its sum |c| added to the norm, which keeps
+    the value an upper bound.
 
-    Past that limit a Lanczos singular-value solve runs on one
-    ``PauliMatvec``, with the conjugate transpose of the same CSR matrix as
-    the adjoint.  It raises ArithmeticError when that solve fails, because
-    a dense fallback would need a 2^n x 2^n matrix (4 GB at n = 14).
+    Raises ValueError before anything of that size is built: past
+    ``COSET_MAX_DIM`` (``_coset_split``), past 2^``DENSE_MAX_QUBITS`` sign
+    patterns, and for a batch of blocks larger than one dense matrix on
+    ``DENSE_MAX_QUBITS`` qubits.  None fires up to that many qubits.
     """
     if not terms[0].size:
         return 0.0
     if terms[0].size == 1:
         return float(abs(terms[0][0]))  # Pauli strings are unitary
-    if n <= DENSE_MAX_QUBITS:
-        (_, _, z), (c, rx, rz), reps, r = _coset_split(n, terms)
-        signs = 1.0 - 2.0 * np.unique(np.bitwise_count(reps[:, None] & z) & 1,
-                                      axis=0)
-        dust = 1e-14 * np.max(np.abs(c))
-        if np.max(np.abs(c.imag)) <= dust:
-            kept, dropped = c.real, c.imag  # Hermitian
-        elif np.max(np.abs(c.real)) <= dust:
-            kept, dropped = c.imag, c.real  # i times Hermitian
-        else:
-            blocks = _batched_blocks(r, rx, rz, c * signs)
-            return float(np.max(np.linalg.svd(blocks, compute_uv=False)))
-        blocks = _batched_blocks(r, rx, rz, kept * signs)
-        vals = np.linalg.eigvalsh(blocks if blocks.imag.any() else blocks.real)
-        # The dropped part has norm at most its sum |c|.
-        return float(np.max(np.abs(vals)) + np.sum(np.abs(dropped)))
-    mv = PauliMatvec(n, terms)
-    op = mv.as_linear_operator()
-    rng = np.random.default_rng(11)
-    v0 = rng.standard_normal(mv.dim)
-    try:
-        val = spla.svds(op, k=1, return_singular_vectors=False, v0=v0,
-                        maxiter=5000)[0]
-    except spla.ArpackError as err:
-        raise ArithmeticError(
-            f"payload_norm: the Lanczos norm solve failed on n = {n} qubits "
-            f"and a dense 2^{n} x 2^{n} fallback is refused"
-        ) from err
-    return float(val)
+    (_, _, z), (c, rx, rz), reps, r = _coset_split(n, terms)
+    signs = _sign_rows(n, r, z, reps)
+    dust = 1e-14 * np.max(np.abs(c))
+    if np.max(np.abs(c.imag)) <= dust:
+        kept, dropped = c.real, c.imag  # Hermitian
+    elif np.max(np.abs(c.real)) <= dust:
+        kept, dropped = c.imag, c.real  # i times Hermitian
+    else:
+        blocks = _batched_blocks(r, rx, rz, c * signs)
+        return float(np.max(np.linalg.svd(blocks, compute_uv=False)))
+    blocks = _batched_blocks(r, rx, rz, kept * signs)
+    vals = np.linalg.eigvalsh(blocks if blocks.imag.any() else blocks.real)
+    # The dropped part has norm at most its sum |c|.
+    return float(np.max(np.abs(vals)) + np.sum(np.abs(dropped)))
 
 
 def _batched_blocks(r: int, x, z, weights: np.ndarray) -> np.ndarray:
     """Dense r-qubit matrices sum_k weights[j, k] i^|x_k & z_k| X^x_k Z^z_k,
     one per row j of ``weights``, as one (rows, 2^r, 2^r) array.
 
-    Raises ValueError past ``DENSE_MAX_QUBITS`` qubits, before anything of
-    that size is built.
+    Raises ValueError when the batch holds more entries than one dense
+    matrix on ``DENSE_MAX_QUBITS`` qubits, before anything of that size is
+    built.
     """
-    _refuse_dense(r)
+    refuse_dense(r, len(weights))
     dim = 1 << r
     basis = np.arange(dim, dtype=np.int64)
     phases = _phases(weights, x, z)

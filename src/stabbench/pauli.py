@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gf2 import _span_table
+
 I_POWERS = np.array([1, 1j, -1, -1j])  # i^e, indexed by e mod 4
 _CHAR_TO_XZ = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _XZ_TO_CHAR = {v: k for k, v in _CHAR_TO_XZ.items()}
@@ -172,22 +174,16 @@ def signed_span(x: np.ndarray, z: np.ndarray, e) -> tuple:
 
     ``x`` and ``z`` hold one row per string, as ints or as rows of words;
     row s of each returned array (x, z, e mod 4) is the product of the
-    strings the bits of s select, in order.  The phase follows
-    (i^a X^x Z^z)(i^b X^x' Z^z') = i^(a + b + 2|z & x'|) X^(x^x') Z^(z^z').
-    The tables are filled by doubling: rows 2^b..2^(b+1) are rows 0..2^b
-    times string b.
+    strings the bits of s select, in order.  The x and z tables are the
+    XOR tables of ``gf2._span_table``, and the phase follows
+    (i^a X^x Z^z)(i^b X^x' Z^z') = i^(a + b + 2|z & x'|) X^(x^x') Z^(z^z'):
+    rows 2^b..2^(b+1) are rows 0..2^b times string b.
     """
-    tx = np.zeros((1 << len(e), *x.shape[1:]), x.dtype)
-    tz = np.zeros_like(tx)
+    tx, tz = _span_table(x), _span_table(z)
     te = np.zeros(len(tx), np.int64)
-    if x.ndim == 1:
-        x, z = x.tolist(), z.tolist()
-    for b, (bx, bz, be) in enumerate(zip(x, z, e)):
-        low, high = slice(0, 1 << b), slice(1 << b, 2 << b)
-        overlap = np.bitwise_count(tz[low] & bx)
+    for b, (bx, be) in enumerate(zip(x, e)):
+        overlap = np.bitwise_count(tz[:1 << b] & bx)
         if overlap.ndim > 1:
             overlap = overlap.sum(axis=1, dtype=np.int64)
-        np.bitwise_xor(tx[low], bx, out=tx[high])
-        np.bitwise_xor(tz[low], bz, out=tz[high])
-        te[high] = (te[low] + be + 2 * overlap) % 4
+        te[1 << b:2 << b] = (te[:1 << b] + be + 2 * overlap) % 4
     return tx, tz, te

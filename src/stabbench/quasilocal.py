@@ -40,7 +40,6 @@ from .matrices import (
 )
 from .pauli import I_POWERS, PauliString, columns, restrict
 
-PATCH_LIMIT = 14  # norm evaluations refuse patches beyond 2^14 dimensions
 DROP_TOL = 1e-14  # summed coefficients at or below this are dropped
 
 
@@ -48,10 +47,10 @@ class PatchTooLargeError(ValueError):
     pass
 
 
-def _refuse_wider(support, limit: int) -> None:
-    if len(support) > limit:
+def _refuse_wider(support) -> None:
+    if len(support) > 63:  # bits of an int64 mask
         raise PatchTooLargeError(
-            f"patch on {len(support)} qubits exceeds the limit of {limit}")
+            f"patch on {len(support)} qubits exceeds the limit of 63")
 
 
 class LocalTerm:
@@ -63,7 +62,7 @@ class LocalTerm:
     def __init__(self, n: int, support, syndrome: int, paulis):
         """From (coeff, PauliString) pairs, each acting inside ``support``."""
         self.n, self.support, self.syndrome = n, frozenset(support), syndrome
-        _refuse_wider(self.support, 63)  # bits of an int64 mask
+        _refuse_wider(self.support)
         qubits = self.patch_qubits
         outside = ~sum(1 << q for q in qubits)
         patch = []
@@ -100,11 +99,9 @@ class LocalTerm:
                      in zip(self.c.tolist(), x.tolist(), z.tolist()))
 
     def patch_matrix(self) -> np.ndarray:
-        _refuse_wider(self.support, DENSE_MAX_QUBITS)
         return operator_dense(len(self.support), (self.c, self.x, self.z))
 
     def operator_norm(self) -> float:
-        _refuse_wider(self.support, PATCH_LIMIT)
         return payload_norm(len(self.support), (self.c, self.x, self.z))
 
     def scaled(self, factor: complex) -> "LocalTerm":
@@ -217,12 +214,8 @@ def checks_inside(code: StabilizerCode, region: frozenset) -> list[int]:
 
 def _patch_code(code: StabilizerCode, region) -> StabilizerCode:
     """The checks inside ``region``, restricted to its qubits in sorted
-    order, with their lambdas, as a code on len(region) qubits.
-
-    Raises PatchTooLargeError past ``DENSE_MAX_QUBITS`` qubits.
-    """
+    order, with their lambdas, as a code on len(region) qubits."""
     region = frozenset(region)
-    _refuse_wider(region, DENSE_MAX_QUBITS)
     qubits = sorted(region)
     inside = checks_inside(code, region)
     return StabilizerCode(
@@ -266,14 +259,19 @@ def _patch_columns(term: LocalTerm, code: StabilizerCode):
     anticommutes with any inside check, and energy_i is the sum of lambda
     over those it does.  ``group`` = (gx, gz, ge) lists the 2^r elements
     i^ge X^gx Z^gz of G_S, the ``CheckGroup`` of the inside checks.
+    Raises PatchTooLargeError when G_S has rank above ``DENSE_MAX_QUBITS``,
+    before its table is built.
     """
     patch = _patch_code(code, term.support)
     cx = np.array([q.x for q in patch.checks], dtype=np.int64)
     cz = np.array([q.z for q in patch.checks], dtype=np.int64)
     flips = _odd_overlap(cx[:, None], cz[:, None], term.x, term.z)
     energy = np.array(patch.lambdas) @ flips
-    group = CheckGroup(patch.checks, patch.n).signed_span()
-    return flips.any(axis=0), energy, group
+    group = CheckGroup(patch.checks, patch.n)
+    if group.rank > DENSE_MAX_QUBITS:
+        raise PatchTooLargeError(f"patch on {patch.n} qubits has a check group"
+                                 f" of rank {group.rank} > {DENSE_MAX_QUBITS}")
+    return flips.any(axis=0), energy, group.signed_span()
 
 
 def _accumulate(*parts):
@@ -397,7 +395,7 @@ def commutator_qlo(d: QuasiLocalOperator,
             if not td.support & ta.support:
                 continue  # disjoint supports commute
             sup = td.support | ta.support
-            _refuse_wider(sup, 63)  # bits of an int64 mask
+            _refuse_wider(sup)
             qubits = sorted(sup)
             (dx, dz), (ax, az) = (
                 t._masks_at(np.searchsorted(qubits, t.patch_qubits))

@@ -22,7 +22,6 @@ from .code import CheckGroup, StabilizerCode, ball, num_logical_qubits
 from .flow import kappa_m
 from .gf2 import nullspace
 from .matrices import (
-    DENSE_MAX_QUBITS,
     code_hamiltonian_dense,
     code_hamiltonian_terms,
     codespace_projector_dense,
@@ -30,6 +29,7 @@ from .matrices import (
     operator_dense,
     pauli_transform,
     payload_norm,
+    refuse_dense,
     terms_from_transform,
 )
 from .pauli import PauliString, columns, commutes, restrict
@@ -71,9 +71,7 @@ class SwtEngine:
     """Runs exact SWT orders for one code at dense-tractable size."""
 
     def __init__(self, code: StabilizerCode, d_s: int | None = None):
-        if code.n > DENSE_MAX_QUBITS:
-            raise ValueError(
-                f"dense engine is limited to n <= {DENSE_MAX_QUBITS}")
+        refuse_dense(code.n)
         self.code = code
         self.d_s = d_s if d_s is not None else code.n + 1
         self.h0 = code_hamiltonian_dense(code)
@@ -272,9 +270,7 @@ def spectral_report(
     terms = tuple(map(np.concatenate, zip(h0, (epsilon * v[0], *v[1:]))))
     vecs = None
     if mode == "dense":
-        if code.n > DENSE_MAX_QUBITS:
-            raise ValueError(
-                f"dense mode is limited to n <= {DENSE_MAX_QUBITS}")
+        refuse_dense(code.n)
         if swt_result is None:
             vals = lowest_eigenvalues_sparse(code.n, terms, k=1 << code.n)
         else:

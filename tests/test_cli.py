@@ -35,6 +35,18 @@ def test_build_usage_error(capsys):
     assert "L >= 2" in err
 
 
+@pytest.mark.parametrize("family, missing", [
+    ("toric", "--L"),
+    ("repetition", "--n"),
+    ("random-biregular", "--n, --deg-bit, --deg-check"),
+    ("hgp", "--left"),
+])
+def test_build_without_size_flag_is_usage_error(family, missing, capsys):
+    code, _, err = run_cli(["build", "--family", family], capsys)
+    assert code == 2
+    assert f"needs {missing}" in err
+
+
 def test_build_hgp_from_alist(tmp_path, capsys):
     rep3 = BipartiteTanner.repetition(3)
     alist = tmp_path / "rep3.alist"

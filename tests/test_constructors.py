@@ -45,6 +45,14 @@ def test_ising_cycle_has_redundancy():
     assert num_logical_qubits(code) == 1
 
 
+def test_graph_connectivity():
+    assert not SimpleGraph(0, ()).is_connected()
+    assert SimpleGraph(1, ()).is_connected()
+    assert SimpleGraph.cycle(5).is_connected()
+    assert not SimpleGraph(4, ((0, 1), (2, 3))).is_connected()
+    assert not SimpleGraph(3, ((1, 2),)).is_connected()
+
+
 def test_ising_rejects_disconnected():
     g = SimpleGraph(4, ((0, 1), (2, 3)))
     with pytest.raises(ValueError, match="connected"):

@@ -44,6 +44,19 @@ def xor_of(rows: list[int], sel: int) -> int:
     return acc
 
 
+@pytest.mark.parametrize("cols", [1, 64, 130])
+def test_span_table_matches_subset_xor(cols):
+    # Row s of the doubling table is the XOR of the rows s selects, for
+    # one-word and multi-word rows and for no rows at all.
+    rng = random.Random(cols)
+    for m in (0, 1, 7):
+        rows = [rng.getrandbits(cols) for _ in range(m)]
+        table = gf2._span_table(gf2._words(rows, cols))
+        assert table.shape == (1 << m, -(-cols // 64))
+        assert [int.from_bytes(row.tobytes(), "little") for row in table] == [
+            xor_of(rows, s) for s in range(1 << m)]
+
+
 def toric2_z_support_matrix() -> list[int]:
     code = toric_code(2)
     return [code.checks[i].z for i in code.z_type_indices()]

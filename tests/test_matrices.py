@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stabbench import matrices
+from stabbench.code import StabilizerCode
 from stabbench.constructors import ising_toric, repetition_code, toric_code
 from stabbench.experiments import plaquette_field_terms, uniform_field_terms
 from stabbench.matrices import (
@@ -25,7 +26,7 @@ from stabbench.matrices import (
     terms_from_transform,
 )
 from stabbench.pauli import PauliString, columns
-from stabbench.quasilocal import decompose
+from stabbench.quasilocal import PatchTooLargeError, block_split, decompose
 
 
 def pauli_matrix(p: PauliString) -> np.ndarray:
@@ -418,18 +419,29 @@ def test_cluster_floor_bounds_every_block(case):
         assert floor >= sum_abs - 1e-10
 
 
-def test_payload_norm_refuses_dense_fallback(monkeypatch):
-    def no_convergence(*args, **kwargs):
-        raise spla.ArpackNoConvergence("no convergence", np.empty(0),
-                                       np.empty(0))
-
-    def no_dense(*args, **kwargs):
-        raise AssertionError("dense 2^14 x 2^14 fallback allocated")
-
-    monkeypatch.setattr(matrices.spla, "svds", no_convergence)
-    monkeypatch.setattr(matrices, "operator_dense", no_dense)
-    with pytest.raises(ArithmeticError, match="n = 14"):
-        payload_norm(14, columns(_field(14, "X", 1.0)[:2]))
+def test_payload_norm_refuses_past_limit(no_large_zeros):
+    # X and Z on each of 13 qubits: one coset block of 2^13 states, a 1 GB
+    # complex matrix.
+    n = 13
+    terms = columns([(0.5, PauliString.single(n, kind, i))
+                     for i in range(n) for kind in "XZ"])
+    with pytest.raises(ValueError, match="13 qubits exceeds the limit of 12"):
+        payload_norm(n, terms)
+    # X_0 and Z_1 ... Z_13 on 14 qubits: blocks of 2 states, but 2^13
+    # distinct coset sign patterns.
+    terms = columns([(0.5, PauliString.single(14, "X", 0))]
+                    + [(0.5, PauliString.single(14, "Z", i))
+                       for i in range(1, 14)])
+    with pytest.raises(ValueError, match="2\\^13 distinct coset signs"):
+        payload_norm(14, terms)
+    # X on 13 qubits of a single-Z code: the patch group of the 13 flipped
+    # checks has rank 13, a table of 2^13 elements per term.
+    code = StabilizerCode.from_checks(
+        14, [PauliString.single(14, "Z", i) for i in range(14)])
+    (term,) = decompose(
+        [(1.0, PauliString.from_support(14, "X", range(13)))], code).terms
+    with pytest.raises(PatchTooLargeError, match="rank 13"):
+        block_split(term, code)
 
 
 @st.composite
@@ -453,6 +465,25 @@ def test_payload_norm_matches_dense_svd(case):
     n, terms = case[0], columns(case[1])
     expect = np.linalg.norm(operator_dense(n, terms), 2)
     assert payload_norm(n, terms) == pytest.approx(expect, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(norm_cases(), st.integers(13, 20), st.randoms(use_true_random=False))
+def test_payload_norm_keeps_relabeled_small_sums(case, wide, rng):
+    # The sum's qubits moved injectively into 13-20 qubits: the extra
+    # qubits carry identities, so the norm is the dense norm of the small
+    # sum.
+    n, terms = case
+    place = rng.sample(range(wide), n)
+
+    def moved(mask):
+        return sum(1 << place[q] for q in range(n) if mask >> q & 1)
+
+    wide_terms = [(c, PauliString(wide, moved(p.x), moved(p.z), p.sign))
+                  for c, p in terms]
+    expect = np.linalg.norm(operator_dense(n, columns(terms)), 2)
+    assert payload_norm(wide, columns(wide_terms)) == pytest.approx(
+        expect, rel=1e-12, abs=1e-12)
 
 
 @settings(max_examples=150, deadline=None)
@@ -495,24 +526,16 @@ def test_matvec_csr_of_rep16_x_field_block():
     assert mv.matrix.data.dtype == np.float64
 
 
-def test_payload_norm_lanczos_above_n12(monkeypatch):
-    built = []
-    matvec = matrices.PauliMatvec
-
-    def spy(n, terms):
-        built.append(n)
-        return matvec(n, terms)
-
-    monkeypatch.setattr(matrices, "PauliMatvec", spy)
+def test_payload_norm_above_n12():
     n = 13
     x0, y0, z0 = (PauliString.single(n, kind, 0) for kind in "XYZ")
     assert payload_norm(n, columns([(0.3, x0), (0.4, z0)])) == pytest.approx(
         0.5, rel=1e-8)
-    # X + iY = 2 |0><1| is not normal; its singular values are 2 and 0, so
-    # the adjoint must be the conjugate transpose, not the matrix itself.
+    # X + iY = 2 |0><1| is not normal; its singular values are 2 and 0.
     assert payload_norm(n, columns([(1.0, x0), (1j, y0)])) == pytest.approx(
         2.0, rel=1e-8)
-    assert built == [n, n]
+    x_pair = columns([(1.0, PauliString.single(14, "X", q)) for q in (0, 1)])
+    assert payload_norm(14, x_pair) == pytest.approx(2.0, rel=1e-8)
 
 
 @pytest.mark.parametrize("phase", [1, 1j], ids=["hermitian", "antihermitian"])

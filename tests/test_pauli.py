@@ -8,14 +8,18 @@ import random
 import numpy as np
 import pytest
 
+from stabbench.gf2 import _words
 from stabbench.matrices import operator_dense
 from stabbench.pauli import (
     PauliString,
     columns,
     commutes,
     multiply,
+    multiply_phase,
+    power_of_i,
     product,
     restrict,
+    signed_span,
 )
 
 
@@ -135,3 +139,33 @@ def test_property_symplectic_form_matches_dense(n, data):
                     data.draw(st.integers(0, (1 << n) - 1)))
     mp, mq = pauli_matrix(p), pauli_matrix(q)
     assert commutes(p, q) == np.allclose(mp @ mq, mq @ mp)
+
+
+@pytest.mark.parametrize("n", [5, 70])
+def test_signed_span_matches_ordered_products(n):
+    # Row s of the tables is the product of the strings the bits of s
+    # select, in order, as i^e X^x Z^z: against multiply_phase on every
+    # subset, with the strings as ints (n = 5) and as rows of words.
+    rng = random.Random(n)
+    strings = [PauliString(n, rng.getrandbits(n), rng.getrandbits(n),
+                           rng.choice((1, -1))) for _ in range(6)]
+    e = [power_of_i(p) for p in strings]
+    if n < 63:
+        tx, tz, te = signed_span(np.array([p.x for p in strings]),
+                                 np.array([p.z for p in strings]), e)
+        tx, tz = tx.tolist(), tz.tolist()
+    else:
+        wx, wz, te = signed_span(_words([p.x for p in strings], n),
+                                 _words([p.z for p in strings], n), e)
+        tx, tz = ([int.from_bytes(row.tobytes(), "little") for row in w]
+                  for w in (wx, wz))
+    for s in range(1 << len(strings)):
+        phase, acc = 1, PauliString.identity(n)
+        for b, p in enumerate(strings):
+            if s >> b & 1:
+                step, acc = multiply_phase(acc, p)
+                phase *= step
+        assert (tx[s], tz[s]) == (acc.x, acc.z)
+        # acc is the canonical string i^|x & z| X^x Z^z.
+        assert phase * 1j ** (acc.x & acc.z).bit_count() == pytest.approx(
+            1j ** int(te[s]))

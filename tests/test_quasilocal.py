@@ -21,7 +21,11 @@ from hypothesis import strategies as st
 
 from stabbench.code import StabilizerCode
 from stabbench.constructors import ising_toric, repetition_code, toric_code
-from stabbench.matrices import operator_dense, pauli_transform
+from stabbench.matrices import (
+    code_hamiltonian_terms,
+    operator_dense,
+    pauli_transform,
+)
 from stabbench.pauli import (
     PauliString,
     columns,
@@ -34,6 +38,8 @@ from stabbench.quasilocal import (
     LocalTerm,
     PatchTooLargeError,
     QuasiLocalOperator,
+    _patch_columns,
+    block_diagonal_part,
     block_split,
     checks_inside,
     commutator_qlo,
@@ -41,6 +47,7 @@ from stabbench.quasilocal import (
     kappa_norm,
     local_projectors,
     patch_hamiltonian,
+    solve_generator,
 )
 from tests.test_soundness import general_code
 
@@ -136,13 +143,12 @@ def test_kappa_norm_monotone_in_kappa():
     assert kappa_norm(qlo, 0.4) <= kappa_norm(qlo, 0.8) + 1e-12
 
 
-def test_kappa_norm_patch_guard():
-    code = field_code(16)  # wide support possible
-    # a weight-15 Pauli has strong support 15 > 14
+def test_kappa_norm_wide_patch():
+    code = field_code(16)
+    # A weight-15 Pauli has strong support 15 and norm 1.
     p = PauliString.from_support(16, "X", range(15))
     qlo = decompose([(1.0, p)], code)
-    with pytest.raises(PatchTooLargeError):
-        kappa_norm(qlo, 0.5)
+    assert kappa_norm(qlo, 0.5) == pytest.approx(math.exp(0.5 * 15))
 
 
 def test_local_projectors_empty_and_full():
@@ -412,6 +418,35 @@ def test_block_split_on_qubits_past_int64():
         assert_same_term(diag, want_diag)
         assert_same_term(off, want_off)
         assert off.paulis
+
+
+@pytest.mark.parametrize("qubits, width, rank",
+                         [((0, 1, 2, 9), 14, 8), ((0, 1, 2, 6), 16, 12)])
+def test_closed_forms_on_wide_toric_patches(qubits, width, rank):
+    # Weight-4 X strings on toric L = 3 with strong supports of 14 and 16
+    # qubits, past a dense patch matrix, whose patch groups have rank 8
+    # and 12.  The string T flips E checks, all inside: ||P T Q|| = 1, so
+    # the off-diagonal part has norm 0.3, and ||A|| = 0.3 / E.
+    code = toric_code(3)
+    v = decompose([(0.3, PauliString.from_support(code.n, "X", qubits))],
+                  code)
+    (term,) = v.terms
+    assert len(term.support) == width
+    assert len(_patch_columns(term, code)[2][0]) == 1 << rank
+    diag, off = block_split(term, code)
+    assert not QuasiLocalOperator(code, (diag, off)).add(v.scaled(-1)).terms
+    # [H0, A] + V - PV cancels term by term.
+    a = solve_generator(code, v)
+    pv = block_diagonal_part(v)
+    h0 = decompose(code_hamiltonian_terms(code), code)
+    assert a.terms
+    assert not commutator_qlo(h0, a).add(v).add(pv.scaled(-1)).terms
+    scale = math.exp(0.5 * width)
+    energy = term.syndrome.bit_count()
+    for op, norm in ((v, 0.3), (QuasiLocalOperator(code, (off,)), 0.3),
+                     (QuasiLocalOperator(code, (diag,)), 0.3),
+                     (a, 0.3 / energy)):
+        assert kappa_norm(op, 0.5) == pytest.approx(norm * scale, rel=1e-12)
 
 
 def test_local_term_refuses_wide_supports_and_outside_paulis():
