@@ -17,8 +17,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from .acceptance import run_all
 from .code import code_parameters, validate
@@ -207,8 +205,10 @@ def cmd_swt(args) -> int:
         "schedule_sup": run.schedule_sup,
         "conjugation_residuals": run.conjugation_residuals,
         "unitarity_defect": run.unitarity_defect(),
-        "garbage_norm": float(np.linalg.norm(run.e_final, 2)),
+        "garbage_norm": run.garbage_norm(),
         "diverging": run.diverging,
+        "cosets": {"frame": run.frame.name, "blocks": len(run.u_blocks),
+                   "block_qubits": run.frame.r},
     }
     _write_json(payload, args.out)
     if max(run.conjugation_residuals, default=0.0) > 1e-8:

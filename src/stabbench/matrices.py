@@ -9,6 +9,10 @@ Dense and sparse builds are index-arithmetic based (no Kronecker chains): a
 Pauli string acts on a basis state by an XOR permutation plus a Z-parity
 phase.  The inverse direction, expanding a dense matrix over the Hermitian
 Pauli basis, is a by-qubit tensor transform costing O(n 4^n).
+
+A ``CosetFrame`` splits the basis states into the invariant cosets of a
+sum's x-span; the SWT engine, operator norms and the coset eigensolver all
+work on its blocks.
 """
 
 from __future__ import annotations
@@ -186,19 +190,18 @@ class PauliMatvec:
                                    dtype=self.matrix.dtype)
 
 
-def _sign_rows(n: int, r: int, z, reps) -> np.ndarray:
+def _sign_rows(z, single) -> np.ndarray:
     """The distinct rows of signs (-1)^|rep & z_k| over the coset
     representatives: linear in rep, so the ``gf2._span_table`` of the rows
-    of reps[2^j], the representatives with one free bit."""
-    single = reps[1 << np.arange(n - r)]
+    of the representatives with one free bit, ``single``."""
     bits = np.bitwise_count(single[:, None] & z) & 1
     packed = np.packbits(bits, axis=1, bitorder="little")
     basis = list(Echelon(int.from_bytes(row.tobytes(), "little")
                          for row in packed).rows.values())
     if len(basis) > DENSE_MAX_QUBITS:
         raise ValueError(
-            f"{len(z)} terms on {n} qubits take 2^{len(basis)} distinct "
-            f"coset signs, more than 2^{DENSE_MAX_QUBITS}")
+            f"{len(z)} terms take 2^{len(basis)} distinct coset signs, "
+            f"more than 2^{DENSE_MAX_QUBITS}")
     table = _span_table(_words(basis, len(z)))
     bits = np.unpackbits(table.view(np.uint8), axis=1, count=len(z),
                          bitorder="little")
@@ -208,7 +211,7 @@ def _sign_rows(n: int, r: int, z, reps) -> np.ndarray:
 def payload_norm(n: int, terms) -> float:
     """Operator 2-norm of a Pauli sum (c, x, z), Hermitian or not.
 
-    The sum is split into its invariant cosets (``_coset_split``).  Cosets
+    The sum is split into the invariant cosets of a ``CosetFrame``.  Cosets
     whose signs (-1)^|rep & z| agree on every term carry the same block, so
     one block per distinct sign pattern (``_sign_rows``) is built, all in
     one batch, and the norm is the largest singular value over them: by
@@ -218,26 +221,28 @@ def payload_norm(n: int, terms) -> float:
     that part is dropped and its sum |c| added to the norm, which keeps
     the value an upper bound.
 
-    Raises ValueError before anything of that size is built: past
-    ``COSET_MAX_DIM`` (``_coset_split``), past 2^``DENSE_MAX_QUBITS`` sign
-    patterns, and for a batch of blocks larger than one dense matrix on
-    ``DENSE_MAX_QUBITS`` qubits.  None fires up to that many qubits.
+    Only the n - r representatives with one free bit are built, so the
+    number of cosets sets no limit.  Raises ValueError before anything of
+    that size is built: past 2^``DENSE_MAX_QUBITS`` sign patterns, and for a
+    batch of blocks larger than one dense matrix on ``DENSE_MAX_QUBITS``
+    qubits.  Neither fires up to that many qubits.
     """
     if not terms[0].size:
         return 0.0
     if terms[0].size == 1:
         return float(abs(terms[0][0]))  # Pauli strings are unitary
-    (_, _, z), (c, rx, rz), reps, r = _coset_split(n, terms)
-    signs = _sign_rows(n, r, z, reps)
+    frame = CosetFrame(n, terms)
+    (_, _, z), (c, rx, rz) = frame.reduce(terms)
+    signs = _sign_rows(z, frame.representatives(single=True))
     dust = 1e-14 * np.max(np.abs(c))
     if np.max(np.abs(c.imag)) <= dust:
         kept, dropped = c.real, c.imag  # Hermitian
     elif np.max(np.abs(c.real)) <= dust:
         kept, dropped = c.imag, c.real  # i times Hermitian
     else:
-        blocks = _batched_blocks(r, rx, rz, c * signs)
+        blocks = _batched_blocks(frame.r, rx, rz, c * signs)
         return float(np.max(np.linalg.svd(blocks, compute_uv=False)))
-    blocks = _batched_blocks(r, rx, rz, kept * signs)
+    blocks = _batched_blocks(frame.r, rx, rz, kept * signs)
     vals = np.linalg.eigvalsh(blocks if blocks.imag.any() else blocks.real)
     # The dropped part has norm at most its sum |c|.
     return float(np.max(np.abs(vals)) + np.sum(np.abs(dropped)))
@@ -247,6 +252,14 @@ def _batched_blocks(r: int, x, z, weights: np.ndarray) -> np.ndarray:
     """Dense r-qubit matrices sum_k weights[j, k] i^|x_k & z_k| X^x_k Z^z_k,
     one per row j of ``weights``, as one (rows, 2^r, 2^r) array.
 
+    One pass per distinct x-mask: the strings on that mask fill the same
+    entries, at rows b ^ x of every column b.  Their Z-parity signs come as
+    one table per chunk of 2^r strings, and their terms are summed one
+    string after another in the input order (``np.add.accumulate``, never a
+    pairwise reduction), so every entry is the same sum, rounded the same
+    way, as adding the strings one at a time.  No temporary holds more
+    entries than the output.
+
     Raises ValueError when the batch holds more entries than one dense
     matrix on ``DENSE_MAX_QUBITS`` qubits, before anything of that size is
     built.
@@ -254,11 +267,19 @@ def _batched_blocks(r: int, x, z, weights: np.ndarray) -> np.ndarray:
     refuse_dense(r, len(weights))
     dim = 1 << r
     basis = np.arange(dim, dtype=np.int64)
-    phases = _phases(weights, x, z)
+    phases = _phases(weights, x, z).T  # (strings, rows)
     out = np.zeros((len(weights), dim, dim), dtype=complex)
-    for k, mask in enumerate(x):
-        out[:, basis ^ mask, basis] += (
-            phases[:, k, None] * _z_parity_signs(z[k], basis))
+    order = np.argsort(x, kind="stable")
+    masks, starts = np.unique(x[order], return_index=True)
+    for mask, group in zip(masks.tolist(), np.split(order, starts[1:])):
+        acc = np.zeros((len(weights), dim), dtype=complex)
+        for lo in range(0, len(group), dim):
+            ks = group[lo:lo + dim]
+            terms = (phases[ks, :, None]
+                     * _z_parity_signs(z[ks, None], basis)[:, None])
+            terms[0] += acc
+            acc = np.add.accumulate(terms, axis=0, out=terms)[-1]
+        out[:, basis ^ mask, basis] = acc
     return out
 
 
@@ -271,65 +292,153 @@ DENSE_BLOCK_MAX_DIM = 1 << 9
 # Largest residual ||Hv - lambda v|| accepted from a Lanczos eigenpair: the
 # tolerance to which eigenvalues are compared downstream.
 RESIDUAL_TOL = 1e-8
-# Most states in one invariant block, and most cosets, that ``_coset_split``
-# accepts: a Lanczos vector of 2^20 complex states takes 16 MB, and the
-# coset representatives and floors 8 MB each.
+# Most states in one invariant block, and most cosets, of a frame whose
+# representatives ``CosetFrame.representatives`` lists: a Lanczos vector of
+# 2^20 complex states takes 16 MB, and the representatives and floors 8 MB
+# each.
 COSET_MAX_DIM = 1 << 20
 
 
 def _hadamard_frame(terms) -> tuple:
     """Conjugate every term by a Hadamard on all qubits.  X and Z swap, and
-    H Y H = -Y multiplies c by (-1)^|x & z|; the spectrum is kept."""
+    H Y H = -Y multiplies c by (-1)^|x & z|; the spectrum is kept.  The map
+    is its own inverse."""
     c, x, z = terms
     return np.where(np.bitwise_count(x & z) & 1, -c, c), z, x
 
 
-def _coset_split(n: int, terms):
-    """Split a Pauli sum into the invariant cosets of its x-span.
+def _walsh_hadamard(M: np.ndarray) -> np.ndarray:
+    """H^(x n) M for a matrix of 2^n rows, H = [[1, 1], [1, -1]] / sqrt(2):
+    one in-place butterfly per qubit, O(n 2^n) per column.  Each reshape
+    only splits the row axis, so it is a view of the copy for any layout."""
+    dim = M.shape[0]
+    out = np.array(M, dtype=complex)
+    half = 1
+    while half < dim:
+        t = out.reshape(dim // (2 * half), 2, half, -1)
+        low = t[:, 0].copy()
+        t[:, 0] += t[:, 1]
+        low -= t[:, 1]
+        t[:, 1] = low
+        half *= 2
+    out /= np.sqrt(dim)
+    return out
+
+
+class CosetFrame:
+    """The invariant cosets of the x-span of a Pauli sum (c, x, z).
 
     The sum maps a basis state b only to states b ^ x with x in the span S
     of the terms' x-masks, so each coset of S is an invariant block of
-    2^r states, r = rank(S).  The frame with the smaller such span is used:
-    when the z-masks have the lower rank, every term is conjugated by a
-    Hadamard on all qubits first, which keeps the spectrum and the singular
-    values.
+    2^r states, r = rank(S), and so does every sum of strings whose x-masks
+    lie in S, products and exponentials of such sums included.  The frame
+    with the smaller span is used: when the z-masks have the lower rank,
+    every term is conjugated by a Hadamard on all qubits first
+    (``_hadamard_frame``), which keeps the spectrum and the singular values.
 
-    A state of the coset with representative rep is rep ^ (XOR of the rows
-    its local index picks), so term (c, x, z) maps local index l to l ^ m,
-    with m the rows that make up x, times (-1)^|rep & z| and the phase of
-    the r-qubit string (m, z'), where bit j of z' is the parity of row
-    j & z.  m.z' = x.z (mod 2), so the two strings' i-powers differ by a
-    sign, folded into the reduced coefficient.
-
-    Returns the terms in the chosen frame, their reduced r-qubit strings,
-    both as (c, x, z), the coset representatives (every state with zero
-    pivot bits) and r.  Raises ValueError, before anything of that size is
-    built, when a block or the number of cosets would exceed
-    ``COSET_MAX_DIM``.
+    S is held in reduced echelon form: ``pivots`` (the lowest bit of each
+    row), ``row_masks`` and the ``free`` qubits, those of no pivot.  The
+    coset representatives are the states with zero pivot bits, and a state
+    of the coset of rep is rep ^ (XOR of the rows its local index picks).
+    Term (c, x, z) then maps local index l to l ^ m, with m the rows that
+    make up x, times (-1)^|rep & z| and the phase of the r-qubit string
+    (m, z'), where bit j of z' is the parity of row j & z.  m.z' = x.z
+    (mod 2), so the two strings' i-powers differ by a sign, folded into the
+    reduced coefficient.
     """
-    rows = Echelon(terms[1].tolist()).rows
-    z_rows = Echelon(terms[2].tolist()).rows
-    if len(z_rows) < len(rows):
-        terms, rows = _hadamard_frame(terms), z_rows
-    c, x, z = terms
-    r = len(rows)
-    if max(1 << r, 1 << (n - r)) > COSET_MAX_DIM:
-        raise ValueError(
-            f"{n} qubits split into 2^{n - r} cosets of 2^{r} states; more "
-            f"than {COSET_MAX_DIM} of either is refused")
-    pivots = sorted(rows)
-    m = _gather(x, pivots)
-    row_masks = np.array([rows[p] for p in pivots], dtype=np.int64)
-    zr = _pack(np.bitwise_count(z[:, None] & row_masks) & 1)
-    # 0 or 2: bitwise_count is uint8, and its wrap-around keeps the
-    # difference mod 4.
-    twist = (np.bitwise_count(x & z) - np.bitwise_count(m & zr)) % 4
-    free = [i for i in range(n) if i not in rows]
-    index = np.arange(1 << len(free), dtype=np.int64)
-    reps = np.zeros_like(index)
-    for j, bit in enumerate(free):
-        reps |= ((index >> j) & 1) << bit
-    return terms, (np.where(twist, -c, c), m, zr), reps, r
+
+    def __init__(self, n: int, terms):
+        # The reduced echelon form of a span is unique, so each distinct
+        # mask is inserted once.
+        rows = Echelon(np.unique(terms[1]).tolist()).rows
+        z_rows = Echelon(np.unique(terms[2]).tolist()).rows
+        self.hadamard = len(z_rows) < len(rows)
+        if self.hadamard:
+            rows = z_rows
+        self.n, self.r = n, len(rows)
+        self.pivots = sorted(rows)
+        self.row_masks = np.array([rows[p] for p in self.pivots],
+                                  dtype=np.int64)
+        self.free = [i for i in range(n) if i not in rows]
+
+    @property
+    def name(self) -> str:
+        return "hadamard" if self.hadamard else "identity"
+
+    def reduce(self, terms) -> tuple:
+        """The sum (c, x, z) in the frame, and its reduced r-qubit strings
+        (c', m, z'), both as (c, x, z).  Raises ValueError when a term's
+        x-mask in the frame lies outside the span."""
+        if self.hadamard:
+            terms = _hadamard_frame(terms)
+        c, x, z = terms
+        m = _gather(x, self.pivots)
+        rows = (self.row_masks[:, None] >> np.arange(self.n)) & 1
+        spanned = _pack(((m[:, None] >> np.arange(self.r)) & 1) @ rows & 1)
+        if np.any(spanned != x):
+            k = int(np.flatnonzero(spanned != x)[0])
+            raise ValueError(
+                f"term {k} (x = {int(terms[1][k])}, z = {int(terms[2][k])} in "
+                f"the {self.name} frame) lies outside the frame's span")
+        zr = _pack(np.bitwise_count(z[:, None] & self.row_masks) & 1)
+        # 0 or 2: bitwise_count is uint8, and its wrap-around keeps the
+        # difference mod 4.
+        twist = (np.bitwise_count(x & z) - np.bitwise_count(m & zr)) % 4
+        return terms, (np.where(twist, -c, c), m, zr)
+
+    def representatives(self, single: bool = False) -> np.ndarray:
+        """The coset representatives: all 2^(n-r), rep i carrying bit j of
+        i at free qubit j, or with ``single`` only the n - r of one free
+        bit (reps 2^j of the full list).  The full list is refused with
+        ValueError, before it is built, past ``COSET_MAX_DIM`` cosets or
+        states per coset."""
+        single_reps = np.left_shift(1, np.array(self.free, dtype=np.int64))
+        if single:
+            return single_reps
+        if max(1 << self.r, 1 << (self.n - self.r)) > COSET_MAX_DIM:
+            raise ValueError(
+                f"{self.n} qubits split into 2^{self.n - self.r} cosets of "
+                f"2^{self.r} states; more than {COSET_MAX_DIM} of either is "
+                "refused")
+        return _span_table(single_reps)
+
+    def blocks(self, terms) -> np.ndarray:
+        """The (cosets, 2^r, 2^r) blocks of the sum (c, x, z) in the frame,
+        in the order of ``representatives``: one ``_batched_blocks`` call,
+        with the coset signs (-1)^|rep & z| as one weight row per coset."""
+        framed, (c, m, zr) = self.reduce(terms)
+        reps = self.representatives()
+        return _batched_blocks(
+            self.r, m, zr, c * _z_parity_signs(framed[2], reps[:, None]))
+
+    def scatter(self, blocks: np.ndarray) -> np.ndarray:
+        """The 2^n x 2^n matrix, in the frame, whose coset blocks are
+        ``blocks``."""
+        states = self.representatives()[:, None] ^ _span_table(self.row_masks)
+        out = np.zeros((1 << self.n, 1 << self.n), dtype=blocks.dtype)
+        out[states[:, :, None], states[:, None, :]] = blocks
+        return out
+
+    def full(self, blocks: np.ndarray) -> np.ndarray:
+        """The operator with these blocks as one 2^n x 2^n matrix out of
+        the frame: the scattered matrix, conjugated in the Hadamard frame
+        by a Walsh-Hadamard transform of its rows and columns, O(n 4^n)."""
+        out = self.scatter(blocks)
+        if self.hadamard:
+            out = _walsh_hadamard(_walsh_hadamard(out).T).T
+        return out
+
+    def pauli_terms(self, blocks: np.ndarray) -> list:
+        """(coeff, PauliString) pairs, out of the frame, of the operator
+        with these blocks: ``pauli_transform`` of the scattered matrix, in
+        the Hadamard frame with each (x, z) mapped back as
+        ``_hadamard_frame`` maps it (x and z swapped, the coefficient
+        negated when |x & z| is odd)."""
+        coeffs = pauli_transform(self.scatter(blocks))
+        if self.hadamard:
+            coeffs = {(z, x): -c if (x & z).bit_count() & 1 else c
+                      for (x, z), c in coeffs.items()}
+        return terms_from_transform(self.n, coeffs)
 
 
 def _lanczos_block(r: int, terms, k: int, rng) -> np.ndarray:
@@ -410,7 +519,7 @@ def _coset_floors(n: int, terms, reduced, reps) -> np.ndarray:
 def lowest_eigenvalues_sparse(n: int, terms, k: int,
                               seed: int = 7) -> np.ndarray:
     """Lowest k eigenvalues of a Pauli-sum Hamiltonian (c, x, z), sorted,
-    solved one invariant coset at a time (``_coset_split``); k = 2^n gives
+    solved one invariant coset at a time (``CosetFrame``); k = 2^n gives
     the exact full spectrum, every block solved densely, with no 2^n x 2^n
     matrix.
 
@@ -435,7 +544,10 @@ def lowest_eigenvalues_sparse(n: int, terms, k: int,
     """
     if not 1 <= k <= 1 << n:
         raise ValueError(f"k = {k} is outside 1..2^{n}")
-    terms, (c, m, zr), reps, r = _coset_split(n, terms)
+    frame = CosetFrame(n, terms)
+    reps = frame.representatives()
+    terms, (c, m, zr) = frame.reduce(terms)
+    r = frame.r
     floors = _coset_floors(n, terms, (c, m, zr), reps)
 
     rng = np.random.default_rng(seed)

@@ -119,11 +119,14 @@ class QuasiLocalOperator:
     def key_index(self) -> dict:
         return {(t.support, t.syndrome): t for t in self.terms}
 
-    def to_dense(self) -> np.ndarray:
-        # The empty sum columns(()) heads the parts: no terms, zero matrix.
+    def full_columns(self) -> tuple:
+        """The operator as one Pauli sum (c, x, z) on the code's qubits."""
+        # The empty sum columns(()) heads the parts: no terms, no rows.
         lifted = [(t.c, *t._masks_at(t.patch_qubits)) for t in self.terms]
-        return operator_dense(self.code.n, tuple(
-            map(np.concatenate, zip(columns(()), *lifted))))
+        return tuple(map(np.concatenate, zip(columns(()), *lifted)))
+
+    def to_dense(self) -> np.ndarray:
+        return operator_dense(self.code.n, self.full_columns())
 
     def term_norm(self, term: LocalTerm) -> float:
         key = (term.support, term.syndrome)

@@ -2,10 +2,11 @@
 
 Each order solves [H0, A] + V = PV term by term in closed form over the
 group of the checks inside each term's strong support (the strong-support
-structure makes the local solution exact globally), rotates
-the full Hamiltonian by the matrix exponential, re-expands the remainder
+structure makes the local solution exact globally), rotates the
+Hamiltonian by the matrix exponential on the invariant coset blocks of
+H0's and V's terms (``matrices.CosetFrame``), re-expands the remainder
 over Paulis, and routes wide-support terms into an untracked garbage
-matrix.  Spectral verification (ground clusters, gaps, splittings, Weyl
+operator.  Spectral verification (ground clusters, gaps, splittings, Weyl
 stability) runs through the coset solver of ``matrices``: every level up
 to ``matrices.DENSE_MAX_QUBITS`` qubits, the lowest few beyond.  Only
 projector distances diagonalize a dense 2^n x 2^n matrix.
@@ -22,15 +23,14 @@ from .code import CheckGroup, StabilizerCode, ball, num_logical_qubits
 from .flow import kappa_m
 from .gf2 import nullspace
 from .matrices import (
+    CosetFrame,
     code_hamiltonian_dense,
     code_hamiltonian_terms,
     codespace_projector_dense,
     lowest_eigenvalues_sparse,
     operator_dense,
-    pauli_transform,
     payload_norm,
     refuse_dense,
-    terms_from_transform,
 )
 from .pauli import PauliString, columns, commutes, restrict
 # solve_generator and its error are re-exported from here.
@@ -45,75 +45,96 @@ from .quasilocal import (
 )
 
 
+def _dagger(A: np.ndarray) -> np.ndarray:
+    return A.conj().swapaxes(-1, -2)
+
+
 def _antihermitian_eigh(A: np.ndarray):
     """Eigenvalues and eigenvectors of the Hermitian -iA, so that
-    e^{sA} = V diag(e^{i s vals}) V^dagger for every real s."""
+    e^{sA} = V diag(e^{i s vals}) V^dagger for every real s; a stack of
+    matrices gives a stack of each."""
     M = -1j * A
-    return np.linalg.eigh(0.5 * (M + M.conj().T))
+    return np.linalg.eigh(0.5 * (M + _dagger(M)))
 
 
 def _expm_antihermitian(A: np.ndarray) -> np.ndarray:
     vals, vecs = _antihermitian_eigh(A)
-    return (vecs * np.exp(1j * vals)) @ vecs.conj().T
+    return (vecs * np.exp(1j * vals)[..., None, :]) @ _dagger(vecs)
+
+
+def _max_norm(blocks: np.ndarray) -> float:
+    """Largest 2-norm over a stack of blocks: the 2-norm of the operator
+    they make up, since the frame change and the coset order are
+    unitary."""
+    return float(np.max(np.linalg.svd(blocks, compute_uv=False)))
 
 
 @dataclass
 class StepResult:
     d_next: QuasiLocalOperator
     v_next: QuasiLocalOperator
-    e_next: np.ndarray
+    e_next: np.ndarray   # E on the engine's coset blocks
     generator: QuasiLocalOperator
-    unitary: np.ndarray
+    unitary: np.ndarray  # e^A on the engine's coset blocks
     conjugation_residual: float
 
 
 class SwtEngine:
-    """Runs exact SWT orders for one code at dense-tractable size."""
+    """Runs exact SWT orders for one code at dense-tractable size.
 
-    def __init__(self, code: StabilizerCode, d_s: int | None = None):
+    Every operator of a run (H0, V, D, the generator, U and the garbage E)
+    lies in the algebra of H0's and V's terms, so it maps each coset of the
+    frame built from those terms (``matrices.CosetFrame``) into itself.
+    The engine holds H0, E and U as the frame's (cosets, 2^r, 2^r) blocks
+    and builds D, V and the generator into blocks at each step: the
+    exponential is one batched ``eigh`` and the conjugations are batched
+    matmuls.  V's terms fix the frame when the engine is built, and
+    its wide-support terms (|S| >= d_s) go straight to garbage: the engine
+    starts from (``v1``, ``e1``).  A term outside the frame's span raises
+    ValueError.
+    """
+
+    def __init__(self, code: StabilizerCode, v_terms, d_s: int | None = None):
         refuse_dense(code.n)
         self.code = code
         self.d_s = d_s if d_s is not None else code.n + 1
-        self.h0 = code_hamiltonian_dense(code)
-
-    def split_input(self, v_terms):
-        """Initial (V_1, E_1): wide-support terms go straight to garbage."""
         qlo = v_terms if isinstance(v_terms, QuasiLocalOperator) else decompose(
-            v_terms, self.code
+            v_terms, code
         )
+        h0 = columns(code_hamiltonian_terms(code))
+        self.frame = CosetFrame(code.n, tuple(
+            map(np.concatenate, zip(h0, qlo.full_columns()))))
+        self.h0 = self.frame.blocks(h0)
         small, big = [], []
         for t in qlo.terms:
             (small if len(t.support) < self.d_s else big).append(t)
-        v1 = QuasiLocalOperator(self.code, tuple(small))
-        e1 = QuasiLocalOperator(self.code, tuple(big)).to_dense() if big \
-            else np.zeros_like(self.h0)
-        return v1, e1
+        self.v1 = QuasiLocalOperator(code, tuple(small))
+        self.e1 = self._blocks(QuasiLocalOperator(code, tuple(big)))
+
+    def _blocks(self, op: QuasiLocalOperator) -> np.ndarray:
+        return self.frame.blocks(op.full_columns())
 
     def step(self, d_m: QuasiLocalOperator, v_m: QuasiLocalOperator,
              e_m: np.ndarray, pv: QuasiLocalOperator) -> StepResult:
-        """One order, given PV = ``block_diagonal_part(v_m)``."""
+        """One order, given PV = ``block_diagonal_part(v_m)`` and E_m as
+        coset blocks."""
         code = self.code
         a_m = solve_generator(code, v_m)
         d_next = d_m.add(pv)
-        U = _expm_antihermitian(a_m.to_dense())
-        tracked = self.h0 + d_m.to_dense() + v_m.to_dense()
-        # d_next and v_next go dense once each and live until total_next;
-        # neither the conjugated sum nor the dense generator is kept, which
-        # pays for them in peak memory.
-        d_next_dense = d_next.to_dense()
-        remainder = U.conj().T @ tracked @ U - self.h0 - d_next_dense
-        rdec = decompose(
-            terms_from_transform(code.n, pauli_transform(remainder)), code)
+        U = _expm_antihermitian(self._blocks(a_m))
+        Ud = _dagger(U)
+        tracked = self.h0 + self._blocks(d_m) + self._blocks(v_m)
+        d_next_blocks = self._blocks(d_next)
+        remainder = Ud @ tracked @ U - self.h0 - d_next_blocks
+        rdec = decompose(self.frame.pauli_terms(remainder), code)
         v_next = QuasiLocalOperator(
             code, tuple(t for t in rdec.terms if len(t.support) < self.d_s))
-        v_next_dense = v_next.to_dense()
+        v_next_blocks = self._blocks(v_next)
         # Garbage absorbs everything not tracked as a small term, including
         # re-expansion dust, so the conjugation identity is exact.
-        e_next = (U.conj().T @ e_m @ U) + (remainder - v_next_dense)
-        total_next = self.h0 + d_next_dense + v_next_dense + e_next
-        residual = float(
-            np.linalg.norm(U.conj().T @ (tracked + e_m) @ U - total_next, 2)
-        )
+        e_next = (Ud @ e_m @ U) + (remainder - v_next_blocks)
+        total_next = self.h0 + d_next_blocks + v_next_blocks + e_next
+        residual = _max_norm(Ud @ (tracked + e_m) @ U - total_next)
         return StepResult(d_next, v_next, e_next, a_m, U, residual)
 
 
@@ -127,16 +148,28 @@ class SWTRunResult:
     conjugation_residuals: list
     d_final: QuasiLocalOperator
     v_final: QuasiLocalOperator
-    e_final: np.ndarray
+    e_blocks: np.ndarray   # E on the frame's coset blocks
     generators: list
-    unitary: np.ndarray
+    u_blocks: np.ndarray   # U = e^{A_1} ... on the frame's coset blocks
+    frame: CosetFrame
     diverging: bool
 
+    @property
+    def unitary(self) -> np.ndarray:
+        """U as one 2^n x 2^n matrix, built on each request."""
+        return self.frame.full(self.u_blocks)
+
+    @property
+    def e_final(self) -> np.ndarray:
+        """The garbage E as one 2^n x 2^n matrix, built on each request."""
+        return self.frame.full(self.e_blocks)
+
     def unitarity_defect(self) -> float:
-        dim = self.unitary.shape[0]
-        return float(
-            np.linalg.norm(self.unitary.conj().T @ self.unitary - np.eye(dim), 2)
-        )
+        dim = self.u_blocks.shape[-1]
+        return _max_norm(_dagger(self.u_blocks) @ self.u_blocks - np.eye(dim))
+
+    def garbage_norm(self) -> float:
+        return _max_norm(self.e_blocks)
 
 
 def swt_run(code: StabilizerCode, v_terms, m_target: int,
@@ -148,11 +181,11 @@ def swt_run(code: StabilizerCode, v_terms, m_target: int,
     A(t) = 2^m A_m measured at kappa_1/2.  Divergence (three consecutive
     growing v_m) is flagged, not fatal.
     """
-    engine = SwtEngine(code, d_s=d_s)
-    v_m, e_m = engine.split_input(v_terms)
+    engine = SwtEngine(code, v_terms, d_s=d_s)
+    v_m, e_m = engine.v1, engine.e1
     d_m = QuasiLocalOperator(code, ())
-    dim = 1 << code.n
-    U = np.eye(dim, dtype=complex)
+    U = np.zeros_like(e_m)
+    U[:] = np.eye(U.shape[-1])
     v_norms, vt_norms, a_norms, residuals, gens = [], [], [], [], []
     schedule_sup = 0.0
     for m in range(1, m_target + 1):
@@ -186,9 +219,10 @@ def swt_run(code: StabilizerCode, v_terms, m_target: int,
         conjugation_residuals=residuals,
         d_final=d_m,
         v_final=v_m,
-        e_final=e_m,
+        e_blocks=e_m,
         generators=gens,
-        unitary=U,
+        u_blocks=U,
+        frame=engine.frame,
         diverging=diverging,
     )
 

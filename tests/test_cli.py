@@ -172,6 +172,24 @@ def test_swt_command(tmp_path, capsys):
     assert data["v_norms"][1] < data["v_norms"][0]
 
 
+def test_swt_command_reports_its_coset_frame(tmp_path, capsys):
+    # Toric L = 2 under an X field: the plaquettes' z-span (rank 3) is the
+    # smaller, so the Hadamard frame, 2^5 cosets of 2^3 states.
+    art = tmp_path / "toric2.json"
+    run_cli(["build", "--family", "toric", "--L", "2", "--out", str(art)],
+            capsys)
+    code, out, _ = run_cli(
+        ["swt", str(art), "--perturbation", "x-field", "--epsilon", "0.02",
+         "--orders", "2"],
+        capsys,
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["cosets"] == {"frame": "hadamard", "blocks": 32,
+                              "block_qubits": 3}
+    assert 0 < data["garbage_norm"] < 1e-3
+
+
 def test_suite_subset(capsys):
     code, out, _ = run_cli(["suite", "--only", "6,lto"], capsys)
     assert code == 0

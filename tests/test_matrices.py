@@ -192,6 +192,88 @@ def test_column_form_matches_per_pair_reference(case, data):
         assert mv.matrix.nnz == (1 << n) * len({p.x for _, p in row})
 
 
+def batched_blocks_per_string(r, x, z, weights) -> np.ndarray:
+    """The per-string loop that ``_batched_blocks`` replaced, kept as the
+    reference: one Z-parity sign row and one scattered add per string, in
+    the input order."""
+    dim = 1 << r
+    basis = np.arange(dim, dtype=np.int64)
+    phases = matrices._phases(weights, x, z)
+    out = np.zeros((len(weights), dim, dim), dtype=complex)
+    for k, mask in enumerate(x):
+        signs = 1.0 - 2.0 * (np.bitwise_count(basis & z[k]) & 1)
+        out[:, basis ^ mask, basis] += phases[:, k, None] * signs
+    return out
+
+
+@st.composite
+def block_batches(draw):
+    """(r, x, z, weights): strings on up to 4 qubits whose x-masks come from
+    a pool of at most three, so that masks repeat, often more than 2^r
+    times; one to three weight rows, real or complex, of mixed magnitudes,
+    so that the order of a sum shows in its rounding."""
+    r = draw(st.integers(0, 4))
+    masks = st.integers(0, (1 << r) - 1)
+    pool = draw(st.lists(masks, min_size=1, max_size=3))
+    k = draw(st.integers(0, 14))
+    x = draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k))
+    z = draw(st.lists(masks, min_size=k, max_size=k))
+    rows = draw(st.integers(1, 3))
+    parts = 2 if draw(st.booleans()) else 1
+    values = draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False),
+                           min_size=parts * rows * k,
+                           max_size=parts * rows * k))
+    weights = np.array(values).reshape(parts, rows, k)
+    if parts == 2:
+        weights = weights[0] + 1j * weights[1]
+    return (r, np.array(x, dtype=np.int64), np.array(z, dtype=np.int64),
+            weights.reshape(rows, k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_batches())
+# r = 0 and one weight row: every string on the one entry, the case where a
+# pairwise reduction over a contiguous axis rounds differently.
+@example((0, np.zeros(5, dtype=np.int64), np.zeros(5, dtype=np.int64),
+          np.array([[1e16, 1.0, -1e16, 1.0, 3.0]])))
+# One mask, more strings than 2^r = 2: the running sum crosses a chunk.
+@example((1, np.ones(5, dtype=np.int64), np.array([0, 1, 1, 0, 1]),
+          np.array([[0.1, 1e16, 0.3, -1e16, 0.7 + 0.2j]])))
+def test_batched_blocks_bit_identical_to_per_string_loop(case):
+    r, x, z, weights = case
+    assert np.array_equal(matrices._batched_blocks(r, x, z, weights),
+                          batched_blocks_per_string(r, x, z, weights))
+
+
+@settings(max_examples=100, deadline=None)
+@given(pauli_sums())
+def test_coset_frame_blocks_rebuild_the_sum(case):
+    n, pairs = case
+    terms = columns(pairs)
+    frame = matrices.CosetFrame(n, terms)
+    blocks = frame.blocks(terms)
+    dim = 1 << frame.r
+    assert blocks.shape == (1 << (n - frame.r), dim, dim)
+    dense = operator_dense(n, terms)
+    assert np.allclose(frame.full(blocks), dense, atol=1e-12)
+    back = columns(frame.pauli_terms(blocks))
+    assert np.allclose(operator_dense(n, back), dense, atol=1e-12)
+    single = frame.representatives(single=True)
+    assert np.array_equal(
+        frame.representatives()[1 << np.arange(len(single))], single)
+
+
+def test_coset_frame_refuses_terms_outside_its_span():
+    # X_0 X_1 and Z_0: the x-span {0, X_0 X_1} has rank 1 = the z-span's,
+    # so the identity frame; X_0 alone lies outside it.
+    frame = matrices.CosetFrame(2, columns(
+        [(1.0, PauliString.from_label("XX")),
+         (0.5, PauliString.from_label("ZI"))]))
+    assert frame.name == "identity" and frame.r == 1
+    with pytest.raises(ValueError, match="outside the frame's span"):
+        frame.blocks(columns([(1.0, PauliString.from_label("XI"))]))
+
+
 @settings(max_examples=150, deadline=None)
 @given(pauli_sums(), st.data())
 def test_sparse_eigenvalues_match_dense_random_sums(case, data):
@@ -405,7 +487,9 @@ def test_cluster_floor_bounds_every_block(case):
     # The cluster floor of each coset block lies at or below the block's
     # dense minimum, and at or above the Sigma |c| floor it replaced.
     n, terms = case[0], columns(case[1])
-    terms, (c, qx, qz), reps, r = matrices._coset_split(n, terms)
+    frame = matrices.CosetFrame(n, terms)
+    terms, (c, qx, qz) = frame.reduce(terms)
+    reps, r = frame.representatives(), frame.r
     floors = matrices._coset_floors(n, terms, (c, qx, qz), reps)
     for rep, floor in zip(reps.tolist(), floors):
         signs = [-1 if (rep & z).bit_count() % 2 else 1
@@ -517,7 +601,9 @@ def test_matvec_csr_of_rep16_x_field_block():
     n = 16
     terms = columns(code_hamiltonian_terms(repetition_code(n))
                     + _field(n, "X", 0.3))
-    terms, reduced, reps, r = matrices._coset_split(n, terms)
+    frame = matrices.CosetFrame(n, terms)
+    terms, reduced = frame.reduce(terms)
+    reps, r = frame.representatives(), frame.r
     assert r == 15 and reps[0] == 0
     mv = PauliMatvec(r, reduced)
     assert mv.matrix.nnz == (1 << 15) * 16
@@ -536,6 +622,14 @@ def test_payload_norm_above_n12():
         2.0, rel=1e-8)
     x_pair = columns([(1.0, PauliString.single(14, "X", q)) for q in (0, 1)])
     assert payload_norm(14, x_pair) == pytest.approx(2.0, rel=1e-8)
+
+
+@pytest.mark.parametrize("n", [21, 40])
+def test_payload_norm_builds_no_coset_list(n):
+    # X_0 + X_1: the Hadamard frame has r = 0 and 2^n cosets of one state,
+    # but the norm reads only the n representatives with one free bit.
+    terms = columns([(1.0, PauliString.single(n, "X", q)) for q in (0, 1)])
+    assert payload_norm(n, terms) == 2.0
 
 
 @pytest.mark.parametrize("phase", [1, 1j], ids=["hermitian", "antihermitian"])

@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -167,14 +168,110 @@ def test_generator_consistency_error_on_zero_syndrome_term():
 
 def test_step_with_zero_v_is_identity():
     code = repetition_code(4)
-    engine = SwtEngine(code)
+    engine = SwtEngine(code, [])
     from stabbench.quasilocal import QuasiLocalOperator
 
     zero = QuasiLocalOperator(code, ())
-    res = engine.step(zero, zero, np.zeros((16, 16)), zero)
+    res = engine.step(zero, zero, engine.e1, zero)
     assert res.generator.terms == ()
-    assert np.allclose(res.unitary, np.eye(16))
+    assert np.allclose(engine.frame.full(res.unitary), np.eye(16))
     assert res.conjugation_residual < 1e-12
+
+
+def _field_of_kinds(n, kinds):
+    """sum_i c_i sum_{K in kinds[i mod len(kinds)]} K_i, with coefficients
+    that differ per qubit.  The mixed field ("X", "Y", "XZ") puts an x on
+    every qubit, and with the checks of rep5 or toric L = 2 a z as well."""
+    return [(0.02 + 0.01 * (i % 5), PauliString.single(n, kind, i))
+            for i in range(n) for kind in kinds[i % len(kinds)]]
+
+
+def _odd_y_term(code):
+    """X_0 times the first Z check on qubit 0: a Y_0 Z...Z string, Hermitian
+    and imaginary, whose x- and z-masks lie in the spans of an X field and
+    of the Z checks."""
+    check = next(q for q in code.checks if q.z & 1 and not q.x)
+    return (0.03, PauliString(code.n, 1, check.z))
+
+
+@pytest.mark.parametrize("kinds", [("X",), ("Z",), ("X", "Y", "XZ"), "odd-y"],
+                         ids=["x", "z", "mixed", "x-odd-y"])
+@pytest.mark.parametrize("code", [repetition_code(5), toric_code(2)],
+                         ids=["rep5", "toric2"])
+def test_engine_matches_dense_oracle(code, kinds, monkeypatch):
+    # The oracle uses only operator_dense and scipy's expm, none of the
+    # coset blocks: each order's U is e^{A_m}, the run's unitary is their
+    # product, and U^dagger (H0 + V) U = H0 + D + V + E.  A real H (the X
+    # and Z fields) has no strings of odd Y count; the X field with one
+    # such string keeps the Hadamard frame and makes H complex.
+    steps, step = [], SwtEngine.step
+
+    def recorded(engine, *args):
+        steps.append((engine, step(engine, *args)))
+        return steps[-1][1]
+
+    monkeypatch.setattr(SwtEngine, "step", recorded)
+    if kinds == "odd-y":
+        terms = _field_of_kinds(code.n, ("X",)) + [_odd_y_term(code)]
+    else:
+        terms = _field_of_kinds(code.n, kinds)
+    run = swt_run(code, terms, m_target=3)
+    assert len(steps) == 2
+    product = np.eye(1 << code.n)
+    for engine, res in steps:
+        U = scipy.linalg.expm(res.generator.to_dense())
+        assert np.allclose(engine.frame.full(res.unitary), U, rtol=0,
+                           atol=1e-10)
+        product = product @ U
+    if kinds == ("X", "Y", "XZ"):
+        assert run.frame.r == code.n  # one coset of 2^n states
+    if kinds == "odd-y":
+        assert run.frame.name == "hadamard"
+    assert np.allclose(run.unitary, product, rtol=0, atol=1e-10)
+    H = code_hamiltonian_dense(code) + operator_dense(code.n, columns(terms))
+    rotated = run.unitary.conj().T @ H @ run.unitary
+    parts = (code_hamiltonian_dense(code) + run.d_final.to_dense()
+             + run.v_final.to_dense() + run.e_final)
+    assert np.allclose(rotated, parts, rtol=0, atol=1e-10)
+    # With the default d_s every term is tracked, so E holds only the
+    # transform's pruning dust; a remainder read with a wrong sign would
+    # land there.
+    assert np.allclose(run.e_final, 0, rtol=0, atol=1e-10)
+    assert run.unitarity_defect() < 1e-12
+    assert max(run.conjugation_residuals) < 1e-12
+
+
+def test_block_norms_are_full_norms():
+    # The unitarity defect and the garbage norm are largest 2-norms over
+    # the coset blocks, equal to the 2-norms of the full matrices, so a
+    # corrupted block shows as it would in the full matrix.
+    code = toric_code(2)
+    run = swt_run(code, _field_of_kinds(code.n, ("X",)), m_target=2)
+    assert run.frame.name == "hadamard" and run.u_blocks.shape == (32, 8, 8)
+    run.u_blocks = run.u_blocks.copy()
+    run.u_blocks[5] *= 1.001
+    U = run.unitary
+    expect = np.linalg.norm(U.conj().T @ U - np.eye(256), 2)
+    assert expect > 1e-3
+    assert run.unitarity_defect() == pytest.approx(expect, rel=1e-9)
+    noise = np.random.default_rng(3).standard_normal((8, 8))
+    run.e_blocks = run.e_blocks.copy()
+    run.e_blocks[7] += 0.01 * (noise + noise.T)
+    expect = np.linalg.norm(run.e_final, 2)
+    assert expect > 1e-3
+    assert run.garbage_norm() == pytest.approx(expect, rel=1e-9)
+
+
+def test_engine_refuses_terms_outside_its_frame():
+    # rep5 under an X field: the ZZ checks' z-span (rank 4) is smaller than
+    # the x-span (rank 5), so the Hadamard frame; Z_0 lies outside its span.
+    code = repetition_code(5)
+    engine = SwtEngine(code, _field_of_kinds(5, ("X",)))
+    assert engine.frame.name == "hadamard" and engine.frame.r == 4
+    stray = decompose([(0.1, PauliString.single(5, "Z", 0))], code)
+    with pytest.raises(ValueError, match="outside the frame's span"):
+        engine.step(QuasiLocalOperator(code, ()), stray, engine.e1,
+                    block_diagonal_part(stray))
 
 
 def two_body_mix(n, eps, seed):
@@ -197,10 +294,10 @@ def test_step_produces_expected_d2_on_field_code():
     n = 5
     code = field_code(n)
     terms, eps_ij = two_body_mix(n, 0.1, seed=3)
-    engine = SwtEngine(code)
+    engine = SwtEngine(code, terms)
     from stabbench.quasilocal import QuasiLocalOperator
 
-    v1, e1 = engine.split_input(terms)
+    v1, e1 = engine.v1, engine.e1
     res = engine.step(QuasiLocalOperator(code, ()), v1, e1,
                       block_diagonal_part(v1))
     assert res.conjugation_residual < 1e-9
