@@ -208,7 +208,8 @@ def cmd_swt(args) -> int:
         "garbage_norm": run.garbage_norm(),
         "diverging": run.diverging,
         "cosets": {"frame": run.frame.name, "blocks": len(run.u_blocks),
-                   "block_qubits": run.frame.r},
+                   "block_qubits": run.frame.r,
+                   "dtype": run.u_blocks.dtype.name},
     }
     _write_json(payload, args.out)
     if max(run.conjugation_residuals, default=0.0) > 1e-8:

@@ -243,7 +243,7 @@ def payload_norm(n: int, terms) -> float:
         blocks = _batched_blocks(frame.r, rx, rz, c * signs)
         return float(np.max(np.linalg.svd(blocks, compute_uv=False)))
     blocks = _batched_blocks(frame.r, rx, rz, kept * signs)
-    vals = np.linalg.eigvalsh(blocks if blocks.imag.any() else blocks.real)
+    vals = np.linalg.eigvalsh(blocks)
     # The dropped part has norm at most its sum |c|.
     return float(np.max(np.abs(vals)) + np.sum(np.abs(dropped)))
 
@@ -260,6 +260,12 @@ def _batched_blocks(r: int, x, z, weights: np.ndarray) -> np.ndarray:
     way, as adding the strings one at a time.  No temporary holds more
     entries than the output.
 
+    The blocks are float64 when every phase weights[j, k] i^|x_k & z_k| is
+    real, as for any real-symmetric sum (Y x Y strings included), and
+    complex128 otherwise.  A real phase times a sign has a zero imaginary
+    part, so the float64 blocks equal the real parts of the complex build
+    bit for bit.
+
     Raises ValueError when the batch holds more entries than one dense
     matrix on ``DENSE_MAX_QUBITS`` qubits, before anything of that size is
     built.
@@ -268,11 +274,13 @@ def _batched_blocks(r: int, x, z, weights: np.ndarray) -> np.ndarray:
     dim = 1 << r
     basis = np.arange(dim, dtype=np.int64)
     phases = _phases(weights, x, z).T  # (strings, rows)
-    out = np.zeros((len(weights), dim, dim), dtype=complex)
+    if not phases.imag.any():
+        phases = phases.real
+    out = np.zeros((len(weights), dim, dim), dtype=phases.dtype)
     order = np.argsort(x, kind="stable")
     masks, starts = np.unique(x[order], return_index=True)
     for mask, group in zip(masks.tolist(), np.split(order, starts[1:])):
-        acc = np.zeros((len(weights), dim), dtype=complex)
+        acc = np.zeros((len(weights), dim), dtype=phases.dtype)
         for lo in range(0, len(group), dim):
             ks = group[lo:lo + dim]
             terms = (phases[ks, :, None]
@@ -502,7 +510,7 @@ def _cluster_floor(n: int, terms, reduced) -> float:
         qubits = np.flatnonzero((support[core] >> np.arange(n)) & 1)
         M = _batched_blocks(len(qubits), _gather(x[idx], qubits),
                             _gather(z[idx], qubits), share[None])[0]
-        floor += np.linalg.eigvalsh(M if M.imag.any() else M.real)[0]
+        floor += np.linalg.eigvalsh(M)[0]
     return floor
 
 
@@ -557,8 +565,7 @@ def lowest_eigenvalues_sparse(n: int, terms, k: int,
             break
         block = (c * _z_parity_signs(reps[i], terms[2]), m, zr)
         if 1 << r <= DENSE_BLOCK_MAX_DIM or k >= (1 << r) - 1:
-            M = operator_dense(r, block)
-            vals = np.linalg.eigvalsh(M if M.imag.any() else M.real)[:k]
+            vals = np.linalg.eigvalsh(operator_dense(r, block))[:k]
         else:
             vals = _lanczos_block(r, block, k, rng)
         levels = np.sort(np.concatenate([levels, vals]))[:k]

@@ -6,10 +6,15 @@ structure makes the local solution exact globally), rotates the
 Hamiltonian by the matrix exponential on the invariant coset blocks of
 H0's and V's terms (``matrices.CosetFrame``), re-expands the remainder
 over Paulis, and routes wide-support terms into an untracked garbage
-operator.  Spectral verification (ground clusters, gaps, splittings, Weyl
-stability) runs through the coset solver of ``matrices``: every level up
-to ``matrices.DENSE_MAX_QUBITS`` qubits, the lowest few beyond.  Only
-projector distances diagonalize a dense 2^n x 2^n matrix.
+operator.  The blocks are real whenever H0 and V are (checks plus X or Z
+fields), and the step then runs in real arithmetic throughout: the
+exponential comes from one ``eigh`` of A^2, and the conjugation residual,
+the unitarity defect and the garbage norm are upper bounds on 2-norms from
+``eigvalsh``, with no ``svd``.  Spectral verification (ground clusters,
+gaps, splittings, Weyl stability) runs through the coset solver of
+``matrices``: every level up to ``matrices.DENSE_MAX_QUBITS`` qubits, the
+lowest few beyond.  Only projector distances diagonalize a dense 2^n x 2^n
+matrix.
 """
 
 from __future__ import annotations
@@ -58,15 +63,28 @@ def _antihermitian_eigh(A: np.ndarray):
 
 
 def _expm_antihermitian(A: np.ndarray) -> np.ndarray:
-    vals, vecs = _antihermitian_eigh(A)
-    return (vecs * np.exp(1j * vals)[..., None, :]) @ _dagger(vecs)
+    """e^A for a stack of anti-Hermitian A, as cos(Theta) + A sinc(Theta)
+    with Theta^2 = -A^2.  Both are even functions of Theta, so they come
+    from one ``eigh`` of the Hermitian A A, real when A is, and A's
+    eigenvalue pairs +-i theta are never split.  An A that is not
+    anti-Hermitian gives a U that is not unitary, which the step's
+    residual reports."""
+    A2 = A @ A
+    vals, W = np.linalg.eigh(0.5 * (A2 + _dagger(A2)))
+    theta = np.sqrt(np.maximum(-vals, 0.0))[..., None, :]
+    return (W * np.cos(theta) + (A @ W) * np.sinc(theta / np.pi)) @ _dagger(W)
 
 
 def _max_norm(blocks: np.ndarray) -> float:
-    """Largest 2-norm over a stack of blocks: the 2-norm of the operator
-    they make up, since the frame change and the coset order are
-    unitary."""
-    return float(np.max(np.linalg.svd(blocks, compute_uv=False)))
+    """Upper bound on the largest 2-norm over a stack of blocks, the 2-norm
+    of the operator they make up (the frame change and the coset order are
+    unitary): per block, max |``eigvalsh``| of its Hermitian part plus the
+    Frobenius norm of its anti-Hermitian part.  On a Hermitian stack the
+    second term is zero and the bound is the 2-norm up to rounding."""
+    herm = 0.5 * (blocks + _dagger(blocks))
+    anti = np.linalg.norm(blocks - herm, axis=(-2, -1))
+    vals = np.abs(np.linalg.eigvalsh(herm)).max(axis=-1)
+    return float(np.max(vals + anti))
 
 
 @dataclass
@@ -86,12 +104,18 @@ class SwtEngine:
     lies in the algebra of H0's and V's terms, so it maps each coset of the
     frame built from those terms (``matrices.CosetFrame``) into itself.
     The engine holds H0, E and U as the frame's (cosets, 2^r, 2^r) blocks
-    and builds D, V and the generator into blocks at each step: the
-    exponential is one batched ``eigh`` and the conjugations are batched
-    matmuls.  V's terms fix the frame when the engine is built, and
-    its wide-support terms (|S| >= d_s) go straight to garbage: the engine
-    starts from (``v1``, ``e1``).  A term outside the frame's span raises
-    ValueError.
+    and builds D, V and the generator into blocks at each step, float64
+    when every term's phase is real and complex128 otherwise
+    (``matrices._batched_blocks``).  The exponential is e^A = cos(Theta) +
+    A sinc(Theta) from one batched ``eigh`` of A A = -Theta^2
+    (``_expm_antihermitian``), and the conjugations are batched matmuls.
+    The conjugation residual ||(H0 + D + V + E)_m U - U (H0 + D + V +
+    E)_{m+1}||, ``unitarity_defect`` and ``garbage_norm`` are upper bounds
+    on 2-norms (``_max_norm``), equal to them up to rounding on stacks that
+    are Hermitian in exact arithmetic, as these three are.  V's terms fix
+    the frame when the engine is built, and its wide-support terms
+    (|S| >= d_s) go straight to garbage: the engine starts from (``v1``,
+    ``e1``).  A term outside the frame's span raises ValueError.
     """
 
     def __init__(self, code: StabilizerCode, v_terms, d_s: int | None = None):
@@ -134,7 +158,9 @@ class SwtEngine:
         # re-expansion dust, so the conjugation identity is exact.
         e_next = (Ud @ e_m @ U) + (remainder - v_next_blocks)
         total_next = self.h0 + d_next_blocks + v_next_blocks + e_next
-        residual = _max_norm(Ud @ (tracked + e_m) @ U - total_next)
+        # total_next is U^dagger (tracked + E_m) U up to rounding, so
+        # multiplying back by U gives zero only when U is unitary.
+        residual = _max_norm((tracked + e_m) @ U - U @ total_next)
         return StepResult(d_next, v_next, e_next, a_m, U, residual)
 
 

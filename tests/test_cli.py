@@ -174,7 +174,8 @@ def test_swt_command(tmp_path, capsys):
 
 def test_swt_command_reports_its_coset_frame(tmp_path, capsys):
     # Toric L = 2 under an X field: the plaquettes' z-span (rank 3) is the
-    # smaller, so the Hadamard frame, 2^5 cosets of 2^3 states.
+    # smaller, so the Hadamard frame, 2^5 cosets of 2^3 states; the checks
+    # and the field are real, so the blocks are too.
     art = tmp_path / "toric2.json"
     run_cli(["build", "--family", "toric", "--L", "2", "--out", str(art)],
             capsys)
@@ -186,7 +187,7 @@ def test_swt_command_reports_its_coset_frame(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert data["cosets"] == {"frame": "hadamard", "blocks": 32,
-                              "block_qubits": 3}
+                              "block_qubits": 3, "dtype": "float64"}
     assert 0 < data["garbage_norm"] < 1e-3
 
 

@@ -25,7 +25,7 @@ from stabbench.matrices import (
     pauli_transform,
     terms_from_transform,
 )
-from stabbench.pauli import PauliString, columns
+from stabbench.pauli import I_POWERS, PauliString, columns
 from stabbench.quasilocal import PatchTooLargeError, block_split, decompose
 
 
@@ -210,8 +210,10 @@ def batched_blocks_per_string(r, x, z, weights) -> np.ndarray:
 def block_batches(draw):
     """(r, x, z, weights): strings on up to 4 qubits whose x-masks come from
     a pool of at most three, so that masks repeat, often more than 2^r
-    times; one to three weight rows, real or complex, of mixed magnitudes,
-    so that the order of a sum shows in its rounding."""
+    times; one to three weight rows of mixed magnitudes, so that the order
+    of a sum shows in its rounding.  The weights are real, complex, or
+    real values times (-i)^|x & z|, which makes every phase real (the
+    float64 build) with strings of odd Y count among them."""
     r = draw(st.integers(0, 4))
     masks = st.integers(0, (1 << r) - 1)
     pool = draw(st.lists(masks, min_size=1, max_size=3))
@@ -219,15 +221,18 @@ def block_batches(draw):
     x = draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k))
     z = draw(st.lists(masks, min_size=k, max_size=k))
     rows = draw(st.integers(1, 3))
-    parts = 2 if draw(st.booleans()) else 1
+    kind = draw(st.sampled_from(["real", "complex", "real phases"]))
+    parts = 2 if kind == "complex" else 1
     values = draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False),
                            min_size=parts * rows * k,
                            max_size=parts * rows * k))
     weights = np.array(values).reshape(parts, rows, k)
-    if parts == 2:
+    x, z = np.array(x, dtype=np.int64), np.array(z, dtype=np.int64)
+    if kind == "complex":
         weights = weights[0] + 1j * weights[1]
-    return (r, np.array(x, dtype=np.int64), np.array(z, dtype=np.int64),
-            weights.reshape(rows, k))
+    elif kind == "real phases":
+        weights = weights * I_POWERS[-np.bitwise_count(x & z) % 4]
+    return r, x, z, weights.reshape(rows, k)
 
 
 @settings(max_examples=300, deadline=None)
@@ -240,9 +245,45 @@ def block_batches(draw):
 @example((1, np.ones(5, dtype=np.int64), np.array([0, 1, 1, 0, 1]),
           np.array([[0.1, 1e16, 0.3, -1e16, 0.7 + 0.2j]])))
 def test_batched_blocks_bit_identical_to_per_string_loop(case):
+    # The reference builds complex blocks; when every phase is real the
+    # float64 blocks equal its real parts.
     r, x, z, weights = case
-    assert np.array_equal(matrices._batched_blocks(r, x, z, weights),
-                          batched_blocks_per_string(r, x, z, weights))
+    got = matrices._batched_blocks(r, x, z, weights)
+    want = batched_blocks_per_string(r, x, z, weights)
+    if matrices._phases(weights, x, z).imag.any():
+        assert got.dtype == np.complex128
+    else:
+        assert got.dtype == np.float64
+        want = want.real
+    assert np.array_equal(got, want)
+
+
+def test_batched_blocks_dtype_follows_the_phases():
+    def build(r, x, z, weights):
+        return matrices._batched_blocks(
+            r, np.array(x, dtype=np.int64), np.array(z, dtype=np.int64),
+            np.array(weights))
+
+    y = np.array([[0, -1j], [1j, 0]])
+    # Y x Y: i^2 times the real X^x Z^z, so a real phase.
+    yy = build(2, [3], [3], [[0.5]])
+    assert yy.dtype == np.float64 and yy.flags.c_contiguous
+    assert np.array_equal(yy[0], 0.5 * np.kron(y, y).real)
+    # r = 0: every string on the one entry.
+    assert build(0, [0, 0], [0, 0], [[1.0, 2.0]]).dtype == np.float64
+    # One mask, five X x X and Y x Y strings: the running sum crosses
+    # chunks of 2^r = 4.
+    chunks = build(2, [3] * 5, [0, 3, 3, 0, 3],
+                   [[0.1, 1e16, 0.3, -1e16, 0.7]])
+    assert chunks.dtype == np.float64
+    # A lone Y has phase i: complex; i times Y is real again.
+    assert build(1, [1], [1], [[1.0]]).dtype == np.complex128
+    assert build(1, [1], [1], [[1j]]).dtype == np.float64
+    # One imaginary phase among real ones makes the whole batch complex.
+    assert build(2, [3, 1], [3, 1], [[0.5, 1.0], [0.5, 0.0]]).dtype \
+        == np.complex128
+    assert operator_dense(2, (np.array([0.5]), np.array([3]),
+                              np.array([3]))).dtype == np.float64
 
 
 @settings(max_examples=100, deadline=None)

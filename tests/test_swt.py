@@ -10,7 +10,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabbench import matrices
+from stabbench import matrices, swt
 from stabbench.code import StabilizerCode
 from stabbench.constructors import (
     ising_toric,
@@ -39,6 +39,8 @@ from stabbench.quasilocal import (
 from stabbench.swt import (
     GeneratorConsistencyError,
     SwtEngine,
+    _expm_antihermitian,
+    _max_norm,
     local_indistinguishability_check,
     operator_locally_trivial,
     relative_bound_estimate,
@@ -260,6 +262,85 @@ def test_block_norms_are_full_norms():
     expect = np.linalg.norm(run.e_final, 2)
     assert expect > 1e-3
     assert run.garbage_norm() == pytest.approx(expect, rel=1e-9)
+
+
+def _antihermitian_stack(rng, dim, norms, complex_):
+    """One random anti-Hermitian block per 2-norm in ``norms``, real or
+    complex, then one with the eigenvalues +-i (each twice) and 0."""
+    def draw():
+        g = rng.standard_normal((dim, dim))
+        return g + 1j * rng.standard_normal((dim, dim)) if complex_ else g
+
+    blocks = []
+    for norm in norms:
+        g = draw()
+        a = g - g.conj().T
+        blocks.append(norm * a / np.linalg.norm(a, 2))
+    q, _ = np.linalg.qr(draw())
+    rot = np.zeros((dim, dim))
+    rot[[0, 2], [1, 3]], rot[[1, 3], [0, 2]] = 1.0, -1.0
+    blocks.append(q @ rot @ q.conj().T)
+    return np.array(blocks)
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_expm_antihermitian_matches_scipy(complex_):
+    rng = np.random.default_rng(11)
+    norms = [0.0, 1e-9, 0.3, np.pi / 2, np.pi, 2.5 * np.pi, 3 * np.pi]
+    A = _antihermitian_stack(rng, 8, norms, complex_)
+    U = _expm_antihermitian(A)
+    assert U.dtype == (np.complex128 if complex_ else np.float64)
+    for a, u in zip(A, U):
+        assert np.allclose(u, scipy.linalg.expm(a), rtol=0, atol=1e-12)
+    assert np.array_equal(U[0], np.eye(8))
+    defect = U.conj().swapaxes(-1, -2) @ U - np.eye(8)
+    assert np.max(np.abs(defect)) < 1e-13
+
+
+def test_max_norm_bounds_the_2_norm():
+    rng = np.random.default_rng(5)
+    for complex_ in (False, True):
+        g = rng.standard_normal((4, 16, 16))
+        if complex_:
+            g = g + 1j * rng.standard_normal((4, 16, 16))
+        svd = np.linalg.svd(g, compute_uv=False).max()
+        assert _max_norm(g) >= svd
+        herm = g + g.conj().swapaxes(-1, -2)
+        svd = np.linalg.svd(herm, compute_uv=False).max()
+        assert _max_norm(herm) == pytest.approx(svd, rel=1e-12)
+
+
+def test_residual_reports_a_corrupted_step(monkeypatch):
+    # The residual compares (H0 + D + V + E)_m U with U (H0 + D + V + E)_{m+1},
+    # so a generator block pushed off anti-Hermitian by 1e-3 (U no longer
+    # unitary) shows in it.  A corrupted D or V block would not: E absorbs
+    # whatever the tracked terms miss.
+    code = repetition_code(5)
+    engine = SwtEngine(code, _field_of_kinds(5, ("X",)))
+    zero = QuasiLocalOperator(code, ())
+    args = (zero, engine.v1, engine.e1, block_diagonal_part(engine.v1))
+    assert engine.step(*args).conjugation_residual < 1e-12
+    generators, solve, blocks = [], swt.solve_generator, SwtEngine._blocks
+
+    def recorded(*a):
+        generators.append(solve(*a))
+        return generators[-1]
+
+    def perturbed(self, op):
+        out = blocks(self, op)
+        if generators and op is generators[-1]:
+            out[0] += 1e-3 * np.eye(out.shape[-1])
+        return out
+
+    monkeypatch.setattr(swt, "solve_generator", recorded)
+    monkeypatch.setattr(SwtEngine, "_blocks", perturbed)
+    assert engine.step(*args).conjugation_residual > 1e-4
+
+
+def test_real_field_keeps_real_blocks():
+    code = repetition_code(5)
+    run = swt_run(code, _field_of_kinds(5, ("X",)), m_target=3)
+    assert run.u_blocks.dtype == run.e_blocks.dtype == np.float64
 
 
 def test_engine_refuses_terms_outside_its_frame():
