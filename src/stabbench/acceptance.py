@@ -43,11 +43,7 @@ from .flow import (
     initial_flow_state,
     kappa_m,
 )
-from .matrices import (
-    code_hamiltonian_dense,
-    pauli_transform,
-    terms_from_transform,
-)
+from .matrices import code_hamiltonian_dense, pauli_transform
 from .pauli import PauliString, multiply
 from .quasilocal import (
     block_diagonal_part,
@@ -465,8 +461,7 @@ def criterion_7_inequality_suite(seed: int = 1) -> CriterionResult:
         bound = 18.0 / (kap_p * dk) * na * no
 
         def norm_of(matrix):
-            items = terms_from_transform(code.n, pauli_transform(matrix))
-            return kappa_norm(decompose(items, code), kap_p)
+            return kappa_norm(decompose(pauli_transform(matrix), code), kap_p)
 
         margins["conjugation"] = min(margins["conjugation"],
                                      bound - norm_of(conj - o_dense))

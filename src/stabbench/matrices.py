@@ -114,9 +114,6 @@ def pauli_transform(M: np.ndarray, tol: float = 1e-13) -> dict:
     n = dim.bit_length() - 1
     if dim != 1 << n or M.shape != (dim, dim):
         raise ValueError("matrix must be square with power-of-two dimension")
-    if n == 0:
-        val = complex(M[0, 0])
-        return {(0, 0): val} if abs(val) > tol else {}
     t = np.asarray(M, dtype=complex).reshape((2,) * (2 * n))
     for j in range(n):
         t = np.moveaxis(t, n - j, 1)
@@ -137,10 +134,6 @@ def pauli_transform(M: np.ndarray, tol: float = 1e-13) -> dict:
         x |= (((flat >> (2 * qb)) & 1) ^ high) << qb
         z |= high << qb
     return dict(zip(zip(x.tolist(), z.tolist()), t[flat].tolist()))
-
-
-def terms_from_transform(n: int, coeffs: dict) -> list:
-    return [(c, PauliString(n, x, z)) for (x, z), c in coeffs.items()]
 
 
 class PauliMatvec:
@@ -318,9 +311,10 @@ def _hadamard_frame(terms) -> tuple:
 def _walsh_hadamard(M: np.ndarray) -> np.ndarray:
     """H^(x n) M for a matrix of 2^n rows, H = [[1, 1], [1, -1]] / sqrt(2):
     one in-place butterfly per qubit, O(n 2^n) per column.  Each reshape
-    only splits the row axis, so it is a view of the copy for any layout."""
+    only splits the row axis, so it is a view of the copy for any layout.
+    A real M stays real, its result equal to that of M cast to complex."""
     dim = M.shape[0]
-    out = np.array(M, dtype=complex)
+    out = np.array(M, dtype=np.result_type(M.dtype, float))
     half = 1
     while half < dim:
         t = out.reshape(dim // (2 * half), 2, half, -1)
@@ -329,7 +323,7 @@ def _walsh_hadamard(M: np.ndarray) -> np.ndarray:
         low -= t[:, 1]
         t[:, 1] = low
         half *= 2
-    out /= np.sqrt(dim)
+    out *= 1.0 / np.sqrt(dim)
     return out
 
 
@@ -436,17 +430,16 @@ class CosetFrame:
             out = _walsh_hadamard(_walsh_hadamard(out).T).T
         return out
 
-    def pauli_terms(self, blocks: np.ndarray) -> list:
-        """(coeff, PauliString) pairs, out of the frame, of the operator
-        with these blocks: ``pauli_transform`` of the scattered matrix, in
-        the Hadamard frame with each (x, z) mapped back as
-        ``_hadamard_frame`` maps it (x and z swapped, the coefficient
-        negated when |x & z| is odd)."""
+    def pauli_terms(self, blocks: np.ndarray) -> dict:
+        """The {(x, z): c} dict, out of the frame, of the operator with
+        these blocks: ``pauli_transform`` of the scattered matrix, in the
+        Hadamard frame with each (x, z) mapped back as ``_hadamard_frame``
+        maps it (x and z swapped, c negated when |x & z| is odd)."""
         coeffs = pauli_transform(self.scatter(blocks))
         if self.hadamard:
             coeffs = {(z, x): -c if (x & z).bit_count() & 1 else c
                       for (x, z), c in coeffs.items()}
-        return terms_from_transform(self.n, coeffs)
+        return coeffs
 
 
 def _lanczos_block(r: int, terms, k: int, rng) -> np.ndarray:

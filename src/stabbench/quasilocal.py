@@ -8,6 +8,7 @@ support assigned here is the canonical minimal choice
     S(P) = support(P)  union  supports of all checks flipped by P,
 
 which makes the key unique per Pauli and the decomposition exact.
+``decompose`` finds it on the int masks of a {(x, z): c} dict or of pairs.
 
 A term is stored as columns over the qubits of S in sorted order (its
 patch, at most 63 of them): int64 bit masks x, z and complex c, Pauli i
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .code import CheckGroup, StabilizerCode, syndrome_of
+from .code import CheckGroup, StabilizerCode
 from .matrices import (
     DENSE_MAX_QUBITS,
     code_hamiltonian_dense,
@@ -53,6 +54,18 @@ def _refuse_wider(support) -> None:
             f"patch on {len(support)} qubits exceeds the limit of 63")
 
 
+def _compress(strings, qubits) -> tuple:
+    """(coeff, x, z) triples on full qubits as patch columns (c, x, z):
+    bit qubits[j] of each mask moved to bit j, on Python ints."""
+    c, x, z = [], [], []
+    for coeff, sx, sz in strings:
+        c.append(coeff)
+        x.append(sum((sx >> q & 1) << j for j, q in enumerate(qubits)))
+        z.append(sum((sz >> q & 1) << j for j, q in enumerate(qubits)))
+    return (np.array(c, dtype=complex), np.array(x, dtype=np.int64),
+            np.array(z, dtype=np.int64))
+
+
 class LocalTerm:
     """Weighted Pauli sum with a declared strong support and syndrome,
     stored as patch columns (c, x, z)."""
@@ -65,12 +78,12 @@ class LocalTerm:
         _refuse_wider(self.support)
         qubits = self.patch_qubits
         outside = ~sum(1 << q for q in qubits)
-        patch = []
+        strings = []
         for coeff, p in paulis:
             if (p.x | p.z) & outside:
                 raise ValueError(f"{p} acts outside the support {qubits}")
-            patch.append((coeff, restrict(p, qubits)))
-        self.c, self.x, self.z = columns(patch)
+            strings.append((coeff * p.sign, p.x, p.z))
+        self.c, self.x, self.z = _compress(strings, qubits)
 
     @classmethod
     def _from_columns(cls, n, support, syndrome, c, x, z) -> "LocalTerm":
@@ -153,43 +166,42 @@ class QuasiLocalOperator:
         return QuasiLocalOperator(self.code, terms)
 
 
-def strong_support(code: StabilizerCode, p: PauliString,
-                   synd: int | None = None) -> frozenset:
-    """Minimal strong support: the Pauli's own support plus every check it
-    flips."""
-    if synd is None:
-        synd = syndrome_of(code, p)
-    sup = set(p.support())
-    for c, check in enumerate(code.checks):
-        if synd >> c & 1:
-            sup |= check.support()
-    return frozenset(sup)
-
-
 def decompose(op_terms, code: StabilizerCode) -> QuasiLocalOperator:
     """Group a weighted Pauli sum into (strong support, syndrome) terms.
 
-    ``op_terms`` is an iterable of (coeff, PauliString).  Paulis with equal
-    (x, z) are combined first; the resulting decomposition reproduces the
-    input exactly (coefficient-level identity).
+    ``op_terms`` is the {(x, z): c} dict of ``pauli_transform`` (a bit at
+    or past qubit n raises ValueError) or (coeff, PauliString) pairs,
+    combined into one.  Check i joins a string's syndrome and support at an
+    odd |x & z_i| + |z & x_i|, on the int masks, with no PauliString built.
+    Sums at or below DROP_TOL are dropped; the rest is reproduced exactly.
     """
-    combined: dict = {}
-    for coeff, p in op_terms:
-        if p.n != code.n:
-            raise ValueError("operator qubit count differs from code")
-        key = (p.x, p.z)
-        combined[key] = combined.get(key, 0.0) + coeff * p.sign
+    n = code.n
+    if not isinstance(op_terms, dict):
+        pairs, op_terms = op_terms, {}
+        for coeff, p in pairs:
+            if p.n != n:
+                raise ValueError("operator qubit count differs from code")
+            op_terms[p.x, p.z] = op_terms.get((p.x, p.z), 0.0) + coeff * p.sign
+    checks = [(q.x, q.z, q.x | q.z) for q in code.checks]
     grouped: dict = {}
-    for (x, z), coeff in combined.items():
+    for (x, z), coeff in op_terms.items():
+        if (x | z) >> n:
+            raise ValueError(f"string ({x}, {z}) acts past qubit {n - 1}")
         if abs(coeff) <= DROP_TOL:
             continue
-        p = PauliString(code.n, x, z)
-        synd = syndrome_of(code, p)
-        sup = strong_support(code, p, synd)
-        grouped.setdefault((sup, synd), []).append((coeff, p))
-    terms = tuple(LocalTerm(code.n, sup, synd, tuple(paulis))
-                  for (sup, synd), paulis in grouped.items())
-    return QuasiLocalOperator(code, terms)
+        synd, sup = 0, x | z
+        for i, (cx, cz, cs) in enumerate(checks):
+            if ((x & cz).bit_count() + (z & cx).bit_count()) & 1:
+                synd |= 1 << i
+                sup |= cs
+        grouped.setdefault((sup, synd), []).append((coeff, x, z))
+    terms = []
+    for (sup, synd), strings in grouped.items():
+        qubits = [q for q in range(sup.bit_length()) if sup >> q & 1]
+        _refuse_wider(qubits)
+        terms.append(LocalTerm._from_columns(
+            n, frozenset(qubits), synd, *_compress(strings, qubits)))
+    return QuasiLocalOperator(code, tuple(terms))
 
 
 def kappa_norm(op: QuasiLocalOperator, kappa: float) -> float:

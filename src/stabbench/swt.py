@@ -4,8 +4,8 @@ Each order solves [H0, A] + V = PV term by term in closed form over the
 group of the checks inside each term's strong support (the strong-support
 structure makes the local solution exact globally), rotates the
 Hamiltonian by the matrix exponential on the invariant coset blocks of
-H0's and V's terms (``matrices.CosetFrame``), re-expands the remainder
-over Paulis, and routes wide-support terms into an untracked garbage
+H0's and V's terms (``matrices.CosetFrame``), decomposes the remainder's
+Pauli dict, and routes wide-support terms into an untracked garbage
 operator.  The blocks are real whenever H0 and V are (checks plus X or Z
 fields), and the step then runs in real arithmetic throughout: the
 exponential comes from one ``eigh`` of A^2, and the conjugation residual,

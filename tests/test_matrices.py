@@ -23,7 +23,6 @@ from stabbench.matrices import (
     operator_dense,
     payload_norm,
     pauli_transform,
-    terms_from_transform,
 )
 from stabbench.pauli import I_POWERS, PauliString, columns
 from stabbench.quasilocal import PatchTooLargeError, block_split, decompose
@@ -31,6 +30,13 @@ from stabbench.quasilocal import PatchTooLargeError, block_split, decompose
 
 def pauli_matrix(p: PauliString) -> np.ndarray:
     return operator_dense(p.n, columns([(1.0, p)]))
+
+
+def dict_columns(coeffs: dict) -> tuple:
+    """The {(x, z): c} dict of ``pauli_transform`` as columns (c, x, z)."""
+    return (np.array(list(coeffs.values()), dtype=complex),
+            np.array([x for x, _ in coeffs], dtype=np.int64),
+            np.array([z for _, z in coeffs], dtype=np.int64))
 
 
 def test_single_qubit_pauli_matrices():
@@ -69,8 +75,18 @@ def test_pauli_transform_round_trip_random():
         assert set(coeffs) == {k for k, v in expect.items() if abs(v) > 1e-13}
         for key, val in coeffs.items():
             assert val == pytest.approx(expect[key], abs=1e-12)
-        back = operator_dense(n, columns(terms_from_transform(n, coeffs)))
+        back = operator_dense(n, dict_columns(coeffs))
         assert np.allclose(back, M, atol=1e-12)
+
+
+@pytest.mark.parametrize("value, kept", [
+    (0.5, True), (-3 + 2j, True), (5.0, True), (2e-13, True), (1e-14, False),
+    (0.0, False)])
+def test_pauli_transform_of_a_scalar(value, kept):
+    # A 1 x 1 matrix is the identity on zero qubits: key (0, 0), dropped at
+    # or below tol * max(|value|, 1).
+    got = pauli_transform(np.array([[value]]))
+    assert got == ({(0, 0): value} if kept else {})
 
 
 def test_pauli_transform_asymmetric_string():
@@ -297,11 +313,30 @@ def test_coset_frame_blocks_rebuild_the_sum(case):
     assert blocks.shape == (1 << (n - frame.r), dim, dim)
     dense = operator_dense(n, terms)
     assert np.allclose(frame.full(blocks), dense, atol=1e-12)
-    back = columns(frame.pauli_terms(blocks))
+    back = dict_columns(frame.pauli_terms(blocks))
     assert np.allclose(operator_dense(n, back), dense, atol=1e-12)
     single = frame.representatives(single=True)
     assert np.array_equal(
         frame.representatives()[1 << np.arange(len(single))], single)
+
+
+@pytest.mark.parametrize("labels, frame_name", [
+    (("XXI", "IXX", "ZII", "IZI", "IIZ", "YYI"), "identity"),
+    (("ZZI", "IZZ", "XII", "IXI", "IIX", "YYI"), "hadamard"),
+])
+def test_coset_frame_pauli_terms_rebuild_the_sum(labels, frame_name):
+    # The dict of pauli_terms, mapped out of the frame, holds each string
+    # of the sum with its coefficient (Y strings included, whose sign the
+    # Hadamard frame flips).
+    pairs = [(0.25 * (k + 1), PauliString.from_label(label))
+             for k, label in enumerate(labels)]
+    terms = columns(pairs)
+    frame = matrices.CosetFrame(3, terms)
+    assert frame.name == frame_name
+    coeffs = frame.pauli_terms(frame.blocks(terms))
+    assert set(coeffs) == {(p.x, p.z) for _, p in pairs}
+    for c, p in pairs:
+        assert coeffs[p.x, p.z] == pytest.approx(c, abs=1e-12)
 
 
 def test_coset_frame_refuses_terms_outside_its_span():

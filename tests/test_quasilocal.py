@@ -116,6 +116,61 @@ def test_decompose_reconstructs_exactly():
     assert np.allclose(qlo.to_dense(), operator_dense(code.n, columns(terms)))
 
 
+def assert_same_terms(got, want):
+    """Equal keys in equal order, with equal columns under ==."""
+    assert [(t.support, t.syndrome) for t in got.terms] == \
+        [(t.support, t.syndrome) for t in want.terms]
+    for a, b in zip(got.terms, want.terms):
+        for col_a, col_b in zip((a.c, a.x, a.z), (b.c, b.x, b.z)):
+            assert col_a.dtype == col_b.dtype
+            assert np.array_equal(col_a, col_b)
+
+
+@pytest.mark.parametrize("make_code", [
+    lambda: repetition_code(5), lambda: toric_code(2), general_code],
+    ids=["rep5", "toric2", "general"])
+def test_decompose_dict_matches_pairs(make_code):
+    # The dict of pauli_transform and the same strings as pairs give the
+    # same terms.
+    code = make_code()
+    rng = random.Random(21)
+    paulis = random_pauli_sum(code, rng, num_terms=12, max_weight=3)
+    coeffs = pauli_transform(operator_dense(code.n, columns(paulis)))
+    pairs = [(c, PauliString(code.n, x, z)) for (x, z), c in coeffs.items()]
+    got = decompose(coeffs, code)
+    assert got.terms
+    assert_same_terms(got, decompose(pairs, code))
+
+
+def test_decompose_dict_past_int64():
+    # Strings on qubits 60..69 of a 70-qubit chain: the int masks pass
+    # bit 63, and the patch columns still fit int64.
+    code = repetition_code(70)
+    coeffs = {(1 << 68, 0): 0.3, (0, 1 << 61 | 1 << 62): -0.2,
+              (1 << 61 | 1 << 62, 1 << 62): 0.5j, (1 << 65, 1 << 65): 0.1}
+    pairs = [(c, PauliString(70, x, z)) for (x, z), c in coeffs.items()]
+    got = decompose(coeffs, code)
+    assert len(got.terms) == 4
+    assert_same_terms(got, decompose(pairs, code))
+
+
+def test_decompose_dict_refuses_bits_past_n():
+    code = repetition_code(5)
+    for key in ((1 << 5, 0), (0, 1 << 7)):
+        with pytest.raises(ValueError, match="past qubit 4"):
+            decompose({(1, 0): 1.0, key: 1.0}, code)
+
+
+def test_decompose_dict_drops_small_and_empty():
+    code = repetition_code(5)
+    assert decompose({}, code).terms == ()
+    qlo = decompose({(1 << 2, 0): 1.0, (1, 0): DROP_TOL, (0, 1): -DROP_TOL,
+                     (2, 2): DROP_TOL / 2}, code)
+    (t,) = qlo.terms
+    assert t.support == frozenset({1, 2, 3}) and t.syndrome == 0b110
+    assert t.c.tolist() == [1.0]
+
+
 def test_strong_support_contains_flipped_checks():
     code = toric_code(2)
     rng = random.Random(9)

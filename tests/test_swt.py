@@ -341,6 +341,13 @@ def test_real_field_keeps_real_blocks():
     code = repetition_code(5)
     run = swt_run(code, _field_of_kinds(5, ("X",)), m_target=3)
     assert run.u_blocks.dtype == run.e_blocks.dtype == np.float64
+    # The Hadamard frame, whose Walsh-Hadamard transform keeps a real
+    # matrix real: the same values as the complex build of the same blocks.
+    assert run.frame.name == "hadamard"
+    assert run.unitary.dtype == run.e_final.dtype == np.float64
+    for full, blocks in ((run.unitary, run.u_blocks),
+                         (run.e_final, run.e_blocks)):
+        assert np.array_equal(full, run.frame.full(blocks.astype(complex)))
 
 
 def test_engine_refuses_terms_outside_its_frame():
