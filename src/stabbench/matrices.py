@@ -11,8 +11,9 @@ phase.  The inverse direction, expanding a dense matrix over the Hermitian
 Pauli basis, is a by-qubit tensor transform costing O(n 4^n).
 
 A ``CosetFrame`` splits the basis states into the invariant cosets of a
-sum's x-span; the SWT engine, operator norms and the coset eigensolver all
-work on its blocks.
+sum's x-span; the SWT engine and the coset eigensolver work on its blocks.
+``payload_norm`` finds the same frames for a whole batch of sums at once
+and norms them all in one pass.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
 from .code import CheckGroup
-from .gf2 import Echelon, _span_table, _words
+from .gf2 import _span_table
 from .pauli import I_POWERS, PauliString, columns
 
 # Most qubits of a dense 2^n x 2^n matrix (256 MB complex at the limit):
@@ -183,64 +184,6 @@ class PauliMatvec:
                                    dtype=self.matrix.dtype)
 
 
-def _sign_rows(z, single) -> np.ndarray:
-    """The distinct rows of signs (-1)^|rep & z_k| over the coset
-    representatives: linear in rep, so the ``gf2._span_table`` of the rows
-    of the representatives with one free bit, ``single``."""
-    bits = np.bitwise_count(single[:, None] & z) & 1
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    basis = list(Echelon(int.from_bytes(row.tobytes(), "little")
-                         for row in packed).rows.values())
-    if len(basis) > DENSE_MAX_QUBITS:
-        raise ValueError(
-            f"{len(z)} terms take 2^{len(basis)} distinct coset signs, "
-            f"more than 2^{DENSE_MAX_QUBITS}")
-    table = _span_table(_words(basis, len(z)))
-    bits = np.unpackbits(table.view(np.uint8), axis=1, count=len(z),
-                         bitorder="little")
-    return 1.0 - 2.0 * bits
-
-
-def payload_norm(n: int, terms) -> float:
-    """Operator 2-norm of a Pauli sum (c, x, z), Hermitian or not.
-
-    The sum is split into the invariant cosets of a ``CosetFrame``.  Cosets
-    whose signs (-1)^|rep & z| agree on every term carry the same block, so
-    one block per distinct sign pattern (``_sign_rows``) is built, all in
-    one batch, and the norm is the largest singular value over them: by
-    ``svd`` in general, by ``eigvalsh`` when the sum is Hermitian or
-    anti-Hermitian.  A sum counts as such when every imaginary (or every
-    real) part is at most 1e-14 max|c|, rounding dust from a transform;
-    that part is dropped and its sum |c| added to the norm, which keeps
-    the value an upper bound.
-
-    Only the n - r representatives with one free bit are built, so the
-    number of cosets sets no limit.  Raises ValueError before anything of
-    that size is built: past 2^``DENSE_MAX_QUBITS`` sign patterns, and for a
-    batch of blocks larger than one dense matrix on ``DENSE_MAX_QUBITS``
-    qubits.  Neither fires up to that many qubits.
-    """
-    if not terms[0].size:
-        return 0.0
-    if terms[0].size == 1:
-        return float(abs(terms[0][0]))  # Pauli strings are unitary
-    frame = CosetFrame(n, terms)
-    (_, _, z), (c, rx, rz) = frame.reduce(terms)
-    signs = _sign_rows(z, frame.representatives(single=True))
-    dust = 1e-14 * np.max(np.abs(c))
-    if np.max(np.abs(c.imag)) <= dust:
-        kept, dropped = c.real, c.imag  # Hermitian
-    elif np.max(np.abs(c.real)) <= dust:
-        kept, dropped = c.imag, c.real  # i times Hermitian
-    else:
-        blocks = _batched_blocks(frame.r, rx, rz, c * signs)
-        return float(np.max(np.linalg.svd(blocks, compute_uv=False)))
-    blocks = _batched_blocks(frame.r, rx, rz, kept * signs)
-    vals = np.linalg.eigvalsh(blocks)
-    # The dropped part has norm at most its sum |c|.
-    return float(np.max(np.abs(vals)) + np.sum(np.abs(dropped)))
-
-
 def _batched_blocks(r: int, x, z, weights: np.ndarray) -> np.ndarray:
     """Dense r-qubit matrices sum_k weights[j, k] i^|x_k & z_k| X^x_k Z^z_k,
     one per row j of ``weights``, as one (rows, 2^r, 2^r) array.
@@ -327,6 +270,93 @@ def _walsh_hadamard(M: np.ndarray) -> np.ndarray:
     return out
 
 
+def _echelon_segments(masks, seg, count: int) -> tuple:
+    """Reduced GF(2) echelon forms of ``count`` segments of int64 masks at
+    once; segment s is the masks with seg == s, seg non-decreasing.
+
+    Gauss-Jordan elimination in rounds over all segments: in each round the
+    first nonzero row of each segment that is not yet a pivot row becomes
+    one, with its lowest set bit as pivot, and is XORed into every other
+    row of the segment that has that bit.  A pivot row is only ever XORed
+    with rows of higher pivots, which have no bits below them, so its
+    lowest set bit stays its pivot: the unique form that ``gf2.Echelon``
+    gives, after as many rounds as the largest rank.  Returns (owner,
+    pivot, row): the segment, pivot bit and reduced row of each row of the
+    forms, sorted by segment and then by pivot.
+    """
+    rows = np.array(masks, dtype=np.int64)
+    lead = np.zeros(count, dtype=np.int64)
+    low = np.zeros(count, dtype=np.int64)
+    live = np.flatnonzero(rows)
+    found = [np.zeros(0, dtype=np.int64)]
+    while live.size:
+        owners = seg[live]
+        first = np.ones(len(live), dtype=bool)
+        first[1:] = owners[1:] != owners[:-1]
+        pick, picked = live[first], owners[first]
+        low[picked] = rows[pick] & -rows[pick]
+        lead[picked] = pick
+        hit = np.flatnonzero(rows & low[seg])
+        src = lead[seg[hit]]
+        rows[hit] ^= np.where(hit == src, 0, rows[src])
+        low[picked] = 0
+        live = live[~first]
+        live = live[rows[live] != 0]
+        found.append(pick)
+    found = np.concatenate(found)
+    pivot = np.bitwise_count((rows[found] & -rows[found]) - 1).astype(np.int64)
+    order = np.lexsort((pivot, seg[found]))
+    return seg[found[order]], pivot[order], rows[found[order]]
+
+
+def _frames(seg, count: int, x, z) -> tuple:
+    """The coset frame of each of ``count`` segments of a Pauli sum: the
+    reduced echelon forms of its x-span and its z-span from one
+    ``_echelon_segments`` run, and the Hadamard frame where the z-span has
+    the lower rank.  Returns (hadamard, owner, pivot, row): a flag per
+    segment and the rows of the chosen spans, sorted by segment and pivot.
+    """
+    owner, pivot, row = _echelon_segments(
+        np.concatenate([x, z]), np.concatenate([seg, seg + count]), 2 * count)
+    rank = np.bincount(owner, minlength=2 * count)
+    hadamard = rank[count:] < rank[:count]
+    chosen = np.flatnonzero(hadamard[owner % count] == (owner >= count))
+    chosen = chosen[np.argsort(owner[chosen] % count, kind="stable")]
+    return hadamard, owner[chosen] % count, pivot[chosen], row[chosen]
+
+
+def _by_segment(owner, count: int, values) -> np.ndarray:
+    """The int64 ``values`` of each of ``count`` segments (``owner``
+    sorted) as one zero-padded row each."""
+    size = np.bincount(owner, minlength=count)
+    slot = np.arange(len(owner)) - np.repeat(np.cumsum(size) - size, size)
+    out = np.zeros((count, int(size.max(initial=0))), dtype=np.int64)
+    out[owner, slot] = values
+    return out
+
+
+def _reduce_segments(seg, terms, frames) -> tuple:
+    """Each segment's sum (c, x, z) in its frame (``_frames``), and its
+    reduced strings (c', m, z'), both as (c, x, z): bit j of m is bit
+    pivot_j of x, bit j of z' the parity of row_j & z, and c' carries the
+    sign by which the i-powers of (x, z) and (m, z') differ."""
+    hadamard, owner, pivot, row = frames
+    c, x, z = terms
+    flip = hadamard[seg]
+    if flip.any():
+        c, x, z = c.copy(), x.copy(), z.copy()
+        c[flip], x[flip], z[flip] = _hadamard_frame(
+            (c[flip], x[flip], z[flip]))
+    bits = _by_segment(owner, len(hadamard), np.left_shift(1, pivot))
+    rows = _by_segment(owner, len(hadamard), row)
+    m = _pack((x[:, None] & bits[seg]) != 0)
+    zr = _pack(np.bitwise_count(z[:, None] & rows[seg]) & 1)
+    # 0 or 2: bitwise_count is uint8, and its wrap-around keeps the
+    # difference mod 4.
+    twist = (np.bitwise_count(x & z) - np.bitwise_count(m & zr)) % 4
+    return (c, x, z), (np.where(twist, -c, c), m, zr)
+
+
 class CosetFrame:
     """The invariant cosets of the x-span of a Pauli sum (c, x, z).
 
@@ -340,6 +370,9 @@ class CosetFrame:
 
     S is held in reduced echelon form: ``pivots`` (the lowest bit of each
     row), ``row_masks`` and the ``free`` qubits, those of no pivot.  The
+    frame and the reduction come from the segmented helpers that
+    ``payload_norm`` runs on a whole batch of sums (``_frames`` and
+    ``_reduce_segments``), here with the sum as one segment.  The
     coset representatives are the states with zero pivot bits, and a state
     of the coset of rep is rep ^ (XOR of the rows its local index picks).
     Term (c, x, z) then maps local index l to l ^ m, with m the rows that
@@ -350,18 +383,13 @@ class CosetFrame:
     """
 
     def __init__(self, n: int, terms):
-        # The reduced echelon form of a span is unique, so each distinct
-        # mask is inserted once.
-        rows = Echelon(np.unique(terms[1]).tolist()).rows
-        z_rows = Echelon(np.unique(terms[2]).tolist()).rows
-        self.hadamard = len(z_rows) < len(rows)
-        if self.hadamard:
-            rows = z_rows
-        self.n, self.r = n, len(rows)
-        self.pivots = sorted(rows)
-        self.row_masks = np.array([rows[p] for p in self.pivots],
-                                  dtype=np.int64)
-        self.free = [i for i in range(n) if i not in rows]
+        self._frames = _frames(np.zeros(len(terms[1]), dtype=np.int64), 1,
+                               terms[1], terms[2])
+        hadamard, _, pivots, self.row_masks = self._frames
+        self.hadamard = bool(hadamard[0])
+        self.n, self.r = n, len(pivots)
+        self.pivots = pivots.tolist()
+        self.free = [i for i in range(n) if i not in self.pivots]
 
     @property
     def name(self) -> str:
@@ -371,22 +399,18 @@ class CosetFrame:
         """The sum (c, x, z) in the frame, and its reduced r-qubit strings
         (c', m, z'), both as (c, x, z).  Raises ValueError when a term's
         x-mask in the frame lies outside the span."""
-        if self.hadamard:
-            terms = _hadamard_frame(terms)
-        c, x, z = terms
-        m = _gather(x, self.pivots)
-        rows = (self.row_masks[:, None] >> np.arange(self.n)) & 1
-        spanned = _pack(((m[:, None] >> np.arange(self.r)) & 1) @ rows & 1)
+        seg = np.zeros(len(terms[1]), dtype=np.int64)
+        framed, reduced = _reduce_segments(seg, terms, self._frames)
+        x, m = framed[1], reduced[1]
+        picked = (m[:, None] >> np.arange(self.r)) & 1
+        spanned = np.bitwise_xor.reduce(
+            np.where(picked, self.row_masks, 0), axis=1)
         if np.any(spanned != x):
             k = int(np.flatnonzero(spanned != x)[0])
             raise ValueError(
-                f"term {k} (x = {int(terms[1][k])}, z = {int(terms[2][k])} in "
+                f"term {k} (x = {int(x[k])}, z = {int(framed[2][k])} in "
                 f"the {self.name} frame) lies outside the frame's span")
-        zr = _pack(np.bitwise_count(z[:, None] & self.row_masks) & 1)
-        # 0 or 2: bitwise_count is uint8, and its wrap-around keeps the
-        # difference mod 4.
-        twist = (np.bitwise_count(x & z) - np.bitwise_count(m & zr)) % 4
-        return terms, (np.where(twist, -c, c), m, zr)
+        return framed, reduced
 
     def representatives(self, single: bool = False) -> np.ndarray:
         """The coset representatives: all 2^(n-r), rep i carrying bit j of
@@ -440,6 +464,167 @@ class CosetFrame:
             coeffs = {(z, x): -c if (x & z).bit_count() & 1 else c
                       for (x, z), c in coeffs.items()}
         return coeffs
+
+
+def payload_norm(sums) -> np.ndarray:
+    """Operator 2-norms of Pauli sums [(n, (c, x, z)), ...], Hermitian or
+    not, as one float64 array, computed in one pass over all of them.
+
+    Each sum is split into the invariant cosets of its coset frame (the
+    one ``CosetFrame`` would choose), all frames from one segmented
+    elimination (``_frames``).  Cosets whose signs (-1)^|rep & z| agree on
+    every term carry the same block.  The signs are linear in rep, so the
+    distinct patterns are those of the reps on the pivot qubits of the
+    z-masks restricted to the free qubits, from a second segmented
+    elimination: 2^w patterns for a rank w, one block each
+    (``_pattern_blocks``).  A sum's norm is the largest singular value over
+    its blocks: by ``svd`` in general, by ``eigvalsh`` when the sum is
+    Hermitian or anti-Hermitian, one call per (r, kind, dtype) group of
+    sums.  A sum counts as such when every imaginary (or every real) part
+    is at most 1e-14 max|c|, rounding dust from a transform; that part is
+    dropped and its sum |c| added to the norm, which keeps the value an
+    upper bound.  An empty sum has norm 0 and a single string |c|.
+
+    The number of cosets sets no limit.  Raises ValueError before any block
+    is built when a sum has more than 2^``DENSE_MAX_QUBITS`` sign patterns,
+    or blocks holding more entries than one dense matrix on
+    ``DENSE_MAX_QUBITS`` qubits (``refuse_dense``).  Neither fires up to
+    that many qubits.
+    """
+    sizes = np.array([len(t[0]) for _, t in sums], dtype=np.int64)
+    c, x, z = map(np.concatenate, zip(columns(()), *(t for _, t in sums)))
+    norms = np.zeros(len(sums))
+    first = np.cumsum(sizes) - sizes
+    for i in np.flatnonzero(sizes == 1):  # Pauli strings are unitary
+        # A scalar abs: np.abs of a complex array may differ in the last bit.
+        norms[i] = abs(c[first[i]])
+    multi = np.flatnonzero(sizes > 1)
+    if not multi.size:
+        return norms
+    keep = np.repeat(sizes > 1, sizes)
+    c, x, z = c[keep], x[keep], z[keep]
+    lengths, count = sizes[multi], len(multi)
+    seg = np.repeat(np.arange(count), lengths)
+    starts = np.cumsum(lengths) - lengths
+    frames = _frames(seg, count, x, z)
+    (_, _, framed_z), (c, m, zr) = _reduce_segments(seg, (c, x, z), frames)
+    r = np.bincount(frames[1], minlength=count)
+
+    # Sign patterns: the pivots of the frame z-masks on the free qubits.
+    taken = _by_segment(frames[1], count, np.left_shift(1, frames[2]))
+    free = np.array([(1 << sums[i][0]) - 1 for i in multi]) & ~taken.sum(1)
+    owner, spivot, _ = _echelon_segments(framed_z & free[seg], seg, count)
+    w = np.bincount(owner, minlength=count)
+    for i in np.flatnonzero(w > DENSE_MAX_QUBITS)[:1]:
+        raise ValueError(
+            f"{lengths[i]} terms take 2^{w[i]} distinct coset signs, "
+            f"more than 2^{DENSE_MAX_QUBITS}")
+    for i in np.flatnonzero(w + 2 * r > 2 * DENSE_MAX_QUBITS)[:1]:
+        refuse_dense(int(r[i]), 1 << int(w[i]))
+    sign_qubits = _by_segment(owner, count, np.left_shift(1, spivot))
+
+    dust = 1e-14 * np.maximum.reduceat(np.abs(c), starts)
+    herm = np.maximum.reduceat(np.abs(c.imag), starts) <= dust
+    anti = ~herm & (np.maximum.reduceat(np.abs(c.real), starts) <= dust)
+    general = ~herm & ~anti
+    kept = np.where(herm[seg], c.real, c.imag)
+    dropped = np.where(herm[seg], c.imag, c.real)
+    extra = np.zeros(count)
+    for i in np.flatnonzero(~general & np.logical_or.reduceat(dropped != 0,
+                                                              starts)):
+        extra[i] = np.sum(np.abs(dropped[starts[i]:starts[i] + lengths[i]]))
+    powers = np.bitwise_count(m & zr) % 4
+    imaginary = np.where(general[seg], c * I_POWERS[powers],
+                         kept * I_POWERS[powers]).imag != 0
+    real = ~np.logical_or.reduceat(imaginary, starts)
+
+    patterns = 1 << w
+    strings = (starts, lengths, powers, framed_z, m, zr)
+    found = np.zeros(count)
+    key = r * 4 + general * 2 + real
+    for k in np.unique(key).tolist():
+        group = np.flatnonzero(key == k)
+        size = patterns[group] << 2 * r[group]
+        for lo, hi in _chunks(size.tolist(), 1 << 2 * DENSE_MAX_QUBITS):
+            members = group[lo:hi]
+            weights = c if general[members[0]] else kept
+            blocks = _pattern_blocks(int(r[members[0]]), members,
+                                     patterns[members], sign_qubits, weights,
+                                     real[members[0]], strings)
+            if general[members[0]]:
+                top = np.linalg.svd(blocks, compute_uv=False).max(axis=1)
+            else:
+                top = np.abs(np.linalg.eigvalsh(blocks)).max(axis=1)
+            offsets = np.cumsum(patterns[members]) - patterns[members]
+            found[members] = np.maximum.reduceat(top, offsets)
+    norms[multi] = found + extra
+    return norms
+
+
+def _chunks(sizes: list, limit: int):
+    """(lo, hi) runs of consecutive items, each run's sizes summing to at
+    most ``limit``, or one item larger than that."""
+    lo, total = 0, 0
+    for i, size in enumerate(sizes):
+        if total + size > limit and i > lo:
+            yield lo, i
+            lo, total = i, 0
+        total += size
+    yield lo, len(sizes)
+
+
+def _pattern_blocks(r: int, members, patterns, sign_qubits, weights,
+                    real: bool, strings) -> np.ndarray:
+    """The 2^r x 2^r blocks of the sums ``members`` of a ``payload_norm``
+    batch, one per sign pattern, as one (blocks, 2^r, 2^r) array.
+
+    Block j of sum s has the reduced strings of s with weights times the
+    coset signs (-1)^|rep_j & z| of the rep picking the pivot qubits of s
+    (``sign_qubits``) that the bits of j select.  Every (block, string)
+    pair adds phase (-1)^|b & z'| at row b ^ m of column b, all pairs in
+    one ``np.add.at`` scatter in order of block and then string, so every
+    entry is the sum of its strings in input order, rounded as
+    ``_batched_blocks`` rounds it: the blocks equal its blocks bit for bit,
+    float64 when ``real``.
+
+    ``_batched_blocks`` stays the dense builder of the SWT engine,
+    ``operator_dense`` and spectra.  Building a batch's blocks through it,
+    with block-diagonal weights, took three times as long as one sum at a
+    time, as it loops over chunks of 2^r strings; rewriting it as one
+    ``np.add.at`` pair list kept its output bit for bit but slowed the
+    engine's dense builds 1.4-1.9 times.
+    """
+    starts, lengths, powers, z, m, zr = strings
+    dim = 1 << r
+    basis = np.arange(dim, dtype=np.int64)
+    owner = np.repeat(members, patterns)
+    local = np.arange(len(owner)) - np.repeat(np.cumsum(patterns) - patterns,
+                                              patterns)
+    width = sign_qubits.shape[1]
+    picked = (local[:, None] >> np.arange(width)) & 1
+    reps = np.bitwise_or.reduce(np.where(picked, sign_qubits[owner], 0),
+                                axis=1)
+    span = lengths[owner]
+    block = np.repeat(np.arange(len(owner)), span)
+    string = (np.repeat(starts[owner] - (np.cumsum(span) - span), span)
+              + np.arange(span.sum()))
+    out = np.zeros(len(owner) * dim * dim,
+                   dtype=np.float64 if real else np.complex128)
+    # Pairs in order of block, then string: np.add.at adds them one after
+    # another, so each entry sums its strings in input order.  Slices of
+    # pairs keep every temporary at most the output's size, or 2^16 entries.
+    step = max(out.size, 1 << 16) // dim
+    for lo in range(0, len(block), step):
+        b, k = block[lo:lo + step], string[lo:lo + step]
+        signs = 1.0 - 2.0 * (np.bitwise_count(reps[b] & z[k]) & 1)
+        phases = (weights[k] * signs) * I_POWERS[powers[k]]
+        if real:
+            phases = phases.real
+        np.add.at(out, ((b[:, None] * dim + (basis ^ m[k, None])) * dim
+                        + basis).ravel(),
+                  (phases[:, None]
+                   * _z_parity_signs(zr[k, None], basis)).ravel())
+    return out.reshape(-1, dim, dim)
 
 
 def _lanczos_block(r: int, terms, k: int, rng) -> np.ndarray:

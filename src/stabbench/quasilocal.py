@@ -56,12 +56,20 @@ def _refuse_wider(support) -> None:
 
 def _compress(strings, qubits) -> tuple:
     """(coeff, x, z) triples on full qubits as patch columns (c, x, z):
-    bit qubits[j] of each mask moved to bit j, on Python ints."""
+    bit qubits[j] of each mask moved to bit j, on Python ints, one shift
+    per run of consecutive qubits of the sorted ``qubits``."""
+    runs = []  # (first qubit, run mask, first patch bit)
+    for j, q in enumerate(qubits):
+        if runs and q == runs[-1][0] + runs[-1][1].bit_length():
+            first, mask, start = runs[-1]
+            runs[-1] = (first, mask << 1 | 1, start)
+        else:
+            runs.append((q, 1, j))
     c, x, z = [], [], []
     for coeff, sx, sz in strings:
         c.append(coeff)
-        x.append(sum((sx >> q & 1) << j for j, q in enumerate(qubits)))
-        z.append(sum((sz >> q & 1) << j for j, q in enumerate(qubits)))
+        x.append(sum((sx >> q & mask) << j for q, mask, j in runs))
+        z.append(sum((sz >> q & mask) << j for q, mask, j in runs))
     return (np.array(c, dtype=complex), np.array(x, dtype=np.int64),
             np.array(z, dtype=np.int64))
 
@@ -115,7 +123,7 @@ class LocalTerm:
         return operator_dense(len(self.support), (self.c, self.x, self.z))
 
     def operator_norm(self) -> float:
-        return payload_norm(len(self.support), (self.c, self.x, self.z))
+        return float(operator_norms((self,))[0])
 
     def scaled(self, factor: complex) -> "LocalTerm":
         return LocalTerm._from_columns(self.n, self.support, self.syndrome,
@@ -127,7 +135,8 @@ class QuasiLocalOperator:
     code: StabilizerCode
     terms: tuple
 
-    _norm_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _norms: np.ndarray | None = field(default=None, repr=False,
+                                      compare=False)
 
     def key_index(self) -> dict:
         return {(t.support, t.syndrome): t for t in self.terms}
@@ -141,11 +150,12 @@ class QuasiLocalOperator:
     def to_dense(self) -> np.ndarray:
         return operator_dense(self.code.n, self.full_columns())
 
-    def term_norm(self, term: LocalTerm) -> float:
-        key = (term.support, term.syndrome)
-        if key not in self._norm_cache:
-            self._norm_cache[key] = term.operator_norm()
-        return self._norm_cache[key]
+    def term_norms(self) -> np.ndarray:
+        """The operator norm of each term, by position, from one
+        ``operator_norms`` pass on first use."""
+        if self._norms is None:
+            self._norms = operator_norms(self.terms)
+        return self._norms
 
     def scaled(self, factor: complex) -> "QuasiLocalOperator":
         return QuasiLocalOperator(
@@ -204,19 +214,28 @@ def decompose(op_terms, code: StabilizerCode) -> QuasiLocalOperator:
     return QuasiLocalOperator(code, tuple(terms))
 
 
+def operator_norms(terms) -> np.ndarray:
+    """The operator norm of each local term on its patch, all from one
+    ``payload_norm`` pass."""
+    return payload_norm([(len(t.support), (t.c, t.x, t.z)) for t in terms])
+
+
 def kappa_norm(op: QuasiLocalOperator, kappa: float) -> float:
     """max_i sum_{S containing i} sum_s ||O_{S,s}|| e^{kappa |S|}.
 
-    Terms with empty support (identity components) never contain a qubit
-    and therefore do not contribute.
+    The term norms are computed once per operator, all terms in one
+    batched ``payload_norm`` call (``QuasiLocalOperator.term_norms``), and
+    kept by term position, so two terms of one key each count their own
+    norm.  Terms with empty support (identity components) never contain a
+    qubit and therefore do not contribute.
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     per_qubit = np.zeros(op.code.n)
-    for t in op.terms:
+    for t, norm in zip(op.terms, op.term_norms()):
         if not t.support:
             continue
-        w = op.term_norm(t) * np.exp(kappa * len(t.support))
+        w = norm * np.exp(kappa * len(t.support))
         for q in t.support:
             per_qubit[q] += w
     return float(per_qubit.max()) if op.code.n else 0.0

@@ -359,7 +359,7 @@ def spectral_report(
     weyl_margin = None
     if weyl_check and mode == "dense":
         vals0 = lowest_eigenvalues_sparse(code.n, h0, k=1 << code.n)
-        vnorm = payload_norm(code.n, v)
+        vnorm = payload_norm([(code.n, v)])[0]
         weyl_margin = float(
             epsilon * vnorm - np.max(np.abs(np.sort(vals) - np.sort(vals0)))
         )

@@ -14,6 +14,7 @@ from stabbench import matrices
 from stabbench.code import StabilizerCode
 from stabbench.constructors import ising_toric, repetition_code, toric_code
 from stabbench.experiments import plaquette_field_terms, uniform_field_terms
+from stabbench.gf2 import Echelon, _span_table, _words
 from stabbench.matrices import (
     PauliMatvec,
     code_hamiltonian_dense,
@@ -586,14 +587,14 @@ def test_payload_norm_refuses_past_limit(no_large_zeros):
     terms = columns([(0.5, PauliString.single(n, kind, i))
                      for i in range(n) for kind in "XZ"])
     with pytest.raises(ValueError, match="13 qubits exceeds the limit of 12"):
-        payload_norm(n, terms)
+        payload_norm([(n, terms)])
     # X_0 and Z_1 ... Z_13 on 14 qubits: blocks of 2 states, but 2^13
     # distinct coset sign patterns.
     terms = columns([(0.5, PauliString.single(14, "X", 0))]
                     + [(0.5, PauliString.single(14, "Z", i))
                        for i in range(1, 14)])
     with pytest.raises(ValueError, match="2\\^13 distinct coset signs"):
-        payload_norm(14, terms)
+        payload_norm([(14, terms)])
     # X on 13 qubits of a single-Z code: the patch group of the 13 flipped
     # checks has rank 13, a table of 2^13 elements per term.
     code = StabilizerCode.from_checks(
@@ -624,7 +625,8 @@ def norm_cases(draw):
 def test_payload_norm_matches_dense_svd(case):
     n, terms = case[0], columns(case[1])
     expect = np.linalg.norm(operator_dense(n, terms), 2)
-    assert payload_norm(n, terms) == pytest.approx(expect, rel=1e-12, abs=1e-12)
+    assert payload_norm([(n, terms)])[0] == pytest.approx(expect, rel=1e-12,
+                                                      abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -642,7 +644,7 @@ def test_payload_norm_keeps_relabeled_small_sums(case, wide, rng):
     wide_terms = [(c, PauliString(wide, moved(p.x), moved(p.z), p.sign))
                   for c, p in terms]
     expect = np.linalg.norm(operator_dense(n, columns(terms)), 2)
-    assert payload_norm(wide, columns(wide_terms)) == pytest.approx(
+    assert payload_norm([(wide, columns(wide_terms))])[0] == pytest.approx(
         expect, rel=1e-12, abs=1e-12)
 
 
@@ -691,13 +693,13 @@ def test_matvec_csr_of_rep16_x_field_block():
 def test_payload_norm_above_n12():
     n = 13
     x0, y0, z0 = (PauliString.single(n, kind, 0) for kind in "XYZ")
-    assert payload_norm(n, columns([(0.3, x0), (0.4, z0)])) == pytest.approx(
-        0.5, rel=1e-8)
+    assert payload_norm([(n, columns([(0.3, x0), (0.4, z0)]))])[0] \
+        == pytest.approx(0.5, rel=1e-8)
     # X + iY = 2 |0><1| is not normal; its singular values are 2 and 0.
-    assert payload_norm(n, columns([(1.0, x0), (1j, y0)])) == pytest.approx(
-        2.0, rel=1e-8)
+    assert payload_norm([(n, columns([(1.0, x0), (1j, y0)]))])[0] \
+        == pytest.approx(2.0, rel=1e-8)
     x_pair = columns([(1.0, PauliString.single(14, "X", q)) for q in (0, 1)])
-    assert payload_norm(14, x_pair) == pytest.approx(2.0, rel=1e-8)
+    assert payload_norm([(14, x_pair)])[0] == pytest.approx(2.0, rel=1e-8)
 
 
 @pytest.mark.parametrize("n", [21, 40])
@@ -705,7 +707,7 @@ def test_payload_norm_builds_no_coset_list(n):
     # X_0 + X_1: the Hadamard frame has r = 0 and 2^n cosets of one state,
     # but the norm reads only the n representatives with one free bit.
     terms = columns([(1.0, PauliString.single(n, "X", q)) for q in (0, 1)])
-    assert payload_norm(n, terms) == 2.0
+    assert payload_norm([(n, terms)])[0] == 2.0
 
 
 @pytest.mark.parametrize("phase", [1, 1j], ids=["hermitian", "antihermitian"])
@@ -726,7 +728,7 @@ def test_payload_norm_drops_rounding_dust(phase, monkeypatch):
         return eigvalsh(a)
 
     monkeypatch.setattr(matrices.np.linalg, "eigvalsh", spy)
-    got = payload_norm(3, terms)
+    got = payload_norm([(3, terms)])[0]
     assert calls
     assert got == pytest.approx(expect, rel=1e-12)
     assert got >= expect - 1e-15
@@ -737,7 +739,7 @@ def test_payload_norm_non_normal_sum():
     # normal; its singular values are 2 and 0.
     terms = columns([(1.0, PauliString.from_label("X")),
                      (1j, PauliString.from_label("Z"))])
-    assert payload_norm(1, terms) == pytest.approx(2.0, rel=1e-14)
+    assert payload_norm([(1, terms)])[0] == pytest.approx(2.0, rel=1e-14)
 
 
 @pytest.mark.parametrize("phases", [(1, 1), (1j, 1j), (1, 0.6 + 0.8j)],
@@ -751,21 +753,166 @@ def test_payload_norm_hadamard_frame_blocks(phases, monkeypatch):
     coeffs = (0.3, -0.4, 0.5, 0.2, 0.35, 0.25)
     terms = columns([(phases[j % 2] * c, PauliString.from_label(label))
                      for j, (c, label) in enumerate(zip(coeffs, labels))])
-    # The reference is built first: operator_dense runs on _batched_blocks.
+    # The reference is built before the spies go in.
     expect = np.linalg.norm(operator_dense(n, terms), 2)
     frames, shapes = [], []
-    frame, blocks = matrices._hadamard_frame, matrices._batched_blocks
+    frame, blocks = matrices._hadamard_frame, matrices._pattern_blocks
 
     def spy_frame(ts):
         frames.append(len(ts))
         return frame(ts)
 
-    def spy_blocks(r, x, z, weights):
-        out = blocks(r, x, z, weights)
+    def spy_blocks(*args):
+        out = blocks(*args)
         shapes.append(out.shape)
         return out
 
     monkeypatch.setattr(matrices, "_hadamard_frame", spy_frame)
-    monkeypatch.setattr(matrices, "_batched_blocks", spy_blocks)
-    assert payload_norm(n, terms) == pytest.approx(expect, rel=1e-12)
+    monkeypatch.setattr(matrices, "_pattern_blocks", spy_blocks)
+    assert payload_norm([(n, terms)])[0] == pytest.approx(expect, rel=1e-12)
     assert frames and shapes == [(4, 4, 4)]
+
+
+def _sign_rows(z, single) -> np.ndarray:
+    """The one-sum norm's distinct coset sign rows: the span table of the
+    sign rows of the one-free-bit representatives ``single``."""
+    bits = np.bitwise_count(single[:, None] & z) & 1
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    basis = list(Echelon(int.from_bytes(row.tobytes(), "little")
+                         for row in packed).rows.values())
+    if len(basis) > matrices.DENSE_MAX_QUBITS:
+        raise ValueError(
+            f"{len(z)} terms take 2^{len(basis)} distinct coset signs, "
+            f"more than 2^{matrices.DENSE_MAX_QUBITS}")
+    table = _span_table(_words(basis, len(z)))
+    bits = np.unpackbits(table.view(np.uint8), axis=1, count=len(z),
+                         bitorder="little")
+    return 1.0 - 2.0 * bits
+
+
+def one_sum_norm(n: int, terms) -> float:
+    """The norm of one Pauli sum as it was computed one sum at a time, kept
+    as the reference of the batched ``payload_norm``: a ``CosetFrame``, its
+    one-free-bit representatives' sign rows, and one ``_batched_blocks``
+    call."""
+    if not terms[0].size:
+        return 0.0
+    if terms[0].size == 1:
+        return float(abs(terms[0][0]))
+    frame = matrices.CosetFrame(n, terms)
+    (_, _, z), (c, rx, rz) = frame.reduce(terms)
+    signs = _sign_rows(z, frame.representatives(single=True))
+    dust = 1e-14 * np.max(np.abs(c))
+    if np.max(np.abs(c.imag)) <= dust:
+        kept, dropped = c.real, c.imag
+    elif np.max(np.abs(c.real)) <= dust:
+        kept, dropped = c.imag, c.real
+    else:
+        blocks = matrices._batched_blocks(frame.r, rx, rz, c * signs)
+        return float(np.max(np.linalg.svd(blocks, compute_uv=False)))
+    blocks = matrices._batched_blocks(frame.r, rx, rz, kept * signs)
+    vals = np.linalg.eigvalsh(blocks)
+    return float(np.max(np.abs(vals)) + np.sum(np.abs(dropped)))
+
+
+@st.composite
+def batch_sums(draw):
+    """(n, (c, x, z)) on 1-40 qubits: x- and z-masks drawn from spans of
+    rank 0-4 (so both frames occur), repeated strings, Hermitian,
+    anti-Hermitian or general coefficients, and rounding dust of the other
+    kind on some of them."""
+    n = draw(st.integers(1, 40))
+    masks = st.integers(0, (1 << n) - 1)
+    spans = [draw(st.lists(masks, max_size=4)) for _ in "xz"]
+    picks = st.lists(st.booleans(), min_size=4, max_size=4)
+
+    def combination(span, picked):
+        out = 0
+        for mask, take in zip(span, picked):
+            out ^= mask if take else 0
+        return out
+
+    strings = [tuple(combination(span, draw(picks)) for span in spans)
+               for _ in range(draw(st.integers(0, 8)))]
+    if strings:
+        strings += draw(st.lists(st.sampled_from(strings), max_size=4))
+    size = len(strings)
+    coeffs = np.array(draw(st.lists(st.floats(-1, 1), min_size=size,
+                                    max_size=size)), dtype=complex)
+    kind = draw(st.sampled_from(("hermitian", "antihermitian", "general")))
+    other = np.array(draw(st.lists(st.floats(-1, 1), min_size=size,
+                                   max_size=size)))
+    if kind != "general":
+        other *= draw(st.sampled_from((0.0, 1e-19)))
+    coeffs = coeffs + 1j * other
+    if kind == "antihermitian":
+        coeffs = 1j * coeffs
+    x = np.array([sx for sx, _ in strings], dtype=np.int64)
+    z = np.array([sz for _, sz in strings], dtype=np.int64)
+    return n, (coeffs, x, z)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(batch_sums(), max_size=6))
+# The Hadamard-frame sum of test_payload_norm_hadamard_frame_blocks between
+# an empty sum and a single string.
+@example([(3, columns(())),
+          (6, columns([(0.25 * k - 0.4, PauliString.from_label(label))
+                       for k, label in enumerate(
+                           ("ZIIIII", "IZIIII", "XXIIII", "IIXXII",
+                            "IIIIXX", "YIIIII"))])),
+          (2, columns([(0.5j, PauliString.from_label("YX"))]))])
+def test_payload_norm_batch_equals_one_sum_reference(sums):
+    assert payload_norm(sums).tolist() == [one_sum_norm(n, t) for n, t in sums]
+
+
+def test_payload_norm_batch_refuses_before_any_block(no_large_zeros,
+                                                     monkeypatch):
+    # One sum past 2^12 sign patterns (X_0, Z_1 ... Z_13 on 14 qubits) or
+    # past the dense limit (X and Z on each of 13 qubits) among small ones
+    # raises the ValueError it raises alone, before any block is built.
+    small = (2, columns([(0.5, PauliString.from_label("XI")),
+                         (0.4, PauliString.from_label("ZZ"))]))
+    patterns = (14, columns([(0.5, PauliString.single(14, "X", 0))]
+                            + [(0.5, PauliString.single(14, "Z", i))
+                               for i in range(1, 14)]))
+    dense = (13, columns([(0.5, PauliString.single(13, kind, i))
+                          for i in range(13) for kind in "XZ"]))
+    built = []
+    blocks = matrices._pattern_blocks
+
+    def spy_blocks(*args):
+        built.append(args[0])
+        return blocks(*args)
+
+    monkeypatch.setattr(matrices, "_pattern_blocks", spy_blocks)
+    for bad, message in ((patterns, r"2\^13 distinct coset signs"),
+                         (dense, "13 qubits exceeds the limit of 12")):
+        with pytest.raises(ValueError, match=message) as alone:
+            payload_norm([bad])
+        with pytest.raises(ValueError, match=message) as batch:
+            payload_norm([small, bad, small])
+        assert str(batch.value) == str(alone.value)
+    assert built == []
+
+
+def test_payload_norm_chunks_runs_to_the_limit():
+    assert list(matrices._chunks([3, 3, 3, 5], 6)) == [(0, 2), (2, 3),
+                                                      (3, 4)]
+    assert list(matrices._chunks([9, 1], 6)) == [(0, 1), (1, 2)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.one_of(st.integers(0, 15),
+                                   st.integers(0, (1 << 62) - 1)),
+                         max_size=8), max_size=6))
+def test_echelon_segments_match_echelon(segments):
+    # Small masks make dependent rows common; each segment's form is the
+    # one gf2.Echelon gives, pivots in increasing order.
+    masks = np.array([m for s in segments for m in s], dtype=np.int64)
+    seg = np.repeat(np.arange(len(segments), dtype=np.int64),
+                    [len(s) for s in segments])
+    owner, pivot, row = matrices._echelon_segments(masks, seg, len(segments))
+    assert list(zip(owner.tolist(), pivot.tolist(), row.tolist())) == [
+        (i, p, r) for i, s in enumerate(segments)
+        for p, r in sorted(Echelon(s).rows.items())]

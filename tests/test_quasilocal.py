@@ -191,6 +191,20 @@ def test_kappa_norm_zero_and_midchain():
         assert kappa_norm(qlo, kappa) == pytest.approx(math.exp(3 * kappa))
 
 
+@pytest.mark.parametrize("coeffs", [(0.3, 0.7), (0.7, 0.3)])
+def test_kappa_norm_counts_each_term_of_one_key(coeffs):
+    # 0.3 X_1 and 0.7 X_1 on repetition_code(4) as two terms of one key:
+    # support {0, 1, 2}, syndrome 0b11.  Each counts its own norm, in
+    # either order: (0.3 + 0.7) e^(0.5 * 3) on qubits 0, 1 and 2.
+    code = repetition_code(4)
+    x1 = PauliString.single(4, "X", 1)
+    terms = tuple(decompose([(c, x1)], code).terms[0] for c in coeffs)
+    assert {(t.support, t.syndrome) for t in terms} == {
+        (frozenset({0, 1, 2}), 0b11)}
+    op = QuasiLocalOperator(code, terms)
+    assert kappa_norm(op, 0.5) == pytest.approx(math.exp(1.5), rel=1e-12)
+
+
 def test_kappa_norm_monotone_in_kappa():
     code = toric_code(2)
     rng = random.Random(12)
