@@ -227,7 +227,9 @@ def cmd_spectrum(args) -> int:
             code, terms, eps_values, mode=args.mode,
             num_eigs=args.num_eigs, seed=args.seed, threads=args.threads,
         )
-    except Exception as exc:  # eigensolver failures surface here
+    except (ArithmeticError, RuntimeError) as exc:
+        # The residual gate's and ARPACK's failures.  A ValueError (a size
+        # refusal, k out of range) reaches main as a usage error.
         print(f"eigensolver failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     rows = [

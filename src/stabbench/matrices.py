@@ -14,13 +14,14 @@ A ``CosetFrame`` splits the basis states into the invariant cosets of a
 sum's x-span; the SWT engine and the coset eigensolver work on its blocks.
 ``payload_norm`` finds the same frames for a whole batch of sums at once
 and norms them all in one pass.
+
+scipy is imported only where a Lanczos solve runs (``PauliMatvec`` and
+``_lanczos_block``); everything else here needs numpy alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sps
-import scipy.sparse.linalg as spla
 
 from .code import CheckGroup
 from .gf2 import _span_table
@@ -152,6 +153,8 @@ class PauliMatvec:
     """
 
     def __init__(self, n: int, terms):
+        import scipy.sparse as sps
+
         _, x, z = terms
         self.n = n
         self.dim = dim = 1 << n
@@ -179,7 +182,10 @@ class PauliMatvec:
     def __call__(self, psi: np.ndarray) -> np.ndarray:
         return self.matrix @ psi
 
-    def as_linear_operator(self) -> spla.LinearOperator:
+    def as_linear_operator(self):
+        """This matvec as a ``scipy.sparse.linalg.LinearOperator``."""
+        import scipy.sparse.linalg as spla
+
         return spla.LinearOperator((self.dim, self.dim), matvec=self,
                                    dtype=self.matrix.dtype)
 
@@ -637,6 +643,8 @@ def _lanczos_block(r: int, terms, k: int, rng) -> np.ndarray:
     ||Hv - lambda v|| and raises ArithmeticError when one exceeds
     ``RESIDUAL_TOL``.
     """
+    import scipy.sparse.linalg as spla
+
     mv = PauliMatvec(r, terms)
     v0 = rng.standard_normal(mv.dim)
     if not mv.is_real:

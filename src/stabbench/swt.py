@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .code import CheckGroup, StabilizerCode, ball, num_logical_qubits
 from .flow import kappa_m
@@ -455,7 +454,8 @@ def relative_bound_estimate(code: StabilizerCode, d_matrix: np.ndarray,
     c_D is the codespace expectation of D; when D is not block diagonal
     within tolerance the offset is still the least-squares choice but a
     warning flag is set.  The optimal c comes from a generalized
-    eigenproblem restricted to the excited eigenbasis of H0.
+    eigenproblem restricted to the excited eigenbasis of H0, where H0^2 is
+    diagonal, so it is solved as an ordinary one.
     """
     H0 = code_hamiltonian_dense(code)
     P = codespace_projector_dense(code)
@@ -468,9 +468,10 @@ def relative_bound_estimate(code: StabilizerCode, d_matrix: np.ndarray,
     B = vecs[:, sel]
     Dt = d_matrix - c_d * np.eye(d_matrix.shape[0])
     G1 = B.conj().T @ Dt.conj().T @ Dt @ B
-    G2 = np.diag(vals[sel] ** 2)
-    gen = scipy.linalg.eigh(
-        0.5 * (G1 + G1.conj().T), G2, eigvals_only=True
-    )
+    # G1 v = mu G2 v with G2 = diag(vals^2): the same mu as the ordinary
+    # problem of G2^(-1/2) G1 G2^(-1/2), every vals[sel] being > 1e-9.
+    s = 1.0 / vals[sel]
+    gen = np.linalg.eigvalsh(s[:, None] * (0.5 * (G1 + G1.conj().T))
+                             * s[None, :])
     c = float(np.sqrt(max(0.0, float(gen[-1]))))
     return c, c_d, block_ok

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
+import scipy.sparse.linalg as spla
 
 from stabbench.cli import main
 from stabbench.constructors import BipartiteTanner, save_alist
@@ -123,6 +124,38 @@ def test_spectrum_deterministic_json(tmp_path, capsys):
     data = json.loads(out1)
     assert data["rows"][0]["cluster_size"] == 4
     assert data["rows"][1]["gap"] > 0.5
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--mode", "dense"], "exceeds the limit"),
+    (["--mode", "sparse", "--num-eigs", "0"], "k = 0 is outside 1..2^14"),
+])
+def test_spectrum_usage_errors_exit_usage(tmp_path, capsys, extra, message):
+    art = tmp_path / "rep14.json"
+    run_cli(["build", "--family", "repetition", "--n", "14", "--out",
+             str(art)], capsys)
+    code, _, err = run_cli(["spectrum", str(art), "--eps", "0.1", *extra],
+                           capsys)
+    assert code == 2
+    assert message in err and "eigensolver failure" not in err
+
+
+def test_spectrum_residual_gate_exits_numeric(tmp_path, capsys, monkeypatch):
+    # rep11 under a 0.3 X field: two Lanczos blocks of 2^10 states.
+    art = tmp_path / "rep11.json"
+    run_cli(["build", "--family", "repetition", "--n", "11", "--out",
+             str(art)], capsys)
+    eigsh = spla.eigsh
+
+    def corrupted(*args, **kwargs):
+        vals, vecs = eigsh(*args, **kwargs)
+        return vals + 1e-6, vecs
+
+    monkeypatch.setattr(spla, "eigsh", corrupted)
+    code, _, err = run_cli(["spectrum", str(art), "--mode", "sparse",
+                            "--eps", "0.3", "--num-eigs", "6"], capsys)
+    assert code == 3
+    assert "eigensolver failure" in err and "residual" in err
 
 
 def test_spectrum_csv_format(tmp_path, capsys):

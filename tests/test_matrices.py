@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +18,11 @@ from hypothesis import strategies as st
 from stabbench import matrices
 from stabbench.code import StabilizerCode
 from stabbench.constructors import ising_toric, repetition_code, toric_code
-from stabbench.experiments import plaquette_field_terms, uniform_field_terms
+from stabbench.experiments import (
+    plaquette_field_terms,
+    spectrum_grid,
+    uniform_field_terms,
+)
 from stabbench.gf2 import Echelon, _span_table, _words
 from stabbench.matrices import (
     PauliMatvec,
@@ -447,9 +456,77 @@ def test_sparse_eigenvalues_residual_gate(monkeypatch):
         vals, vecs = eigsh(*args, **kwargs)
         return vals + 1e-6, vecs
 
-    monkeypatch.setattr(matrices.spla, "eigsh", corrupted)
+    monkeypatch.setattr(spla, "eigsh", corrupted)
     with pytest.raises(ArithmeticError, match="residual"):
         lowest_eigenvalues_sparse(n, terms, k=6)
+
+
+def _fresh_interpreter(script: str) -> str:
+    """Run ``script`` in a new Python process that imports this stabbench;
+    returns its stdout."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(matrices.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_scipy_loads_only_for_lanczos():
+    # The certify, SWT and dense spectral paths run on numpy alone; the
+    # first coset block above 2^9 states loads scipy's Lanczos.
+    out = _fresh_interpreter("""
+import json, sys
+import stabbench, stabbench.cli
+from stabbench.code import code_parameters
+from stabbench.constructors import repetition_code, toric_code
+from stabbench.experiments import uniform_field_terms
+from stabbench.matrices import code_hamiltonian_terms, lowest_eigenvalues_sparse
+from stabbench.pauli import columns
+from stabbench.soundness import soundness_profile
+from stabbench.swt import spectral_report, swt_run
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+code_parameters(toric_code(3))
+soundness_profile(toric_code(3))
+swt_run(repetition_code(5),
+        [(0.05 * c, p) for c, p in uniform_field_terms(5, "X")], 2)
+spectral_report(repetition_code(6), uniform_field_terms(6, "X"), 0.1,
+                mode="dense")
+before = scipy_modules()
+terms = columns(code_hamiltonian_terms(repetition_code(11, lam=2.0))
+                + [(0.3 * c, p) for c, p in uniform_field_terms(11, "X")])
+lowest_eigenvalues_sparse(11, terms, k=6)
+print(json.dumps([before, scipy_modules()]))
+""")
+    before, after = json.loads(out.splitlines()[-1])
+    assert before == []
+    assert "scipy.sparse.linalg" in after
+
+
+def test_threaded_first_lanczos_matches_serial():
+    # Both worker threads can reach the lazy scipy import together.
+    out = _fresh_interpreter("""
+import json, sys
+from stabbench.constructors import repetition_code
+from stabbench.experiments import spectrum_grid, uniform_field_terms
+
+assert not any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+reports = spectrum_grid(repetition_code(11, lam=2.0),
+                        uniform_field_terms(11, "X"), [0.1, 0.2, 0.3],
+                        mode="sparse", threads=2)
+assert "scipy.sparse.linalg" in sys.modules
+print(json.dumps([r.eigenvalues.tolist() for r in reports]))
+""")
+    threaded = json.loads(out.splitlines()[-1])
+    serial = spectrum_grid(repetition_code(11, lam=2.0),
+                           uniform_field_terms(11, "X"), [0.1, 0.2, 0.3],
+                           mode="sparse", threads=1)
+    assert len(threaded) == len(serial) == 3
+    for got, report in zip(threaded, serial):
+        assert np.allclose(got, report.eigenvalues, rtol=0, atol=1e-12)
 
 
 def test_sparse_eigenvalues_k_range():

@@ -733,6 +733,24 @@ def test_relative_bound_on_step_one_d2():
         assert lhs <= rhs + 1e-9
 
 
+@pytest.mark.parametrize("code", [toric_code(2), repetition_code(6)],
+                         ids=["toric2", "rep6"])
+def test_relative_bound_matches_generalized_eigh(code):
+    # The reference solves G1 v = mu G2 v over H0's excited eigenbasis with
+    # scipy's generalized eigh, as the bound was first computed.
+    terms = [(0.05, PauliString.single(code.n, "X", i)) for i in range(code.n)]
+    D = swt_run(code, terms, m_target=2).d_final.to_dense()
+    c, c_d, _ = relative_bound_estimate(code, D)
+    vals, vecs = np.linalg.eigh(code_hamiltonian_dense(code))
+    B = vecs[:, vals > 1e-9]
+    Dt = D - c_d * np.eye(len(D))
+    G1 = B.conj().T @ Dt.conj().T @ Dt @ B
+    G2 = np.diag(vals[vals > 1e-9] ** 2)
+    mu = scipy.linalg.eigh(0.5 * (G1 + G1.conj().T), G2, eigvals_only=True)
+    assert c > 0
+    assert c == pytest.approx(np.sqrt(mu[-1]), rel=1e-12)
+
+
 def test_field_code_two_body_runs_geometric():
     n = 6
     code = field_code(n)
