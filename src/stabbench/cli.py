@@ -37,6 +37,7 @@ from .flow import (
     flow_trajectory,
     stability_certificate,
 )
+from .gf2 import SEARCH_BUDGET
 from .matrices import DENSE_MAX_QUBITS
 from .soundness import expansion_profile, soundness_profile
 from .swt import spectral_report, swt_run
@@ -111,7 +112,8 @@ def cmd_build(args) -> int:
 def cmd_params(args) -> int:
     code, meta = _load_code(args.code)
     params = code_parameters(code, w_max=args.w_max)
-    _write_json({"input": meta, "parameters": params.as_dict()}, args.out)
+    _write_json({"input": {"code": meta, "w_max": args.w_max},
+                 "parameters": params.as_dict()}, args.out)
     return EXIT_OK
 
 
@@ -121,7 +123,7 @@ def cmd_soundness(args) -> int:
     exp = expansion_profile(code, size_max=args.size_max)
     payload = {
         "input": {"code": meta, "m_max": args.m_max,
-                  "size_max": args.size_max},
+                  "size_max": args.size_max, "budget": args.budget},
         "soundness": {
             name: p.as_dict() for name, p in prof["sectors"].items()
         },
@@ -222,6 +224,11 @@ def cmd_spectrum(args) -> int:
     code, meta = _load_code(args.code)
     terms = perturbation_terms(args.perturbation, code, seed=args.seed)
     eps_values = [float(tok) for tok in args.eps.split(",")]
+    if args.swt_orders and (args.mode != "dense"
+                            or code.n > DENSE_MAX_QUBITS):
+        print("--swt-orders requires dense mode at n <= "
+              f"{DENSE_MAX_QUBITS}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         reports = spectrum_grid(
             code, terms, eps_values, mode=args.mode,
@@ -244,10 +251,6 @@ def cmd_spectrum(args) -> int:
         for r in reports
     ]
     if args.swt_orders:
-        if args.mode != "dense" or code.n > DENSE_MAX_QUBITS:
-            print("--swt-orders requires dense mode at n <= "
-                  f"{DENSE_MAX_QUBITS}", file=sys.stderr)
-            return EXIT_NUMERIC
         for row in rows:
             eps = row["epsilon"]
             scaled = [(eps * c, p) for c, p in terms]
@@ -325,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("code")
     p.add_argument("--m-max", type=int, default=None, dest="m_max")
     p.add_argument("--size-max", type=int, default=4, dest="size_max")
-    p.add_argument("--budget", type=int, default=1 << 22)
+    p.add_argument("--budget", type=int, default=SEARCH_BUDGET)
     common(p)
     p.set_defaults(func=cmd_soundness)
 

@@ -3,13 +3,14 @@
 Every vector, matrix row and syndrome is a plain Python int (bit i is
 coordinate i), and a matrix is a list of its int rows, so XOR/AND/popcount
 run at machine-word speed regardless of length.  Only ``nullspace`` takes
-the column count, since its free columns depend on it.  The minimum-weight
-searches share one numpy kernel: the 2^j XOR combinations of up to
-``TABLE_ROWS`` rows, built by doubling as a (2^j, ceil(cols/64)) uint64
-table, with the combinations of any further rows streamed over it one
-table at a time.  All solvers here are exact at desk scale: they either
-return the true optimum or a certified statement that none exists below
-the cap.
+the column count, since its free columns depend on it.  There is one
+minimum-weight search, ``min_weight_codeword``, on one numpy kernel: the
+2^j XOR combinations of up to ``TABLE_ROWS`` rows, built by doubling as a
+(2^j, ceil(cols/64)) uint64 table, with the combinations of any further
+rows streamed over it one table at a time.  ``min_support_solution`` runs
+it over the coset of solutions that ``solve_affine`` returns.  All solvers
+here are exact at desk scale: they either return the true optimum or a
+certified statement that none exists below the cap.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ TABLE_ROWS = 14
 # Generators of up to this rank are searched over their whole span by
 # ``min_weight_codeword``; wider ones by candidate words in weight order.
 SPAN_MAX_ROWS = 24
-# Largest number of elements or half-subsets one exhaustive search visits.
+# Largest number of elements one exhaustive search visits.
 SEARCH_BUDGET = 1 << 22
 
 
@@ -121,42 +122,27 @@ def min_support_solution(rows, b: int, cap: int):
     where ``rows`` are the rows of a.
 
     Returns None for infeasible systems and when every solution weighs more
-    than ``cap``.  Meets in the middle for every row count: the XOR table
-    of the first half of the rows, cut to its lightest selection per word,
-    is matched by ``searchsorted`` against the other half's combinations,
-    streamed a table at a time.  Raises ValueError instead of starting a
-    sweep whose larger half has more than ``SEARCH_BUDGET`` subsets.
+    than ``cap``.  The solutions are the coset x0 + ker of ``solve_affine``,
+    searched whole by ``min_weight_codeword``.  Raises ValueError instead of
+    starting a search over more than ``SEARCH_BUDGET`` solutions.
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")
     rows = list(rows)
-    if solve_affine(rows, b) is None:
+    solved = solve_affine(rows, b)
+    if solved is None:
         return None
     if not b:
         return 0
-    m = len(rows)
-    if 1 << (m - m // 2) > SEARCH_BUDGET:
+    if not cap:
+        return None
+    x0, null_basis = solved
+    if 1 << len(null_basis) > SEARCH_BUDGET:
         raise ValueError(
-            f"{m} rows: a meet-in-the-middle sweep over 2^{m - m // 2} "
-            f"half-subsets exceeds the search budget of {SEARCH_BUDGET}"
+            f"{len(rows)} rows: a solution space of 2^{len(null_basis)} "
+            f"elements exceeds the search budget of {SEARCH_BUDGET}"
         )
-    # A word of the rowspace is fixed by its bits at the pivot columns, and
-    # the budget keeps the rank at most 44, so each word keys as one uint64.
-    pivots = sorted(Echelon(rows).rows)
-    keys = np.array([sum(((r >> p) & 1) << i for i, p in enumerate(pivots))
-                     for r in rows + [b]], dtype=np.uint64)
-    half = m // 2
-    left = _span_table(keys[:half, None])[:, 0]
-    order = np.argsort(np.bitwise_count(np.arange(len(left))), kind="stable")
-    left, first = np.unique(left[order], return_index=True)
-    left_w = np.bitwise_count(order[first])
-    best = min(cap, m) + 1
-    for weights, chunk in _span_chunks(keys[half:m, None]):
-        need = chunk[:, 0] ^ keys[m]
-        pos = np.minimum(np.searchsorted(left, need), len(left) - 1)
-        hit = left[pos] == need
-        best = int((left_w[pos] + weights).min(initial=best, where=hit))
-    return best if best <= cap else None
+    return min_weight_codeword(null_basis, x0, cap)
 
 
 def nullspace(rows, cols: int) -> list[int]:

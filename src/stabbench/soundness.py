@@ -8,9 +8,10 @@ search from the identity over those coordinates, in numpy: each element is
 a row of uint64 words, and a level is the XOR of the previous one with
 every check's mask; one sweep yields every minimal expansion, and a budget
 stops it once that many elements are visited, at any rank.
-``min_expansion`` answers one target from the same coordinates: the meet
-in the middle of ``gf2.min_support_solution`` over the generator masks,
-exact with signs because -I is a basis element.  ``expansion_profile``
+``min_expansion`` answers one target from the same coordinates:
+``gf2.min_support_solution`` over the generator masks searches the coset
+of check subsets whose product is the target, exact with signs because -I
+is a basis element, for up to 22 redundant checks.  ``expansion_profile``
 enumerates check subsets exactly, up to ``gf2.SEARCH_BUDGET`` of them.
 The growth-sum bound machinery turns an assumed power-law soundness
 function into the (alpha, c', c'') constants consumed by the flow bounds.
@@ -188,8 +189,11 @@ def min_expansion(code: StabilizerCode, stab: PauliString,
     signed check group.  The target's coordinate in the check group's GF(2)
     basis, which holds -I when the signs put it in the group, carries the
     sign linearly, so ``gf2.min_support_solution`` over the generator masks
-    is exact for every list of commuting checks; it refuses more than 44
-    checks.  ``method`` is kept for callers and has the single value "mitm".
+    is exact for every list of commuting checks.  It searches the 2^r check
+    subsets whose product is the target, r being the number of redundant
+    checks, and raises ValueError when r > 22 (2^r past
+    ``gf2.SEARCH_BUDGET``).  ``method`` is kept for callers that pass it and
+    has the single value "mitm".
     """
     if method != "mitm":
         raise ValueError(f"unknown method {method!r}")

@@ -9,6 +9,7 @@ import scipy.sparse.linalg as spla
 
 from stabbench.cli import main
 from stabbench.constructors import BipartiteTanner, save_alist
+from stabbench.gf2 import SEARCH_BUDGET
 
 
 def run_cli(argv, capsys):
@@ -73,6 +74,10 @@ def test_params_round_trip(tmp_path, capsys):
     data = json.loads(out)
     assert data["parameters"]["k"] == 1
     assert data["parameters"]["d_z"] == 1
+    assert data["input"]["w_max"] is None
+    code, out, _ = run_cli(["params", str(art), "--w-max", "3"], capsys)
+    assert code == 0
+    assert json.loads(out)["input"]["w_max"] == 3
 
 
 def test_threads_is_a_spectrum_option_only(tmp_path, capsys):
@@ -104,6 +109,7 @@ def test_soundness_command(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert set(data["soundness"]) == {"X", "Z"}
+    assert data["input"]["budget"] == SEARCH_BUDGET
     for sector in data["soundness"].values():
         assert sector["certified"]
         for row in sector["rows"]:
@@ -254,6 +260,26 @@ def test_spectrum_swt_mode_columns(tmp_path, capsys):
     assert "v_1" in row and "v_2" in row and row["v_2"] < row["v_1"]
 
 
+def test_spectrum_swt_orders_outside_dense_is_usage_error(tmp_path, capsys,
+                                                          monkeypatch):
+    import stabbench.cli as cli
+
+    art = tmp_path / "rep4.json"
+    run_cli(["build", "--family", "repetition", "--n", "4", "--out",
+             str(art)], capsys)
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("spectrum grid computed before the usage check")
+
+    monkeypatch.setattr(cli, "spectrum_grid", no_grid)
+    code, out, err = run_cli(
+        ["spectrum", str(art), "--mode", "sparse", "--eps", "0.1",
+         "--swt-orders", "2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--swt-orders requires dense mode" in err
+
+
 def _strip_timings(payload: dict) -> dict:
     out = json.loads(json.dumps(payload))
     out.pop("total_runtime_s", None)
@@ -313,6 +339,7 @@ def test_soundness_command_warns_on_truncation(tmp_path, capsys,
         ["soundness", str(art), "--size-max", "3", "--budget", "4"], capsys)
     assert code == 0
     data = json.loads(out)
+    assert data["input"]["budget"] == 4
     assert not data["expansion"]["certified"]
     assert set(data["expansion"]["min_weight_by_size"]) == {"1", "2"}
     assert "soundness sweep truncated" in err

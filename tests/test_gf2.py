@@ -187,6 +187,21 @@ def test_min_support_refuses_sweep_past_budget():
         min_support_solution(rows, rows[0] ^ rows[1], cap=50)
 
 
+def test_min_support_searches_past_44_rows():
+    # 60 rows of rank 40: the 2^20 solutions of the 20 redundant rows are
+    # searched whole.
+    rng = random.Random(7)
+    basis = [1 << i | rng.getrandbits(40) << 40 for i in range(40)]
+    rows = basis + [basis[i] ^ basis[i + 1] for i in range(20)]
+    # Rows 0, 1 and 2 reach the target, so the exhaustive count to 3 is exact.
+    target = basis[0] ^ basis[1] ^ basis[2]
+    fewest = min(len(c) for w in (1, 2, 3)
+                 for c in itertools.combinations(range(60), w)
+                 if xor_of(rows, sum(1 << i for i in c)) == target)
+    assert fewest == 2
+    assert min_support_solution(rows, target, cap=60) == fewest
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_check_group_picks_rank_increments(data):

@@ -596,6 +596,21 @@ def test_min_expansion_signs_past_24_checks():
     assert min_expansion(code, PauliString(n, 0, ends, -1), cap=24) is None
 
 
+@pytest.mark.parametrize("L", [5, 6, 8])
+def test_min_expansion_toric_plaquette_products(L):
+    # The L^2 plaquettes have one relation, their product over every face
+    # is I, so a product over faces F has minimal expansion
+    # min(|F|, L^2 - |F|).  50, 72 and 128 checks: each has 2 redundant.
+    code = toric_code(L)
+    faces = code.checks[L * L:]
+    rng = random.Random(L)
+    half = L * L // 2
+    for size in (1, 3, half - 1, half + 1, L * L - 3, L * L - 1):
+        picked = rng.sample(range(L * L), size)
+        target = product(faces[f] for f in picked)
+        assert min_expansion(code, target) == min(size, L * L - size)
+
+
 def test_min_expansion_has_one_method():
     code = toric_code(2)
     assert min_expansion(code, code.checks[0], method="mitm") == 1
