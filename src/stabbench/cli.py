@@ -192,7 +192,7 @@ def cmd_swt(args) -> int:
     code, meta = _load_code(args.code)
     if code.n > DENSE_MAX_QUBITS:
         print(f"SWT engine requires n <= {DENSE_MAX_QUBITS}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return EXIT_USAGE
     terms = perturbation_terms(args.perturbation, code, seed=args.seed)
     scaled = [(args.epsilon * c, p) for c, p in terms]
     run = swt_run(code, scaled, m_target=args.orders, d_s=args.ds,

@@ -12,8 +12,10 @@ Pauli basis, is a by-qubit tensor transform costing O(n 4^n).
 
 A ``CosetFrame`` splits the basis states into the invariant cosets of a
 sum's x-span; the SWT engine and the coset eigensolver work on its blocks.
-``payload_norm`` finds the same frames for a whole batch of sums at once
-and norms them all in one pass.
+``payload_norm`` norms a whole batch of sums in one pass, each in the frame
+that ``CosetFrame`` would choose.  Every frame and every coset sign pattern
+comes from ``gf2.Echelon`` on one sum's masks: this module runs no GF(2)
+elimination of its own.
 
 scipy is imported only where a Lanczos solve runs (``PauliMatvec`` and
 ``_lanczos_block``); everything else here needs numpy alone.
@@ -24,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .code import CheckGroup
-from .gf2 import _span_table
+from .gf2 import Echelon, _span_table
 from .pauli import I_POWERS, PauliString, columns
 
 # Most qubits of a dense 2^n x 2^n matrix (256 MB complex at the limit):
@@ -276,85 +278,44 @@ def _walsh_hadamard(M: np.ndarray) -> np.ndarray:
     return out
 
 
-def _echelon_segments(masks, seg, count: int) -> tuple:
-    """Reduced GF(2) echelon forms of ``count`` segments of int64 masks at
-    once; segment s is the masks with seg == s, seg non-decreasing.
-
-    Gauss-Jordan elimination in rounds over all segments: in each round the
-    first nonzero row of each segment that is not yet a pivot row becomes
-    one, with its lowest set bit as pivot, and is XORed into every other
-    row of the segment that has that bit.  A pivot row is only ever XORed
-    with rows of higher pivots, which have no bits below them, so its
-    lowest set bit stays its pivot: the unique form that ``gf2.Echelon``
-    gives, after as many rounds as the largest rank.  Returns (owner,
-    pivot, row): the segment, pivot bit and reduced row of each row of the
-    forms, sorted by segment and then by pivot.
-    """
-    rows = np.array(masks, dtype=np.int64)
-    lead = np.zeros(count, dtype=np.int64)
-    low = np.zeros(count, dtype=np.int64)
-    live = np.flatnonzero(rows)
-    found = [np.zeros(0, dtype=np.int64)]
-    while live.size:
-        owners = seg[live]
-        first = np.ones(len(live), dtype=bool)
-        first[1:] = owners[1:] != owners[:-1]
-        pick, picked = live[first], owners[first]
-        low[picked] = rows[pick] & -rows[pick]
-        lead[picked] = pick
-        hit = np.flatnonzero(rows & low[seg])
-        src = lead[seg[hit]]
-        rows[hit] ^= np.where(hit == src, 0, rows[src])
-        low[picked] = 0
-        live = live[~first]
-        live = live[rows[live] != 0]
-        found.append(pick)
-    found = np.concatenate(found)
-    pivot = np.bitwise_count((rows[found] & -rows[found]) - 1).astype(np.int64)
-    order = np.lexsort((pivot, seg[found]))
-    return seg[found[order]], pivot[order], rows[found[order]]
+def _frames(sums) -> tuple:
+    """The coset frame of each Pauli sum of ``sums``, given as (x, z) lists
+    of int masks: the reduced echelon form (``gf2.Echelon``) of its x-span,
+    or of its z-span, the Hadamard frame, where that has the lower rank.
+    Returns (hadamard, bits, rows): a flag per sum and the chosen forms as
+    zero-padded int64 arrays, one row per sum, of pivot bits 1 << pivot and
+    reduced rows, by increasing pivot."""
+    hadamard, forms = [], []
+    for x, z in sums:
+        xs, zs = Echelon(x).rows, Echelon(z).rows
+        hadamard.append(len(zs) < len(xs))
+        forms.append(sorted((zs if hadamard[-1] else xs).items()))
+    return (np.array(hadamard, dtype=bool),
+            _padded([[1 << p for p, _ in form] for form in forms]),
+            _padded([[row for _, row in form] for form in forms]))
 
 
-def _frames(seg, count: int, x, z) -> tuple:
-    """The coset frame of each of ``count`` segments of a Pauli sum: the
-    reduced echelon forms of its x-span and its z-span from one
-    ``_echelon_segments`` run, and the Hadamard frame where the z-span has
-    the lower rank.  Returns (hadamard, owner, pivot, row): a flag per
-    segment and the rows of the chosen spans, sorted by segment and pivot.
-    """
-    owner, pivot, row = _echelon_segments(
-        np.concatenate([x, z]), np.concatenate([seg, seg + count]), 2 * count)
-    rank = np.bincount(owner, minlength=2 * count)
-    hadamard = rank[count:] < rank[:count]
-    chosen = np.flatnonzero(hadamard[owner % count] == (owner >= count))
-    chosen = chosen[np.argsort(owner[chosen] % count, kind="stable")]
-    return hadamard, owner[chosen] % count, pivot[chosen], row[chosen]
-
-
-def _by_segment(owner, count: int, values) -> np.ndarray:
-    """The int64 ``values`` of each of ``count`` segments (``owner``
-    sorted) as one zero-padded row each."""
-    size = np.bincount(owner, minlength=count)
-    slot = np.arange(len(owner)) - np.repeat(np.cumsum(size) - size, size)
-    out = np.zeros((count, int(size.max(initial=0))), dtype=np.int64)
-    out[owner, slot] = values
-    return out
+def _padded(lists) -> np.ndarray:
+    """Lists of ints as one zero-padded int64 row each."""
+    width = max(map(len, lists), default=0)
+    return np.array([v + [0] * (width - len(v)) for v in lists],
+                    dtype=np.int64)
 
 
 def _reduce_segments(seg, terms, frames) -> tuple:
-    """Each segment's sum (c, x, z) in its frame (``_frames``), and its
-    reduced strings (c', m, z'), both as (c, x, z): bit j of m is bit
-    pivot_j of x, bit j of z' the parity of row_j & z, and c' carries the
-    sign by which the i-powers of (x, z) and (m, z') differ."""
-    hadamard, owner, pivot, row = frames
+    """Each segment's sum (c, x, z) in its frame (``_frames``; seg[k] is
+    the sum of term k), and its reduced strings (c', m, z'), both as
+    (c, x, z): bit j of m is bit pivot_j of x, bit j of z' the parity of
+    row_j & z, and c' carries the sign by which the i-powers of (x, z) and
+    (m, z') differ.  One pass over the whole batch, on the zero-padded
+    pivot-bit and row arrays, whose padding adds no bit to m or z'."""
+    hadamard, bits, rows = frames
     c, x, z = terms
     flip = hadamard[seg]
     if flip.any():
         c, x, z = c.copy(), x.copy(), z.copy()
         c[flip], x[flip], z[flip] = _hadamard_frame(
             (c[flip], x[flip], z[flip]))
-    bits = _by_segment(owner, len(hadamard), np.left_shift(1, pivot))
-    rows = _by_segment(owner, len(hadamard), row)
     m = _pack((x[:, None] & bits[seg]) != 0)
     zr = _pack(np.bitwise_count(z[:, None] & rows[seg]) & 1)
     # 0 or 2: bitwise_count is uint8, and its wrap-around keeps the
@@ -375,12 +336,13 @@ class CosetFrame:
     (``_hadamard_frame``), which keeps the spectrum and the singular values.
 
     S is held in reduced echelon form: ``pivots`` (the lowest bit of each
-    row), ``row_masks`` and the ``free`` qubits, those of no pivot.  The
-    frame and the reduction come from the segmented helpers that
-    ``payload_norm`` runs on a whole batch of sums (``_frames`` and
-    ``_reduce_segments``), here with the sum as one segment.  The
-    coset representatives are the states with zero pivot bits, and a state
-    of the coset of rep is rep ^ (XOR of the rows its local index picks).
+    row), ``row_masks`` and the ``free`` qubits, those of no pivot.  Both
+    spans are reduced by ``gf2.Echelon`` on the sum's masks as Python ints.
+    The frame and the reduction come from the helpers that ``payload_norm``
+    runs on a whole batch of sums (``_frames`` and ``_reduce_segments``),
+    here with a batch of one sum.  The coset representatives are the states
+    with zero pivot bits, and a state of the coset of rep is
+    rep ^ (XOR of the rows its local index picks).
     Term (c, x, z) then maps local index l to l ^ m, with m the rows that
     make up x, times (-1)^|rep & z| and the phase of the r-qubit string
     (m, z'), where bit j of z' is the parity of row j & z.  m.z' = x.z
@@ -389,12 +351,12 @@ class CosetFrame:
     """
 
     def __init__(self, n: int, terms):
-        self._frames = _frames(np.zeros(len(terms[1]), dtype=np.int64), 1,
-                               terms[1], terms[2])
-        hadamard, _, pivots, self.row_masks = self._frames
+        self._frames = _frames([(terms[1].tolist(), terms[2].tolist())])
+        hadamard, bits, rows = self._frames
         self.hadamard = bool(hadamard[0])
-        self.n, self.r = n, len(pivots)
-        self.pivots = pivots.tolist()
+        self.n, self.r = n, bits.shape[1]
+        self.pivots = [b.bit_length() - 1 for b in bits[0].tolist()]
+        self.row_masks = rows[0]
         self.free = [i for i in range(n) if i not in self.pivots]
 
     @property
@@ -477,19 +439,20 @@ def payload_norm(sums) -> np.ndarray:
     not, as one float64 array, computed in one pass over all of them.
 
     Each sum is split into the invariant cosets of its coset frame (the
-    one ``CosetFrame`` would choose), all frames from one segmented
-    elimination (``_frames``).  Cosets whose signs (-1)^|rep & z| agree on
-    every term carry the same block.  The signs are linear in rep, so the
-    distinct patterns are those of the reps on the pivot qubits of the
-    z-masks restricted to the free qubits, from a second segmented
-    elimination: 2^w patterns for a rank w, one block each
-    (``_pattern_blocks``).  A sum's norm is the largest singular value over
-    its blocks: by ``svd`` in general, by ``eigvalsh`` when the sum is
-    Hermitian or anti-Hermitian, one call per (r, kind, dtype) group of
-    sums.  A sum counts as such when every imaginary (or every real) part
-    is at most 1e-14 max|c|, rounding dust from a transform; that part is
-    dropped and its sum |c| added to the norm, which keeps the value an
-    upper bound.  An empty sum has norm 0 and a single string |c|.
+    one ``CosetFrame`` chooses, from ``gf2.Echelon`` on the sum's masks:
+    ``_frames``), and all sums are reduced to their frames in one pass.
+    Cosets whose signs (-1)^|rep & z| agree on every term carry the same
+    block.  The signs are linear in rep, so the distinct patterns are those
+    of the reps on the pivot qubits of the frame z-masks restricted to the
+    free qubits, also from ``gf2.Echelon`` per sum: 2^w patterns for a rank
+    w, one block each (``_pattern_blocks``).  A sum's norm is the largest
+    singular value over its blocks: by ``svd`` in general, by ``eigvalsh``
+    when the sum is Hermitian or anti-Hermitian, one call per
+    (r, kind, dtype) group of sums.  A sum counts as such when every
+    imaginary (or every real) part is at most 1e-14 max|c|, rounding dust
+    from a transform; that part is dropped and its sum |c| added to the
+    norm, which keeps the value an upper bound.  An empty sum has norm 0
+    and a single string |c|.
 
     The number of cosets sets no limit.  Raises ValueError before any block
     is built when a sum has more than 2^``DENSE_MAX_QUBITS`` sign patterns,
@@ -512,22 +475,25 @@ def payload_norm(sums) -> np.ndarray:
     lengths, count = sizes[multi], len(multi)
     seg = np.repeat(np.arange(count), lengths)
     starts = np.cumsum(lengths) - lengths
-    frames = _frames(seg, count, x, z)
+    bounds = list(zip(starts.tolist(), (starts + lengths).tolist()))
+    xs, zs = x.tolist(), z.tolist()
+    frames = _frames([(xs[a:b], zs[a:b]) for a, b in bounds])
     (_, _, framed_z), (c, m, zr) = _reduce_segments(seg, (c, x, z), frames)
-    r = np.bincount(frames[1], minlength=count)
+    r = np.count_nonzero(frames[1], axis=1)
 
     # Sign patterns: the pivots of the frame z-masks on the free qubits.
-    taken = _by_segment(frames[1], count, np.left_shift(1, frames[2]))
-    free = np.array([(1 << sums[i][0]) - 1 for i in multi]) & ~taken.sum(1)
-    owner, spivot, _ = _echelon_segments(framed_z & free[seg], seg, count)
-    w = np.bincount(owner, minlength=count)
+    taken = frames[1].sum(1)
+    free = np.array([(1 << sums[i][0]) - 1 for i in multi]) & ~taken
+    signs = (framed_z & free[seg]).tolist()
+    sign_qubits = _padded([[1 << p for p in sorted(Echelon(signs[a:b]).rows)]
+                           for a, b in bounds])
+    w = np.count_nonzero(sign_qubits, axis=1)
     for i in np.flatnonzero(w > DENSE_MAX_QUBITS)[:1]:
         raise ValueError(
             f"{lengths[i]} terms take 2^{w[i]} distinct coset signs, "
             f"more than 2^{DENSE_MAX_QUBITS}")
     for i in np.flatnonzero(w + 2 * r > 2 * DENSE_MAX_QUBITS)[:1]:
         refuse_dense(int(r[i]), 1 << int(w[i]))
-    sign_qubits = _by_segment(owner, count, np.left_shift(1, spivot))
 
     dust = 1e-14 * np.maximum.reduceat(np.abs(c), starts)
     herm = np.maximum.reduceat(np.abs(c.imag), starts) <= dust

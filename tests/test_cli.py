@@ -230,6 +230,25 @@ def test_swt_command_reports_its_coset_frame(tmp_path, capsys):
     assert 0 < data["garbage_norm"] < 1e-3
 
 
+def test_swt_past_dense_limit_is_usage_error(tmp_path, capsys, monkeypatch):
+    # Toric L = 3 has 18 qubits, past the dense limit of 12: a size
+    # refusal, exit 2 as for --swt-orders past the limit, before any run.
+    import stabbench.cli as cli
+
+    art = tmp_path / "toric3.json"
+    run_cli(["build", "--family", "toric", "--L", "3", "--out", str(art)],
+            capsys)
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("SWT run started past the dense limit")
+
+    monkeypatch.setattr(cli, "swt_run", no_run)
+    code, out, err = run_cli(["swt", str(art)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "SWT engine requires n <= 12" in err
+
+
 def test_suite_subset(capsys):
     code, out, _ = run_cli(["suite", "--only", "6,lto"], capsys)
     assert code == 0

@@ -979,17 +979,31 @@ def test_payload_norm_chunks_runs_to_the_limit():
     assert list(matrices._chunks([9, 1], 6)) == [(0, 1), (1, 2)]
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.lists(st.one_of(st.integers(0, 15),
-                                   st.integers(0, (1 << 62) - 1)),
-                         max_size=8), max_size=6))
-def test_echelon_segments_match_echelon(segments):
-    # Small masks make dependent rows common; each segment's form is the
-    # one gf2.Echelon gives, pivots in increasing order.
-    masks = np.array([m for s in segments for m in s], dtype=np.int64)
-    seg = np.repeat(np.arange(len(segments), dtype=np.int64),
-                    [len(s) for s in segments])
-    owner, pivot, row = matrices._echelon_segments(masks, seg, len(segments))
-    assert list(zip(owner.tolist(), pivot.tolist(), row.tolist())) == [
-        (i, p, r) for i, s in enumerate(segments)
-        for p, r in sorted(Echelon(s).rows.items())]
+def test_payload_norm_and_coset_frame_at_bit_62():
+    # Masks up to bit 62, the widest an int64 mask holds, in one batch with
+    # a small sum, each norm in closed form: 0.5 Y_62 and 0.3 X_0 X_62
+    # anticommute (the Hadamard frame: x-rank 2, z-rank 1), and so do
+    # 0.6 X_61 X_62 and 0.8 Z_62 (ranks 1 and 1, the identity frame), so
+    # each sum squares to the sum of its squared coefficients times I;
+    # X_0 + X_1 on 4 qubits has norm 2.
+    n = 63
+    wide = columns([(0.5, PauliString.single(n, "Y", 62)),
+                    (0.3, PauliString.from_support(n, "X", (0, 62)))])
+    both = columns([(0.6, PauliString.from_support(n, "X", (61, 62))),
+                    (0.8, PauliString.single(n, "Z", 62))])
+    small = columns([(1.0, PauliString.single(4, "X", q)) for q in (0, 1)])
+    assert payload_norm([(n, wide), (4, small), (n, both)]).tolist() \
+        == pytest.approx([np.hypot(0.5, 0.3), 2.0, 1.0], rel=1e-14)
+
+    frame = matrices.CosetFrame(n, wide)
+    assert (frame.name, frame.r, frame.pivots) == ("hadamard", 1, [62])
+    assert frame.row_masks.tolist() == [1 << 62]
+    assert frame.free == list(range(62))
+    framed, (c, m, zr) = frame.reduce(wide)
+    # -0.5 Y and 0.3 Z on the one reduced qubit: Y_62 is odd under the
+    # Hadamard, and m picks the row that rebuilds each framed x-mask.
+    assert (c.tolist(), m.tolist(), zr.tolist()) == ([-0.5, 0.3], [1, 0],
+                                                     [1, 1])
+    assert np.array_equal(np.where(m == 1, 1 << 62, 0), framed[1])
+    for got, want in zip(matrices._hadamard_frame(framed), wide):
+        assert np.array_equal(got, want)
