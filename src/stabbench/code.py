@@ -8,6 +8,7 @@ check list, not by an independent subset.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -150,6 +151,13 @@ class StabilizerCode:
     @property
     def num_checks(self) -> int:
         return len(self.checks)
+
+    @functools.cached_property
+    def patch_groups(self) -> dict:
+        """The patch groups of ``quasilocal`` by support, each built on
+        first use and kept for the code's lifetime (not a field: equality,
+        hashing and ``dataclasses.replace`` ignore it)."""
+        return {}
 
     def x_type_indices(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.checks) if c.z == 0)

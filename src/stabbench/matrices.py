@@ -72,6 +72,7 @@ def code_hamiltonian_terms(code) -> list:
 
 
 def code_hamiltonian_dense(code) -> np.ndarray:
+    refuse_dense(code.n)
     return operator_dense(code.n, columns(code_hamiltonian_terms(code)))
 
 

@@ -162,8 +162,13 @@ def power_of_i(p: PauliString) -> int:
 def columns(pairs) -> tuple:
     """(coeff, PauliString) pairs as the column form (c, x, z) of a Pauli
     sum, row for row: complex c = coeff * sign and int64 masks x and z, row
-    k standing for c_k i^|x_k & z_k| X^x_k Z^z_k."""
+    k standing for c_k i^|x_k & z_k| X^x_k Z^z_k.  Raises ValueError past
+    63 qubits, before any mask is packed."""
     pairs = list(pairs)
+    n = max((p.n for _, p in pairs), default=0)
+    if n > 63:  # bits of an int64 mask
+        raise ValueError(f"a Pauli sum on {n} qubits exceeds the limit of 63 "
+                         "of the int64 column form")
     return (np.array([coeff * p.sign for coeff, p in pairs], dtype=complex),
             np.array([p.x for _, p in pairs], dtype=np.int64),
             np.array([p.z for _, p in pairs], dtype=np.int64))

@@ -20,9 +20,12 @@ A patch is the region S as a small code of its own (``_patch_code``): the
 checks inside S, restricted to the qubits of S with ``pauli.restrict``,
 with their lambdas.  The block split and the SWT generator of a term are
 closed forms over the signed group G_S of those checks,
-P_S = 2^-r sum_{g in G_S} g.  The dense projector P_S and patch
-Hamiltonian H_S are the code-level builders of ``matrices`` applied to
-the patch code, kept as references.
+P_S = 2^-r sum_{g in G_S} g.  Each support's group is built once per
+code, into the code's table (``StabilizerCode.patch_groups``), and the
+split and the generator of an operator are one vectorized pass over all
+strings of all its terms (``_OperatorPass``).  The dense projector P_S
+and patch Hamiltonian H_S are the code-level builders of ``matrices``
+applied to the patch code, kept as references.
 """
 
 from __future__ import annotations
@@ -137,6 +140,11 @@ class QuasiLocalOperator:
 
     _norms: np.ndarray | None = field(default=None, repr=False,
                                       compare=False)
+
+    @property
+    def support(self) -> frozenset:
+        """The union of the terms' supports."""
+        return frozenset().union(*(t.support for t in self.terms))
 
     def key_index(self) -> dict:
         return {(t.support, t.syndrome): t for t in self.terms}
@@ -285,50 +293,142 @@ def _times(ae, ax, az, bx, bz):
     return I_POWERS[power % 4], px, pz
 
 
-def _patch_columns(term: LocalTerm, code: StabilizerCode):
-    """The checks inside the term's support, as int64 columns over patch
-    bits, against the term's Paulis.
+def _patch_group(code: StabilizerCode, support: frozenset) -> tuple:
+    """The patch group of ``support`` from the code's table
+    (``StabilizerCode.patch_groups``), built on first use.
 
-    Returns (flipped, energy, group): flipped_i says whether Pauli i
-    anticommutes with any inside check, and energy_i is the sum of lambda
-    over those it does.  ``group`` = (gx, gz, ge) lists the 2^r elements
-    i^ge X^gx Z^gz of G_S, the ``CheckGroup`` of the inside checks.
-    Raises PatchTooLargeError when G_S has rank above ``DENSE_MAX_QUBITS``,
-    before its table is built.
+    An entry is (cx, cz, lam, gx, gz, ge): the checks inside the support as
+    int64 masks over its patch bits with their lambdas, and the 2^r
+    elements i^ge X^gx Z^gz of G_S, the ``CheckGroup`` of those checks, row
+    c the element with coordinate c (``CheckGroup.signed_span``).  Raises
+    PatchTooLargeError when G_S has rank above ``DENSE_MAX_QUBITS``, before
+    its table is built; nothing is kept for that support.
     """
-    patch = _patch_code(code, term.support)
-    cx = np.array([q.x for q in patch.checks], dtype=np.int64)
-    cz = np.array([q.z for q in patch.checks], dtype=np.int64)
-    flips = _odd_overlap(cx[:, None], cz[:, None], term.x, term.z)
-    energy = np.array(patch.lambdas) @ flips
-    group = CheckGroup(patch.checks, patch.n)
-    if group.rank > DENSE_MAX_QUBITS:
-        raise PatchTooLargeError(f"patch on {patch.n} qubits has a check group"
-                                 f" of rank {group.rank} > {DENSE_MAX_QUBITS}")
-    return flips.any(axis=0), energy, group.signed_span()
+    table = code.patch_groups
+    entry = table.get(support)
+    if entry is None:
+        patch = _patch_code(code, support)
+        group = CheckGroup(patch.checks, patch.n)
+        if group.rank > DENSE_MAX_QUBITS:
+            raise PatchTooLargeError(
+                f"patch on {patch.n} qubits has a check group of rank "
+                f"{group.rank} > {DENSE_MAX_QUBITS}")
+        entry = table[support] = (
+            np.array([q.x for q in patch.checks], dtype=np.int64),
+            np.array([q.z for q in patch.checks], dtype=np.int64),
+            np.array(patch.lambdas, dtype=float), *group.signed_span())
+    return entry
+
+
+class _OperatorPass:
+    """Every string of an operator's terms against its term's patch group.
+
+    The strings are the columns (c, x, z) of all terms, term by term, with
+    ``term`` the position of each string's term.  The terms' groups come
+    from the code's table, one entry per distinct support: their tables
+    are stacked into (gx, gz, ge) with each term's first row and row count
+    in ``group_start`` and ``group_size``, and their inside checks, padded
+    with zero masks and zero lambdas to the widest patch, give each
+    string's flips in one broadcast: ``flipped`` (it anticommutes with
+    some inside check) and ``energy`` (the sum of lambda over those).
+    """
+
+    def __init__(self, terms, code: StabilizerCode):
+        self.terms = terms
+        position, groups = {}, []
+        for t in terms:
+            if t.support not in position:
+                position[t.support] = len(groups)
+                groups.append(_patch_group(code, t.support))
+        slot = np.array([position[t.support] for t in terms], dtype=np.int64)
+        width = max((len(g[0]) for g in groups), default=0)
+        masks = np.zeros((2, len(groups), width), dtype=np.int64)
+        lambdas = np.zeros((len(groups), width))
+        for j, (cx, cz, lam, *_) in enumerate(groups):
+            masks[:, j, :len(cx)] = cx, cz
+            lambdas[j, :len(lam)] = lam
+        sizes = np.array([len(g[3]) for g in groups], dtype=np.int64)
+        self.group_size = sizes[slot]
+        self.group_start = (np.cumsum(sizes) - sizes)[slot]
+        self.gx, self.gz, self.ge = (
+            np.concatenate([np.zeros(0, dtype=np.int64)]
+                           + [g[b] for g in groups]) for b in (3, 4, 5))
+        self.term = np.repeat(np.arange(len(terms)),
+                              [t.c.size for t in terms])
+        self.c, self.x, self.z = (
+            np.concatenate([empty] + [getattr(t, a) for t in terms])
+            for a, empty in zip("cxz", columns(())))
+        owner = slot[self.term]
+        flips = _odd_overlap(masks[0][owner], masks[1][owner],
+                             self.x[:, None], self.z[:, None])
+        self.flipped = flips.any(axis=1)
+        self.energy = (flips * lambdas[owner]).sum(axis=1)
+
+    def products(self, weights, keep) -> tuple:
+        """2^(1-r) sum over the flipped strings i of each term and the g in
+        its group G_S of weights_i g T_i, accumulated per term: one
+        (c, term, x, z) with unique keys, sorted by term, then x, then z.
+
+        ``weights`` holds one value per flipped string, and a (g, i) pair
+        is kept when keep[term, parity] holds, parity 0 when g commutes
+        with T_i and 1 when it anticommutes.  Pairs run group element by
+        group element within each term, so equal strings of one term sum
+        in the order of a one-term pass.  They are built in slices of 2^16
+        pairs, so that no temporary outgrows the 2^16 entries or the
+        products kept.
+        """
+        term = self.term[self.flipped]
+        x, z = self.x[self.flipped], self.z[self.flipped]
+        count = np.bincount(term, minlength=len(self.terms))
+        first = np.cumsum(count) - count
+        ends = np.cumsum(self.group_size * count)
+        starts = ends - self.group_size * count
+        scale = 2.0 / self.group_size
+        c, x0, _ = columns(())
+        parts = [(c, x0, x0, x0)]
+        total = int(ends[-1]) if len(ends) else 0
+        for lo in range(0, total, 1 << 16):
+            pair = np.arange(lo, min(lo + (1 << 16), total))
+            k = np.searchsorted(ends, pair, side="right")
+            local = pair - starts[k]
+            g = self.group_start[k] + local // count[k]
+            i = first[k] + local % count[k]
+            chosen = keep[k, _odd_overlap(self.gx[g], self.gz[g], x[i], z[i])]
+            k, g, i = k[chosen], g[chosen], i[chosen]
+            phase, px, pz = _times(self.ge[g], self.gx[g], self.gz[g],
+                                   x[i], z[i])
+            parts.append((scale[k] * weights[i] * phase, k, px, pz))
+        return _accumulate(*parts)
+
+    def local_terms(self, c, term, x, z) -> list:
+        """One LocalTerm per term of the pass from accumulated
+        (c, term, x, z), with that term's support and syndrome, dropping
+        |c| <= 1e-13 max(max |c| over the term, 1) as ``pauli_transform``
+        does; a term with nothing left is empty."""
+        size = np.abs(c)
+        top = np.zeros(len(self.terms))
+        np.maximum.at(top, term, size)
+        keep = size > 1e-13 * np.maximum(top, 1.0)[term]
+        c, term, x, z = c[keep], term[keep], x[keep], z[keep]
+        bounds = np.searchsorted(term, np.arange(len(self.terms) + 1)).tolist()
+        return [LocalTerm._from_columns(t.n, t.support, t.syndrome,
+                                        c[a:b], x[a:b], z[a:b])
+                for t, a, b in zip(self.terms, bounds, bounds[1:])]
 
 
 def _accumulate(*parts):
-    """Sum the coefficients of equal strings over (c, x, z) column parts:
-    one (c, x, z) with unique (x, z)."""
-    c, x, z = map(np.concatenate, zip(*parts))
-    order = np.lexsort((z, x))
-    x, z = x[order], z[order]
-    first = np.ones(len(x), dtype=bool)
-    first[1:] = (x[1:] != x[:-1]) | (z[1:] != z[:-1])
+    """Sum the coefficients of equal keys over column parts (c, *keys):
+    one (c, *keys) with unique keys, sorted by the first key, then the
+    next.  The sort is stable, so equal keys sum in input order."""
+    c, *keys = map(np.concatenate, zip(*parts))
+    order = np.lexsort(keys[::-1])
+    keys = [key[order] for key in keys]
+    first = np.ones(len(c), dtype=bool)
+    first[1:] = False
+    for key in keys:
+        first[1:] |= key[1:] != key[:-1]
     starts = np.flatnonzero(first)
-    return np.add.reduceat(c[order], starts), x[starts], z[starts]
-
-
-def _group_products(c, x, z, group, anticommuting: bool = False):
-    """2^(1-r) sum_i c_i sum g T_i over the g in G_S that commute with T_i
-    (anticommute, with ``anticommuting``), as accumulated (c, x, z)."""
-    gx, gz, ge = group
-    odd = _odd_overlap(gx[:, None], gz[:, None], x, z).astype(bool)
-    g, i = np.nonzero(odd if anticommuting else ~odd)
-    phase, px, pz = _times(ge[g], gx[g], gz[g], x[i], z[i])
-    scale = 2.0 / len(gx)
-    return _accumulate((scale * c[i] * phase, px, pz))
+    return (np.add.reduceat(c[order], starts), *(key[starts] for key in keys))
 
 
 def _summed_term(n, support, syndrome, *parts) -> LocalTerm:
@@ -340,29 +440,34 @@ def _summed_term(n, support, syndrome, *parts) -> LocalTerm:
                                    c[keep], x[keep], z[keep])
 
 
-def _columns_to_term(c, x, z, template: LocalTerm) -> LocalTerm:
-    """(c, x, z) patch columns as a term with the template's support and
-    syndrome, dropping |c| <= 1e-13 max(max |c|, 1) as ``pauli_transform``
-    does."""
-    keep = np.abs(c) > 1e-13 * max(np.max(np.abs(c), initial=0.0), 1.0)
-    return LocalTerm._from_columns(template.n, template.support,
-                                   template.syndrome, c[keep], x[keep], z[keep])
-
-
-def block_split(term: LocalTerm, code: StabilizerCode):
-    """(P_S V P_S + Q_S V Q_S, P_S V Q_S + Q_S V P_S) for one local term.
+def block_split(part, code: StabilizerCode):
+    """(P_S V P_S + Q_S V Q_S, P_S V Q_S + Q_S V P_S) for a local term, or
+    for every term of an operator in one pass.
 
     A Pauli T that flips no check inside S commutes with P_S and is block
     diagonal.  One that flips some has P_S T P_S = 0, so its off-diagonal
     part is P_S T + T P_S = 2^(1-r) sum over the g in G_S commuting with T
-    of g T.  Both halves keep the term's support and syndrome; their sum is
-    the input and neither operator norm exceeds the input's.
+    of g T.  Both halves keep each term's support and syndrome; their sum
+    is the input and neither operator norm exceeds the input's.
+
+    ``part`` is a LocalTerm, whose two halves are returned as LocalTerms
+    (empty ones included), or a QuasiLocalOperator, whose halves are
+    returned as operators of their nonempty terms.  Either way all strings
+    go through one ``_OperatorPass`` on the groups of the code's table
+    (``_patch_group``), and a term's halves are the same, bit for bit,
+    alone or in an operator.
     """
-    flipped, _, group = _patch_columns(term, code)
-    c, x, z = term.c, term.x, term.z
-    off = _group_products(c[flipped], x[flipped], z[flipped], group)
-    diag = _accumulate((c, x, z), (-off[0], off[1], off[2]))
-    return _columns_to_term(*diag, term), _columns_to_term(*off, term)
+    terms = (part,) if isinstance(part, LocalTerm) else part.terms
+    ops = _OperatorPass(terms, code)
+    keep = np.tile([True, False], (len(terms), 1))  # commuting pairs
+    off = ops.products(ops.c[ops.flipped], keep)
+    diag = _accumulate((ops.c, ops.term, ops.x, ops.z),
+                       (-off[0], *off[1:]))
+    diag, off = ops.local_terms(*diag), ops.local_terms(*off)
+    if isinstance(part, LocalTerm):
+        return diag[0], off[0]
+    return tuple(QuasiLocalOperator(code, tuple(t for t in half if t.c.size))
+                 for half in (diag, off))
 
 
 class GeneratorConsistencyError(RuntimeError):
@@ -380,40 +485,39 @@ def solve_generator(code: StabilizerCode,
     total weight E maps the local codespace into the eigenspace of H_S at
     E, so its part is (P_S T - T P_S) / E = 2^(1-r) sum over the g in G_S
     anticommuting with T of g T / E, and one that flips none adds nothing.
+    All terms go through one ``_OperatorPass`` on the groups of the code's
+    table, as in ``block_split``.
 
     Terms with empty syndrome contribute nothing; an off-diagonal block
     there, ||P_S V Q_S|| > 1e-10 max(||V||, 1) in the Frobenius norm, would
     contradict the decomposition invariant and raises
     GeneratorConsistencyError.
     """
-    out_terms = []
-    for t in v.terms:
-        flipped, energy, group = _patch_columns(t, code)
-        c, x, z = t.c, t.x, t.z
-        if not t.syndrome:
-            # P V Q = P V_f for the part V_f that flips inside checks, and
-            # P V_f = ((P V_f + V_f P) + (P V_f - V_f P)) / 2.  A patch
-            # Pauli has squared Frobenius norm 2^|S|.
-            parts = [
-                _group_products(c[flipped], x[flipped], z[flipped], group,
-                                anticommuting=odd)
-                for odd in (False, True)
-            ]
-            pvq = _accumulate(*parts)[0] / 2
-            v_coeffs = _accumulate((c, x, z))[0]
-            if np.linalg.norm(pvq) > 1e-10 * max(
-                    np.linalg.norm(v_coeffs), 2.0 ** (-len(t.support) / 2)):
-                raise GeneratorConsistencyError(
-                    f"zero-syndrome term on {sorted(t.support)} has an "
-                    "off-diagonal block"
-                )
-            continue
-        a = _group_products(c[flipped] / energy[flipped], x[flipped],
-                            z[flipped], group, anticommuting=True)
-        term = _columns_to_term(*a, t)
-        if term.c.size:
-            out_terms.append(term)
-    return QuasiLocalOperator(code, tuple(out_terms))
+    terms = v.terms
+    ops = _OperatorPass(terms, code)
+    zero = np.array([not t.syndrome for t in terms], dtype=bool)
+    # A zero-syndrome term keeps every pair: its sum is 2 P_S V_f for the
+    # part V_f that flips inside checks, and P V Q = P V_f.
+    keep = np.ones((len(terms), 2), dtype=bool)
+    keep[~zero, 0] = False
+    f = ops.flipped
+    weights = np.where(zero[ops.term[f]], ops.c[f], ops.c[f] / ops.energy[f])
+    c, term, x, z = ops.products(weights, keep)
+    checked = zero[term]
+    for k in np.unique(term[checked]).tolist():
+        t = terms[k]
+        # A patch Pauli has squared Frobenius norm 2^|S|.
+        pvq = c[term == k] / 2
+        v_coeffs = _accumulate((t.c, t.x, t.z))[0]
+        if np.linalg.norm(pvq) > 1e-10 * max(
+                np.linalg.norm(v_coeffs), 2.0 ** (-len(t.support) / 2)):
+            raise GeneratorConsistencyError(
+                f"zero-syndrome term on {sorted(t.support)} has an "
+                "off-diagonal block"
+            )
+    a = ops.local_terms(c[~checked], term[~checked], x[~checked],
+                        z[~checked])
+    return QuasiLocalOperator(code, tuple(t for t in a if t.c.size))
 
 
 def commutator_qlo(d: QuasiLocalOperator,
@@ -447,15 +551,7 @@ def commutator_qlo(d: QuasiLocalOperator,
 
 def block_diagonal_part(op: QuasiLocalOperator,
                         keep_offdiag: bool = False):
-    """Apply the local block split across all terms of an operator."""
-    diags, offs = [], []
-    for t in op.terms:
-        d, o = block_split(t, op.code)
-        if d.c.size:
-            diags.append(d)
-        if o.c.size:
-            offs.append(o)
-    pv = QuasiLocalOperator(op.code, tuple(diags))
-    if keep_offdiag:
-        return pv, QuasiLocalOperator(op.code, tuple(offs))
-    return pv
+    """The block-diagonal half of an operator (and the off-diagonal one,
+    with ``keep_offdiag``), from one ``block_split`` call on it."""
+    pv, off = block_split(op, op.code)
+    return (pv, off) if keep_offdiag else pv

@@ -313,7 +313,8 @@ def spectral_report(
     exact.  Sparse mode takes the lowest ``num_eigs`` levels and skips the
     cosets whose certified cluster floor lies above the levels found; it
     refuses a coset block or a coset count above 2^20
-    (``matrices.COSET_MAX_DIM``) with ValueError.
+    (``matrices.COSET_MAX_DIM``) with ValueError, and so does
+    ``pauli.columns`` for a code past 63 qubits, before any mask is packed.
 
     Only when an SWT run is supplied with dense mode is the full matrix
     diagonalized with eigenvectors, to report the distance between the
@@ -325,11 +326,12 @@ def spectral_report(
         k = num_logical_qubits(code)
     if num_eigs is None:
         num_eigs = 2 ** k + 4
+    if mode == "dense":
+        refuse_dense(code.n)
     h0, v = columns(code_hamiltonian_terms(code)), columns(v_terms)
     terms = tuple(map(np.concatenate, zip(h0, (epsilon * v[0], *v[1:]))))
     vecs = None
     if mode == "dense":
-        refuse_dense(code.n)
         if swt_result is None:
             vals = lowest_eigenvalues_sparse(code.n, terms, k=1 << code.n)
         else:

@@ -146,6 +146,25 @@ def test_spectrum_usage_errors_exit_usage(tmp_path, capsys, extra, message):
     assert message in err and "eigensolver failure" not in err
 
 
+@pytest.mark.parametrize("mode, message", [
+    ("sparse", "72 qubits exceeds the limit of 63"),
+    ("dense", "72 qubits exceeds the limit of 12"),
+], ids=["sparse", "dense"])
+def test_spectrum_past_63_qubits_is_usage_error(tmp_path, capsys, mode,
+                                                message):
+    # Toric L = 6 has 72 qubits, past the 63 bits of an int64 column mask:
+    # a labelled size refusal before any mask is packed, not an overflow
+    # reported as an eigensolver failure.
+    art = tmp_path / "toric6.json"
+    run_cli(["build", "--family", "toric", "--L", "6", "--w-max", "3",
+             "--out", str(art)], capsys)
+    code, out, err = run_cli(["spectrum", str(art), "--mode", mode,
+                              "--eps", "0.1", "--num-eigs", "8"], capsys)
+    assert code == 2
+    assert out == ""
+    assert message in err and "eigensolver failure" not in err
+
+
 def test_spectrum_residual_gate_exits_numeric(tmp_path, capsys, monkeypatch):
     # rep11 under a 0.3 X field: two Lanczos blocks of 2^10 states.
     art = tmp_path / "rep11.json"

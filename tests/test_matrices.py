@@ -680,6 +680,7 @@ def test_payload_norm_refuses_past_limit(no_large_zeros):
         [(1.0, PauliString.from_support(14, "X", range(13)))], code).terms
     with pytest.raises(PatchTooLargeError, match="rank 13"):
         block_split(term, code)
+    assert term.support not in code.patch_groups
 
 
 @st.composite

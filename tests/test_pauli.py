@@ -109,6 +109,15 @@ def test_restrict_renumbers_in_the_given_order():
     assert np.allclose(lifted, pauli_matrix(p)[np.ix_(old, old)])
 
 
+def test_columns_refuse_past_63_qubits():
+    # Bit 62 is the last of an int64 mask; past 63 qubits the refusal comes
+    # before any mask is packed, even for strings on low qubits only.
+    c, x, z = columns([(0.5, PauliString.single(63, "Y", 62))])
+    assert x.tolist() == z.tolist() == [1 << 62]
+    with pytest.raises(ValueError, match="64 qubits exceeds the limit of 63"):
+        columns([(0.5, PauliString.single(64, "X", 0))])
+
+
 def test_empty_product_needs_n():
     assert product([], n=3).is_identity()
     with pytest.raises(ValueError):

@@ -35,10 +35,10 @@ from stabbench.pauli import (
 )
 from stabbench.quasilocal import (
     DROP_TOL,
+    GeneratorConsistencyError,
     LocalTerm,
     PatchTooLargeError,
     QuasiLocalOperator,
-    _patch_columns,
     block_diagonal_part,
     block_split,
     checks_inside,
@@ -501,8 +501,10 @@ def test_closed_forms_on_wide_toric_patches(qubits, width, rank):
                   code)
     (term,) = v.terms
     assert len(term.support) == width
-    assert len(_patch_columns(term, code)[2][0]) == 1 << rank
+    assert term.support not in code.patch_groups
     diag, off = block_split(term, code)
+    # The split built the support's group table: 2^rank elements.
+    assert len(code.patch_groups[term.support][3]) == 1 << rank
     assert not QuasiLocalOperator(code, (diag, off)).add(v.scaled(-1)).terms
     # [H0, A] + V - PV cancels term by term.
     a = solve_generator(code, v)
@@ -516,6 +518,127 @@ def test_closed_forms_on_wide_toric_patches(qubits, width, rank):
                      (QuasiLocalOperator(code, (diag,)), 0.3),
                      (a, 0.3 / energy)):
         assert kappa_norm(op, 0.5) == pytest.approx(norm * scale, rel=1e-12)
+
+
+def same_bits(got: LocalTerm, want: LocalTerm) -> bool:
+    return (got.support == want.support and got.syndrome == want.syndrome
+            and all(np.array_equal(getattr(got, a), getattr(want, a))
+                    for a in "cxz"))
+
+
+def mixed_operator() -> QuasiLocalOperator:
+    """Terms on rep6 with unequal check weights: mixed supports, the
+    support {1, 2, 3} carrying syndromes 0b110 (X_2 and Y_2, several
+    strings) and 0 (Z_1 Z_2 Z_3, which flips nothing), Z_4 flipping nothing
+    on its own support, and a hand-built term on {2, 3, 4} that omits the
+    flipped check Z_4 Z_5, with strings of several syndromes."""
+    base = repetition_code(6)
+    code = StabilizerCode(6, base.checks, (1.0, 1.5, 2.0, 3.0, 1.5),
+                          base.kind)
+
+    def p(label):
+        return PauliString.from_label(label)
+
+    v = decompose([(0.4, p("IIXIII")), (0.3j, p("IIYIII")),
+                   (0.2, p("IZZZII")), (0.5, p("IIIIZI")),
+                   (0.25 - 0.1j, p("IIIXXI")), (0.1, p("XIIIII"))], code)
+    hand = LocalTerm(6, frozenset({2, 3, 4}), 0b11000,
+                     ((0.35, p("IIIIXI")), (-0.15j, p("IIIZYI")),
+                      (0.05, p("IIZIII"))))
+    return QuasiLocalOperator(code, v.terms + (hand,))
+
+
+def test_operator_pass_matches_dense_and_one_term_passes():
+    op = mixed_operator()
+    code = op.code
+    keys = [(t.support, t.syndrome) for t in op.terms]
+    assert len(set(keys)) == len(keys)
+    assert {s for sup, s in keys if sup == frozenset({1, 2, 3})} == {0, 0b110}
+    assert any(t.c.size > 1 for t in op.terms)
+    pv, off = block_split(op, code)
+    for got, want in zip(block_diagonal_part(op, keep_offdiag=True),
+                         (pv, off)):
+        assert all(map(same_bits, got.terms, want.terms))
+    a = solve_generator(code, op)
+    alone = [block_split(t, code) for t in op.terms]
+    # No term's strings leak into another term's segment: every half and
+    # generator term equals its one-term pass bit for bit.
+    for got, want in ((pv.terms, [d for d, _ in alone]),
+                      (off.terms, [o for _, o in alone]),
+                      (a.terms, [g for t in op.terms for g in solve_generator(
+                          code, QuasiLocalOperator(code, (t,))).terms])):
+        want = [t for t in want if t.c.size]
+        assert len(got) == len(want)
+        assert all(same_bits(g, w) for g, w in zip(got, want))
+    flips_none = [t for t, (_, o) in zip(op.terms, alone) if not o.c.size]
+    assert {len(t.support) for t in flips_none} == {1, 3}
+    for t, (d, o) in zip(op.terms, alone):
+        want_d, want_o = dense_block_split(t, code)
+        assert_same_term(d, want_d)
+        assert_same_term(o, want_o)
+    got = a.key_index()
+    for t in op.terms:
+        if t.syndrome:
+            want = dense_generator_term(t, code)
+            assert want.paulis
+            assert_same_term(got[(t.support, t.syndrome)], want)
+
+
+def test_operator_pass_on_the_empty_operator():
+    code = repetition_code(4)
+    empty = QuasiLocalOperator(code, ())
+    assert empty.support == frozenset()
+    pv, off = block_split(empty, code)
+    assert pv.terms == off.terms == ()
+    assert block_diagonal_part(empty).terms == ()
+    assert solve_generator(code, empty).terms == ()
+    assert code.patch_groups == {}
+
+
+def test_operator_refusals_name_the_term():
+    # Z checks on 14 qubits: X on 13 of them has a patch group of rank 13.
+    code = StabilizerCode.from_checks(
+        14, [PauliString.single(14, "Z", i) for i in range(14)])
+    small = decompose([(0.2, PauliString.single(14, "X", 13))], code).terms
+    (big,) = decompose(
+        [(1.0, PauliString.from_support(14, "X", range(13)))], code).terms
+    op = QuasiLocalOperator(code, small + (big,))
+    with pytest.raises(PatchTooLargeError, match="rank 13"):
+        block_diagonal_part(op)
+    with pytest.raises(PatchTooLargeError, match="rank 13"):
+        solve_generator(code, op)
+    assert big.support not in code.patch_groups
+    assert list(code.patch_groups) == [small[0].support]
+    # One bad zero-syndrome term among good ones.
+    rep = repetition_code(4)
+    bad = LocalTerm(4, frozenset({0, 1, 2}), 0,
+                    ((0.3, PauliString.single(4, "Z", 1)),
+                     (0.2, PauliString.single(4, "X", 1))))
+    good = decompose([(0.1, PauliString.single(4, "X", 3)),
+                      (0.2, PauliString.single(4, "Z", 0))], rep).terms
+    with pytest.raises(GeneratorConsistencyError, match=r"\[0, 1, 2\]"):
+        solve_generator(rep, QuasiLocalOperator(rep, good + (bad,) + good))
+
+
+@pytest.mark.parametrize("first", [1.0, 2.0])
+def test_patch_groups_belong_to_one_code(first):
+    # Every energy on lam = 2 doubles, so every generator coefficient
+    # halves, exactly: a power of two commutes with each rounding.
+    codes = {lam: repetition_code(5, lam=lam) for lam in (1.0, 2.0)}
+    pauli = [(0.3, PauliString.single(5, "X", 2)),
+             (0.2j, PauliString.from_support(5, "X", (0, 1))),
+             (0.1, PauliString.from_label("IYXII"))]
+    terms = decompose(pauli, codes[1.0]).terms
+    gens = {}
+    for lam in (first, 3.0 - first):
+        code = codes[lam]
+        gens[lam] = solve_generator(code, QuasiLocalOperator(code, terms))
+        assert set(code.patch_groups) == {t.support for t in terms}
+    one, two = gens[1.0].terms, gens[2.0].terms
+    assert len(one) == len(two) == len(terms)
+    for a, b in zip(one, two):
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.z, b.z)
+        assert np.array_equal(a.c, 2 * b.c)
 
 
 def test_local_term_refuses_wide_supports_and_outside_paulis():
