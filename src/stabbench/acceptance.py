@@ -47,7 +47,6 @@ from .matrices import code_hamiltonian_dense, pauli_transform
 from .pauli import PauliString, multiply
 from .quasilocal import (
     block_diagonal_part,
-    block_split,
     commutator_qlo,
     decompose,
     kappa_norm,
@@ -427,14 +426,21 @@ def criterion_7_inequality_suite(seed: int = 1) -> CriterionResult:
             continue
         pairs += 1
         # projections do not increase norms: each term's norm, then those
-        # of its diagonal and off-diagonal parts, all in one batch
-        norms = operator_norms([part for t in v.terms
-                                for part in (t, *block_split(t, code))])
-        trios = norms.reshape(-1, 3)
+        # of its diagonal and off-diagonal parts (the halves of one split of
+        # v, found by the term's unique key; an empty half has norm 0), all
+        # in one batch
+        halves = block_diagonal_part(v, keep_offdiag=True)
+        off_v = halves[1]
+        index = [h.key_index() for h in halves]
+        parts = [[t] + [i.get((t.support, t.syndrome)) for i in index]
+                 for t in v.terms]
+        present = np.array([[p is not None for p in trio] for trio in parts])
+        trios = np.zeros(present.shape)
+        trios[present] = operator_norms([p for trio in parts for p in trio
+                                         if p is not None])
         margins["projection"] = min(margins["projection"],
                                     float(np.min(trios[:, :1] - trios[:, 1:])))
         # generator norm below the off-diagonal input norm
-        off_v = block_diagonal_part(v, keep_offdiag=True)[1]
         margins["generator"] = min(
             margins["generator"],
             kappa_norm(off_v, kap) - kappa_norm(a_op, kap),

@@ -11,7 +11,8 @@ phase.  The inverse direction, expanding a dense matrix over the Hermitian
 Pauli basis, is a by-qubit tensor transform costing O(n 4^n).
 
 A ``CosetFrame`` splits the basis states into the invariant cosets of a
-sum's x-span; the SWT engine and the coset eigensolver work on its blocks.
+sum's x-span; the SWT engine and the coset eigensolver work on its blocks,
+and ``pauli_transform`` expands a stack of them without the 2^n matrix.
 ``payload_norm`` norms a whole batch of sums in one pass, each in the frame
 that ``CosetFrame`` would choose.  Every frame and every coset sign pattern
 comes from ``gf2.Echelon`` on one sum's masks: this module runs no GF(2)
@@ -108,37 +109,108 @@ _PAULI_T = 0.5 * np.array(
 )
 
 
-def pauli_transform(M: np.ndarray, tol: float = 1e-13) -> dict:
-    """Expand a dense matrix over Hermitian Pauli strings.
+def pauli_transform(M: np.ndarray, tol: float = 1e-13, frame=None) -> dict:
+    """Expand an operator over Hermitian Pauli strings.
 
-    Returns {(x_bits, z_bits): coefficient} with entries below
-    tol * max|coeff| dropped.  Exact inverse of ``operator_dense`` up to
+    ``M`` is a dense 2^n x 2^n matrix, or, with ``frame`` (a
+    ``CosetFrame``), that frame's (cosets, 2^r, 2^r) block stack of an
+    operator (``CosetFrame.blocks``).  Returns {(x_bits, z_bits):
+    coefficient} on the n qubits, out of the frame, with entries below
+    tol * max|coeff| dropped, in the order of the index (in the frame)
+    whose base-4 digit q is the Pauli on qubit q: 0 I, 1 X, 2 Y, 3 Z.
+    Exact inverse of ``operator_dense`` and of ``CosetFrame.blocks`` up to
     the pruning threshold.
+
+    Every block is expanded over the r-qubit strings one qubit at a time,
+    each Pauli on it a sum of two quarters of the block weighted by
+    ``_PAULI_T``, O(r 4^r) per block; a matrix is one block of n qubits.
+    Block f (the coset of the rep that carries bit j of f at free qubit j)
+    then holds, for each reduced string (m, z'), the sum of
+    c (-1)^|rep_f & z| over the strings (x, z) that reduce to it, times
+    the sign by which their i-powers differ.  The coset sign depends only
+    on the free part zf of z, as (-1)^(f . zf), so one Walsh-Hadamard
+    transform over the cosets, times 1/cosets, separates the strings: x is
+    the XOR of the rows that m selects, z carries zf on the free qubits,
+    and pivot bit j of z is z'_j XOR the parity of row_j & zf (z'_j being
+    that parity over all of z).  The twist sign applies where
+    |x & z| - |m & z'| = 2 (mod 4), and in the Hadamard frame each (x, z)
+    is mapped back as ``_hadamard_frame`` maps it (x and z swapped, c
+    negated when |x & z| is odd).  No 2^n x 2^n matrix is built.
     """
-    dim = M.shape[0]
-    n = dim.bit_length() - 1
-    if dim != 1 << n or M.shape != (dim, dim):
-        raise ValueError("matrix must be square with power-of-two dimension")
-    t = np.asarray(M, dtype=complex).reshape((2,) * (2 * n))
-    for j in range(n):
-        t = np.moveaxis(t, n - j, 1)
-        t = t.reshape((4,) + t.shape[2:])
-        t = np.tensordot(_PAULI_T, t, axes=([1], [0]))
-        t = np.moveaxis(t, 0, -1)
-    # Axis j of the result indexes the Pauli on qubit n-1-j.
-    t = t.reshape(-1)
-    cutoff = tol * max(np.max(np.abs(t)), 1.0)
-    flat = np.nonzero(np.abs(t) > cutoff)[0]
-    # Base-4 digit qb of the flat index (least significant = last tensor
-    # axis = qubit 0) is the Pauli on qubit qb: 0 I, 1 X, 2 Y, 3 Z.  Its
-    # high bit is the z bit, and the x bit is the XOR of its two bits.
-    x = np.zeros_like(flat)
-    z = np.zeros_like(flat)
-    for qb in range(n):
-        high = (flat >> (2 * qb + 1)) & 1
-        x |= (((flat >> (2 * qb)) & 1) ^ high) << qb
-        z |= high << qb
-    return dict(zip(zip(x.tolist(), z.tolist()), t[flat].tolist()))
+    if frame is None:
+        dim = M.shape[0]
+        n = dim.bit_length() - 1
+        if dim != 1 << n or M.shape != (dim, dim):
+            raise ValueError(
+                "matrix must be square with power-of-two dimension")
+        M, r, hadamard = M[None], n, False
+        rows = pivots = np.left_shift(1, np.arange(n, dtype=np.int64))
+        free = np.zeros(0, dtype=np.int64)
+    else:
+        n, r, hadamard = frame.n, frame.r, frame.hadamard
+        shape = (1 << (n - r), 1 << r, 1 << r)
+        if M.shape != shape:
+            raise ValueError(f"blocks of shape {M.shape}; the {frame.name} "
+                             f"frame has {shape}")
+        rows = frame.row_masks
+        pivots = np.left_shift(1, np.array(frame.pivots, dtype=np.int64))
+        free = np.left_shift(1, np.array(frame.free, dtype=np.int64))
+    cosets, dim = len(M), 1 << r
+    # Axes (coset, row bits, column bits, Paulis): each step splits off the
+    # highest row and column bit left, qubit q, and appends the Pauli on q,
+    # so the Paulis end up with qubit 0 last.
+    t = np.asarray(M, dtype=complex).reshape(cosets, dim, dim, 1)
+    for _ in range(r):
+        dim //= 2
+        pair = t.reshape(cosets, 2, dim, 2, -1)
+        # Entry k of a row of _PAULI_T weighs the (row bit, column bit)
+        # quarter (k >> 1, k & 1); each row has two nonzero entries.
+        quarters = [pair[:, k >> 1, :, k & 1] for k in range(4)]
+        t = np.empty(quarters[0].shape + (4,), dtype=complex)
+        for p, row in enumerate(_PAULI_T):
+            k1, k2 = np.flatnonzero(row)
+            t[..., p] = row[k1] * quarters[k1] + row[k2] * quarters[k2]
+        t = t.reshape(cosets, dim, dim, -1)
+    t = t.reshape(cosets, -1)
+    if cosets > 1:
+        # With no qubit contracted (r = 0), t may share the memory of M.
+        t = _butterflies(t if r else t.copy())
+        t *= 1.0 / cosets
+    size = np.abs(t)
+    f, flat = np.nonzero(size > tol * max(np.max(size), 1.0))
+    # Base-4 digit j of the flat index (least significant = last tensor
+    # axis = qubit 0) is the Pauli on qubit j: its high bit is the z bit,
+    # and the x bit is the XOR of its two bits.
+    m = np.zeros_like(flat)
+    zr = np.zeros_like(flat)
+    for j in range(r):
+        high = (flat >> (2 * j + 1)) & 1
+        m |= (((flat >> (2 * j)) & 1) ^ high) << j
+        zr |= high << j
+    x = _span_table(rows)[m]
+    zf = _span_table(free)[f]
+    z = zf | _span_table(pivots)[
+        zr ^ _pack(np.bitwise_count(zf[:, None] & rows) & 1)]
+    c = t[f, flat]
+    negate = (np.bitwise_count(x & z) - np.bitwise_count(m & zr)) % 4 != 0
+    if hadamard:
+        negate ^= (np.bitwise_count(x & z) & 1).astype(bool)
+    c = np.where(negate, -c, c)
+    order = np.argsort(_digit_index(x, z, n), kind="stable")
+    x, z, c = x[order], z[order], c[order]
+    if hadamard:
+        x, z = z, x
+    return dict(zip(zip(x.tolist(), z.tolist()), c.tolist()))
+
+
+def _digit_index(x, z, n: int) -> np.ndarray:
+    """The index of ``pauli_transform``'s order for strings (x, z) on n
+    qubits, as uint64: base-4 digit q is 2 z_q + (x_q XOR z_q)."""
+    index = np.zeros(len(x), dtype=np.uint64)
+    low, high = (x ^ z).astype(np.uint64), z.astype(np.uint64)
+    for q in map(np.uint64, range(n)):
+        index |= ((low >> q & 1) | (high >> q & 1) << 1) << 2 * q
+    return index
 
 
 class PauliMatvec:
@@ -199,11 +271,12 @@ def _batched_blocks(r: int, x, z, weights: np.ndarray) -> np.ndarray:
 
     One pass per distinct x-mask: the strings on that mask fill the same
     entries, at rows b ^ x of every column b.  Their Z-parity signs come as
-    one table per chunk of 2^r strings, and their terms are summed one
-    string after another in the input order (``np.add.accumulate``, never a
-    pairwise reduction), so every entry is the same sum, rounded the same
-    way, as adding the strings one at a time.  No temporary holds more
-    entries than the output.
+    one table per chunk of strings, and their terms are summed one string
+    after another in the input order (``np.add.accumulate``, never a
+    pairwise reduction, the running sum carried from chunk to chunk), so
+    every entry is the same sum, rounded the same way, as adding the
+    strings one at a time.  A chunk holds as many strings as keep its
+    terms within the output's size or 2^16 entries, whichever is larger.
 
     The blocks are float64 when every phase weights[j, k] i^|x_k & z_k| is
     real, as for any real-symmetric sum (Y x Y strings included), and
@@ -224,10 +297,11 @@ def _batched_blocks(r: int, x, z, weights: np.ndarray) -> np.ndarray:
     out = np.zeros((len(weights), dim, dim), dtype=phases.dtype)
     order = np.argsort(x, kind="stable")
     masks, starts = np.unique(x[order], return_index=True)
+    step = max(out.size, 1 << 16) // (max(len(weights), 1) * dim)
     for mask, group in zip(masks.tolist(), np.split(order, starts[1:])):
         acc = np.zeros((len(weights), dim), dtype=phases.dtype)
-        for lo in range(0, len(group), dim):
-            ks = group[lo:lo + dim]
+        for lo in range(0, len(group), step):
+            ks = group[lo:lo + step]
             terms = (phases[ks, :, None]
                      * _z_parity_signs(z[ks, None], basis)[:, None])
             terms[0] += acc
@@ -261,12 +335,19 @@ def _hadamard_frame(terms) -> tuple:
 
 
 def _walsh_hadamard(M: np.ndarray) -> np.ndarray:
-    """H^(x n) M for a matrix of 2^n rows, H = [[1, 1], [1, -1]] / sqrt(2):
-    one in-place butterfly per qubit, O(n 2^n) per column.  Each reshape
-    only splits the row axis, so it is a view of the copy for any layout.
-    A real M stays real, its result equal to that of M cast to complex."""
-    dim = M.shape[0]
-    out = np.array(M, dtype=np.result_type(M.dtype, float))
+    """H^(x n) M for a matrix of 2^n rows, H = [[1, 1], [1, -1]] / sqrt(2),
+    O(n 2^n) per column (``_butterflies`` on a copy).  A real M stays real,
+    its result equal to that of M cast to complex."""
+    out = _butterflies(np.array(M, dtype=np.result_type(M.dtype, float)))
+    out *= 1.0 / np.sqrt(len(out))
+    return out
+
+
+def _butterflies(out: np.ndarray) -> np.ndarray:
+    """The unnormalized Walsh-Hadamard transform of the 2^n rows of
+    ``out``, in place: one butterfly per qubit.  Each reshape only splits
+    the row axis, so it is a view for any contiguous array."""
+    dim = out.shape[0]
     half = 1
     while half < dim:
         t = out.reshape(dim // (2 * half), 2, half, -1)
@@ -275,7 +356,6 @@ def _walsh_hadamard(M: np.ndarray) -> np.ndarray:
         low -= t[:, 1]
         t[:, 1] = low
         half *= 2
-    out *= 1.0 / np.sqrt(dim)
     return out
 
 
@@ -348,7 +428,9 @@ class CosetFrame:
     make up x, times (-1)^|rep & z| and the phase of the r-qubit string
     (m, z'), where bit j of z' is the parity of row j & z.  m.z' = x.z
     (mod 2), so the two strings' i-powers differ by a sign, folded into the
-    reduced coefficient.
+    reduced coefficient.  ``pauli_transform(blocks, frame=frame)`` inverts
+    ``blocks`` on the block stack itself; ``scatter`` and ``full`` build
+    the 2^n x 2^n matrix only for a caller that asks for it.
     """
 
     def __init__(self, n: int, terms):
@@ -422,17 +504,6 @@ class CosetFrame:
         if self.hadamard:
             out = _walsh_hadamard(_walsh_hadamard(out).T).T
         return out
-
-    def pauli_terms(self, blocks: np.ndarray) -> dict:
-        """The {(x, z): c} dict, out of the frame, of the operator with
-        these blocks: ``pauli_transform`` of the scattered matrix, in the
-        Hadamard frame with each (x, z) mapped back as ``_hadamard_frame``
-        maps it (x and z swapped, c negated when |x & z| is odd)."""
-        coeffs = pauli_transform(self.scatter(blocks))
-        if self.hadamard:
-            coeffs = {(z, x): -c if (x & z).bit_count() & 1 else c
-                      for (x, z), c in coeffs.items()}
-        return coeffs
 
 
 def payload_norm(sums) -> np.ndarray:

@@ -23,9 +23,10 @@ closed forms over the signed group G_S of those checks,
 P_S = 2^-r sum_{g in G_S} g.  Each support's group is built once per
 code, into the code's table (``StabilizerCode.patch_groups``), and the
 split and the generator of an operator are one vectorized pass over all
-strings of all its terms (``_OperatorPass``).  The dense projector P_S
-and patch Hamiltonian H_S are the code-level builders of ``matrices``
-applied to the patch code, kept as references.
+strings of all its terms (``_OperatorPass``), and so is the commutator
+of two operators, over all pairs of their overlapping terms.  The dense
+projector P_S and patch Hamiltonian H_S are the code-level builders of
+``matrices`` applied to the patch code, kept as references.
 """
 
 from __future__ import annotations
@@ -381,18 +382,11 @@ class _OperatorPass:
         x, z = self.x[self.flipped], self.z[self.flipped]
         count = np.bincount(term, minlength=len(self.terms))
         first = np.cumsum(count) - count
-        ends = np.cumsum(self.group_size * count)
-        starts = ends - self.group_size * count
         scale = 2.0 / self.group_size
         c, x0, _ = columns(())
         parts = [(c, x0, x0, x0)]
-        total = int(ends[-1]) if len(ends) else 0
-        for lo in range(0, total, 1 << 16):
-            pair = np.arange(lo, min(lo + (1 << 16), total))
-            k = np.searchsorted(ends, pair, side="right")
-            local = pair - starts[k]
-            g = self.group_start[k] + local // count[k]
-            i = first[k] + local % count[k]
+        for k, g, i in _pair_slices(self.group_size, count):
+            g, i = self.group_start[k] + g, first[k] + i
             chosen = keep[k, _odd_overlap(self.gx[g], self.gz[g], x[i], z[i])]
             k, g, i = k[chosen], g[chosen], i[chosen]
             phase, px, pz = _times(self.ge[g], self.gx[g], self.gz[g],
@@ -414,6 +408,20 @@ class _OperatorPass:
         return [LocalTerm._from_columns(t.n, t.support, t.syndrome,
                                         c[a:b], x[a:b], z[a:b])
                 for t, a, b in zip(self.terms, bounds, bounds[1:])]
+
+
+def _pair_slices(rows, cols):
+    """All pairs (a, b) with a < rows[k] and b < cols[k], block k after
+    block k and a-major within one, as (k, a, b) arrays in slices of 2^16
+    pairs."""
+    ends = np.cumsum(rows * cols)
+    starts = ends - rows * cols
+    total = int(ends[-1]) if len(ends) else 0
+    for lo in range(0, total, 1 << 16):
+        pair = np.arange(lo, min(lo + (1 << 16), total))
+        k = np.searchsorted(ends, pair, side="right")
+        local = pair - starts[k]
+        yield k, local // cols[k], local % cols[k]
 
 
 def _accumulate(*parts):
@@ -523,30 +531,98 @@ def solve_generator(code: StabilizerCode,
 def commutator_qlo(d: QuasiLocalOperator,
                    a: QuasiLocalOperator) -> QuasiLocalOperator:
     """[D, A] with the pairwise term assignment: the commutator of terms
-    keyed (S', s') and (S, s) lands in key (S' u S, s' + s).  Both terms
-    are re-indexed into the patch of S' u S, and [P, Q] = 2 P Q is summed
-    over the anticommuting pairs of their Paulis."""
+    keyed (S', s') and (S, s) lands in key (S' u S, s' + s), as the sum of
+    [P, Q] = 2 P Q over the anticommuting pairs of their Paulis.
+
+    One vectorized pass over all pairs of overlapping terms.  A loop over
+    the term pairs assigns the keys in order of first occurrence (a union
+    past 63 qubits is refused there, before any array is built).  Both
+    terms of a pair are re-indexed into the patch of their union
+    (``_union_columns``), and the (i, j) string pairs of all term pairs,
+    term pair by term pair and i-major within one, are formed in slices of
+    2^16: the anticommuting ones are multiplied (``_times``) and one stable
+    ``_accumulate`` by (key, x, z) sums equal strings of a key in that
+    order.  Sums at or below DROP_TOL are dropped, and a key left with
+    nothing has no term.
+    """
     code = d.code
-    grouped: dict = {}
-    for td in d.terms:
-        for ta in a.terms:
+    keys, pairs = {}, []
+    for i, td in enumerate(d.terms):
+        for j, ta in enumerate(a.terms):
             if not td.support & ta.support:
                 continue  # disjoint supports commute
-            sup = td.support | ta.support
-            _refuse_wider(sup)
-            qubits = sorted(sup)
-            (dx, dz), (ax, az) = (
-                t._masks_at(np.searchsorted(qubits, t.patch_qubits))
-                for t in (td, ta))
-            i, j = np.nonzero(_odd_overlap(dx[:, None], dz[:, None], ax, az))
-            phase, px, pz = _times(np.bitwise_count(dx & dz)[i], dx[i], dz[i],
-                                   ax[j], az[j])
-            grouped.setdefault(
-                (sup, td.syndrome ^ ta.syndrome), []
-            ).append((2.0 * td.c[i] * ta.c[j] * phase, px, pz))
-    terms = (_summed_term(code.n, sup, synd, *parts)
-             for (sup, synd), parts in grouped.items())
-    return QuasiLocalOperator(code, tuple(t for t in terms if t.c.size))
+            key = (td.support | ta.support, td.syndrome ^ ta.syndrome)
+            if key not in keys:
+                _refuse_wider(key[0])
+                keys[key] = len(keys)
+            pairs.append((i, j, keys[key]))
+    if not pairs:
+        return QuasiLocalOperator(code, ())
+    i, j, key = np.array(pairs, dtype=np.int64).T
+    (dc, dx, dz, nd), (ac, ax, az, na) = _union_columns(d.terms, a.terms,
+                                                        i, j)
+    first_d, first_a = np.cumsum(nd) - nd, np.cumsum(na) - na
+    c, x0, _ = columns(())
+    parts = [(c, x0, x0, x0)]
+    for k, r, s in _pair_slices(nd, na):
+        r, s = first_d[k] + r, first_a[k] + s
+        odd = _odd_overlap(dx[r], dz[r], ax[s], az[s]) == 1
+        k, r, s = k[odd], r[odd], s[odd]
+        phase, px, pz = _times(np.bitwise_count(dx[r] & dz[r]), dx[r], dz[r],
+                               ax[s], az[s])
+        parts.append((2.0 * dc[r] * ac[s] * phase, key[k], px, pz))
+    c, slot, x, z = _accumulate(*parts)
+    kept = np.abs(c) > DROP_TOL
+    c, slot, x, z = c[kept], slot[kept], x[kept], z[kept]
+    bounds = np.searchsorted(slot, np.arange(len(keys) + 1)).tolist()
+    return QuasiLocalOperator(code, tuple(
+        LocalTerm._from_columns(code.n, sup, synd, c[lo:hi], x[lo:hi],
+                                z[lo:hi])
+        for (sup, synd), lo, hi in zip(keys, bounds, bounds[1:]) if hi > lo))
+
+
+def _runs(lengths, idx) -> tuple:
+    """Runs idx[0], idx[1], ... of runs of ``lengths`` laid one after
+    another, as (p, position, k) per element: the index p of its run in
+    ``idx``, its position, and its place k within the run."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    size = lengths[idx]
+    p = np.repeat(np.arange(len(idx)), size)
+    k = np.arange(p.size) - (np.cumsum(size) - size)[p]
+    return p, (np.cumsum(lengths) - lengths)[idx][p] + k, k
+
+
+def _union_columns(d_terms, a_terms, i, j) -> list:
+    """The columns of terms d_terms[i_p] and a_terms[j_p] of every pair p,
+    re-indexed into the patch of the pair's union: for each side, (c, x, z)
+    of the pairs' strings, pair after pair, and the string count of each
+    pair.  A qubit's place in the union is its rank among the union's
+    qubits, from one sorted array of (pair, qubit) cells."""
+    sides = []
+    for terms, idx in ((d_terms, i), (a_terms, j)):
+        qubits = [t.patch_qubits for t in terms]
+        pair, at, k = _runs([len(q) for q in qubits], idx)
+        flat = np.array([q for qs in qubits for q in qs], dtype=np.int64)
+        sides.append((terms, idx, pair, k, flat[at]))
+    span = max(int(q.max()) for *_, q in sides) + 1
+    union = np.unique(np.concatenate([pair * span + q
+                                      for *_, pair, _, q in sides]))
+    first = np.searchsorted(union, np.arange(len(i)) * span)
+    out = []
+    for terms, idx, pair, k, q in sides:
+        # Row p: the place in the union of each patch qubit of p's term.
+        places = np.zeros((len(idx), int(k.max()) + 1), dtype=np.int64)
+        places[pair, k] = np.searchsorted(union, pair * span + q) - first[pair]
+        sizes = np.array([t.c.size for t in terms], dtype=np.int64)
+        owner, at, _ = _runs(sizes, idx)
+        bits = np.arange(places.shape[1])
+        c, x, z = (np.concatenate([getattr(t, a) for t in terms])[at]
+                   for a in "cxz")
+        x, z = (np.bitwise_or.reduce(((m[:, None] >> bits) & 1)
+                                     << places[owner], axis=1)
+                for m in (x, z))
+        out.append((c, x, z, sizes[idx]))
+    return out
 
 
 def block_diagonal_part(op: QuasiLocalOperator,

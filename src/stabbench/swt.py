@@ -5,16 +5,16 @@ group of the checks inside each term's strong support (the strong-support
 structure makes the local solution exact globally), rotates the
 Hamiltonian by the matrix exponential on the invariant coset blocks of
 H0's and V's terms (``matrices.CosetFrame``), decomposes the remainder's
-Pauli dict, and routes wide-support terms into an untracked garbage
-operator.  The blocks are real whenever H0 and V are (checks plus X or Z
-fields), and the step then runs in real arithmetic throughout: the
-exponential comes from one ``eigh`` of A^2, and the conjugation residual,
-the unitarity defect and the garbage norm are upper bounds on 2-norms from
-``eigvalsh``, with no ``svd``.  Spectral verification (ground clusters,
-gaps, splittings, Weyl stability) runs through the coset solver of
-``matrices``: every level up to ``matrices.DENSE_MAX_QUBITS`` qubits, the
-lowest few beyond.  Only projector distances diagonalize a dense 2^n x 2^n
-matrix.
+Pauli dict, read from its blocks, and routes wide-support terms into an
+untracked garbage operator.  The blocks are real whenever H0 and V are
+(checks plus X or Z fields), and the step then runs in real arithmetic,
+all but the re-expansion: the exponential comes from one ``eigh`` of A^2,
+and the conjugation residual, the unitarity defect and the garbage norm
+are upper bounds on 2-norms from ``eigvalsh``, with no ``svd``.  Spectral
+verification (ground clusters, gaps, splittings, Weyl stability) runs
+through the coset solver of ``matrices``: every level up to
+``matrices.DENSE_MAX_QUBITS`` qubits, the lowest few beyond.  Only
+projector distances diagonalize a dense 2^n x 2^n matrix.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .matrices import (
     codespace_projector_dense,
     lowest_eigenvalues_sparse,
     operator_dense,
+    pauli_transform,
     payload_norm,
     refuse_dense,
 )
@@ -105,9 +106,13 @@ class SwtEngine:
     The engine holds H0, E and U as the frame's (cosets, 2^r, 2^r) blocks
     and builds D, V and the generator into blocks at each step, float64
     when every term's phase is real and complex128 otherwise
-    (``matrices._batched_blocks``).  The exponential is e^A = cos(Theta) +
-    A sinc(Theta) from one batched ``eigh`` of A A = -Theta^2
-    (``_expm_antihermitian``), and the conjugations are batched matmuls.
+    (``matrices._batched_blocks``); the D and V that a step returns keep
+    their blocks for the next step, matched by identity, so each is built
+    once per order.  The remainder is re-expanded into Pauli strings from
+    its blocks (``matrices.pauli_transform`` with the frame), with no 2^n x
+    2^n matrix.  The exponential is e^A = cos(Theta) + A sinc(Theta) from
+    one batched ``eigh`` of A A = -Theta^2 (``_expm_antihermitian``), and
+    the conjugations are batched matmuls.
     The conjugation residual ||(H0 + D + V + E)_m U - U (H0 + D + V +
     E)_{m+1}||, ``unitarity_defect`` and ``garbage_norm`` are upper bounds
     on 2-norms (``_max_norm``), equal to them up to rounding on stacks that
@@ -131,28 +136,37 @@ class SwtEngine:
         small, big = [], []
         for t in qlo.terms:
             (small if len(t.support) < self.d_s else big).append(t)
+        # (operator, blocks) of the last step's D_{m+1} and V_{m+1}.
+        self._built = ()
         self.v1 = QuasiLocalOperator(code, tuple(small))
         self.e1 = self._blocks(QuasiLocalOperator(code, tuple(big)))
 
     def _blocks(self, op: QuasiLocalOperator) -> np.ndarray:
+        for known, blocks in self._built:
+            if known is op:
+                return blocks
         return self.frame.blocks(op.full_columns())
 
     def step(self, d_m: QuasiLocalOperator, v_m: QuasiLocalOperator,
              e_m: np.ndarray, pv: QuasiLocalOperator) -> StepResult:
         """One order, given PV = ``block_diagonal_part(v_m)`` and E_m as
-        coset blocks."""
+        coset blocks.  D_m and V_m reuse the blocks that the last step built
+        for the very objects it returned as D_{m+1} and V_{m+1}; any other
+        operator is built into blocks here."""
         code = self.code
         a_m = solve_generator(code, v_m)
         d_next = d_m.add(pv)
         U = _expm_antihermitian(self._blocks(a_m))
         Ud = _dagger(U)
         tracked = self.h0 + self._blocks(d_m) + self._blocks(v_m)
+        self._built = ()
         d_next_blocks = self._blocks(d_next)
         remainder = Ud @ tracked @ U - self.h0 - d_next_blocks
-        rdec = decompose(self.frame.pauli_terms(remainder), code)
+        rdec = decompose(pauli_transform(remainder, frame=self.frame), code)
         v_next = QuasiLocalOperator(
             code, tuple(t for t in rdec.terms if len(t.support) < self.d_s))
         v_next_blocks = self._blocks(v_next)
+        self._built = ((d_next, d_next_blocks), (v_next, v_next_blocks))
         # Garbage absorbs everything not tracked as a small term, including
         # re-expansion dust, so the conjugation identity is exact.
         e_next = (Ud @ e_m @ U) + (remainder - v_next_blocks)

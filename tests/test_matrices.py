@@ -36,6 +36,7 @@ from stabbench.matrices import (
 )
 from stabbench.pauli import I_POWERS, PauliString, columns
 from stabbench.quasilocal import PatchTooLargeError, block_split, decompose
+from tests.test_quasilocal import ORACLE_CODES
 
 
 def pauli_matrix(p: PauliString) -> np.ndarray:
@@ -284,6 +285,20 @@ def test_batched_blocks_bit_identical_to_per_string_loop(case):
     assert np.array_equal(got, want)
 
 
+def test_batched_blocks_running_sum_crosses_chunks():
+    # Three weight rows of 2^3 states take chunks of 2^16 / (3 * 8) = 2730
+    # strings: 3000 strings on one mask, with weights of magnitudes 1e-8
+    # to 1e8, carry the running sum across a chunk boundary.
+    rng = np.random.default_rng(11)
+    k = 3000
+    x = np.full(k, 5, dtype=np.int64)
+    z = rng.integers(0, 8, k)
+    weights = rng.standard_normal((3, k)) * 10.0 ** rng.integers(-8, 9, (3, k))
+    got = matrices._batched_blocks(3, x, z, weights)
+    assert got.dtype == np.complex128
+    assert np.array_equal(got, batched_blocks_per_string(3, x, z, weights))
+
+
 def test_batched_blocks_dtype_follows_the_phases():
     def build(r, x, z, weights):
         return matrices._batched_blocks(
@@ -323,7 +338,7 @@ def test_coset_frame_blocks_rebuild_the_sum(case):
     assert blocks.shape == (1 << (n - frame.r), dim, dim)
     dense = operator_dense(n, terms)
     assert np.allclose(frame.full(blocks), dense, atol=1e-12)
-    back = dict_columns(frame.pauli_terms(blocks))
+    back = dict_columns(pauli_transform(blocks, frame=frame))
     assert np.allclose(operator_dense(n, back), dense, atol=1e-12)
     single = frame.representatives(single=True)
     assert np.array_equal(
@@ -335,18 +350,95 @@ def test_coset_frame_blocks_rebuild_the_sum(case):
     (("ZZI", "IZZ", "XII", "IXI", "IIX", "YYI"), "hadamard"),
 ])
 def test_coset_frame_pauli_terms_rebuild_the_sum(labels, frame_name):
-    # The dict of pauli_terms, mapped out of the frame, holds each string
-    # of the sum with its coefficient (Y strings included, whose sign the
-    # Hadamard frame flips).
+    # The block-native transform, mapped out of the frame, holds each
+    # string of the sum with its coefficient (Y strings included, whose
+    # sign the Hadamard frame flips).
     pairs = [(0.25 * (k + 1), PauliString.from_label(label))
              for k, label in enumerate(labels)]
     terms = columns(pairs)
     frame = matrices.CosetFrame(3, terms)
     assert frame.name == frame_name
-    coeffs = frame.pauli_terms(frame.blocks(terms))
+    coeffs = pauli_transform(frame.blocks(terms), frame=frame)
     assert set(coeffs) == {(p.x, p.z) for _, p in pairs}
     for c, p in pairs:
         assert coeffs[p.x, p.z] == pytest.approx(c, abs=1e-12)
+
+
+def scattered_transform(frame, blocks) -> dict:
+    """The re-expansion that the block-native transform replaced, kept as
+    the reference: ``pauli_transform`` of the scattered 2^n x 2^n matrix,
+    each (x, z) mapped out of the Hadamard frame as ``_hadamard_frame``
+    maps it."""
+    coeffs = pauli_transform(frame.scatter(blocks))
+    if frame.hadamard:
+        coeffs = {(z, x): -c if (x & z).bit_count() & 1 else c
+                  for (x, z), c in coeffs.items()}
+    return coeffs
+
+
+FRAME_CODES = {
+    "toric2": toric_code(2),
+    **{f"rep{n}": repetition_code(n) for n in range(2, 7)},
+    "five_qubit": ORACLE_CODES["five_qubit"],
+}
+
+
+@st.composite
+def framed_blocks(draw):
+    """(frame, blocks): the coset frame of a code's Hamiltonian plus an X,
+    Y or Z field on drawn qubits, so that both frames and 1 to 32 cosets
+    occur, and a seeded random block stack of that frame, real or complex,
+    with a drawn share of its entries set to zero."""
+    code = FRAME_CODES[draw(st.sampled_from(sorted(FRAME_CODES)))]
+    kind = draw(st.sampled_from("XYZ"))
+    qubits = draw(st.sets(st.integers(0, code.n - 1)))
+    frame = matrices.CosetFrame(code.n, columns(
+        code_hamiltonian_terms(code)
+        + [(0.1, PauliString.single(code.n, kind, q)) for q in qubits]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dim = 1 << frame.r
+    shape = (1 << (code.n - frame.r), dim, dim)
+    blocks = rng.standard_normal(shape)
+    if draw(st.booleans()):
+        blocks = blocks + 1j * rng.standard_normal(shape)
+    blocks[rng.random(shape) < draw(st.sampled_from((0.0, 0.5, 0.9)))] = 0
+    return frame, blocks
+
+
+@settings(max_examples=150, deadline=None)
+@given(framed_blocks())
+def test_block_native_transform_matches_scattered_matrix(case):
+    # The same strings in the same order, each coefficient within
+    # 1e-14 max|c| of the full-matrix transform's; the blocks are not
+    # touched.
+    frame, blocks = case
+    kept = blocks.copy()
+    got = pauli_transform(blocks, frame=frame)
+    want = scattered_transform(frame, blocks)
+    assert np.array_equal(blocks, kept)
+    assert list(got) == list(want)
+    top = max(map(abs, want.values()), default=0.0)
+    assert all(abs(got[k] - want[k]) <= 1e-14 * top for k in want)
+
+
+def test_block_native_transform_frames_and_coset_counts():
+    # Frames the hypothesis cases draw from: the Hadamard frame with 32
+    # cosets, and the identity frame with one coset, with two, and with
+    # 2^n cosets of one state each.  A stack of the wrong shape is refused.
+    def frame(code, kind):
+        return matrices.CosetFrame(code.n, columns(
+            code_hamiltonian_terms(code)
+            + [(0.1, p) for _, p in uniform_field_terms(code.n, kind)]))
+
+    cases = {(f.name, f.n - f.r) for f in (
+        frame(toric_code(2), "X"), frame(toric_code(2), "Y"),
+        frame(repetition_code(5), "Z"),
+        frame(FRAME_CODES["five_qubit"], "Z"))}
+    assert cases == {("hadamard", 5), ("identity", 0), ("identity", 5),
+                     ("identity", 1)}
+    f = frame(toric_code(2), "X")
+    with pytest.raises(ValueError, match="hadamard frame has"):
+        pauli_transform(np.zeros((1, 8, 8)), frame=f)
 
 
 def test_coset_frame_refuses_terms_outside_its_span():

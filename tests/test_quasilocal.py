@@ -7,7 +7,8 @@ projector and Hamiltonian with the code-level builders of ``matrices``;
 they are pinned in turn against the product prod (I + Q)/2 and the sum
 sum lambda (I - Q)/2 over the restricted checks inside the patch.  The
 loop over pairs of Paulis (``pairwise_commutator``) is the oracle of the
-column commutator."""
+column commutator, and the loop over pairs of terms that it replaced
+(``commutator_per_pair``) pins its bits."""
 
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stabbench import quasilocal
 from stabbench.code import StabilizerCode
 from stabbench.constructors import ising_toric, repetition_code, toric_code
 from stabbench.matrices import (
@@ -772,3 +774,105 @@ def test_commutator_on_a_union_past_the_dense_limit():
     comm = commutator_qlo(d, a)
     assert max(len(t.support) for t in comm.terms) == 16
     assert_matches_pairwise(d, a)
+
+
+def commutator_per_pair(d: QuasiLocalOperator,
+                        a: QuasiLocalOperator) -> QuasiLocalOperator:
+    """The loop over pairs of terms that the one-pass ``commutator_qlo``
+    replaced, kept as the reference: one numpy pass per overlapping pair,
+    both terms re-indexed into the patch of their union, and one merge per
+    key."""
+    code = d.code
+    grouped: dict = {}
+    for td in d.terms:
+        for ta in a.terms:
+            if not td.support & ta.support:
+                continue
+            sup = td.support | ta.support
+            quasilocal._refuse_wider(sup)
+            qubits = sorted(sup)
+            (dx, dz), (ax, az) = (
+                t._masks_at(np.searchsorted(qubits, t.patch_qubits))
+                for t in (td, ta))
+            i, j = np.nonzero(quasilocal._odd_overlap(
+                dx[:, None], dz[:, None], ax, az))
+            phase, px, pz = quasilocal._times(
+                np.bitwise_count(dx & dz)[i], dx[i], dz[i], ax[j], az[j])
+            grouped.setdefault(
+                (sup, td.syndrome ^ ta.syndrome), []
+            ).append((2.0 * td.c[i] * ta.c[j] * phase, px, pz))
+    terms = (quasilocal._summed_term(code.n, sup, synd, *parts)
+             for (sup, synd), parts in grouped.items())
+    return QuasiLocalOperator(code, tuple(t for t in terms if t.c.size))
+
+
+def assert_same_operator(got: QuasiLocalOperator, want: QuasiLocalOperator):
+    """The same terms in the same order: supports, syndromes and columns
+    equal bit for bit, in the same dtypes."""
+    assert len(got.terms) == len(want.terms)
+    for g, w in zip(got.terms, want.terms):
+        assert same_bits(g, w)
+        assert [getattr(g, a).dtype for a in "cxz"] == \
+            [getattr(w, a).dtype for a in "cxz"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(commutator_cases())
+def test_commutator_one_pass_equals_per_pair_loop(case):
+    code, d, a = case
+    for left, right in ((d, a), (a, d), (d, d)):
+        assert_same_operator(commutator_qlo(left, right),
+                             commutator_per_pair(left, right))
+
+
+def test_commutator_of_disjoint_commuting_and_empty_operators():
+    # Disjoint supports give no pair; overlapping terms whose strings all
+    # commute give a key but no term; an empty operator gives nothing.
+    code = repetition_code(8)
+    d = decompose([(0.3, PauliString.single(8, "X", 1)),
+                   (0.2, PauliString.identity(8))], code)
+    far = decompose([(0.4, PauliString.single(8, "X", 6))], code)
+    near = decompose([(0.5, PauliString.single(8, "X", 2)),
+                      (0.1, PauliString.from_support(8, "X", (1, 2)))], code)
+    assert all(t.support & u.support for t in d.terms[:1] for u in near.terms)
+    empty = QuasiLocalOperator(code, ())
+    for left, right in ((d, far), (far, d), (d, near), (d, empty),
+                        (empty, near), (empty, empty)):
+        assert commutator_qlo(left, right).terms == ()
+        assert commutator_per_pair(left, right).terms == ()
+
+
+def test_commutator_on_qubits_past_int64():
+    # rep70 terms on qubits up to 69: each union has at most 5 qubits, so
+    # its patch masks fit an int64, as masks on all 70 qubits would not.
+    n = 70
+    code = repetition_code(n)
+    d = decompose([(0.3, PauliString.single(n, "X", 68)),
+                   (0.2, PauliString.from_support(n, "Y", (61, 62))),
+                   (0.1j, PauliString.single(n, "Z", 2))], code)
+    a = decompose([(0.4j, PauliString.single(n, "Z", 68)),
+                   (0.25, PauliString.single(n, "X", 69)),
+                   (-0.5j, PauliString.single(n, "Z", 62)),
+                   (0.3, PauliString.single(n, "X", 2))], code)
+    comm = commutator_qlo(d, a)
+    assert {max(t.support) for t in comm.terms} == {69, 63, 3}
+    assert_same_operator(comm, commutator_per_pair(d, a))
+    assert_matches_pairwise(d, a)
+
+
+def test_commutator_refuses_a_union_past_63_qubits(monkeypatch):
+    # Terms on 40 qubits each whose union spans 70: refused while the keys
+    # are assigned, before any column is re-indexed.
+    n = 70
+    code = field_code(n)
+    d = QuasiLocalOperator(code, (LocalTerm(
+        n, range(40), 1, ((0.5, PauliString.single(n, "X", 0)),)),))
+    a = QuasiLocalOperator(code, (LocalTerm(
+        n, range(30, 70), 0, ((0.5, PauliString.single(n, "Z", 35)),)),))
+
+    def unreached(*args):
+        raise AssertionError("columns re-indexed before the refusal")
+
+    monkeypatch.setattr(quasilocal, "_union_columns", unreached)
+    with pytest.raises(PatchTooLargeError, match="70 qubits"):
+        commutator_qlo(d, a)

@@ -243,6 +243,45 @@ def test_engine_matches_dense_oracle(code, kinds, monkeypatch):
     assert max(run.conjugation_residuals) < 1e-12
 
 
+def test_step_reuses_the_blocks_of_its_own_results(monkeypatch):
+    # A second step on the D and V that the first returned builds only A
+    # and the new D and V into blocks; on fresh copies of them it builds D
+    # and V as well.  Both give the same step, bit for bit.
+    code = toric_code(2)
+    terms = _field_of_kinds(code.n, ("X",))
+    built, blocks = [], matrices.CosetFrame.blocks
+
+    def counted(frame, sum_terms):
+        built.append(len(sum_terms[0]))
+        return blocks(frame, sum_terms)
+
+    monkeypatch.setattr(matrices.CosetFrame, "blocks", counted)
+    results = []
+    for fresh in (False, True):
+        engine = SwtEngine(code, terms)
+        zero = QuasiLocalOperator(code, ())
+        first = engine.step(zero, engine.v1, engine.e1,
+                            block_diagonal_part(engine.v1))
+        d, v = first.d_next, first.v_next
+        if fresh:
+            d, v = (QuasiLocalOperator(code, op.terms) for op in (d, v))
+        del built[:]
+        results.append(engine.step(d, v, first.e_next,
+                                   block_diagonal_part(v)))
+        assert len(built) == (5 if fresh else 3)
+    reused, rebuilt = results
+    for a in ("e_next", "unitary"):
+        assert np.array_equal(getattr(reused, a), getattr(rebuilt, a))
+    assert reused.conjugation_residual == rebuilt.conjugation_residual
+    for a in ("d_next", "v_next", "generator"):
+        got, want = getattr(reused, a).terms, getattr(rebuilt, a).terms
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.support == w.support and g.syndrome == w.syndrome
+            assert all(np.array_equal(getattr(g, b), getattr(w, b))
+                       for b in "cxz")
+
+
 def test_block_norms_are_full_norms():
     # The unitarity defect and the garbage norm are largest 2-norms over
     # the coset blocks, equal to the 2-norms of the full matrices, so a
