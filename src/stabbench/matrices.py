@@ -13,10 +13,12 @@ Pauli basis, is a by-qubit tensor transform costing O(n 4^n).
 A ``CosetFrame`` splits the basis states into the invariant cosets of a
 sum's x-span; the SWT engine and the coset eigensolver work on its blocks,
 and ``pauli_transform`` expands a stack of them without the 2^n matrix.
-``payload_norm`` norms a whole batch of sums in one pass, each in the frame
-that ``CosetFrame`` would choose.  Every frame and every coset sign pattern
-comes from ``gf2.Echelon`` on one sum's masks: this module runs no GF(2)
-elimination of its own.
+``payload_norm`` norms a whole batch of sums, each in its own symplectic
+frame: g anticommuting pairs and a commuting centre of rank c, so that the
+sum is a direct sum of 2^c blocks of 2^g x 2^g, and a sum of commuting
+strings (g = 0) is normed by a Walsh-Hadamard transform alone.  Every
+frame comes from ``gf2.Echelon`` on one sum's masks: this module runs no
+GF(2) elimination of its own.
 
 scipy is imported only where a Lanczos solve runs (``PauliMatvec`` and
 ``_lanczos_block``); everything else here needs numpy alone.
@@ -359,52 +361,6 @@ def _butterflies(out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _frames(sums) -> tuple:
-    """The coset frame of each Pauli sum of ``sums``, given as (x, z) lists
-    of int masks: the reduced echelon form (``gf2.Echelon``) of its x-span,
-    or of its z-span, the Hadamard frame, where that has the lower rank.
-    Returns (hadamard, bits, rows): a flag per sum and the chosen forms as
-    zero-padded int64 arrays, one row per sum, of pivot bits 1 << pivot and
-    reduced rows, by increasing pivot."""
-    hadamard, forms = [], []
-    for x, z in sums:
-        xs, zs = Echelon(x).rows, Echelon(z).rows
-        hadamard.append(len(zs) < len(xs))
-        forms.append(sorted((zs if hadamard[-1] else xs).items()))
-    return (np.array(hadamard, dtype=bool),
-            _padded([[1 << p for p, _ in form] for form in forms]),
-            _padded([[row for _, row in form] for form in forms]))
-
-
-def _padded(lists) -> np.ndarray:
-    """Lists of ints as one zero-padded int64 row each."""
-    width = max(map(len, lists), default=0)
-    return np.array([v + [0] * (width - len(v)) for v in lists],
-                    dtype=np.int64)
-
-
-def _reduce_segments(seg, terms, frames) -> tuple:
-    """Each segment's sum (c, x, z) in its frame (``_frames``; seg[k] is
-    the sum of term k), and its reduced strings (c', m, z'), both as
-    (c, x, z): bit j of m is bit pivot_j of x, bit j of z' the parity of
-    row_j & z, and c' carries the sign by which the i-powers of (x, z) and
-    (m, z') differ.  One pass over the whole batch, on the zero-padded
-    pivot-bit and row arrays, whose padding adds no bit to m or z'."""
-    hadamard, bits, rows = frames
-    c, x, z = terms
-    flip = hadamard[seg]
-    if flip.any():
-        c, x, z = c.copy(), x.copy(), z.copy()
-        c[flip], x[flip], z[flip] = _hadamard_frame(
-            (c[flip], x[flip], z[flip]))
-    m = _pack((x[:, None] & bits[seg]) != 0)
-    zr = _pack(np.bitwise_count(z[:, None] & rows[seg]) & 1)
-    # 0 or 2: bitwise_count is uint8, and its wrap-around keeps the
-    # difference mod 4.
-    twist = (np.bitwise_count(x & z) - np.bitwise_count(m & zr)) % 4
-    return (c, x, z), (np.where(twist, -c, c), m, zr)
-
-
 class CosetFrame:
     """The invariant cosets of the x-span of a Pauli sum (c, x, z).
 
@@ -417,12 +373,10 @@ class CosetFrame:
     (``_hadamard_frame``), which keeps the spectrum and the singular values.
 
     S is held in reduced echelon form: ``pivots`` (the lowest bit of each
-    row), ``row_masks`` and the ``free`` qubits, those of no pivot.  Both
-    spans are reduced by ``gf2.Echelon`` on the sum's masks as Python ints.
-    The frame and the reduction come from the helpers that ``payload_norm``
-    runs on a whole batch of sums (``_frames`` and ``_reduce_segments``),
-    here with a batch of one sum.  The coset representatives are the states
-    with zero pivot bits, and a state of the coset of rep is
+    row, in increasing order), ``row_masks`` and the ``free`` qubits, those
+    of no pivot.  Both spans are reduced by ``gf2.Echelon`` on the sum's
+    distinct masks as Python ints.  The coset representatives are the
+    states with zero pivot bits, and a state of the coset of rep is
     rep ^ (XOR of the rows its local index picks).
     Term (c, x, z) then maps local index l to l ^ m, with m the rows that
     make up x, times (-1)^|rep & z| and the phase of the r-qubit string
@@ -434,12 +388,12 @@ class CosetFrame:
     """
 
     def __init__(self, n: int, terms):
-        self._frames = _frames([(terms[1].tolist(), terms[2].tolist())])
-        hadamard, bits, rows = self._frames
-        self.hadamard = bool(hadamard[0])
-        self.n, self.r = n, bits.shape[1]
-        self.pivots = [b.bit_length() - 1 for b in bits[0].tolist()]
-        self.row_masks = rows[0]
+        xs, zs = (Echelon(dict.fromkeys(m.tolist())).rows for m in terms[1:])
+        self.hadamard = len(zs) < len(xs)
+        form = sorted((zs if self.hadamard else xs).items())
+        self.n, self.r = n, len(form)
+        self.pivots = [p for p, _ in form]
+        self.row_masks = np.array([row for _, row in form], dtype=np.int64)
         self.free = [i for i in range(n) if i not in self.pivots]
 
     @property
@@ -448,20 +402,26 @@ class CosetFrame:
 
     def reduce(self, terms) -> tuple:
         """The sum (c, x, z) in the frame, and its reduced r-qubit strings
-        (c', m, z'), both as (c, x, z).  Raises ValueError when a term's
-        x-mask in the frame lies outside the span."""
-        seg = np.zeros(len(terms[1]), dtype=np.int64)
-        framed, reduced = _reduce_segments(seg, terms, self._frames)
-        x, m = framed[1], reduced[1]
+        (c', m, z'), both as (c, x, z): bit j of m is bit pivot_j of x, bit
+        j of z' the parity of row_j & z, and c' carries the sign by which
+        the i-powers of (x, z) and (m, z') differ.  Raises ValueError when
+        a term's x-mask in the frame lies outside the span."""
+        c, x, z = _hadamard_frame(terms) if self.hadamard else terms
+        bits = np.left_shift(1, np.array(self.pivots, dtype=np.int64))
+        m = _pack((x[:, None] & bits) != 0)
+        zr = _pack(np.bitwise_count(z[:, None] & self.row_masks) & 1)
+        # 0 or 2: bitwise_count is uint8, and its wrap-around keeps the
+        # difference mod 4.
+        twist = (np.bitwise_count(x & z) - np.bitwise_count(m & zr)) % 4
         picked = (m[:, None] >> np.arange(self.r)) & 1
         spanned = np.bitwise_xor.reduce(
             np.where(picked, self.row_masks, 0), axis=1)
         if np.any(spanned != x):
             k = int(np.flatnonzero(spanned != x)[0])
             raise ValueError(
-                f"term {k} (x = {int(x[k])}, z = {int(framed[2][k])} in "
+                f"term {k} (x = {int(x[k])}, z = {int(z[k])} in "
                 f"the {self.name} frame) lies outside the frame's span")
-        return framed, reduced
+        return (c, x, z), (np.where(twist, -c, c), m, zr)
 
     def representatives(self, single: bool = False) -> np.ndarray:
         """The coset representatives: all 2^(n-r), rep i carrying bit j of
@@ -508,29 +468,36 @@ class CosetFrame:
 
 def payload_norm(sums) -> np.ndarray:
     """Operator 2-norms of Pauli sums [(n, (c, x, z)), ...], Hermitian or
-    not, as one float64 array, computed in one pass over all of them.
+    not, as one float64 array.
 
-    Each sum is split into the invariant cosets of its coset frame (the
-    one ``CosetFrame`` chooses, from ``gf2.Echelon`` on the sum's masks:
-    ``_frames``), and all sums are reduced to their frames in one pass.
-    Cosets whose signs (-1)^|rep & z| agree on every term carry the same
-    block.  The signs are linear in rep, so the distinct patterns are those
-    of the reps on the pivot qubits of the frame z-masks restricted to the
-    free qubits, also from ``gf2.Echelon`` per sum: 2^w patterns for a rank
-    w, one block each (``_pattern_blocks``).  A sum's norm is the largest
-    singular value over its blocks: by ``svd`` in general, by ``eigvalsh``
-    when the sum is Hermitian or anti-Hermitian, one call per
-    (r, kind, dtype) group of sums.  A sum counts as such when every
-    imaginary (or every real) part is at most 1e-14 max|c|, rounding dust
-    from a transform; that part is dropped and its sum |c| added to the
-    norm, which keeps the value an upper bound.  An empty sum has norm 0
-    and a single string |c|.
+    Each sum is normed in its own symplectic frame (``_symplectic_frame``):
+    its strings span g anticommuting pairs (a_i, b_i) and a centre of rank
+    c that commutes with everything.  A Clifford unitary maps a_i to X_i,
+    b_i to Z_i and the centre to Z on c further qubits, so the sum is
+    unitarily the direct sum, over the 2^c characters chi of the centre,
+    of the 2^g x 2^g blocks B_chi = sum_k w_k (-1)^(chi . alpha_k) P_k,
+    where string k has centre coordinates alpha_k, image P_k on g qubits
+    and coefficient w_k, its own up to a sign (``_frame_coordinates``).
+    One unnormalized Walsh-Hadamard transform over alpha of each image's
+    coefficients (``_butterflies``, one array for every sum of a batch
+    with the same c) gives every character's row of weights at once.
+    A sum of commuting strings (g = 0) has 1 x 1 blocks, so its norm is
+    the largest |entry| of the transform, with no block and no eigensolver.
+    Otherwise its blocks come from one ``_batched_blocks`` call and its
+    norm is their largest singular value: by ``svd`` in general, by
+    ``eigvalsh`` when the sum is Hermitian or anti-Hermitian.  A sum counts
+    as such when every imaginary (or every real) part is at most
+    1e-14 max|c|, rounding dust from a transform; that part is dropped and
+    its sum |c| added to the norm, which keeps the value an upper bound.
+    An empty sum has norm 0 and a single string |c|.  A sum's norm does
+    not depend on the rest of the batch, bit for bit.
 
-    The number of cosets sets no limit.  Raises ValueError before any block
-    is built when a sum has more than 2^``DENSE_MAX_QUBITS`` sign patterns,
-    or blocks holding more entries than one dense matrix on
-    ``DENSE_MAX_QUBITS`` qubits (``refuse_dense``).  Neither fires up to
-    that many qubits.
+    Neither the number of qubits nor the number of cosets sets a limit:
+    0.5 (X_0 + Z_1 + ... + Z_13) on 14 qubits (g = 0, c = 14) has norm 7.
+    Raises ValueError, naming c and g, when a sum's characters and blocks
+    would hold more entries than one dense matrix on ``DENSE_MAX_QUBITS``
+    qubits (2^c 4^g > 4^12); every sum is checked before any block or
+    character array is built.
     """
     sizes = np.array([len(t[0]) for _, t in sums], dtype=np.int64)
     c, x, z = map(np.concatenate, zip(columns(()), *(t for _, t in sums)))
@@ -544,131 +511,172 @@ def payload_norm(sums) -> np.ndarray:
         return norms
     keep = np.repeat(sizes > 1, sizes)
     c, x, z = c[keep], x[keep], z[keep]
-    lengths, count = sizes[multi], len(multi)
-    seg = np.repeat(np.arange(count), lengths)
+    lengths = sizes[multi]
+    seg = np.repeat(np.arange(len(multi)), lengths)
     starts = np.cumsum(lengths) - lengths
-    bounds = list(zip(starts.tolist(), (starts + lengths).tolist()))
-    xs, zs = x.tolist(), z.tolist()
-    frames = _frames([(xs[a:b], zs[a:b]) for a, b in bounds])
-    (_, _, framed_z), (c, m, zr) = _reduce_segments(seg, (c, x, z), frames)
-    r = np.count_nonzero(frames[1], axis=1)
-
-    # Sign patterns: the pivots of the frame z-masks on the free qubits.
-    taken = frames[1].sum(1)
-    free = np.array([(1 << sums[i][0]) - 1 for i in multi]) & ~taken
-    signs = (framed_z & free[seg]).tolist()
-    sign_qubits = _padded([[1 << p for p in sorted(Echelon(signs[a:b]).rows)]
-                           for a, b in bounds])
-    w = np.count_nonzero(sign_qubits, axis=1)
-    for i in np.flatnonzero(w > DENSE_MAX_QUBITS)[:1]:
-        raise ValueError(
-            f"{lengths[i]} terms take 2^{w[i]} distinct coset signs, "
-            f"more than 2^{DENSE_MAX_QUBITS}")
-    for i in np.flatnonzero(w + 2 * r > 2 * DENSE_MAX_QUBITS)[:1]:
-        refuse_dense(int(r[i]), 1 << int(w[i]))
 
     dust = 1e-14 * np.maximum.reduceat(np.abs(c), starts)
     herm = np.maximum.reduceat(np.abs(c.imag), starts) <= dust
     anti = ~herm & (np.maximum.reduceat(np.abs(c.real), starts) <= dust)
     general = ~herm & ~anti
-    kept = np.where(herm[seg], c.real, c.imag)
+    weights = np.where(herm[seg], c.real, c.imag)
     dropped = np.where(herm[seg], c.imag, c.real)
-    extra = np.zeros(count)
-    for i in np.flatnonzero(~general & np.logical_or.reduceat(dropped != 0,
-                                                              starts)):
-        extra[i] = np.sum(np.abs(dropped[starts[i]:starts[i] + lengths[i]]))
-    powers = np.bitwise_count(m & zr) % 4
-    imaginary = np.where(general[seg], c * I_POWERS[powers],
-                         kept * I_POWERS[powers]).imag != 0
-    real = ~np.logical_or.reduceat(imaginary, starts)
+    extra = np.add.reduceat(np.where(general[seg], 0.0, np.abs(dropped)),
+                            starts)
+    if general.any():
+        weights = np.where(general[seg], c, weights)
 
-    patterns = 1 << w
-    strings = (starts, lengths, powers, framed_z, m, zr)
-    found = np.zeros(count)
-    key = r * 4 + general * 2 + real
-    for k in np.unique(key).tolist():
-        group = np.flatnonzero(key == k)
-        size = patterns[group] << 2 * r[group]
-        for lo, hi in _chunks(size.tolist(), 1 << 2 * DENSE_MAX_QUBITS):
-            members = group[lo:hi]
-            weights = c if general[members[0]] else kept
-            blocks = _pattern_blocks(int(r[members[0]]), members,
-                                     patterns[members], sign_qubits, weights,
-                                     real[members[0]], strings)
-            if general[members[0]]:
-                top = np.linalg.svd(blocks, compute_uv=False).max(axis=1)
+    # Every frame, and every refusal, before any array of a sum's size.
+    # Sums of one centre rank c share an array of 2^c character rows, one
+    # column per distinct image, opened anew where a sum would take it past
+    # the entries of one dense matrix on DENSE_MAX_QUBITS qubits.
+    xs, zs = x.tolist(), z.tolist()
+    g, images, array, offset, shapes = [], [], [], [], []
+    alpha, column, negative = [], [], []
+    open_array = {}  # centre rank -> index of the array that takes its sums
+    for i, a, b in zip(multi.tolist(), starts.tolist(),
+                       (starts + lengths).tolist()):
+        pairs, basis = _symplectic_frame(sums[i][0], xs[a:b], zs[a:b])
+        rank = len(basis) - 2 * pairs
+        if rank + 2 * pairs > 2 * DENSE_MAX_QUBITS:
+            raise ValueError(
+                f"{b - a} strings split into 2^{rank} characters (c = "
+                f"{rank}) of 2^{pairs} x 2^{pairs} blocks (g = {pairs}), "
+                f"more entries than one dense matrix on {DENSE_MAX_QUBITS} "
+                "qubits")
+        place = _frame_coordinates(sums[i][0], xs[a:b], zs[a:b], pairs,
+                                   basis)
+        alpha += place[0]
+        column += place[1]
+        negative += place[2]
+        images.append(place[3])
+        g.append(pairs)
+        k = open_array.get(rank)
+        if k is None or ((shapes[k][1] + len(place[3])) << rank
+                         > 1 << 2 * DENSE_MAX_QUBITS):
+            k = open_array[rank] = len(shapes)
+            shapes.append([1 << rank, 0])
+        array.append(k)
+        offset.append(shapes[k][1])
+        shapes[k][1] += len(place[3])
+    g, array, offset = np.array(g), np.array(array), np.array(offset)
+    alpha = np.array(alpha, dtype=np.int64)
+    column = np.array(column, dtype=np.int64) + offset[seg]
+    weights = np.where(np.array(negative, dtype=bool), -weights, weights)
+
+    found = np.zeros(len(multi))
+    for k, shape in enumerate(shapes):
+        members = np.flatnonzero(array == k)
+        mine = array[seg] == k
+        rows = np.zeros(shape, dtype=weights.dtype)
+        np.add.at(rows, (alpha[mine], column[mine]), weights[mine])
+        _butterflies(rows)
+        diagonal = members[g[members] == 0]
+        found[diagonal] = np.abs(rows[:, offset[diagonal]]).max(axis=0)
+        for j in members[g[members] > 0].tolist():
+            gx, gz = np.array(images[j], dtype=np.int64).T
+            blocks = _batched_blocks(int(g[j]), gx, gz, rows[
+                :, offset[j]:offset[j] + len(images[j])])
+            if general[j]:
+                found[j] = np.linalg.svd(blocks, compute_uv=False).max()
             else:
-                top = np.abs(np.linalg.eigvalsh(blocks)).max(axis=1)
-            offsets = np.cumsum(patterns[members]) - patterns[members]
-            found[members] = np.maximum.reduceat(top, offsets)
+                found[j] = np.abs(np.linalg.eigvalsh(blocks)).max()
     norms[multi] = found + extra
     return norms
 
 
-def _chunks(sizes: list, limit: int):
-    """(lo, hi) runs of consecutive items, each run's sizes summing to at
-    most ``limit``, or one item larger than that."""
-    lo, total = 0, 0
-    for i, size in enumerate(sizes):
-        if total + size > limit and i > lo:
-            yield lo, i
-            lo, total = i, 0
-        total += size
-    yield lo, len(sizes)
+def _symplectic_frame(n: int, x: list, z: list) -> tuple:
+    """The symplectic frame of the span of the strings (x[k], z[k]), int
+    masks on n qubits, as (g, basis).
 
+    The span's reduced echelon form (``gf2.Echelon`` on x | z << n) is
+    split by symplectic Gram-Schmidt under the commutation form
+    omega(s, t) = |x_s & z_t| + |z_s & x_t| (mod 2).  The last row left
+    pairs, as (a, b), with the first other row that anticommutes with it,
+    and every remaining row is made to commute with both: a is added where
+    it anticommutes with b, b where it anticommutes with a.  A row that
+    commutes with all the others joins the centre, which is reduced to
+    echelon form of its own.  The span has rank 2g + c.  2g, the rank of
+    the commutation form on it, is at most twice the rank of its x-masks
+    and of its z-masks, so g is at most the r of its coset frame.
 
-def _pattern_blocks(r: int, members, patterns, sign_qubits, weights,
-                    real: bool, strings) -> np.ndarray:
-    """The 2^r x 2^r blocks of the sums ``members`` of a ``payload_norm``
-    batch, one per sign pattern, as one (blocks, 2^r, 2^r) array.
-
-    Block j of sum s has the reduced strings of s with weights times the
-    coset signs (-1)^|rep_j & z| of the rep picking the pivot qubits of s
-    (``sign_qubits``) that the bits of j select.  Every (block, string)
-    pair adds phase (-1)^|b & z'| at row b ^ m of column b, all pairs in
-    one ``np.add.at`` scatter in order of block and then string, so every
-    entry is the sum of its strings in input order, rounded as
-    ``_batched_blocks`` rounds it: the blocks equal its blocks bit for bit,
-    float64 when ``real``.
-
-    ``_batched_blocks`` stays the dense builder of the SWT engine,
-    ``operator_dense`` and spectra.  Building a batch's blocks through it,
-    with block-diagonal weights, took three times as long as one sum at a
-    time, as it loops over chunks of 2^r strings; rewriting it as one
-    ``np.add.at`` pair list kept its output bit for bit but slowed the
-    engine's dense builds 1.4-1.9 times.
+    ``basis`` lists each element as (x, z, dual), in the order a_1 ... a_g,
+    b_1 ... b_g, then the centre rows.  The dual, packed as x | z << n,
+    reads the element's coordinate of a string s of the span as
+    |s & dual| mod 2: omega(s, b_i) for a_i, omega(s, a_i) for b_i, and
+    for the centre row of pivot p, bit p of s with the pairs' part of s
+    taken out.
     """
-    starts, lengths, powers, z, m, zr = strings
-    dim = 1 << r
-    basis = np.arange(dim, dtype=np.int64)
-    owner = np.repeat(members, patterns)
-    local = np.arange(len(owner)) - np.repeat(np.cumsum(patterns) - patterns,
-                                              patterns)
-    width = sign_qubits.shape[1]
-    picked = (local[:, None] >> np.arange(width)) & 1
-    reps = np.bitwise_or.reduce(np.where(picked, sign_qubits[owner], 0),
-                                axis=1)
-    span = lengths[owner]
-    block = np.repeat(np.arange(len(owner)), span)
-    string = (np.repeat(starts[owner] - (np.cumsum(span) - span), span)
-              + np.arange(span.sum()))
-    out = np.zeros(len(owner) * dim * dim,
-                   dtype=np.float64 if real else np.complex128)
-    # Pairs in order of block, then string: np.add.at adds them one after
-    # another, so each entry sums its strings in input order.  Slices of
-    # pairs keep every temporary at most the output's size, or 2^16 entries.
-    step = max(out.size, 1 << 16) // dim
-    for lo in range(0, len(block), step):
-        b, k = block[lo:lo + step], string[lo:lo + step]
-        signs = 1.0 - 2.0 * (np.bitwise_count(reps[b] & z[k]) & 1)
-        phases = (weights[k] * signs) * I_POWERS[powers[k]]
-        if real:
-            phases = phases.real
-        np.add.at(out, ((b[:, None] * dim + (basis ^ m[k, None])) * dim
-                        + basis).ravel(),
-                  (phases[:, None]
-                   * _z_parity_signs(zr[k, None], basis)).ravel())
-    return out.reshape(-1, dim, dim)
+    mask = (1 << n) - 1
+    span = Echelon(sx | sz << n for sx, sz in zip(x, z))
+    pool = [(row & mask, row >> n) for row in span.rows.values()]
+    pairs, centre = [], Echelon()
+    while pool:
+        ax, az = pool.pop()
+        for j, (bx, bz) in enumerate(pool):
+            if ((ax & bz) ^ (az & bx)).bit_count() & 1:
+                break
+        else:
+            centre.add(ax | az << n)
+            continue
+        bx, bz = pool.pop(j)
+        pairs.append((ax, az, bx, bz))
+        rest = []
+        for sx, sz in pool:
+            with_a = ((sx & az) ^ (sz & ax)).bit_count() & 1
+            if ((sx & bz) ^ (sz & bx)).bit_count() & 1:
+                sx, sz = sx ^ ax, sz ^ az
+            if with_a:
+                sx, sz = sx ^ bx, sz ^ bz
+            rest.append((sx, sz))
+        pool = rest
+    basis = ([(ax, az, bz | bx << n) for ax, az, bx, bz in pairs]
+             + [(bx, bz, az | ax << n) for ax, az, bx, bz in pairs])
+    for p, row in centre.rows.items():
+        dual = 1 << p
+        for ax, az, bx, bz in pairs:
+            if (ax | az << n) >> p & 1:
+                dual ^= bz | bx << n
+            if (bx | bz << n) >> p & 1:
+                dual ^= az | ax << n
+        basis.append((row & mask, row >> n, dual))
+    return len(pairs), basis
+
+
+def _frame_coordinates(n: int, x: list, z: list, g: int, basis) -> tuple:
+    """Each string (x[k], z[k]) in the symplectic frame (g, basis) of its
+    sum (``_symplectic_frame``), as lists (alpha, column, negative) with
+    one entry per string, and the sum's distinct images (gx, gz) by column.
+
+    The string's coordinates select basis elements, and their product in
+    basis order is i^e X^x Z^z, e accumulated by the rule of
+    ``quasilocal._times``.  Under a_i -> X_i, b_i -> Z_i and centre row j
+    -> Z on character bit j, that product becomes X^gx Z^gz on g qubits,
+    which is (-i)^|gx & gz| times the string (gx, gz) in its Hermitian form
+    i^|gx & gz| X^gx Z^gz.  So the Hermitian string i^|x & z| X^x Z^z maps
+    to i^(|x & z| - e - |gx & gz|) = +-1 times its image (gx, gz) times
+    the centre's sign; ``negative`` is 2 where that factor is -1, else 0.
+    ``alpha`` holds the centre coordinates and ``column`` the image's
+    index among the sum's distinct images.
+    """
+    low = (1 << g) - 1
+    basis = [(bx, bz, (bx & bz).bit_count(), dual, 1 << j)
+             for j, (bx, bz, dual) in enumerate(basis)]
+    images, alpha, column, negative = {}, [], [], []
+    for sx, sz in zip(x, z):
+        v = sx | sz << n
+        e = az = picked = 0
+        for bx, bz, power, dual, bit in basis:
+            if (v & dual).bit_count() & 1:
+                picked |= bit
+                e += power + 2 * (az & bx).bit_count()
+                az ^= bz
+        gx, gz = picked & low, picked >> g & low
+        alpha.append(picked >> 2 * g)
+        column.append(images.setdefault((gx, gz), len(images)))
+        negative.append(((sx & sz).bit_count() - e - (gx & gz).bit_count())
+                        & 2)
+    return alpha, column, negative, list(images)
 
 
 def _lanczos_block(r: int, terms, k: int, rng) -> np.ndarray:

@@ -15,6 +15,12 @@ patch, at most 63 of them): int64 bit masks x, z and complex c, Pauli i
 being c_i i^|x_i & z_i| X^x_i Z^z_i, the column form that ``matrices``
 takes.  All local algebra, dense matrices and norms work on these columns;
 the (coeff, PauliString) pairs of ``paulis`` are a view on full qubits.
+The kappa-norm of an operator takes all its term norms from one
+``matrices.payload_norm`` call, which norms each term in the symplectic
+frame of its strings: a term of commuting strings (most terms of an SWT
+order) by a Walsh-Hadamard transform alone, the others by blocks of 2^g
+states for their g anticommuting pairs, so its limit is 2^c 4^g entries
+for a centre of rank c, not the patch width.
 
 A patch is the region S as a small code of its own (``_patch_code``): the
 checks inside S, restricted to the qubits of S with ``pauli.restrict``,

@@ -750,20 +750,21 @@ def test_cluster_floor_bounds_every_block(case):
 
 
 def test_payload_norm_refuses_past_limit(no_large_zeros):
-    # X and Z on each of 13 qubits: one coset block of 2^13 states, a 1 GB
-    # complex matrix.
+    # X and Z on each of 13 qubits: 13 anticommuting pairs, one block of
+    # 2^13 states, a 1 GB complex matrix.
     n = 13
     terms = columns([(0.5, PauliString.single(n, kind, i))
                      for i in range(n) for kind in "XZ"])
-    with pytest.raises(ValueError, match="13 qubits exceeds the limit of 12"):
+    with pytest.raises(ValueError, match=r"\(c = 0\) of 2\^13 x 2\^13 "
+                       r"blocks \(g = 13\)"):
         payload_norm([(n, terms)])
-    # X_0 and Z_1 ... Z_13 on 14 qubits: blocks of 2 states, but 2^13
-    # distinct coset sign patterns.
-    terms = columns([(0.5, PauliString.single(14, "X", 0))]
-                    + [(0.5, PauliString.single(14, "Z", i))
-                       for i in range(1, 14)])
-    with pytest.raises(ValueError, match="2\\^13 distinct coset signs"):
-        payload_norm([(14, terms)])
+    # Z on each of 25 qubits: a centre of rank 25, 2^25 characters of one
+    # entry each.
+    terms = columns([(0.5, PauliString.single(25, "Z", i))
+                     for i in range(25)])
+    with pytest.raises(ValueError, match=r"2\^25 characters \(c = 25\) of "
+                       r"2\^0 x 2\^0 blocks \(g = 0\)"):
+        payload_norm([(25, terms)])
     # X on 13 qubits of a single-Z code: the patch group of the 13 flipped
     # checks has rank 13, a table of 2^13 elements per term.
     code = StabilizerCode.from_checks(
@@ -775,18 +776,70 @@ def test_payload_norm_refuses_past_limit(no_large_zeros):
     assert term.support not in code.patch_groups
 
 
+def _clifford(gate: str, q: int, t: int, x: int, z: int) -> tuple:
+    """The masks (x, z) of a string conjugated by H or S on qubit q, or by
+    CNOT from q to t: each keeps the commutation form."""
+    if gate == "H":
+        flip = ((x ^ z) >> q & 1) << q
+        return x ^ flip, z ^ flip
+    if gate == "S":
+        return x, z ^ (x & 1 << q)
+    if q == t:
+        return x, z
+    return x ^ (x >> q & 1) << t, z ^ (z >> t & 1) << q
+
+
+@st.composite
+def framed_strings(draw):
+    """(g, c, m, strings): (x, z) masks on m = g + c qubits whose span has
+    exactly g anticommuting pairs and a centre of rank c, for g 0-4 and
+    c 0-6 with m at most 8.  X_i, Z_i (i < g) and Z_g ... Z_(m-1) are
+    conjugated by a random circuit of H, S and CNOT gates; the strings are
+    these 2g + c elements and random products of them, in a random order,
+    some repeated."""
+    g = draw(st.integers(0, 4))
+    c = draw(st.integers(0, min(6, 8 - g)))
+    m = g + c
+    basis = [(1 << i, 0) for i in range(g)] + [(0, 1 << i) for i in range(m)]
+    if m:
+        qubits = st.integers(0, m - 1)
+        for gate, q, t in draw(st.lists(st.tuples(
+                st.sampled_from("HSC"), qubits, qubits), max_size=3 * m)):
+            basis = [_clifford(gate, q, t, x, z) for x, z in basis]
+    strings = list(basis)
+    for _ in range(draw(st.integers(0, 8))):
+        x = z = 0
+        for (bx, bz), take in zip(basis, draw(st.lists(
+                st.booleans(), min_size=len(basis), max_size=len(basis)))):
+            x, z = (x ^ bx, z ^ bz) if take else (x, z)
+        strings.append((x, z))
+    strings = draw(st.permutations(strings or [(0, 0)]))
+    strings += draw(st.lists(st.sampled_from(strings), max_size=4))
+    return g, c, m, strings
+
+
 @st.composite
 def norm_cases(draw):
-    """(n, terms) with real (Hermitian), imaginary (anti-Hermitian) or
-    complex coefficients; complex ones make non-normal sums."""
-    n, terms = draw(pauli_sums())
+    """(n, terms): random strings (``pauli_sums``) or strings of a drawn
+    frame (``framed_strings``), with real (Hermitian), imaginary
+    (anti-Hermitian) or complex coefficients, the first two with or without
+    rounding dust of the other kind; complex ones make non-normal sums."""
+    if draw(st.booleans()):
+        n, terms = draw(pauli_sums())
+    else:
+        _, _, m, strings = draw(framed_strings())
+        n = max(m, 1)
+        coeffs = draw(st.lists(st.floats(-1, 1), min_size=len(strings),
+                               max_size=len(strings)))
+        terms = [(c, PauliString(n, x, z))
+                 for c, (x, z) in zip(coeffs, strings)]
     kind = draw(st.sampled_from(("hermitian", "antihermitian", "complex")))
+    other = draw(st.lists(st.floats(-1, 1), min_size=len(terms),
+                          max_size=len(terms)))
+    scale = 1.0 if kind == "complex" else draw(st.sampled_from((0.0, 1e-19)))
+    terms = [(c + 1j * scale * f, p) for (c, p), f in zip(terms, other)]
     if kind == "antihermitian":
         terms = [(1j * c, p) for c, p in terms]
-    elif kind == "complex":
-        phases = draw(st.lists(st.floats(-1, 1), min_size=len(terms),
-                               max_size=len(terms)))
-        terms = [(c + 1j * f, p) for (c, p), f in zip(terms, phases)]
     return n, terms
 
 
@@ -912,35 +965,120 @@ def test_payload_norm_non_normal_sum():
     assert payload_norm([(1, terms)])[0] == pytest.approx(2.0, rel=1e-14)
 
 
+_PAIRS_AND_CENTRE = ("ZIIIII", "IZIIII", "XXIIII", "IIXXII", "IIIIXX",
+                     "YIIIII")
+
+
 @pytest.mark.parametrize("phases", [(1, 1), (1j, 1j), (1, 0.6 + 0.8j)],
                          ids=["hermitian", "antihermitian", "mixed"])
 def test_payload_norm_hadamard_frame_blocks(phases, monkeypatch):
-    # x-masks span 4 dimensions, z-masks 2 (Z_0, Z_1; Y_0 adds no z): the
-    # Hadamard frame, 16 cosets of 4 states.  In that frame the coset signs
-    # come from X2X3 and X4X5 alone, so 4 distinct blocks are built.
+    # x-masks span 4 dimensions, z-masks 2 (Z_0, Z_1; Y_0 adds no z), so
+    # the coset frame would be the Hadamard frame with 4 sign patterns.
+    # The symplectic frame has the same count: Z_0, Z_1, X_0 X_1 and Y_0
+    # span all of qubits 0 and 1 (g = 2) and X_2 X_3, X_4 X_5 commute with
+    # everything (c = 2), so one build makes 4 characters of 4 x 4 blocks.
     n = 6
-    labels = ("ZIIIII", "IZIIII", "XXIIII", "IIXXII", "IIIIXX", "YIIIII")
     coeffs = (0.3, -0.4, 0.5, 0.2, 0.35, 0.25)
     terms = columns([(phases[j % 2] * c, PauliString.from_label(label))
-                     for j, (c, label) in enumerate(zip(coeffs, labels))])
-    # The reference is built before the spies go in.
+                     for j, (c, label) in enumerate(zip(coeffs,
+                                                        _PAIRS_AND_CENTRE))])
+    # The reference is built before the spy goes in.
     expect = np.linalg.norm(operator_dense(n, terms), 2)
-    frames, shapes = [], []
-    frame, blocks = matrices._hadamard_frame, matrices._pattern_blocks
-
-    def spy_frame(ts):
-        frames.append(len(ts))
-        return frame(ts)
+    shapes = []
+    blocks = matrices._batched_blocks
 
     def spy_blocks(*args):
         out = blocks(*args)
         shapes.append(out.shape)
         return out
 
-    monkeypatch.setattr(matrices, "_hadamard_frame", spy_frame)
-    monkeypatch.setattr(matrices, "_pattern_blocks", spy_blocks)
+    monkeypatch.setattr(matrices, "_batched_blocks", spy_blocks)
     assert payload_norm([(n, terms)])[0] == pytest.approx(expect, rel=1e-12)
-    assert frames and shapes == [(4, 4, 4)]
+    assert shapes == [(4, 4, 4)]
+
+
+def _omega(s, t) -> int:
+    """1 where the strings (x, z) s and t anticommute."""
+    return ((s[0] & t[1]) ^ (s[1] & t[0])).bit_count() & 1
+
+
+def _check_frame(n: int, x: list, z: list, g: int, basis) -> None:
+    """The frame's basis: a_i and b_i anticommute in pairs, everything
+    else commutes; each dual reads its own element as 1 and every other as
+    0; and every string is the product of the elements its coordinates
+    select, its image and centre coordinates read off the same bits."""
+    elements = [(bx, bz) for bx, bz, _ in basis]
+    for j, s in enumerate(elements):
+        for k, t in enumerate(elements):
+            paired = g and j != k and j % g == k % g and max(j, k) < 2 * g
+            assert _omega(s, t) == paired
+            dual = basis[j][2]
+            assert ((t[0] | t[1] << n) & dual).bit_count() % 2 == (j == k)
+    alpha, column, negative, images = matrices._frame_coordinates(
+        n, x, z, g, basis)
+    for k, (sx, sz) in enumerate(zip(x, z)):
+        gx, gz = images[column[k]]
+        picked = gx | gz << g | alpha[k] << 2 * g
+        px = pz = 0
+        for j, (bx, bz) in enumerate(elements):
+            if picked >> j & 1:
+                px, pz = px ^ bx, pz ^ bz
+        assert (px, pz) == (sx, sz)
+        assert negative[k] in (0, 2)
+
+
+def test_payload_norm_frame_of_pairs_and_centre():
+    # The sum of test_payload_norm_hadamard_frame_blocks: g = 2 pairs and a
+    # centre of rank c = 2, so 4 characters of 4 x 4 blocks.
+    terms = columns([(1.0, PauliString.from_label(label))
+                     for label in _PAIRS_AND_CENTRE])
+    x, z = terms[1].tolist(), terms[2].tolist()
+    g, basis = matrices._symplectic_frame(6, x, z)
+    assert (g, len(basis) - 2 * g) == (2, 2)
+    _check_frame(6, x, z, g, basis)
+    # Z_0 Z_1 of the pairs' span goes to Z on both pair qubits, with no
+    # character bit: image (gx, gz) = (0, 3).
+    _, column, _, images = matrices._frame_coordinates(6, [0], [3], g, basis)
+    assert images[column[0]] == (0, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(framed_strings())
+def test_symplectic_frame_finds_pairs_and_centre(case):
+    g, c, m, strings = case
+    n = max(m, 1)
+    x, z = [s[0] for s in strings], [s[1] for s in strings]
+    found, basis = matrices._symplectic_frame(n, x, z)
+    assert (found, len(basis) - 2 * found) == (g, c)
+    _check_frame(n, x, z, found, basis)
+
+
+def test_payload_norm_commuting_sums_run_no_eigensolver(monkeypatch):
+    # Commuting strings have 1 x 1 blocks: the norm is the largest entry of
+    # the Walsh-Hadamard transform, past both limits of the coset frame.
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigensolver ran")
+
+    monkeypatch.setattr(matrices.np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(matrices.np.linalg, "svd", refuse)
+    # X_0 and Z_1 ... Z_13 on 14 qubits: 2^13 distinct coset sign
+    # patterns, which the coset frame refused; a centre of rank 14.
+    terms = columns([(0.5, PauliString.single(14, "X", 0))]
+                    + [(0.5, PauliString.single(14, "Z", i))
+                       for i in range(1, 14)])
+    assert payload_norm([(14, terms)])[0] == 7.0
+    # A diagonal sum on 20 qubits: max |diagonal| over its 2^20 states.
+    n = 20
+    rng = np.random.default_rng(20)
+    z = np.concatenate([1 << np.arange(n), rng.integers(1, 1 << n, 12)])
+    c = rng.uniform(-1, 1, len(z))
+    states = np.arange(1 << n)
+    diagonal = np.zeros(1 << n)
+    for ck, zk in zip(c, z):
+        diagonal += ck * (1.0 - 2.0 * (np.bitwise_count(states & zk) & 1))
+    terms = (c.astype(complex), np.zeros_like(z), z)
+    assert payload_norm([(n, terms)])[0] == pytest.approx(
+        np.max(np.abs(diagonal)), rel=1e-12)
 
 
 def _sign_rows(z, single) -> np.ndarray:
@@ -961,10 +1099,10 @@ def _sign_rows(z, single) -> np.ndarray:
 
 
 def one_sum_norm(n: int, terms) -> float:
-    """The norm of one Pauli sum as it was computed one sum at a time, kept
-    as the reference of the batched ``payload_norm``: a ``CosetFrame``, its
-    one-free-bit representatives' sign rows, and one ``_batched_blocks``
-    call."""
+    """The norm of one Pauli sum in its coset frame, kept as an independent
+    reference of ``payload_norm``, which works in the symplectic frame: a
+    ``CosetFrame``, its one-free-bit representatives' sign rows, and one
+    ``_batched_blocks`` call."""
     if not terms[0].size:
         return 0.0
     if terms[0].size == 1:
@@ -988,24 +1126,35 @@ def one_sum_norm(n: int, terms) -> float:
 @st.composite
 def batch_sums(draw):
     """(n, (c, x, z)) on 1-40 qubits: x- and z-masks drawn from spans of
-    rank 0-4 (so both frames occur), repeated strings, Hermitian,
-    anti-Hermitian or general coefficients, and rounding dust of the other
-    kind on some of them."""
-    n = draw(st.integers(1, 40))
-    masks = st.integers(0, (1 << n) - 1)
-    spans = [draw(st.lists(masks, max_size=4)) for _ in "xz"]
-    picks = st.lists(st.booleans(), min_size=4, max_size=4)
+    rank 0-4 (so both coset frames occur), or the strings of a drawn
+    symplectic frame (``framed_strings``) moved onto random qubits;
+    repeated strings, Hermitian, anti-Hermitian or general coefficients,
+    and rounding dust of the other kind on some of them."""
+    if draw(st.booleans()):
+        _, _, m, strings = draw(framed_strings())
+        n = draw(st.integers(max(m, 1), 40))
+        place = draw(st.permutations(range(n)))
 
-    def combination(span, picked):
-        out = 0
-        for mask, take in zip(span, picked):
-            out ^= mask if take else 0
-        return out
+        def moved(mask):
+            return sum(1 << place[q] for q in range(m) if mask >> q & 1)
 
-    strings = [tuple(combination(span, draw(picks)) for span in spans)
-               for _ in range(draw(st.integers(0, 8)))]
-    if strings:
-        strings += draw(st.lists(st.sampled_from(strings), max_size=4))
+        strings = [(moved(x), moved(z)) for x, z in strings]
+    else:
+        n = draw(st.integers(1, 40))
+        masks = st.integers(0, (1 << n) - 1)
+        spans = [draw(st.lists(masks, max_size=4)) for _ in "xz"]
+        picks = st.lists(st.booleans(), min_size=4, max_size=4)
+
+        def combination(span, picked):
+            out = 0
+            for mask, take in zip(span, picked):
+                out ^= mask if take else 0
+            return out
+
+        strings = [tuple(combination(span, draw(picks)) for span in spans)
+                   for _ in range(draw(st.integers(0, 8)))]
+        if strings:
+            strings += draw(st.lists(st.sampled_from(strings), max_size=4))
     size = len(strings)
     coeffs = np.array(draw(st.lists(st.floats(-1, 1), min_size=size,
                                     max_size=size)), dtype=complex)
@@ -1033,43 +1182,45 @@ def batch_sums(draw):
                             "IIIIXX", "YIIIII"))])),
           (2, columns([(0.5j, PauliString.from_label("YX"))]))])
 def test_payload_norm_batch_equals_one_sum_reference(sums):
-    assert payload_norm(sums).tolist() == [one_sum_norm(n, t) for n, t in sums]
+    got = payload_norm(sums).tolist()
+    assert got == [payload_norm([s])[0] for s in sums]
+    assert got == pytest.approx([one_sum_norm(n, t) for n, t in sums],
+                                rel=1e-12)
 
 
 def test_payload_norm_batch_refuses_before_any_block(no_large_zeros,
                                                      monkeypatch):
-    # One sum past 2^12 sign patterns (X_0, Z_1 ... Z_13 on 14 qubits) or
-    # past the dense limit (X and Z on each of 13 qubits) among small ones
-    # raises the ValueError it raises alone, before any block is built.
+    # One sum past the dense limit by its characters (Z on each of 25
+    # qubits) or by its blocks (X and Z on each of 13 qubits) among small
+    # ones raises the ValueError it raises alone, before any block or
+    # character array is built.
     small = (2, columns([(0.5, PauliString.from_label("XI")),
                          (0.4, PauliString.from_label("ZZ"))]))
-    patterns = (14, columns([(0.5, PauliString.single(14, "X", 0))]
-                            + [(0.5, PauliString.single(14, "Z", i))
-                               for i in range(1, 14)]))
+    centre = (25, columns([(0.5, PauliString.single(25, "Z", i))
+                           for i in range(25)]))
     dense = (13, columns([(0.5, PauliString.single(13, kind, i))
                           for i in range(13) for kind in "XZ"]))
     built = []
-    blocks = matrices._pattern_blocks
+    blocks, butterflies = matrices._batched_blocks, matrices._butterflies
 
     def spy_blocks(*args):
-        built.append(args[0])
+        built.append("blocks")
         return blocks(*args)
 
-    monkeypatch.setattr(matrices, "_pattern_blocks", spy_blocks)
-    for bad, message in ((patterns, r"2\^13 distinct coset signs"),
-                         (dense, "13 qubits exceeds the limit of 12")):
+    def spy_butterflies(*args):
+        built.append("characters")
+        return butterflies(*args)
+
+    monkeypatch.setattr(matrices, "_batched_blocks", spy_blocks)
+    monkeypatch.setattr(matrices, "_butterflies", spy_butterflies)
+    for bad, message in ((centre, r"2\^25 characters \(c = 25\)"),
+                         (dense, r"blocks \(g = 13\)")):
         with pytest.raises(ValueError, match=message) as alone:
             payload_norm([bad])
         with pytest.raises(ValueError, match=message) as batch:
             payload_norm([small, bad, small])
         assert str(batch.value) == str(alone.value)
     assert built == []
-
-
-def test_payload_norm_chunks_runs_to_the_limit():
-    assert list(matrices._chunks([3, 3, 3, 5], 6)) == [(0, 2), (2, 3),
-                                                      (3, 4)]
-    assert list(matrices._chunks([9, 1], 6)) == [(0, 1), (1, 2)]
 
 
 def test_payload_norm_and_coset_frame_at_bit_62():
