@@ -3,9 +3,9 @@ bounds, run SWT orders, sweep spectra, and execute the acceptance suite.
 
 Exit codes: 0 success, 2 usage error, 3 numeric failure, 4 acceptance
 failure.  JSON reports embed their full input specification; grid sweeps
-write CSV.  ``spectrum`` alone takes --threads, whose default honors
-STABBENCH_THREADS, and --format json|csv; --seed is taken by the commands
-that draw random numbers: build, swt, spectrum and suite.
+write CSV.  ``spectrum`` alone takes --format json|csv, and runs its
+epsilon grid in one loop, in increasing epsilon; --seed is taken by the
+commands that draw random numbers: build, swt, spectrum and suite.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 
@@ -46,16 +45,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_ACCEPTANCE = 4
-
-
-def _default_threads() -> int:
-    env = os.environ.get("STABBENCH_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 def _write_json(payload: dict, path: str | None) -> None:
@@ -232,7 +221,7 @@ def cmd_spectrum(args) -> int:
     try:
         reports = spectrum_grid(
             code, terms, eps_values, mode=args.mode,
-            num_eigs=args.num_eigs, seed=args.seed, threads=args.threads,
+            num_eigs=args.num_eigs, seed=args.seed,
         )
     except (ArithmeticError, RuntimeError) as exc:
         # The residual gate's and ARPACK's failures.  A ValueError (a size
@@ -379,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--swt-orders", type=int, default=0, dest="swt_orders",
                    help="also run this many transformation orders per point "
                         "and add per-order norms and projector distances")
-    p.add_argument("--threads", type=int, default=_default_threads())
     p.add_argument("--format", choices=("json", "csv"), default="json")
     common(p)
     p.add_argument("--seed", type=int, default=0)

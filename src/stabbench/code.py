@@ -3,7 +3,10 @@ logicals, parameters, code graph.
 
 A code is a list of mutually commuting checks with weights lambda >= 1.
 Redundant checks are kept as-is because syndromes are indexed by the full
-check list, not by an independent subset.
+check list, not by an independent subset.  The logical pairs are the
+anticommuting pairs of the symplectic frame (``pauli.symplectic_frame``) of
+the centralizer, whose centre is the stabilizer group: no quotient basis is
+built.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf2 import Echelon, min_weight_codeword, nullspace, rank
-from .pauli import PauliString, commutes, power_of_i, signed_span
+from .pauli import (PauliString, commutes, power_of_i, signed_span,
+                    symplectic_frame)
 
 
 class InvalidCodeError(ValueError):
@@ -302,80 +306,32 @@ def num_logical_qubits(code: StabilizerCode) -> int:
     return code.n - rank(c.x | (c.z << code.n) for c in code.checks)
 
 
-def _symplectic_form(u: int, v: int, n: int) -> int:
-    mask = (1 << n) - 1
-    ux, uz = u & mask, u >> n
-    vx, vz = v & mask, v >> n
-    return ((ux & vz).bit_count() + (uz & vx).bit_count()) % 2
-
-
 def logicals(code: StabilizerCode) -> list[tuple[PauliString, PauliString]]:
     """k anticommuting logical pairs, each commuting with every check.
 
-    For CSS and classical codes the first member of each pair is pure X and
-    the second pure Z.  Signs are fixed to +1.
+    The pairs are those of the symplectic frame (``pauli.symplectic_frame``)
+    of the centralizer, the nullspace of the twisted check rows
+    z | x << n.  The frame's centre is the stabilizer group, so no pair
+    member lies in the check span.  For CSS and classical codes no twisted
+    row mixes the two halves, so every centralizer basis vector, and every
+    pair member, is pure X or pure Z; each pair is turned X-first.  Signs
+    are fixed to +1.  Raises InvalidCodeError unless the frame has k pairs.
     """
     n = code.n
     k = num_logical_qubits(code)
-    if k == 0:
-        return []
-    stabilizers = Echelon(c.x | (c.z << n) for c in code.checks)
-    if code.kind in ("css", "classical"):
-        quotient = _css_quotient_basis(code, stabilizers)
-    else:
-        quotient = _general_quotient_basis(code, stabilizers)
-    pairs = _symplectic_pairs(quotient, n)
-    if len(pairs) != k:
-        raise InvalidCodeError(
-            f"logical pairing found {len(pairs)} pairs, expected k={k}"
-        )
+    centralizer = nullspace([c.z | c.x << n for c in code.checks], 2 * n)
     mask = (1 << n) - 1
+    g, basis = symplectic_frame(n, [v & mask for v in centralizer],
+                                [v >> n for v in centralizer])
+    if g != k:
+        raise InvalidCodeError(
+            f"logical pairing found {g} pairs, expected k={k}")
     out = []
-    for u, v in pairs:
-        pu = PauliString(n, u & mask, u >> n)
-        pv = PauliString(n, v & mask, v >> n)
-        out.append((pu, pv))
+    for (ax, az, _), (bx, bz, _) in zip(basis[:g], basis[g:2 * g]):
+        if code.kind != "general" and not ax:  # a pure Z member goes second
+            ax, az, bx, bz = bx, bz, ax, az
+        out.append((PauliString(n, ax, az), PauliString(n, bx, bz)))
     return out
-
-
-def _general_quotient_basis(code, stabilizers: Echelon) -> list[int]:
-    n = code.n
-    twisted = [c.z | (c.x << n) for c in code.checks]
-    return [v for v in nullspace(twisted, 2 * n) if stabilizers.add(v)]
-
-
-def _css_quotient_basis(code, stabilizers: Echelon) -> list[int]:
-    """Centralizer-mod-stabilizer basis with pure-X vectors listed first."""
-    n = code.n
-    z_rows = [code.checks[i].z for i in code.z_type_indices()]
-    x_rows = [code.checks[i].x for i in code.x_type_indices()]
-    # X-type logical candidates: even overlap with every Z check support.
-    candidates = nullspace(z_rows, n)
-    candidates += [v << n for v in nullspace(x_rows, n)]  # z part only
-    return [v for v in candidates if stabilizers.add(v)]
-
-
-def _symplectic_pairs(vectors: list[int], n: int) -> list[tuple[int, int]]:
-    vecs = list(vectors)
-    pairs = []
-    while vecs:
-        u = vecs.pop(0)
-        partner_idx = None
-        for i, v in enumerate(vecs):
-            if _symplectic_form(u, v, n):
-                partner_idx = i
-                break
-        if partner_idx is None:
-            continue
-        v = vecs.pop(partner_idx)
-        vecs = [
-            w
-            ^ (u if _symplectic_form(w, v, n) else 0)
-            ^ (v if _symplectic_form(w, u, n) else 0)
-            for w in vecs
-        ]
-        pairs.append((u, v))
-    return pairs
 
 
 @dataclass(frozen=True)

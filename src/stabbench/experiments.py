@@ -1,12 +1,11 @@
 """Perturbation families, spectrum sweeps, and code artifact serialization.
 
-Everything here is seed-deterministic; grid points can be dispatched to a
-thread pool and the row order is canonicalized before writing.
+Everything here is seed-deterministic; a spectrum grid runs its points in
+one loop, in increasing epsilon.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import random
 
 from .code import StabilizerCode, code_parameters, num_logical_qubits
@@ -77,23 +76,13 @@ def _torus_side(n: int) -> int:
 
 def spectrum_grid(code: StabilizerCode, terms, eps_values, mode: str = "dense",
                   num_eigs: int | None = None, seed: int = 7,
-                  threads: int = 1, k: int | None = None):
-    """Spectral reports over an epsilon grid, canonically ordered."""
+                  k: int | None = None):
+    """Spectral reports over an epsilon grid, in increasing epsilon."""
     if k is None:
         k = num_logical_qubits(code)
-
-    def one(eps: float):
-        return spectral_report(code, terms, eps, num_eigs=num_eigs,
-                               mode=mode, k=k, seed=seed)
-
-    eps_values = list(eps_values)
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-            reports = list(ex.map(one, eps_values))
-    else:
-        reports = [one(e) for e in eps_values]
-    order = sorted(range(len(eps_values)), key=lambda i: eps_values[i])
-    return [reports[i] for i in order]
+    return [spectral_report(code, terms, eps, num_eigs=num_eigs, mode=mode,
+                            k=k, seed=seed)
+            for eps in sorted(eps_values)]
 
 
 def splitting_versus_size(sizes, epsilon: float, lam: float = 2.0,

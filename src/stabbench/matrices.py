@@ -16,9 +16,10 @@ and ``pauli_transform`` expands a stack of them without the 2^n matrix.
 ``payload_norm`` norms a whole batch of sums, each in its own symplectic
 frame: g anticommuting pairs and a commuting centre of rank c, so that the
 sum is a direct sum of 2^c blocks of 2^g x 2^g, and a sum of commuting
-strings (g = 0) is normed by a Walsh-Hadamard transform alone.  Every
-frame comes from ``gf2.Echelon`` on one sum's masks: this module runs no
-GF(2) elimination of its own.
+strings (g = 0) is normed by a Walsh-Hadamard transform alone.  The
+symplectic frames come from ``pauli.symplectic_frame``, the package's one
+symplectic Gram-Schmidt, and the coset frames from ``gf2.Echelon`` on one
+sum's masks: this module runs no GF(2) elimination of its own.
 
 scipy is imported only where a Lanczos solve runs (``PauliMatvec`` and
 ``_lanczos_block``); everything else here needs numpy alone.
@@ -30,7 +31,7 @@ import numpy as np
 
 from .code import CheckGroup
 from .gf2 import Echelon, _span_table
-from .pauli import I_POWERS, PauliString, columns
+from .pauli import I_POWERS, PauliString, columns, symplectic_frame
 
 # Most qubits of a dense 2^n x 2^n matrix (256 MB complex at the limit):
 # the limit of every dense build here, of the exact SWT engine, of dense
@@ -423,21 +424,17 @@ class CosetFrame:
                 f"the {self.name} frame) lies outside the frame's span")
         return (c, x, z), (np.where(twist, -c, c), m, zr)
 
-    def representatives(self, single: bool = False) -> np.ndarray:
-        """The coset representatives: all 2^(n-r), rep i carrying bit j of
-        i at free qubit j, or with ``single`` only the n - r of one free
-        bit (reps 2^j of the full list).  The full list is refused with
-        ValueError, before it is built, past ``COSET_MAX_DIM`` cosets or
-        states per coset."""
-        single_reps = np.left_shift(1, np.array(self.free, dtype=np.int64))
-        if single:
-            return single_reps
+    def representatives(self) -> np.ndarray:
+        """All 2^(n-r) coset representatives, rep i carrying bit j of i at
+        free qubit j.  Refused with ValueError, before the list is built,
+        past ``COSET_MAX_DIM`` cosets or states per coset."""
         if max(1 << self.r, 1 << (self.n - self.r)) > COSET_MAX_DIM:
             raise ValueError(
                 f"{self.n} qubits split into 2^{self.n - self.r} cosets of "
                 f"2^{self.r} states; more than {COSET_MAX_DIM} of either is "
                 "refused")
-        return _span_table(single_reps)
+        return _span_table(np.left_shift(1, np.array(self.free,
+                                                     dtype=np.int64)))
 
     def blocks(self, terms) -> np.ndarray:
         """The (cosets, 2^r, 2^r) blocks of the sum (c, x, z) in the frame,
@@ -470,14 +467,15 @@ def payload_norm(sums) -> np.ndarray:
     """Operator 2-norms of Pauli sums [(n, (c, x, z)), ...], Hermitian or
     not, as one float64 array.
 
-    Each sum is normed in its own symplectic frame (``_symplectic_frame``):
-    its strings span g anticommuting pairs (a_i, b_i) and a centre of rank
-    c that commutes with everything.  A Clifford unitary maps a_i to X_i,
-    b_i to Z_i and the centre to Z on c further qubits, so the sum is
-    unitarily the direct sum, over the 2^c characters chi of the centre,
-    of the 2^g x 2^g blocks B_chi = sum_k w_k (-1)^(chi . alpha_k) P_k,
-    where string k has centre coordinates alpha_k, image P_k on g qubits
-    and coefficient w_k, its own up to a sign (``_frame_coordinates``).
+    Each sum is normed in its own symplectic frame
+    (``pauli.symplectic_frame``): its strings span g anticommuting pairs
+    (a_i, b_i) and a centre of rank c that commutes with everything.  A
+    Clifford unitary maps a_i to X_i, b_i to Z_i and the centre to Z on c
+    further qubits, so the sum is unitarily the direct sum, over the 2^c
+    characters chi of the centre, of the 2^g x 2^g blocks
+    B_chi = sum_k w_k (-1)^(chi . alpha_k) P_k, where string k has centre
+    coordinates alpha_k, image P_k on g qubits and coefficient w_k, its
+    own up to a sign (``_frame_coordinates``).
     One unnormalized Walsh-Hadamard transform over alpha of each image's
     coefficients (``_butterflies``, one array for every sum of a batch
     with the same c) gives every character's row of weights at once.
@@ -536,7 +534,7 @@ def payload_norm(sums) -> np.ndarray:
     open_array = {}  # centre rank -> index of the array that takes its sums
     for i, a, b in zip(multi.tolist(), starts.tolist(),
                        (starts + lengths).tolist()):
-        pairs, basis = _symplectic_frame(sums[i][0], xs[a:b], zs[a:b])
+        pairs, basis = symplectic_frame(sums[i][0], xs[a:b], zs[a:b])
         rank = len(basis) - 2 * pairs
         if rank + 2 * pairs > 2 * DENSE_MAX_QUBITS:
             raise ValueError(
@@ -585,68 +583,11 @@ def payload_norm(sums) -> np.ndarray:
     return norms
 
 
-def _symplectic_frame(n: int, x: list, z: list) -> tuple:
-    """The symplectic frame of the span of the strings (x[k], z[k]), int
-    masks on n qubits, as (g, basis).
-
-    The span's reduced echelon form (``gf2.Echelon`` on x | z << n) is
-    split by symplectic Gram-Schmidt under the commutation form
-    omega(s, t) = |x_s & z_t| + |z_s & x_t| (mod 2).  The last row left
-    pairs, as (a, b), with the first other row that anticommutes with it,
-    and every remaining row is made to commute with both: a is added where
-    it anticommutes with b, b where it anticommutes with a.  A row that
-    commutes with all the others joins the centre, which is reduced to
-    echelon form of its own.  The span has rank 2g + c.  2g, the rank of
-    the commutation form on it, is at most twice the rank of its x-masks
-    and of its z-masks, so g is at most the r of its coset frame.
-
-    ``basis`` lists each element as (x, z, dual), in the order a_1 ... a_g,
-    b_1 ... b_g, then the centre rows.  The dual, packed as x | z << n,
-    reads the element's coordinate of a string s of the span as
-    |s & dual| mod 2: omega(s, b_i) for a_i, omega(s, a_i) for b_i, and
-    for the centre row of pivot p, bit p of s with the pairs' part of s
-    taken out.
-    """
-    mask = (1 << n) - 1
-    span = Echelon(sx | sz << n for sx, sz in zip(x, z))
-    pool = [(row & mask, row >> n) for row in span.rows.values()]
-    pairs, centre = [], Echelon()
-    while pool:
-        ax, az = pool.pop()
-        for j, (bx, bz) in enumerate(pool):
-            if ((ax & bz) ^ (az & bx)).bit_count() & 1:
-                break
-        else:
-            centre.add(ax | az << n)
-            continue
-        bx, bz = pool.pop(j)
-        pairs.append((ax, az, bx, bz))
-        rest = []
-        for sx, sz in pool:
-            with_a = ((sx & az) ^ (sz & ax)).bit_count() & 1
-            if ((sx & bz) ^ (sz & bx)).bit_count() & 1:
-                sx, sz = sx ^ ax, sz ^ az
-            if with_a:
-                sx, sz = sx ^ bx, sz ^ bz
-            rest.append((sx, sz))
-        pool = rest
-    basis = ([(ax, az, bz | bx << n) for ax, az, bx, bz in pairs]
-             + [(bx, bz, az | ax << n) for ax, az, bx, bz in pairs])
-    for p, row in centre.rows.items():
-        dual = 1 << p
-        for ax, az, bx, bz in pairs:
-            if (ax | az << n) >> p & 1:
-                dual ^= bz | bx << n
-            if (bx | bz << n) >> p & 1:
-                dual ^= az | ax << n
-        basis.append((row & mask, row >> n, dual))
-    return len(pairs), basis
-
-
 def _frame_coordinates(n: int, x: list, z: list, g: int, basis) -> tuple:
     """Each string (x[k], z[k]) in the symplectic frame (g, basis) of its
-    sum (``_symplectic_frame``), as lists (alpha, column, negative) with
-    one entry per string, and the sum's distinct images (gx, gz) by column.
+    sum (``pauli.symplectic_frame``), as lists (alpha, column, negative)
+    with one entry per string, and the sum's distinct images (gx, gz) by
+    column.
 
     The string's coordinates select basis elements, and their product in
     basis order is i^e X^x Z^z, e accumulated by the rule of

@@ -4,7 +4,9 @@ A string is stored as (n, x, z, sign) meaning sign * i^{|x & z|} X^x Z^z,
 which is Hermitian with sign in {+1, -1}; overlapping x and z bits are Y
 factors.  Products of two strings are only representable when they commute
 (otherwise the result picks up a factor of i), and ``multiply`` rejects
-that case.
+that case.  ``symplectic_frame`` splits the span of a set of strings into
+anticommuting pairs and a commuting centre: the one symplectic Gram-Schmidt
+of the package, behind ``matrices.payload_norm`` and ``code.logicals``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import _span_table
+from .gf2 import Echelon, _span_table
 
 I_POWERS = np.array([1, 1j, -1, -1j])  # i^e, indexed by e mod 4
 _CHAR_TO_XZ = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
@@ -192,3 +194,61 @@ def signed_span(x: np.ndarray, z: np.ndarray, e) -> tuple:
             overlap = overlap.sum(axis=1, dtype=np.int64)
         te[1 << b:2 << b] = (te[:1 << b] + be + 2 * overlap) % 4
     return tx, tz, te
+
+
+def symplectic_frame(n: int, x: list, z: list) -> tuple:
+    """The symplectic frame of the span of the strings (x[k], z[k]), int
+    masks on n qubits, as (g, basis).
+
+    The span's reduced echelon form (``gf2.Echelon`` on x | z << n) is
+    split by symplectic Gram-Schmidt under the commutation form
+    omega(s, t) = |x_s & z_t| + |z_s & x_t| (mod 2).  The last row left
+    pairs, as (a, b), with the first other row that anticommutes with it,
+    and every remaining row is made to commute with both: a is added where
+    it anticommutes with b, b where it anticommutes with a.  A row that
+    commutes with all the others joins the centre, which is reduced to
+    echelon form of its own.  The span has rank 2g + c.  2g, the rank of
+    the commutation form on it, is at most twice the rank of its x-masks
+    and of its z-masks, so g is at most the r of its coset frame.
+
+    ``basis`` lists each element as (x, z, dual), in the order a_1 ... a_g,
+    b_1 ... b_g, then the centre rows.  The dual, packed as x | z << n,
+    reads the element's coordinate of a string s of the span as
+    |s & dual| mod 2: omega(s, b_i) for a_i, omega(s, a_i) for b_i, and
+    for the centre row of pivot p, bit p of s with the pairs' part of s
+    taken out.
+    """
+    mask = (1 << n) - 1
+    span = Echelon(sx | sz << n for sx, sz in zip(x, z))
+    pool = [(row & mask, row >> n) for row in span.rows.values()]
+    pairs, centre = [], Echelon()
+    while pool:
+        ax, az = pool.pop()
+        for j, (bx, bz) in enumerate(pool):
+            if ((ax & bz) ^ (az & bx)).bit_count() & 1:
+                break
+        else:
+            centre.add(ax | az << n)
+            continue
+        bx, bz = pool.pop(j)
+        pairs.append((ax, az, bx, bz))
+        rest = []
+        for sx, sz in pool:
+            with_a = ((sx & az) ^ (sz & ax)).bit_count() & 1
+            if ((sx & bz) ^ (sz & bx)).bit_count() & 1:
+                sx, sz = sx ^ ax, sz ^ az
+            if with_a:
+                sx, sz = sx ^ bx, sz ^ bz
+            rest.append((sx, sz))
+        pool = rest
+    basis = ([(ax, az, bz | bx << n) for ax, az, bx, bz in pairs]
+             + [(bx, bz, az | ax << n) for ax, az, bx, bz in pairs])
+    for p, row in centre.rows.items():
+        dual = 1 << p
+        for ax, az, bx, bz in pairs:
+            if (ax | az << n) >> p & 1:
+                dual ^= bz | bx << n
+            if (bx | bz << n) >> p & 1:
+                dual ^= az | ax << n
+        basis.append((row & mask, row >> n, dual))
+    return len(pairs), basis

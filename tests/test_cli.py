@@ -80,12 +80,12 @@ def test_params_round_trip(tmp_path, capsys):
     assert json.loads(out)["input"]["w_max"] == 3
 
 
-def test_threads_is_a_spectrum_option_only(tmp_path, capsys):
+def test_threads_is_not_an_option(tmp_path, capsys):
     art = tmp_path / "rep4.json"
     assert run_cli(["build", "--family", "repetition", "--n", "4",
                     "--out", str(art)], capsys)[0] == 0
     with pytest.raises(SystemExit) as exc:
-        main(["params", str(art), "--threads", "2"])
+        main(["spectrum", str(art), "--threads", "2"])
     assert exc.value.code == 2
 
 

@@ -26,9 +26,9 @@ from stabbench.constructors import (
     repetition_code,
     toric_code,
 )
-from stabbench.gf2 import rank
+from stabbench.gf2 import nullspace, rank, solve_affine
 from stabbench.matrices import code_hamiltonian_dense, codespace_projector_dense
-from stabbench.pauli import PauliString, commutes, multiply
+from stabbench.pauli import PauliString, commutes, multiply, symplectic_frame
 
 
 def test_validate_counts_toric3():
@@ -171,6 +171,77 @@ def test_logicals_not_check_products():
         for p in (lx, lz):
             vec = p.x | (p.z << code.n)
             assert solve_affine(sym, vec) is None
+
+
+def _hgp_repetition(m: int) -> StabilizerCode:
+    rep = BipartiteTanner.repetition(m)
+    return hypergraph_product(rep, rep)
+
+
+def _five_qubit_code() -> StabilizerCode:
+    """[[5, 1, 3]]: XZZXI and its four cyclic shifts."""
+    label = "XZZXI"
+    return StabilizerCode.from_checks(5, [
+        PauliString.from_label(label[-i:] + label[:-i]) for i in range(5)])
+
+
+# CSS, classical and general codes with one to four logical pairs.
+FRAME_CODES = {
+    **{f"toric{L}": lambda L=L: toric_code(L) for L in (2, 3, 4)},
+    **{f"hgp-rep{m}": lambda m=m: _hgp_repetition(m) for m in (3, 4, 5)},
+    **{f"rb{b}-{s}": lambda b=b, s=s: random_biregular_classical(
+        b, 3, 4, s).to_code() for b in (12, 16, 20) for s in range(3)},
+    "rep5": lambda: repetition_code(5),
+    "ising-toric3": lambda: ising_toric(3),
+    "five-qubit": _five_qubit_code,
+}
+
+
+@pytest.mark.parametrize("name", FRAME_CODES)
+def test_logicals_are_anticommuting_pairs_outside_the_check_span(name):
+    code = FRAME_CODES[name]()
+    n = code.n
+    pairs = logicals(code)
+    assert len(pairs) == num_logical_qubits(code)
+    sym = [c.x | c.z << n for c in code.checks]
+    for i, (a, b) in enumerate(pairs):
+        assert not commutes(a, b)
+        for j, pair in enumerate(pairs):
+            if j != i:
+                assert all(commutes(p, q) for p in (a, b) for q in pair)
+        for p in (a, b):
+            assert p.sign == 1 and syndrome_of(code, p) == 0
+            assert solve_affine(sym, p.x | p.z << n) is None
+        if code.kind != "general":  # pure X, then pure Z
+            assert a.z == 0 and b.x == 0
+
+
+@pytest.mark.parametrize("name", FRAME_CODES)
+def test_centralizer_frame_has_k_pairs_around_the_stabilizer_group(name):
+    code = FRAME_CODES[name]()
+    n = code.n
+    sym = [c.x | c.z << n for c in code.checks]
+    centralizer = nullspace([c.z | c.x << n for c in code.checks], 2 * n)
+    g, basis = symplectic_frame(n, [v & (1 << n) - 1 for v in centralizer],
+                                [v >> n for v in centralizer])
+    assert g == num_logical_qubits(code)
+    centre = [x | z << n for x, z, _ in basis[2 * g:]]
+    assert len(centre) == rank(sym) == rank(sym + centre)
+
+
+@pytest.mark.parametrize("code, expected", [
+    (toric_code(3), (18, 2, 3, 3, 3, True)),
+    (_hgp_repetition(4), (25, 1, 4, 4, 4, True)),
+    # certified is False although d_x is exact: a codeword heavier than
+    # w_max = 8 clears it, as on the random code perfbench/reference.json
+    # pins.
+    (random_biregular_classical(12, 3, 4, 0).to_code(),
+     (12, 4, 4, 4, 1, False)),
+    (_five_qubit_code(), (5, 1, 3, None, None, True)),
+], ids=["toric3", "hgp-rep4", "rb12-0", "five-qubit"])
+def test_code_parameters_pinned(code, expected):
+    p = code_parameters(code)
+    assert (p.n, p.k, p.d, p.d_x, p.d_z, p.certified) == expected
 
 
 def test_code_parameters_repetition():

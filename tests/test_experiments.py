@@ -18,6 +18,7 @@ from stabbench.experiments import (
     two_body_mix_terms,
     uniform_field_terms,
 )
+from stabbench.swt import spectral_report
 
 
 def test_uniform_field_terms():
@@ -56,14 +57,14 @@ def test_perturbation_family_dispatch():
         perturbation_terms("bogus", code)
 
 
-def test_spectrum_grid_threads_match_serial():
+def test_spectrum_grid_canonical_order():
     code = toric_code(2)
     terms = uniform_field_terms(8, "X")
-    serial = spectrum_grid(code, terms, [0.1, 0.0], threads=1)
-    threaded = spectrum_grid(code, terms, [0.1, 0.0], threads=2)
-    assert [r.epsilon for r in serial] == [0.0, 0.1]  # canonical order
-    for a, b in zip(serial, threaded):
-        assert a.splitting == pytest.approx(b.splitting, abs=1e-12)
+    grid = spectrum_grid(code, terms, [0.1, 0.0])
+    assert [r.epsilon for r in grid] == [0.0, 0.1]  # canonical order
+    for r, eps in zip(grid, (0.0, 0.1)):
+        one = spectral_report(code, terms, eps, k=2)
+        assert r.splitting == pytest.approx(one.splitting, abs=1e-12)
 
 
 def test_splitting_slope_lambda2():
