@@ -143,14 +143,22 @@ class StabilizerCode:
 
     @classmethod
     def from_checks(cls, n, checks, lambdas=None, kind=None) -> "StabilizerCode":
+        """The code of these checks, its kind derived by
+        ``classify_checks``.  A ``kind`` passed in (a constructor's, or an
+        artifact's) must agree with it: ``code_parameters`` and
+        ``soundness_profile`` split CSS and classical codes into sectors, so
+        a wrong label would certify a wrong distance.  Raises
+        InvalidCodeError naming both kinds when it does not."""
         checks = tuple(checks)
         if lambdas is None:
             lambdas = tuple(1.0 for _ in checks)
         else:
             lambdas = tuple(float(v) for v in lambdas)
-        if kind is None:
-            kind = classify_checks(checks)
-        return cls(n, checks, lambdas, kind)
+        derived = classify_checks(checks)
+        if kind is not None and kind != derived:
+            raise InvalidCodeError(
+                f"checks of kind {derived!r} labelled {kind!r}")
+        return cls(n, checks, lambdas, derived)
 
     @property
     def num_checks(self) -> int:

@@ -21,8 +21,13 @@ symplectic frames come from ``pauli.symplectic_frame``, the package's one
 symplectic Gram-Schmidt, and the coset frames from ``gf2.Echelon`` on one
 sum's masks: this module runs no GF(2) elimination of its own.
 
-scipy is imported only where a Lanczos solve runs (``PauliMatvec`` and
-``_lanczos_block``); everything else here needs numpy alone.
+Coset blocks past ``DENSE_BLOCK_MAX_DIM`` states are solved by a
+thick-restart Lanczos in numpy (``_thick_restart_lanczos``; K. Wu and
+H. Simon, SIAM J. Matrix Anal. Appl. 22, 602 (2000)) on the block's CSR
+matvec, to ARPACK's stopping rule: every wanted Ritz residual at most
+tol * max(eps^(2/3), |theta|).  scipy.sparse is imported only for that
+matvec (``PauliMatvec``), and no module here loads scipy.sparse.linalg or
+scipy.linalg; everything else needs numpy alone.
 """
 
 from __future__ import annotations
@@ -110,6 +115,10 @@ _PAULI_T = 0.5 * np.array(
     ],
     dtype=complex,
 )
+# The same table with the Y row times i^-1, real: a real block stack is
+# expanded in float64 over it, and string by string the coefficient is then
+# multiplied by i^(number of Y).
+_PAULI_T_REAL = (_PAULI_T / np.array([1, 1, 1j, 1])[:, None]).real
 
 
 def pauli_transform(M: np.ndarray, tol: float = 1e-13, frame=None) -> dict:
@@ -139,6 +148,12 @@ def pauli_transform(M: np.ndarray, tol: float = 1e-13, frame=None) -> dict:
     |x & z| - |m & z'| = 2 (mod 4), and in the Hadamard frame each (x, z)
     is mapped back as ``_hadamard_frame`` maps it (x and z swapped, c
     negated when |x & z| is odd).  No 2^n x 2^n matrix is built.
+
+    A real ``M`` is expanded in float64: its Y weights are divided by i
+    (``_PAULI_T_REAL``), so every entry stays real, and each kept
+    coefficient is multiplied back by i^(number of Y).  Multiplying by
+    +-i or +-1 is exact, so the result equals (==) that of M cast to
+    complex, entry for entry.
     """
     if frame is None:
         dim = M.shape[0]
@@ -159,18 +174,20 @@ def pauli_transform(M: np.ndarray, tol: float = 1e-13, frame=None) -> dict:
         pivots = np.left_shift(1, np.array(frame.pivots, dtype=np.int64))
         free = np.left_shift(1, np.array(frame.free, dtype=np.int64))
     cosets, dim = len(M), 1 << r
+    real = not np.iscomplexobj(M)
+    table = _PAULI_T_REAL if real else _PAULI_T
     # Axes (coset, row bits, column bits, Paulis): each step splits off the
     # highest row and column bit left, qubit q, and appends the Pauli on q,
     # so the Paulis end up with qubit 0 last.
-    t = np.asarray(M, dtype=complex).reshape(cosets, dim, dim, 1)
+    t = np.asarray(M, dtype=table.dtype).reshape(cosets, dim, dim, 1)
     for _ in range(r):
         dim //= 2
         pair = t.reshape(cosets, 2, dim, 2, -1)
-        # Entry k of a row of _PAULI_T weighs the (row bit, column bit)
+        # Entry k of a row of the table weighs the (row bit, column bit)
         # quarter (k >> 1, k & 1); each row has two nonzero entries.
         quarters = [pair[:, k >> 1, :, k & 1] for k in range(4)]
-        t = np.empty(quarters[0].shape + (4,), dtype=complex)
-        for p, row in enumerate(_PAULI_T):
+        t = np.empty(quarters[0].shape + (4,), dtype=table.dtype)
+        for p, row in enumerate(table):
             k1, k2 = np.flatnonzero(row)
             t[..., p] = row[k1] * quarters[k1] + row[k2] * quarters[k2]
         t = t.reshape(cosets, dim, dim, -1)
@@ -195,6 +212,8 @@ def pauli_transform(M: np.ndarray, tol: float = 1e-13, frame=None) -> dict:
     z = zf | _span_table(pivots)[
         zr ^ _pack(np.bitwise_count(zf[:, None] & rows) & 1)]
     c = t[f, flat]
+    if real:
+        c = c * I_POWERS[np.bitwise_count(m & zr) % 4]
     negate = (np.bitwise_count(x & z) - np.bitwise_count(m & zr)) % 4 != 0
     if hadamard:
         negate ^= (np.bitwise_count(x & z) & 1).astype(bool)
@@ -260,13 +279,6 @@ class PauliMatvec:
     def __call__(self, psi: np.ndarray) -> np.ndarray:
         return self.matrix @ psi
 
-    def as_linear_operator(self):
-        """This matvec as a ``scipy.sparse.linalg.LinearOperator``."""
-        import scipy.sparse.linalg as spla
-
-        return spla.LinearOperator((self.dim, self.dim), matvec=self,
-                                   dtype=self.matrix.dtype)
-
 
 def _batched_blocks(r: int, x, z, weights: np.ndarray) -> np.ndarray:
     """Dense r-qubit matrices sum_k weights[j, k] i^|x_k & z_k| X^x_k Z^z_k,
@@ -327,6 +339,15 @@ RESIDUAL_TOL = 1e-8
 # 2^20 complex states takes 16 MB, and the representatives and floors 8 MB
 # each.
 COSET_MAX_DIM = 1 << 20
+# Least number of Lanczos basis vectors (ARPACK's default ncv is
+# max(2k + 1, 20)), and most thick restarts of one solve.
+LANCZOS_BASIS = 20
+LANCZOS_MAX_RESTARTS = 1000
+# DGKS: a second Gram-Schmidt pass when the first leaves less than 1/sqrt(2)
+# of a vector's norm.  A vector of which the passes leave less than
+# _BREAKDOWN of its norm lies in the basis' span, at rounding level.
+_DGKS = 1.0 / np.sqrt(2.0)
+_BREAKDOWN = 1e-12
 
 
 def _hadamard_frame(terms) -> tuple:
@@ -620,27 +641,108 @@ def _frame_coordinates(n: int, x: list, z: list, g: int, basis) -> tuple:
     return alpha, column, negative, list(images)
 
 
-def _lanczos_block(r: int, terms, k: int, rng) -> np.ndarray:
-    """Lowest k eigenvalues of an r-qubit Pauli sum by seeded Lanczos.
+def _random_vector(rng, dim: int, real: bool) -> np.ndarray:
+    """A standard normal vector of ``dim`` entries drawn from ``rng``; a
+    complex one draws its real part first, then its imaginary part."""
+    v = rng.standard_normal(dim)
+    return v if real else v + 1j * rng.standard_normal(dim)
 
-    ARPACK stops when every Ritz residual estimate is at most
-    tol * max(eps^(2/3), |theta|).  Every Ritz value has |theta| <= sum |c|,
-    so tol = RESIDUAL_TOL / (10 max(1, sum |c|)) stops it a factor ten
-    inside the gate.  The gate still recomputes each residual
-    ||Hv - lambda v|| and raises ArithmeticError when one exceeds
+
+def _fresh_vector(rng, V: np.ndarray) -> np.ndarray:
+    """A unit vector drawn from ``rng`` (``_random_vector``) and
+    orthogonalized twice against the orthonormal rows of V."""
+    w = _random_vector(rng, V.shape[1], np.isrealobj(V))
+    for _ in range(2):
+        _project_out(V, w)
+    return w / np.linalg.norm(w)
+
+
+def _project_out(V: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Remove from w, in place, its components along the orthonormal rows
+    of V by classical Gram-Schmidt; returns the coefficients V^H w, taken
+    as (V w^*)^* so that V is never copied conjugated."""
+    h = (V @ w.conj()).conj()
+    w -= h @ V
+    return h
+
+
+def _thick_restart_lanczos(matvec, v0: np.ndarray, k: int, tol: float, rng):
+    """The k lowest eigenpairs (values ascending, vectors as rows) of the
+    Hermitian operator ``matvec`` on len(v0) > k states, from the start
+    vector v0, by Lanczos with thick restarts (K. Wu and H. Simon, SIAM J.
+    Matrix Anal. Appl. 22, 602 (2000)).
+
+    The basis holds m = min(dim, max(2k + 1, ``LANCZOS_BASIS``)) vectors,
+    ARPACK's default.  Each new vector is orthogonalized against the whole
+    basis by classical Gram-Schmidt, with the DGKS second pass where the
+    first left less than 1/sqrt(2) of its norm, and the projected matrix T
+    (tridiagonal, with an arrowhead after a restart) is solved by
+    ``numpy.linalg.eigh``.  A full basis stops the solve when every wanted
+    Ritz value theta has residual |beta_m y_m| <= tol * max(eps^(2/3),
+    |theta|), ARPACK's rule; otherwise its k + (m - k) // 2 lowest Ritz
+    vectors and the residual vector restart it.  Where a new vector lies in
+    the span of the basis (less than ``_BREAKDOWN`` of it left), the span
+    is invariant: a fresh vector drawn from ``rng`` and orthogonalized
+    against the basis continues it with coupling 0, as ARPACK's ``dgetv0``
+    does, so a repeated level keeps its multiplicity.  Raises
+    ArithmeticError past ``LANCZOS_MAX_RESTARTS`` restarts.
+    """
+    dim = len(v0)
+    m = min(dim, max(2 * k + 1, LANCZOS_BASIS))
+    eps23 = np.finfo(float).eps ** (2 / 3)
+    V = np.empty((m + 1, dim), dtype=v0.dtype)
+    V[0] = v0 / np.linalg.norm(v0)
+    T = np.zeros((m + 1, m + 1))
+    start = 0
+    for _ in range(LANCZOS_MAX_RESTARTS):
+        for j in range(start, m):
+            w = matvec(V[j])
+            norm = np.linalg.norm(w)
+            h = _project_out(V[:j + 1], w)
+            beta = np.linalg.norm(w)
+            if beta < _DGKS * norm:
+                h += _project_out(V[:j + 1], w)
+                beta = np.linalg.norm(w)
+            if j + 1 < m and beta <= _BREAKDOWN * norm:  # invariant span
+                beta, V[j + 1] = 0.0, _fresh_vector(rng, V[:j + 1])
+            else:  # the last residual is kept; w = 0 where beta = 0
+                V[j + 1] = w / (beta or 1.0)
+            T[j, j] = h[j].real
+            T[j, j + 1] = T[j + 1, j] = beta
+        theta, Y = np.linalg.eigh(T[:m, :m])
+        coupling = beta * Y[-1]
+        if np.all(np.abs(coupling[:k])
+                  <= tol * np.maximum(eps23, np.abs(theta[:k]))):
+            return theta[:k], Y[:, :k].T @ V[:m]
+        start = k + (m - k) // 2
+        V[:start] = Y[:, :start].T @ V[:m]
+        V[start] = V[m]
+        T[:] = 0.0
+        T[:start, :start] = np.diag(theta[:start])
+        T[start, :start] = T[:start, start] = coupling[:start]
+    raise ArithmeticError(
+        f"Lanczos on {dim} states did not converge in "
+        f"{LANCZOS_MAX_RESTARTS} restarts")
+
+
+def _lanczos_block(r: int, terms, k: int, rng) -> np.ndarray:
+    """Lowest k eigenvalues of an r-qubit Pauli sum by seeded thick-restart
+    Lanczos (Wu and Simon 2000; ``_thick_restart_lanczos``) on its
+    ``PauliMatvec``, from a start vector drawn from ``rng``.
+
+    The solver stops, as ARPACK does, when every wanted Ritz residual
+    estimate is at most tol * max(eps^(2/3), |theta|).  Every Ritz value has
+    |theta| <= sum |c|, so tol = RESIDUAL_TOL / (10 max(1, sum |c|)) stops
+    it a factor ten inside the gate.  The gate still recomputes each
+    residual ||Hv - lambda v|| and raises ArithmeticError when one exceeds
     ``RESIDUAL_TOL``.
     """
-    import scipy.sparse.linalg as spla
-
     mv = PauliMatvec(r, terms)
-    v0 = rng.standard_normal(mv.dim)
-    if not mv.is_real:
-        v0 = v0 + 1j * rng.standard_normal(mv.dim)
+    v0 = _random_vector(rng, mv.dim, mv.is_real)
     tol = RESIDUAL_TOL / (10.0 * max(1.0, sum(np.abs(terms[0]).tolist())))
-    vals, vecs = spla.eigsh(mv.as_linear_operator(), k=k, which="SA", v0=v0,
-                            tol=tol, maxiter=50000)
-    for j, lam in enumerate(vals):
-        residual = float(np.linalg.norm(mv(vecs[:, j]) - lam * vecs[:, j]))
+    vals, vecs = _thick_restart_lanczos(mv, v0, k, tol, rng)
+    for lam, vec in zip(vals, vecs):
+        residual = float(np.linalg.norm(mv(vec) - lam * vec))
         if not residual <= RESIDUAL_TOL:
             raise ArithmeticError(
                 f"Lanczos eigenpair {lam!r} on a 2^{r} block has residual "

@@ -5,8 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
-import scipy.sparse.linalg as spla
 
+from stabbench import matrices
 from stabbench.cli import main
 from stabbench.constructors import BipartiteTanner, save_alist
 from stabbench.gf2 import SEARCH_BUDGET
@@ -78,6 +78,25 @@ def test_params_round_trip(tmp_path, capsys):
     code, out, _ = run_cli(["params", str(art), "--w-max", "3"], capsys)
     assert code == 0
     assert json.loads(out)["input"]["w_max"] == 3
+
+
+def test_params_refuses_a_mislabelled_kind(tmp_path, capsys):
+    # [[5, 1, 3]]: XZZXI and its cyclic shifts mix X and Z in every check.
+    # Labelled "css", its distance would be read sector by sector (d = 1);
+    # the label is refused, and without one the code reports d = 3.
+    checks = [{"pauli": "XZZXI"[-s:] + "XZZXI"[:-s], "lambda": 1.0}
+              for s in range(4)]
+    art = tmp_path / "five.json"
+    art.write_text(json.dumps({"n": 5, "kind": "css", "checks": checks}))
+    code, out, err = run_cli(["params", str(art)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "'general'" in err and "'css'" in err
+    art.write_text(json.dumps({"n": 5, "checks": checks}))
+    code, out, _ = run_cli(["params", str(art)], capsys)
+    assert code == 0
+    params = json.loads(out)["parameters"]
+    assert (params["n"], params["k"], params["d"]) == (5, 1, 3)
 
 
 def test_threads_is_not_an_option(tmp_path, capsys):
@@ -170,17 +189,31 @@ def test_spectrum_residual_gate_exits_numeric(tmp_path, capsys, monkeypatch):
     art = tmp_path / "rep11.json"
     run_cli(["build", "--family", "repetition", "--n", "11", "--out",
              str(art)], capsys)
-    eigsh = spla.eigsh
+    solve = matrices._thick_restart_lanczos
 
-    def corrupted(*args, **kwargs):
-        vals, vecs = eigsh(*args, **kwargs)
+    def corrupted(*args):
+        vals, vecs = solve(*args)
         return vals + 1e-6, vecs
 
-    monkeypatch.setattr(spla, "eigsh", corrupted)
+    monkeypatch.setattr(matrices, "_thick_restart_lanczos", corrupted)
     code, _, err = run_cli(["spectrum", str(art), "--mode", "sparse",
                             "--eps", "0.3", "--num-eigs", "6"], capsys)
     assert code == 3
     assert "eigensolver failure" in err and "residual" in err
+
+
+def test_spectrum_lanczos_restart_cap_exits_numeric(tmp_path, capsys,
+                                                    monkeypatch):
+    # The same two blocks take more than one basis of 20 vectors each.
+    art = tmp_path / "rep11.json"
+    run_cli(["build", "--family", "repetition", "--n", "11", "--out",
+             str(art)], capsys)
+    monkeypatch.setattr(matrices, "LANCZOS_MAX_RESTARTS", 1)
+    code, out, err = run_cli(["spectrum", str(art), "--mode", "sparse",
+                              "--eps", "0.3", "--num-eigs", "6"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "eigensolver failure" in err and "did not converge" in err
 
 
 def test_spectrum_csv_format(tmp_path, capsys):

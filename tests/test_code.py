@@ -51,6 +51,24 @@ def test_validate_rejects_anticommuting_pair():
         validate(code)
 
 
+def test_from_checks_derives_kind_and_refuses_a_wrong_one():
+    # The [[5, 1, 3]] checks mix X and Z: a "css" or "classical" label is
+    # refused naming both kinds, and "general" (or none) is kept.
+    checks = [PauliString.from_label("XZZXI"[-s:] + "XZZXI"[:-s])
+              for s in range(4)]
+    for kind in ("css", "classical"):
+        with pytest.raises(InvalidCodeError,
+                           match=f"kind 'general' labelled '{kind}'"):
+            StabilizerCode.from_checks(5, checks, kind=kind)
+    for kind in ("general", None):
+        assert StabilizerCode.from_checks(5, checks, kind=kind).kind == \
+            "general"
+    zz = [PauliString.from_label("ZZI"), PauliString.from_label("IZZ")]
+    assert StabilizerCode.from_checks(3, zz).kind == "classical"
+    with pytest.raises(InvalidCodeError, match="'classical' labelled 'css'"):
+        StabilizerCode.from_checks(3, zz, kind="css")
+
+
 def test_validate_rejects_bad_lambda_and_sign():
     z = PauliString.from_label("ZZ")
     with pytest.raises(InvalidCodeError, match="< 1"):

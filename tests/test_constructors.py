@@ -5,7 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from stabbench.code import code_parameters, num_logical_qubits, validate
+from stabbench.code import (
+    classify_checks,
+    code_parameters,
+    num_logical_qubits,
+    validate,
+)
 from stabbench.constructors import (
     AlistError,
     BipartiteTanner,
@@ -221,3 +226,17 @@ def test_constructor_metrics_expectations():
     assert (m.q, m.q_prime) == (4, 4)
     m2 = validate(ising_code(SimpleGraph.path(5)))
     assert (m2.q, m2.q_prime) == (2, 2)
+
+
+def test_constructor_kinds_agree_with_classify_checks():
+    # Each constructor passes its kind to from_checks, which refuses one
+    # that classify_checks contradicts; every family reaches it here.
+    tanner = random_biregular_classical(12, 3, 4, 0)
+    codes = {
+        "classical": [ising_code(SimpleGraph.path(4)), tanner.to_code()],
+        "css": [toric_code(2), toric_code(3), ising_toric(2), ising_toric(3),
+                hypergraph_product(tanner, tanner)],
+    }
+    for kind, members in codes.items():
+        for code in members:
+            assert code.kind == classify_checks(code.checks) == kind

@@ -417,6 +417,22 @@ def test_block_native_transform_matches_scattered_matrix(case):
     assert all(abs(got[k] - want[k]) <= 1e-14 * top for k in want)
 
 
+@settings(max_examples=100, deadline=None)
+@given(framed_blocks())
+def test_real_stack_transform_equals_complex_path(case):
+    # A real stack is expanded in float64, its Y entries carried as i^-1
+    # times the coefficient: the same strings in the same order, each
+    # coefficient == that of the stack cast to complex.  A full matrix is
+    # the one-block case without a frame.
+    frame, blocks = case
+    real = np.ascontiguousarray(blocks.real)
+    for stack, f in ((real, frame), (frame.full(real), None)):
+        got = pauli_transform(stack, frame=f)
+        want = pauli_transform(stack.astype(complex), frame=f)
+        assert list(got) == list(want)
+        assert all(got[key] == want[key] for key in want)
+
+
 def test_block_native_transform_frames_and_coset_counts():
     # Frames the hypothesis cases draw from: the Hadamard frame with 32
     # cosets, and the identity frame with one coset, with two, and with
@@ -528,8 +544,9 @@ def test_sparse_eigenvalues_lanczos_blocks_match_full_space():
     n = 11
     terms = columns(code_hamiltonian_terms(repetition_code(n, lam=2.0))
                     + _field(n, "X", 0.3))
-    full = spla.eigsh(PauliMatvec(n, terms).as_linear_operator(), k=6,
-                      which="SA", tol=0.0, return_eigenvectors=False)
+    # ARPACK on the CSR matrix of all 2^11 states: an independent oracle.
+    full = spla.eigsh(PauliMatvec(n, terms).matrix, k=6, which="SA",
+                      tol=0.0, return_eigenvectors=False)
     assert np.allclose(lowest_eigenvalues_sparse(n, terms, k=6),
                        np.sort(full), atol=1e-10)
 
@@ -538,14 +555,105 @@ def test_sparse_eigenvalues_residual_gate(monkeypatch):
     n = 11
     terms = columns(code_hamiltonian_terms(repetition_code(n, lam=2.0))
                     + _field(n, "X", 0.3))
-    eigsh = spla.eigsh
+    solve = matrices._thick_restart_lanczos
 
-    def corrupted(*args, **kwargs):
-        vals, vecs = eigsh(*args, **kwargs)
+    def corrupted(*args):
+        vals, vecs = solve(*args)
         return vals + 1e-6, vecs
 
-    monkeypatch.setattr(spla, "eigsh", corrupted)
+    monkeypatch.setattr(matrices, "_thick_restart_lanczos", corrupted)
     with pytest.raises(ArithmeticError, match="residual"):
+        lowest_eigenvalues_sparse(n, terms, k=6)
+
+
+def _random_block(seed: int, real: bool) -> tuple:
+    """A Pauli sum on 10 qubits, one coset of 2^10 states: a random X and
+    Z field on every qubit and a dozen random strings.  Real-symmetric
+    when ``real`` (an odd string loses a Y), complex-Hermitian otherwise
+    (a Y on every qubit)."""
+    n = 10
+    rng = np.random.default_rng(seed)
+    terms = [(rng.uniform(-1, 1), PauliString.single(n, kind, q))
+             for q in range(n) for kind in "XZ"]
+    for x, z in rng.integers(0, 1 << n, size=(12, 2)).tolist():
+        if real and (x & z).bit_count() & 1:
+            z ^= (x & z) & -(x & z)
+        terms.append((rng.uniform(-1, 1), PauliString(n, x, z)))
+    if not real:
+        terms += [(rng.uniform(-1, 1), PauliString.single(n, "Y", q))
+                  for q in range(n)]
+    return columns(terms)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.integers(1, 8))
+def test_thick_restart_lanczos_matches_dense(seed, real, k):
+    # The solver alone, on a block's CSR matvec: the k lowest levels of
+    # the dense spectrum, orthonormal Ritz vectors, and residuals within
+    # the gate.
+    terms = _random_block(seed, real)
+    mv = PauliMatvec(10, terms)
+    assert mv.is_real == real
+    rng = np.random.default_rng(seed)
+    v0 = matrices._random_vector(rng, mv.dim, real)
+    vals, vecs = matrices._thick_restart_lanczos(mv, v0, k, 1e-11, rng)
+    dense = np.linalg.eigvalsh(operator_dense(10, terms))
+    assert np.allclose(vals, dense[:k], rtol=0, atol=1e-9)
+    assert np.allclose(vecs.conj() @ vecs.T, np.eye(k), rtol=0, atol=1e-10)
+    for lam, vec in zip(vals, vecs):
+        assert np.linalg.norm(mv(vec) - lam * vec) <= matrices.RESIDUAL_TOL
+
+
+def test_lanczos_keeps_repeated_levels(monkeypatch):
+    # X_0 + X_1 on 10 qubits, with zero-weight X_i and Z_i on every qubit
+    # so that the x-span has rank 10: one block of 2^10 states whose
+    # lowest level -2 has multiplicity 256.  A Krylov space from one start
+    # vector spans 3 dimensions and holds one copy; each breakdown brings
+    # in a fresh vector, and so another copy.
+    n = 10
+    terms = columns([(1.0, PauliString.single(n, "X", q)) for q in (0, 1)]
+                    + [(0.0, PauliString.single(n, kind, q))
+                       for q in range(n) for kind in "XZ"])
+    assert matrices.CosetFrame(n, terms).r == n
+    fresh, draw = [], matrices._fresh_vector
+
+    def spy_fresh(rng, V):
+        fresh.append(len(V))
+        return draw(rng, V)
+
+    monkeypatch.setattr(matrices, "_fresh_vector", spy_fresh)
+    assert np.allclose(lowest_eigenvalues_sparse(n, terms, k=6), [-2.0] * 6,
+                       rtol=0, atol=1e-12)
+    assert fresh[:3] == [3, 6, 9]
+
+
+def test_lanczos_complex_coset_keeps_levels():
+    # rep11 (lam = 2) under a 0.2 Y field plus a 0.15 X field: one coset
+    # of 2^11 complex-Hermitian states; the levels the ARPACK solver gave.
+    n = 11
+    terms = columns(code_hamiltonian_terms(repetition_code(n, lam=2.0))
+                    + _field(n, "Y", 0.2) + _field(n, "X", 0.15))
+    frame = matrices.CosetFrame(n, terms)
+    assert frame.r == n and not PauliMatvec(n, frame.reduce(terms)[1]).is_real
+    assert np.allclose(lowest_eigenvalues_sparse(n, terms, k=6), [
+        -0.204057421278, -0.204056974244, 1.324324985728, 1.324325432763,
+        1.403647767402, 1.403648214437], rtol=0, atol=1e-10)
+
+
+def test_lanczos_same_seed_same_levels():
+    terms = _random_block(3, real=False)
+    runs = [matrices._lanczos_block(10, terms, 5, np.random.default_rng(9))
+            for _ in range(2)]
+    assert np.array_equal(*runs)
+
+
+def test_lanczos_restart_cap(monkeypatch):
+    # Two blocks of 2^10 states that take more than one basis each.
+    n = 11
+    terms = columns(code_hamiltonian_terms(repetition_code(n, lam=2.0))
+                    + _field(n, "X", 0.3))
+    monkeypatch.setattr(matrices, "LANCZOS_MAX_RESTARTS", 1)
+    with pytest.raises(ArithmeticError, match="did not converge in 1 "):
         lowest_eigenvalues_sparse(n, terms, k=6)
 
 
@@ -562,7 +670,8 @@ def _fresh_interpreter(script: str) -> str:
 
 def test_scipy_loads_only_for_lanczos():
     # The certify, SWT and dense spectral paths run on numpy alone; the
-    # first coset block above 2^9 states loads scipy's Lanczos.
+    # first coset block above 2^9 states loads scipy.sparse for its CSR
+    # matvec, and neither ARPACK's scipy.sparse.linalg nor scipy.linalg.
     out = _fresh_interpreter("""
 import json, sys
 import stabbench, stabbench.cli
@@ -591,7 +700,9 @@ print(json.dumps([before, scipy_modules()]))
 """)
     before, after = json.loads(out.splitlines()[-1])
     assert before == []
-    assert "scipy.sparse.linalg" in after
+    assert "scipy.sparse" in after
+    assert not [m for m in after if m.startswith(("scipy.sparse.linalg",
+                                                  "scipy.linalg"))]
 
 
 def test_sparse_eigenvalues_k_range():

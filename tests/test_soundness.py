@@ -42,6 +42,14 @@ def general_code():
     return StabilizerCode.from_checks(4, [PauliString.from_label(s) for s in labels])
 
 
+def all_sector_code(n, gens):
+    """Drawn generators as one code swept in the single "all" sector,
+    whatever their kind: the dataclass constructor keeps the kind it is
+    given, where ``from_checks`` refuses one that ``classify_checks``
+    contradicts."""
+    return StabilizerCode(n, tuple(gens), (1.0,) * len(gens), "general")
+
+
 def subset_products(checks, n):
     """(product, subset size) for every subset of ``checks``."""
     out = []
@@ -128,7 +136,7 @@ def assert_matches_oracle(n, gens, budget=None):
     assert complete == want_complete
     if budget is None:
         return
-    code = StabilizerCode.from_checks(n, gens, kind="general")
+    code = all_sector_code(n, gens)
     prof = soundness_profile(code, m_max=n - 1, budget=budget)["sectors"]["all"]
     f_raw, witnesses = profile_oracle(dist, n, n - 1)
     assert prof.f_raw == f_raw
@@ -173,7 +181,7 @@ def test_group_sweep_matches_queue_bfs_at_every_budget(case, table_rows, block,
                              DECODE_BLOCK=block, SWEEP_BLOCK=sweep_block):
         for budget in (None, *range(1, len(dist) + 2)):
             assert_matches_oracle(n, gens, budget)
-    code = StabilizerCode.from_checks(n, gens, kind="general")
+    code = all_sector_code(n, gens)
     for (x, z, sign), d in dist.items():
         for s in (sign, -sign):
             stab = PauliString(n, x, z, s)
@@ -189,7 +197,7 @@ def test_group_sweep_matches_queue_bfs_at_every_budget(case, table_rows, block,
     lambda n: st.lists(pauli_strategy(n), min_size=2, max_size=5)))
 def test_group_sweep_rejects_anticommuting_generators(gens):
     n = gens[0].n
-    code = StabilizerCode.from_checks(n, gens, kind="general")
+    code = all_sector_code(n, gens)
     anticommuting = any(not commutes(p, q) for p in gens for q in gens)
     for budget in (1, 2, 1 << 10):
         if anticommuting:
