@@ -115,9 +115,9 @@ _PAULI_T = 0.5 * np.array(
     ],
     dtype=complex,
 )
-# The same table with the Y row times i^-1, real: a real block stack is
-# expanded in float64 over it, and string by string the coefficient is then
-# multiplied by i^(number of Y).
+# The same table with the Y row times i^-1, real: every block stack is
+# expanded over it, and string by string the coefficient is then multiplied
+# by i^(number of Y).
 _PAULI_T_REAL = (_PAULI_T / np.array([1, 1, 1j, 1])[:, None]).real
 
 
@@ -149,11 +149,11 @@ def pauli_transform(M: np.ndarray, tol: float = 1e-13, frame=None) -> dict:
     is mapped back as ``_hadamard_frame`` maps it (x and z swapped, c
     negated when |x & z| is odd).  No 2^n x 2^n matrix is built.
 
-    A real ``M`` is expanded in float64: its Y weights are divided by i
-    (``_PAULI_T_REAL``), so every entry stays real, and each kept
-    coefficient is multiplied back by i^(number of Y).  Multiplying by
-    +-i or +-1 is exact, so the result equals (==) that of M cast to
-    complex, entry for entry.
+    The Y weights are divided by i (``_PAULI_T_REAL``), so a real ``M`` is
+    expanded in float64 and a complex one by real scalings, and each kept
+    coefficient is multiplied back by i^(number of Y).  Multiplying by +-i
+    or +-1 is exact and commutes with the real weights, so a real M gives
+    (==) the coefficients of M cast to complex, entry for entry.
     """
     if frame is None:
         dim = M.shape[0]
@@ -174,20 +174,19 @@ def pauli_transform(M: np.ndarray, tol: float = 1e-13, frame=None) -> dict:
         pivots = np.left_shift(1, np.array(frame.pivots, dtype=np.int64))
         free = np.left_shift(1, np.array(frame.free, dtype=np.int64))
     cosets, dim = len(M), 1 << r
-    real = not np.iscomplexobj(M)
-    table = _PAULI_T_REAL if real else _PAULI_T
     # Axes (coset, row bits, column bits, Paulis): each step splits off the
     # highest row and column bit left, qubit q, and appends the Pauli on q,
     # so the Paulis end up with qubit 0 last.
-    t = np.asarray(M, dtype=table.dtype).reshape(cosets, dim, dim, 1)
+    dtype = np.result_type(M.dtype, np.float64)
+    t = np.asarray(M, dtype=dtype).reshape(cosets, dim, dim, 1)
     for _ in range(r):
         dim //= 2
         pair = t.reshape(cosets, 2, dim, 2, -1)
-        # Entry k of a row of the table weighs the (row bit, column bit)
-        # quarter (k >> 1, k & 1); each row has two nonzero entries.
+        # Entry k of a row of _PAULI_T_REAL weighs the (row bit, column
+        # bit) quarter (k >> 1, k & 1); each row has two nonzero entries.
         quarters = [pair[:, k >> 1, :, k & 1] for k in range(4)]
-        t = np.empty(quarters[0].shape + (4,), dtype=table.dtype)
-        for p, row in enumerate(table):
+        t = np.empty(quarters[0].shape + (4,), dtype=dtype)
+        for p, row in enumerate(_PAULI_T_REAL):
             k1, k2 = np.flatnonzero(row)
             t[..., p] = row[k1] * quarters[k1] + row[k2] * quarters[k2]
         t = t.reshape(cosets, dim, dim, -1)
@@ -211,9 +210,8 @@ def pauli_transform(M: np.ndarray, tol: float = 1e-13, frame=None) -> dict:
     zf = _span_table(free)[f]
     z = zf | _span_table(pivots)[
         zr ^ _pack(np.bitwise_count(zf[:, None] & rows) & 1)]
-    c = t[f, flat]
-    if real:
-        c = c * I_POWERS[np.bitwise_count(m & zr) % 4]
+    # i^(number of Y) restores the Y weights divided out of _PAULI_T_REAL.
+    c = t[f, flat] * I_POWERS[np.bitwise_count(m & zr) % 4]
     negate = (np.bitwise_count(x & z) - np.bitwise_count(m & zr)) % 4 != 0
     if hadamard:
         negate ^= (np.bitwise_count(x & z) & 1).astype(bool)
@@ -340,9 +338,12 @@ RESIDUAL_TOL = 1e-8
 # each.
 COSET_MAX_DIM = 1 << 20
 # Least number of Lanczos basis vectors (ARPACK's default ncv is
-# max(2k + 1, 20)), and most thick restarts of one solve.
+# max(2k + 1, 20)), and most cycles of one solve: the first basis fill and
+# one after each thick restart, as ARPACK's maxiter counts them.  A 2^15
+# block of toric L = 4 under an X field takes up to 71 cycles for 8 levels
+# at eps = 0.1 and 567 at eps = 0.001, so the cap only stops a runaway.
 LANCZOS_BASIS = 20
-LANCZOS_MAX_RESTARTS = 1000
+LANCZOS_MAX_CYCLES = 50000
 # DGKS: a second Gram-Schmidt pass when the first leaves less than 1/sqrt(2)
 # of a vector's norm.  A vector of which the passes leave less than
 # _BREAKDOWN of its norm lies in the basis' span, at rounding level.
@@ -679,13 +680,16 @@ def _thick_restart_lanczos(matvec, v0: np.ndarray, k: int, tol: float, rng):
     (tridiagonal, with an arrowhead after a restart) is solved by
     ``numpy.linalg.eigh``.  A full basis stops the solve when every wanted
     Ritz value theta has residual |beta_m y_m| <= tol * max(eps^(2/3),
-    |theta|), ARPACK's rule; otherwise its k + (m - k) // 2 lowest Ritz
-    vectors and the residual vector restart it.  Where a new vector lies in
-    the span of the basis (less than ``_BREAKDOWN`` of it left), the span
-    is invariant: a fresh vector drawn from ``rng`` and orthogonalized
-    against the basis continues it with coupling 0, as ARPACK's ``dgetv0``
-    does, so a repeated level keeps its multiplicity.  Raises
-    ArithmeticError past ``LANCZOS_MAX_RESTARTS`` restarts.
+    |theta|), ARPACK's rule; otherwise its lowest Ritz vectors and the
+    residual vector restart it, as many Ritz vectors as ARPACK keeps: k,
+    plus one per converged level up to (m - k) // 2, or m // 2 for k = 1
+    (on toric L = 4 at eps = 0.001 a fixed k + (m - k) // 2 took 2.6 times
+    the matvecs).  Where a new vector lies in the span of the basis (less
+    than ``_BREAKDOWN`` of it left), the span is invariant: a fresh vector
+    drawn from ``rng`` and orthogonalized against the basis continues it
+    with coupling 0, as ARPACK's ``dgetv0`` does, so a repeated level keeps
+    its multiplicity.  Raises ArithmeticError past ``LANCZOS_MAX_CYCLES``
+    basis fills.
     """
     dim = len(v0)
     m = min(dim, max(2 * k + 1, LANCZOS_BASIS))
@@ -694,7 +698,7 @@ def _thick_restart_lanczos(matvec, v0: np.ndarray, k: int, tol: float, rng):
     V[0] = v0 / np.linalg.norm(v0)
     T = np.zeros((m + 1, m + 1))
     start = 0
-    for _ in range(LANCZOS_MAX_RESTARTS):
+    for _ in range(LANCZOS_MAX_CYCLES):
         for j in range(start, m):
             w = matvec(V[j])
             norm = np.linalg.norm(w)
@@ -711,10 +715,12 @@ def _thick_restart_lanczos(matvec, v0: np.ndarray, k: int, tol: float, rng):
             T[j, j + 1] = T[j + 1, j] = beta
         theta, Y = np.linalg.eigh(T[:m, :m])
         coupling = beta * Y[-1]
-        if np.all(np.abs(coupling[:k])
-                  <= tol * np.maximum(eps23, np.abs(theta[:k]))):
+        converged = (np.abs(coupling[:k])
+                     <= tol * np.maximum(eps23, np.abs(theta[:k])))
+        if np.all(converged):
             return theta[:k], Y[:, :k].T @ V[:m]
-        start = k + (m - k) // 2
+        start = (m // 2 if k == 1 else
+                 k + min(int(np.count_nonzero(converged)), (m - k) // 2))
         V[:start] = Y[:, :start].T @ V[:m]
         V[start] = V[m]
         T[:] = 0.0
@@ -722,7 +728,7 @@ def _thick_restart_lanczos(matvec, v0: np.ndarray, k: int, tol: float, rng):
         T[start, :start] = T[:start, start] = coupling[:start]
     raise ArithmeticError(
         f"Lanczos on {dim} states did not converge in "
-        f"{LANCZOS_MAX_RESTARTS} restarts")
+        f"{LANCZOS_MAX_CYCLES} cycles")
 
 
 def _lanczos_block(r: int, terms, k: int, rng) -> np.ndarray:

@@ -202,13 +202,13 @@ def test_spectrum_residual_gate_exits_numeric(tmp_path, capsys, monkeypatch):
     assert "eigensolver failure" in err and "residual" in err
 
 
-def test_spectrum_lanczos_restart_cap_exits_numeric(tmp_path, capsys,
-                                                    monkeypatch):
+def test_spectrum_lanczos_cycle_cap_exits_numeric(tmp_path, capsys,
+                                                  monkeypatch):
     # The same two blocks take more than one basis of 20 vectors each.
     art = tmp_path / "rep11.json"
     run_cli(["build", "--family", "repetition", "--n", "11", "--out",
              str(art)], capsys)
-    monkeypatch.setattr(matrices, "LANCZOS_MAX_RESTARTS", 1)
+    monkeypatch.setattr(matrices, "LANCZOS_MAX_CYCLES", 1)
     code, out, err = run_cli(["spectrum", str(art), "--mode", "sparse",
                               "--eps", "0.3", "--num-eigs", "6"], capsys)
     assert code == 3

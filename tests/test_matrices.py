@@ -647,12 +647,12 @@ def test_lanczos_same_seed_same_levels():
     assert np.array_equal(*runs)
 
 
-def test_lanczos_restart_cap(monkeypatch):
-    # Two blocks of 2^10 states that take more than one basis each.
+def test_lanczos_cycle_cap(monkeypatch):
+    # Two blocks of 2^10 states that take more than one basis fill each.
     n = 11
     terms = columns(code_hamiltonian_terms(repetition_code(n, lam=2.0))
                     + _field(n, "X", 0.3))
-    monkeypatch.setattr(matrices, "LANCZOS_MAX_RESTARTS", 1)
+    monkeypatch.setattr(matrices, "LANCZOS_MAX_CYCLES", 1)
     with pytest.raises(ArithmeticError, match="did not converge in 1 "):
         lowest_eigenvalues_sparse(n, terms, k=6)
 
