@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf2 import Echelon, min_weight_codeword, nullspace, rank
-from .pauli import (PauliString, commutes, power_of_i, signed_span,
+from .pauli import (PauliString, commutes, power_of_i, product, signed_span,
                     symplectic_frame)
 
 
@@ -72,7 +72,7 @@ class CheckGroup:
                 twisted.append(g.z | g.x << n)
             else:
                 sel = residual >> 2 * n
-                if self._product(sel)[2] != g.sign:
+                if self.element(sel).sign != g.sign:
                     flipped.append(i)
             self.masks.append(sel)
         self.minus = 0
@@ -91,18 +91,11 @@ class CheckGroup:
             return None
         return residual >> 2 * self.n
 
-    def _product(self, coord: int) -> tuple[int, int, int]:
-        """(x, z, sign) of the product of the basis elements the bits of
-        ``coord`` select, its phase tracked as in ``pauli.signed_span``."""
-        x = z = e = 0
-        for b, p in enumerate(self.basis):
-            if coord >> b & 1:
-                e += power_of_i(p) + 2 * (z & p.x).bit_count()
-                x, z = x ^ p.x, z ^ p.z
-        return x, z, 1 if (e - (x & z).bit_count()) % 4 == 0 else -1
-
     def element(self, coord: int) -> PauliString:
-        return PauliString(self.n, *self._product(coord))
+        """The ordered product of the basis elements the bits of ``coord``
+        select."""
+        return product((p for b, p in enumerate(self.basis)
+                        if coord >> b & 1), self.n)
 
     def coordinate(self, p: PauliString):
         """Coordinate of the group element p, or None when p (sign
@@ -110,7 +103,7 @@ class CheckGroup:
         sel = self._combination(p.x | p.z << self.n)
         if sel is None:
             return None
-        if self._product(sel)[2] == p.sign:
+        if self.element(sel).sign == p.sign:
             return sel
         return sel | self.minus if self.minus else None
 
@@ -196,10 +189,6 @@ class CodeGraphMetrics:
     q: int
     q_prime: int
     ball_sizes: tuple  # ball_sizes[i][r] = |B_{i,r}|, up to the graph diameter
-
-    def gamma_cumulative(self, i: int, r: int) -> int:
-        prof = self.ball_sizes[i]
-        return prof[min(r, len(prof) - 1)]
 
     def gamma_shell(self, i: int, r: int) -> int:
         if r == 0:
@@ -432,8 +421,3 @@ def _generic_distance(code, w_max):
                 if stabilizers.reduce(packed):
                     return w, True
     return w_max + 1, False
-
-
-def hamiltonian_description(code: StabilizerCode) -> tuple:
-    """The (lambda, check) term list of H0 = sum lambda (I - Q)/2."""
-    return tuple(zip(code.lambdas, code.checks))

@@ -30,18 +30,6 @@ def delta_kappa_tilde(kappa1: float, m: int) -> float:
     return kappa_m(kappa1, m) - kappa_m(kappa1, 2 * m)
 
 
-def delta_kappas(kappa1: float, m: int) -> tuple[float, float]:
-    """(delta kappa_m, delta kappa~_m), checking the closed-form floors
-    kappa1/(6 m^2) and kappa1/(5 (1+ln m)^2)."""
-    dk = delta_kappa(kappa1, m)
-    dkt = delta_kappa_tilde(kappa1, m)
-    if dk < kappa1 / (6.0 * m * m) * (1.0 - 1e-12):
-        raise AssertionError(f"delta kappa floor violated at m={m}")
-    if dkt < kappa1 / (5.0 * (1.0 + math.log(m)) ** 2) * (1.0 - 1e-12):
-        raise AssertionError(f"delta kappa~ floor violated at m={m}")
-    return dk, dkt
-
-
 @dataclass(frozen=True)
 class FlowConstants:
     """Inputs the flow bounds are computed from.

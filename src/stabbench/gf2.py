@@ -98,6 +98,11 @@ def _words(values, cols: int) -> np.ndarray:
     return np.frombuffer(raw, "<u8").reshape(len(values), nwords)
 
 
+def popcount(words: np.ndarray) -> np.ndarray:
+    """Number of set bits of each row of uint64 words (``_words``)."""
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+
+
 def _span_table(words: np.ndarray) -> np.ndarray:
     """Row s is the XOR of the rows of ``words`` (ints or rows of words)
     that the bits of s select; rows 0..2^b are the table of the first b."""
@@ -185,7 +190,7 @@ def min_weight_codeword(rows, coset: int, w_max: int):
         word = _words([coset], cols)
         best = w_max + 1
         for _, chunk in _span_chunks(_words(rows, cols)):
-            w = np.bitwise_count(chunk ^ word).sum(axis=1)
+            w = popcount(chunk ^ word)
             # A zero coset drops every zero word.
             best = int(w.min(initial=best, where=(w > 0) | bool(coset)))
         return best if best <= w_max else None

@@ -36,7 +36,8 @@ import numpy as np
 
 from .code import CheckGroup
 from .gf2 import Echelon, _span_table
-from .pauli import I_POWERS, PauliString, columns, symplectic_frame
+from .pauli import (I_POWERS, PauliString, _frame_coordinates, columns,
+                    hermitian_phase, symplectic_frame)
 
 # Most qubits of a dense 2^n x 2^n matrix (256 MB complex at the limit):
 # the limit of every dense build here, of the exact SWT engine, of dense
@@ -102,7 +103,7 @@ def codespace_projector_dense(code) -> np.ndarray:
     up to 2^(n+1) rows is built."""
     refuse_dense(code.n)
     x, z, e = CheckGroup(code.checks, code.n).signed_span()
-    c = I_POWERS[(e - np.bitwise_count(x & z)) % 4] / len(x)
+    c = hermitian_phase(e, x, z) / len(x)
     return operator_dense(code.n, (c, x, z))
 
 
@@ -497,7 +498,7 @@ def payload_norm(sums) -> np.ndarray:
     characters chi of the centre, of the 2^g x 2^g blocks
     B_chi = sum_k w_k (-1)^(chi . alpha_k) P_k, where string k has centre
     coordinates alpha_k, image P_k on g qubits and coefficient w_k, its
-    own up to a sign (``_frame_coordinates``).
+    own up to a sign (``pauli._frame_coordinates``).
     One unnormalized Walsh-Hadamard transform over alpha of each image's
     coefficients (``_butterflies``, one array for every sum of a batch
     with the same c) gives every character's row of weights at once.
@@ -603,43 +604,6 @@ def payload_norm(sums) -> np.ndarray:
                 found[j] = np.abs(np.linalg.eigvalsh(blocks)).max()
     norms[multi] = found + extra
     return norms
-
-
-def _frame_coordinates(n: int, x: list, z: list, g: int, basis) -> tuple:
-    """Each string (x[k], z[k]) in the symplectic frame (g, basis) of its
-    sum (``pauli.symplectic_frame``), as lists (alpha, column, negative)
-    with one entry per string, and the sum's distinct images (gx, gz) by
-    column.
-
-    The string's coordinates select basis elements, and their product in
-    basis order is i^e X^x Z^z, e accumulated by the rule of
-    ``quasilocal._times``.  Under a_i -> X_i, b_i -> Z_i and centre row j
-    -> Z on character bit j, that product becomes X^gx Z^gz on g qubits,
-    which is (-i)^|gx & gz| times the string (gx, gz) in its Hermitian form
-    i^|gx & gz| X^gx Z^gz.  So the Hermitian string i^|x & z| X^x Z^z maps
-    to i^(|x & z| - e - |gx & gz|) = +-1 times its image (gx, gz) times
-    the centre's sign; ``negative`` is 2 where that factor is -1, else 0.
-    ``alpha`` holds the centre coordinates and ``column`` the image's
-    index among the sum's distinct images.
-    """
-    low = (1 << g) - 1
-    basis = [(bx, bz, (bx & bz).bit_count(), dual, 1 << j)
-             for j, (bx, bz, dual) in enumerate(basis)]
-    images, alpha, column, negative = {}, [], [], []
-    for sx, sz in zip(x, z):
-        v = sx | sz << n
-        e = az = picked = 0
-        for bx, bz, power, dual, bit in basis:
-            if (v & dual).bit_count() & 1:
-                picked |= bit
-                e += power + 2 * (az & bx).bit_count()
-                az ^= bz
-        gx, gz = picked & low, picked >> g & low
-        alpha.append(picked >> 2 * g)
-        column.append(images.setdefault((gx, gz), len(images)))
-        negative.append(((sx & sz).bit_count() - e - (gx & gz).bit_count())
-                        & 2)
-    return alpha, column, negative, list(images)
 
 
 def _random_vector(rng, dim: int, real: bool) -> np.ndarray:

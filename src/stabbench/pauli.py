@@ -7,6 +7,13 @@ factors.  Products of two strings are only representable when they commute
 that case.  ``symplectic_frame`` splits the span of a set of strings into
 anticommuting pairs and a commuting centre: the one symplectic Gram-Schmidt
 of the package, behind ``matrices.payload_norm`` and ``code.logicals``.
+
+The product rule (i^a X^x Z^z)(i^b X^x' Z^z') = i^(a + b + 2|z & x'|)
+X^(x ^ x') Z^(z ^ z') is computed here alone, in three forms:
+``multiply_phase`` on two strings of any width; ``times``, elementwise on
+int64 masks or rows of uint64 words, with ``hermitian_phase`` and
+``odd_overlap`` beside it; and ``_frame_coordinates``, string by string
+into a symplectic frame.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import Echelon, _span_table
+from .gf2 import Echelon, popcount
 
 I_POWERS = np.array([1, 1j, -1, -1j])  # i^e, indexed by e mod 4
 _CHAR_TO_XZ = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
@@ -76,9 +83,6 @@ class PauliString:
     def support(self) -> frozenset[int]:
         m = self.x | self.z
         return frozenset(i for i in range(self.n) if (m >> i) & 1)
-
-    def is_identity(self) -> bool:
-        return self.x == 0 and self.z == 0
 
     def __str__(self) -> str:
         prefix = "" if self.sign == 1 else "-"
@@ -176,23 +180,50 @@ def columns(pairs) -> tuple:
             np.array([p.z for _, p in pairs], dtype=np.int64))
 
 
+def _count(masks) -> np.ndarray:
+    """|m| of each int64 mask, or of each row of uint64 words.  The dtype
+    tells the two apart: int64 masks may come broadcast to 2-D."""
+    masks = np.asarray(masks)
+    if masks.dtype == np.uint64:
+        return popcount(masks)
+    return np.bitwise_count(masks)
+
+
+def times(ae, ax, az, be, bx, bz) -> tuple:
+    """(i^ae X^ax Z^az)(i^be X^bx Z^bz) = i^e X^x Z^z elementwise, as
+    (e, x, z) = (ae + be + 2|az & bx|, ax ^ bx, az ^ bz): crossing Z^az
+    past X^bx.  The masks are int64 masks or rows of uint64 words
+    (``gf2._words``), broadcast against each other; e is exact mod 4."""
+    e = np.asarray(ae, dtype=np.int64) + be + 2 * _count(az & bx)
+    return e, ax ^ bx, az ^ bz
+
+
+def hermitian_phase(e, x, z) -> np.ndarray:
+    """i^(e - |x & z|): i^e X^x Z^z is this phase times the Hermitian
+    string i^|x & z| X^x Z^z."""
+    return I_POWERS[(e - _count(x & z)) % 4]
+
+
+def odd_overlap(ax, az, bx, bz) -> np.ndarray:
+    """1 where the strings (ax, az) and (bx, bz) anticommute, else 0."""
+    return (_count(ax & bz) + _count(az & bx)) & 1
+
+
 def signed_span(x: np.ndarray, z: np.ndarray, e) -> tuple:
     """Products of every subset of the strings i^e_b X^x_b Z^z_b.
 
-    ``x`` and ``z`` hold one row per string, as ints or as rows of words;
-    row s of each returned array (x, z, e mod 4) is the product of the
-    strings the bits of s select, in order.  The x and z tables are the
-    XOR tables of ``gf2._span_table``, and the phase follows
-    (i^a X^x Z^z)(i^b X^x' Z^z') = i^(a + b + 2|z & x'|) X^(x^x') Z^(z^z'):
-    rows 2^b..2^(b+1) are rows 0..2^b times string b.
+    ``x`` and ``z`` hold one row per string, as int64 masks or as rows of
+    uint64 words; row s of each returned array (x, z, e mod 4) is the
+    product of the strings the bits of s select, in order: rows
+    2^b..2^(b+1) are rows 0..2^b times string b (``times``).
     """
-    tx, tz = _span_table(x), _span_table(z)
+    tx = np.zeros((1 << len(x), *x.shape[1:]), x.dtype)
+    tz = np.zeros_like(tx)
     te = np.zeros(len(tx), np.int64)
-    for b, (bx, be) in enumerate(zip(x, e)):
-        overlap = np.bitwise_count(tz[:1 << b] & bx)
-        if overlap.ndim > 1:
-            overlap = overlap.sum(axis=1, dtype=np.int64)
-        te[1 << b:2 << b] = (te[:1 << b] + be + 2 * overlap) % 4
+    for b, (bx, bz, be) in enumerate(zip(x, z, e)):
+        lo, hi = slice(0, 1 << b), slice(1 << b, 2 << b)
+        e_hi, tx[hi], tz[hi] = times(te[lo], tx[lo], tz[lo], be, bx, bz)
+        te[hi] = e_hi % 4
     return tx, tz, te
 
 
@@ -252,3 +283,39 @@ def symplectic_frame(n: int, x: list, z: list) -> tuple:
                 dual ^= az | ax << n
         basis.append((row & mask, row >> n, dual))
     return len(pairs), basis
+
+
+def _frame_coordinates(n: int, x: list, z: list, g: int, basis) -> tuple:
+    """Each string (x[k], z[k]) in the symplectic frame (g, basis) of its
+    sum (``symplectic_frame``), as lists (alpha, column, negative) with one
+    entry per string, and the sum's distinct images (gx, gz) by column.
+
+    The string's coordinates select basis elements, and their product in
+    basis order is i^e X^x Z^z, e accumulated by the rule of ``times`` on
+    Python ints, one string at a time.  Under a_i -> X_i, b_i -> Z_i and
+    centre row j -> Z on character bit j, that product becomes X^gx Z^gz on
+    g qubits, which is (-i)^|gx & gz| times the string (gx, gz) in its
+    Hermitian form i^|gx & gz| X^gx Z^gz.  So the Hermitian string
+    i^|x & z| X^x Z^z maps to i^(|x & z| - e - |gx & gz|) = +-1 times its
+    image (gx, gz) times the centre's sign; ``negative`` is 2 where that
+    factor is -1, else 0.  ``alpha`` holds the centre coordinates and
+    ``column`` the image's index among the sum's distinct images.
+    """
+    low = (1 << g) - 1
+    basis = [(bx, bz, (bx & bz).bit_count(), dual, 1 << j)
+             for j, (bx, bz, dual) in enumerate(basis)]
+    images, alpha, column, negative = {}, [], [], []
+    for sx, sz in zip(x, z):
+        v = sx | sz << n
+        e = az = picked = 0
+        for bx, bz, power, dual, bit in basis:
+            if (v & dual).bit_count() & 1:
+                picked |= bit
+                e += power + 2 * (az & bx).bit_count()
+                az ^= bz
+        gx, gz = picked & low, picked >> g & low
+        alpha.append(picked >> 2 * g)
+        column.append(images.setdefault((gx, gz), len(images)))
+        negative.append(((sx & sz).bit_count() - e - (gx & gz).bit_count())
+                        & 2)
+    return alpha, column, negative, list(images)

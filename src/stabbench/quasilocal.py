@@ -30,9 +30,10 @@ P_S = 2^-r sum_{g in G_S} g.  Each support's group is built once per
 code, into the code's table (``StabilizerCode.patch_groups``), and the
 split and the generator of an operator are one vectorized pass over all
 strings of all its terms (``_OperatorPass``), and so is the commutator
-of two operators, over all pairs of their overlapping terms.  The dense
-projector P_S and patch Hamiltonian H_S are the code-level builders of
-``matrices`` applied to the patch code, kept as references.
+of two operators, over all pairs of their overlapping terms; the products
+of those passes are ``pauli.times``.  The dense projector P_S and patch
+Hamiltonian H_S are the code-level builders of ``matrices`` applied to the
+patch code, kept as references.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ from .matrices import (
     operator_dense,
     payload_norm,
 )
-from .pauli import I_POWERS, PauliString, columns, restrict
+from .pauli import (PauliString, columns, hermitian_phase, odd_overlap,
+                    restrict, times)
 
 DROP_TOL = 1e-14  # summed coefficients at or below this are dropped
 
@@ -128,12 +130,6 @@ class LocalTerm:
         x, z = self._masks_at(self.patch_qubits)
         return tuple((coeff, PauliString(self.n, px, pz)) for coeff, px, pz
                      in zip(self.c.tolist(), x.tolist(), z.tolist()))
-
-    def patch_matrix(self) -> np.ndarray:
-        return operator_dense(len(self.support), (self.c, self.x, self.z))
-
-    def operator_norm(self) -> float:
-        return float(operator_norms((self,))[0])
 
     def scaled(self, factor: complex) -> "LocalTerm":
         return LocalTerm._from_columns(self.n, self.support, self.syndrome,
@@ -285,21 +281,6 @@ def patch_hamiltonian(code: StabilizerCode, region) -> np.ndarray:
     return code_hamiltonian_dense(_patch_code(code, region))
 
 
-def _odd_overlap(ax, az, bx, bz) -> np.ndarray:
-    """1 where the strings (ax, az) and (bx, bz) anticommute, else 0."""
-    return (np.bitwise_count(ax & bz) + np.bitwise_count(az & bx)) & 1
-
-
-def _times(ae, ax, az, bx, bz):
-    """(i^ae X^ax Z^az)(i^be X^bx Z^bz) = i^(ae + be + 2|az & bx|) X^px Z^pz
-    elementwise, for be = |bx & bz|, as (phase, px, pz): the product is
-    phase times the canonical string i^|px & pz| X^px Z^pz."""
-    px, pz = ax ^ bx, az ^ bz
-    power = (np.asarray(ae, dtype=np.int64) + np.bitwise_count(bx & bz)
-             + 2 * np.bitwise_count(az & bx) - np.bitwise_count(px & pz))
-    return I_POWERS[power % 4], px, pz
-
-
 def _patch_group(code: StabilizerCode, support: frozenset) -> tuple:
     """The patch group of ``support`` from the code's table
     (``StabilizerCode.patch_groups``), built on first use.
@@ -366,8 +347,8 @@ class _OperatorPass:
             np.concatenate([empty] + [getattr(t, a) for t in terms])
             for a, empty in zip("cxz", columns(())))
         owner = slot[self.term]
-        flips = _odd_overlap(masks[0][owner], masks[1][owner],
-                             self.x[:, None], self.z[:, None])
+        flips = odd_overlap(masks[0][owner], masks[1][owner],
+                            self.x[:, None], self.z[:, None])
         self.flipped = flips.any(axis=1)
         self.energy = (flips * lambdas[owner]).sum(axis=1)
 
@@ -393,11 +374,12 @@ class _OperatorPass:
         parts = [(c, x0, x0, x0)]
         for k, g, i in _pair_slices(self.group_size, count):
             g, i = self.group_start[k] + g, first[k] + i
-            chosen = keep[k, _odd_overlap(self.gx[g], self.gz[g], x[i], z[i])]
+            chosen = keep[k, odd_overlap(self.gx[g], self.gz[g], x[i], z[i])]
             k, g, i = k[chosen], g[chosen], i[chosen]
-            phase, px, pz = _times(self.ge[g], self.gx[g], self.gz[g],
-                                   x[i], z[i])
-            parts.append((scale[k] * weights[i] * phase, k, px, pz))
+            e, px, pz = times(self.ge[g], self.gx[g], self.gz[g],
+                              np.bitwise_count(x[i] & z[i]), x[i], z[i])
+            parts.append((scale[k] * weights[i] * hermitian_phase(e, px, pz),
+                          k, px, pz))
         return _accumulate(*parts)
 
     def local_terms(self, c, term, x, z) -> list:
@@ -546,9 +528,9 @@ def commutator_qlo(d: QuasiLocalOperator,
     terms of a pair are re-indexed into the patch of their union
     (``_union_columns``), and the (i, j) string pairs of all term pairs,
     term pair by term pair and i-major within one, are formed in slices of
-    2^16: the anticommuting ones are multiplied (``_times``) and one stable
-    ``_accumulate`` by (key, x, z) sums equal strings of a key in that
-    order.  Sums at or below DROP_TOL are dropped, and a key left with
+    2^16: the anticommuting ones are multiplied (``pauli.times``) and one
+    stable ``_accumulate`` by (key, x, z) sums equal strings of a key in
+    that order.  Sums at or below DROP_TOL are dropped, and a key left with
     nothing has no term.
     """
     code = d.code
@@ -572,11 +554,12 @@ def commutator_qlo(d: QuasiLocalOperator,
     parts = [(c, x0, x0, x0)]
     for k, r, s in _pair_slices(nd, na):
         r, s = first_d[k] + r, first_a[k] + s
-        odd = _odd_overlap(dx[r], dz[r], ax[s], az[s]) == 1
+        odd = odd_overlap(dx[r], dz[r], ax[s], az[s]) == 1
         k, r, s = k[odd], r[odd], s[odd]
-        phase, px, pz = _times(np.bitwise_count(dx[r] & dz[r]), dx[r], dz[r],
-                               ax[s], az[s])
-        parts.append((2.0 * dc[r] * ac[s] * phase, key[k], px, pz))
+        e, px, pz = times(np.bitwise_count(dx[r] & dz[r]), dx[r], dz[r],
+                          np.bitwise_count(ax[s] & az[s]), ax[s], az[s])
+        parts.append((2.0 * dc[r] * ac[s] * hermitian_phase(e, px, pz),
+                      key[k], px, pz))
     c, slot, x, z = _accumulate(*parts)
     kept = np.abs(c) > DROP_TOL
     c, slot, x, z = c[kept], slot[kept], x[kept], z[kept]

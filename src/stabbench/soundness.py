@@ -7,7 +7,9 @@ the GF(2) coordinates of ``code.CheckGroup`` (the independent checks, plus
 search from the identity over those coordinates, in numpy: each element is
 a row of uint64 words, and a level is the XOR of the previous one with
 every check's mask; one sweep yields every minimal expansion, and a budget
-stops it once that many elements are visited, at any rank.
+stops it once that many elements are visited, at any rank.  The elements
+visited are decoded into weights and signs by ``pauli.times`` over
+``pauli.signed_span`` tables.
 ``min_expansion`` answers one target from the same coordinates:
 ``gf2.min_support_solution`` over the generator masks searches the coset
 of check subsets whose product is the target, exact with signs because -I
@@ -30,8 +32,10 @@ from .gf2 import (
     TABLE_ROWS,
     _words,
     min_support_solution,
+    popcount,
 )
-from .pauli import PauliString, power_of_i, signed_span
+from .pauli import (PauliString, hermitian_phase, power_of_i, signed_span,
+                    times)
 
 # Group elements decoded at a time by ``weights_and_signs``.
 DECODE_BLOCK = 1 << 16
@@ -99,8 +103,8 @@ def weights_and_signs(group: CheckGroup, coords: np.ndarray):
 
     The elements are built a block at a time from ``signed_span`` tables
     of up to ``TABLE_ROWS`` basis elements each (none straddling a
-    coordinate word), with the phase tracked as the exponent e of
-    i^e X^x Z^z: multiplying by X^x' Z^z' adds 2|z & x'|.
+    coordinate word), one table's rows multiplied on at a time
+    (``pauli.times``).
     """
     tables = []
     lo = 0
@@ -119,11 +123,9 @@ def weights_and_signs(group: CheckGroup, coords: np.ndarray):
         x = z = e = 0
         for word, shift, tx, tz, te in tables:
             d = (block[:, word] >> shift) & (len(tx) - 1)
-            qx = tx[d]
-            e = e + te[d] + 2 * _popcount(z & qx)
-            x, z = x ^ qx, z ^ tz[d]
-        weights[s:s + len(block)] = _popcount(x | z)
-        plus[s:s + len(block)] = (e - _popcount(x & z)) % 4 == 0
+            e, x, z = times(e, x, z, te[d], tx[d], tz[d])
+        weights[s:s + len(block)] = popcount(x | z)
+        plus[s:s + len(block)] = hermitian_phase(e, x, z) == 1
     return weights, plus
 
 
@@ -174,10 +176,6 @@ def _keys(coords: np.ndarray) -> np.ndarray:
         return coords[:, 0]
     return np.ascontiguousarray(coords).view(
         np.dtype((np.void, 8 * coords.shape[1])))[:, 0]
-
-
-def _popcount(words: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
 
 
 def min_expansion(code: StabilizerCode, stab: PauliString,
@@ -369,7 +367,7 @@ def expansion_profile(code: StabilizerCode, size_max: int) -> ExpansionProfile:
         xs, zs = [x[:0]], [z[:0]]
         for j, k in enumerate(ends):
             px, pz = x[:k] ^ cx[j], z[:k] ^ cz[j]
-            best = int(_popcount(px | pz).min(initial=best))
+            best = int(popcount(px | pz).min(initial=best))
             if s < top:
                 xs.append(px)
                 zs.append(pz)

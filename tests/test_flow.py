@@ -18,7 +18,7 @@ from stabbench.flow import (
     c_iter_const,
     check_envelope,
     delta_kappa,
-    delta_kappas,
+    delta_kappa_tilde,
     epsilon_zero_search,
     flow_step,
     flow_trajectory,
@@ -48,7 +48,7 @@ def test_kappa_schedule_endpoints():
 
 def test_delta_kappa_floors_up_to_1e4():
     for m in range(1, 10_001):
-        dk, dkt = delta_kappas(1.0, m)
+        dk, dkt = delta_kappa(1.0, m), delta_kappa_tilde(1.0, m)
         assert dk >= 1.0 / (6.0 * m * m) * (1 - 1e-12)
         assert dkt >= 1.0 / (5.0 * (1.0 + math.log(m)) ** 2) * (1 - 1e-12)
 

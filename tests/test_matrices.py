@@ -15,7 +15,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stabbench import matrices
+from stabbench import matrices, pauli
 from stabbench.code import StabilizerCode
 from stabbench.constructors import ising_toric, repetition_code, toric_code
 from stabbench.experiments import plaquette_field_terms, uniform_field_terms
@@ -1098,7 +1098,7 @@ def _check_frame(n: int, x: list, z: list, g: int, basis) -> None:
             assert _omega(s, t) == paired
             dual = basis[j][2]
             assert ((t[0] | t[1] << n) & dual).bit_count() % 2 == (j == k)
-    alpha, column, negative, images = matrices._frame_coordinates(
+    alpha, column, negative, images = pauli._frame_coordinates(
         n, x, z, g, basis)
     for k, (sx, sz) in enumerate(zip(x, z)):
         gx, gz = images[column[k]]
@@ -1122,7 +1122,7 @@ def test_payload_norm_frame_of_pairs_and_centre():
     _check_frame(6, x, z, g, basis)
     # Z_0 Z_1 of the pairs' span goes to Z on both pair qubits, with no
     # character bit: image (gx, gz) = (0, 3).
-    _, column, _, images = matrices._frame_coordinates(6, [0], [3], g, basis)
+    _, column, _, images = pauli._frame_coordinates(6, [0], [3], g, basis)
     assert images[column[0]] == (0, 3)
 
 

@@ -14,12 +14,15 @@ from stabbench.pauli import (
     PauliString,
     columns,
     commutes,
+    hermitian_phase,
     multiply,
     multiply_phase,
+    odd_overlap,
     power_of_i,
     product,
     restrict,
     signed_span,
+    times,
 )
 
 
@@ -62,7 +65,7 @@ def test_multiply_identity_and_involution():
     ident = PauliString.identity(3)
     assert multiply(p, ident) == p
     sq = multiply(p, p)
-    assert sq.is_identity() and sq.sign == 1
+    assert sq == ident
 
 
 def test_multiply_sign_convention():
@@ -119,7 +122,7 @@ def test_columns_refuse_past_63_qubits():
 
 
 def test_empty_product_needs_n():
-    assert product([], n=3).is_identity()
+    assert product([], n=3) == PauliString.identity(3)
     with pytest.raises(ValueError):
         product([])
 
@@ -148,6 +151,36 @@ def test_property_symplectic_form_matches_dense(n, data):
                     data.draw(st.integers(0, (1 << n) - 1)))
     mp, mq = pauli_matrix(p), pauli_matrix(q)
     assert commutes(p, q) == np.allclose(mp @ mq, mq @ mp)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([5, 63, 70]), st.data())
+def test_times_matches_multiply_phase(n, data):
+    # String by string: times and hermitian_phase against multiply_phase,
+    # and odd_overlap against commutes, on int64 columns (n < 64) and on
+    # rows of uint64 words (n = 70).  Overlapping x and z bits are Y factors.
+    string = st.builds(lambda x, z, sign: PauliString(n, x, z, sign),
+                       st.integers(0, (1 << n) - 1),
+                       st.integers(0, (1 << n) - 1), st.sampled_from((1, -1)))
+    pairs = data.draw(st.lists(st.tuples(string, string), min_size=1,
+                               max_size=8))
+    def pack(masks):
+        return np.array(masks, dtype=np.int64) if n < 64 else _words(masks, n)
+
+    def unpack(mask):  # an int64 mask or a row of words, little-endian
+        return int.from_bytes(np.asarray(mask).tobytes(), "little")
+
+    (ae, ax, az), (be, bx, bz) = (
+        ([power_of_i(p) for p in side], pack([p.x for p in side]),
+         pack([p.z for p in side])) for side in zip(*pairs))
+    e, x, z = times(ae, ax, az, be, bx, bz)
+    phase = hermitian_phase(e, x, z)
+    odd = odd_overlap(ax, az, bx, bz)
+    for k, (p, q) in enumerate(pairs):
+        want, canon = multiply_phase(p, q)
+        assert (unpack(x[k]), unpack(z[k])) == (canon.x, canon.z)
+        assert phase[k] == want
+        assert odd[k] == (not commutes(p, q))
 
 
 @pytest.mark.parametrize("n", [5, 70])

@@ -32,8 +32,11 @@ from stabbench.pauli import (
     PauliString,
     columns,
     commutes,
+    hermitian_phase,
     multiply_phase,
+    odd_overlap,
     restrict,
+    times,
 )
 from stabbench.quasilocal import (
     DROP_TOL,
@@ -48,6 +51,7 @@ from stabbench.quasilocal import (
     decompose,
     kappa_norm,
     local_projectors,
+    operator_norms,
     patch_hamiltonian,
     solve_generator,
 )
@@ -322,9 +326,9 @@ def test_block_split_sum_and_norm_contract():
                                columns(list(diag.paulis) + list(off.paulis)))
         assert np.allclose(total, operator_dense(code.n, columns(t.paulis)),
                            atol=1e-11)
-        vnorm = t.operator_norm()
-        assert diag.operator_norm() <= vnorm + 1e-10
-        assert off.operator_norm() <= vnorm + 1e-10
+        vnorm, diag_norm, off_norm = operator_norms((t, diag, off))
+        assert diag_norm <= vnorm + 1e-10
+        assert off_norm <= vnorm + 1e-10
         # both halves keep the syndrome and support keys
         assert diag.support == t.support and off.support == t.support
         assert diag.syndrome == t.syndrome
@@ -362,7 +366,7 @@ def patch_matrix_to_term(M: np.ndarray, template: LocalTerm,
 
 def dense_block_split(term: LocalTerm, code: StabilizerCode):
     P, Q = local_projectors(code, term.support)
-    V = term.patch_matrix()
+    V = operator_dense(len(term.support), (term.c, term.x, term.z))
     diag = P @ V @ P + Q @ V @ Q
     return (patch_matrix_to_term(diag, term),
             patch_matrix_to_term(V - diag, term))
@@ -372,7 +376,7 @@ def dense_generator_term(term: LocalTerm, code: StabilizerCode) -> LocalTerm:
     """A = P V Q H^+ - H^+ Q V P with H^+ the pseudo-inverse of the patch
     Hamiltonian."""
     P, Q = local_projectors(code, term.support)
-    V = term.patch_matrix()
+    V = operator_dense(len(term.support), (term.c, term.x, term.z))
     Hpinv = np.linalg.pinv(patch_hamiltonian(code, term.support), rcond=1e-12,
                            hermitian=True)
     return patch_matrix_to_term(P @ V @ Q @ Hpinv - Hpinv @ Q @ V @ P, term)
@@ -794,13 +798,13 @@ def commutator_per_pair(d: QuasiLocalOperator,
             (dx, dz), (ax, az) = (
                 t._masks_at(np.searchsorted(qubits, t.patch_qubits))
                 for t in (td, ta))
-            i, j = np.nonzero(quasilocal._odd_overlap(
-                dx[:, None], dz[:, None], ax, az))
-            phase, px, pz = quasilocal._times(
-                np.bitwise_count(dx & dz)[i], dx[i], dz[i], ax[j], az[j])
+            i, j = np.nonzero(odd_overlap(dx[:, None], dz[:, None], ax, az))
+            e, px, pz = times(np.bitwise_count(dx & dz)[i], dx[i], dz[i],
+                              np.bitwise_count(ax & az)[j], ax[j], az[j])
             grouped.setdefault(
                 (sup, td.syndrome ^ ta.syndrome), []
-            ).append((2.0 * td.c[i] * ta.c[j] * phase, px, pz))
+            ).append((2.0 * td.c[i] * ta.c[j] * hermitian_phase(e, px, pz),
+                      px, pz))
     terms = (quasilocal._summed_term(code.n, sup, synd, *parts)
              for (sup, synd), parts in grouped.items())
     return QuasiLocalOperator(code, tuple(t for t in terms if t.c.size))

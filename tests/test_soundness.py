@@ -75,7 +75,7 @@ def exhaustive_f_raw(checks, n):
         best[prod] = min(best.get(prod, size), size)
     f_raw: dict = {}
     for prod, size in best.items():
-        if prod.sign == 1 and not prod.is_identity():
+        if prod.sign == 1 and prod.weight():
             f_raw[prod.weight()] = max(f_raw.get(prod.weight(), 0), size)
     return f_raw
 
