@@ -10,10 +10,11 @@ of the package, behind ``matrices.payload_norm`` and ``code.logicals``.
 
 The product rule (i^a X^x Z^z)(i^b X^x' Z^z') = i^(a + b + 2|z & x'|)
 X^(x ^ x') Z^(z ^ z') is computed here alone, in three forms:
-``multiply_phase`` on two strings of any width; ``times``, elementwise on
-int64 masks or rows of uint64 words, with ``hermitian_phase`` and
-``odd_overlap`` beside it; and ``_frame_coordinates``, string by string
-into a symplectic frame.
+``_product_exponent`` on the int masks of two strings of any width,
+behind ``multiply_phase`` and the one-pass fold of ``product``;
+``times``, elementwise on int64 masks or rows of uint64 words, with
+``hermitian_phase`` and ``odd_overlap`` beside it; and
+``_frame_coordinates``, string by string into a symplectic frame.
 """
 
 from __future__ import annotations
@@ -118,18 +119,18 @@ def multiply_phase(p: PauliString, q: PauliString) -> tuple[complex, PauliString
     """
     if p.n != q.n:
         raise ValueError("qubit count mismatch")
-    x3 = p.x ^ q.x
-    z3 = p.z ^ q.z
-    # Phase exponent of i: from unpacking both canonical Y factors, crossing
-    # Z^z1 past X^x2, and repacking the result's Y factors.
-    t = (
-        (p.x & p.z).bit_count()
-        + (q.x & q.z).bit_count()
-        + 2 * (p.z & q.x).bit_count()
-        - (x3 & z3).bit_count()
-    ) % 4
+    t = _product_exponent(p.x, p.z, q.x, q.z) % 4
     phase = p.sign * q.sign * (1j) ** t
-    return phase, PauliString(p.n, x3, z3)
+    return phase, PauliString(p.n, p.x ^ q.x, p.z ^ q.z)
+
+
+def _product_exponent(ax: int, az: int, bx: int, bz: int) -> int:
+    """t with (i^|ax & az| X^ax Z^az)(i^|bx & bz| X^bx Z^bz) = i^t times
+    the Hermitian string of (ax ^ bx, az ^ bz): from unpacking both
+    strings' Y factors, crossing Z^az past X^bx, and repacking the
+    product's Y factors.  t is odd exactly when the two anticommute."""
+    return ((ax & az).bit_count() + (bx & bz).bit_count()
+            + 2 * (az & bx).bit_count() - ((ax ^ bx) & (az ^ bz)).bit_count())
 
 
 def restrict(p: PauliString, qubits) -> PauliString:
@@ -148,16 +149,25 @@ def restrict(p: PauliString, qubits) -> PauliString:
 
 
 def product(paulis, n: int | None = None) -> PauliString:
-    """Ordered product of a (possibly empty) iterable of commuting strings."""
-    paulis = list(paulis)
-    if not paulis:
+    """Ordered product of a (possibly empty) iterable of strings, each
+    commuting with the product of those before it: the left fold of
+    ``multiply``, with its errors, folded on ints and built once."""
+    paulis = iter(paulis)
+    first = next(paulis, None)
+    if first is None:
         if n is None:
             raise ValueError("need n for an empty product")
         return PauliString.identity(n)
-    acc = paulis[0]
-    for p in paulis[1:]:
-        acc = multiply(acc, p)
-    return acc
+    x, z, t, sign = first.x, first.z, 0, first.sign
+    for p in paulis:
+        if p.n != first.n:
+            raise ValueError("qubit count mismatch")
+        t += _product_exponent(x, z, p.x, p.z)
+        if t & 1:
+            raise ValueError(
+                "product of anticommuting strings is not Hermitian")
+        x, z, sign = x ^ p.x, z ^ p.z, sign * p.sign
+    return PauliString(first.n, x, z, -sign if t & 2 else sign)
 
 
 def power_of_i(p: PauliString) -> int:

@@ -627,6 +627,35 @@ def test_lanczos_keeps_repeated_levels(monkeypatch):
     assert fresh[:3] == [3, 6, 9]
 
 
+def test_lanczos_one_basis_pass_per_matvec(monkeypatch):
+    # rep11 under a 0.3 X field: two Lanczos blocks of 2^10 states.  Each
+    # step subtracts the three-term recurrence and then makes one classical
+    # Gram-Schmidt pass over the whole basis.  The arrowhead pass of the
+    # first step after a restart and the rare DGKS second pass add at most
+    # two per basis fill (one eigh of T each).  A step whose first pass ran
+    # on H v_j itself needed a second nearly every time: 546 passes for 285
+    # matvecs here.
+    n = 11
+    terms = columns(code_hamiltonian_terms(repetition_code(n, lam=2.0))
+                    + _field(n, "X", 0.3))
+    counts = dict.fromkeys(("matvec", "pass", "fill"), 0)
+
+    def spy(key, f):
+        def counted(*args):
+            counts[key] += 1
+            return f(*args)
+        return counted
+
+    monkeypatch.setattr(PauliMatvec, "__call__",
+                        spy("matvec", PauliMatvec.__call__))
+    monkeypatch.setattr(matrices, "_project_out",
+                        spy("pass", matrices._project_out))
+    monkeypatch.setattr(np.linalg, "eigh", spy("fill", np.linalg.eigh))
+    lowest_eigenvalues_sparse(n, terms, k=6)
+    assert counts["fill"] > 2
+    assert counts["pass"] <= counts["matvec"] + 2 * counts["fill"]
+
+
 def test_lanczos_complex_coset_keeps_levels():
     # rep11 (lam = 2) under a 0.2 Y field plus a 0.15 X field: one coset
     # of 2^11 complex-Hermitian states; the levels the ARPACK solver gave.

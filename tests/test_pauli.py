@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -181,6 +182,38 @@ def test_times_matches_multiply_phase(n, data):
         assert (unpack(x[k]), unpack(z[k])) == (canon.x, canon.z)
         assert phase[k] == want
         assert odd[k] == (not commutes(p, q))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([3, 70]), st.booleans(), st.data())
+def test_product_is_the_left_fold_of_multiply(n, repair, data):
+    # product folds the phase on ints and builds one string at the end: it
+    # must equal the left fold of multiply, signs and Y factors included,
+    # from a list or an iterator, and raise its ValueError wherever the fold
+    # raises: on a factor that anticommutes with the product of those before
+    # it.  With ``repair`` each such factor gets one bit flipped so that it
+    # commutes.
+    string = st.builds(lambda x, z, sign: PauliString(n, x, z, sign),
+                       st.integers(0, (1 << n) - 1),
+                       st.integers(0, (1 << n) - 1), st.sampled_from((1, -1)))
+    strings = data.draw(st.lists(string, min_size=1, max_size=6))
+    if repair:
+        acc = strings[0]
+        for i, q in enumerate(strings[1:], 1):
+            if not commutes(acc, q):
+                bit = acc.x & -acc.x
+                strings[i] = q = (PauliString(n, q.x, q.z ^ bit, q.sign) if bit
+                                  else PauliString(n, q.x ^ (acc.z & -acc.z),
+                                                   q.z, q.sign))
+            acc = multiply(acc, q)
+    try:
+        want = functools.reduce(multiply, strings)
+    except ValueError:
+        with pytest.raises(ValueError, match="anticommuting"):
+            product(strings)
+    else:
+        assert product(strings) == want
+        assert product(iter(strings)) == want
 
 
 @pytest.mark.parametrize("n", [5, 70])
