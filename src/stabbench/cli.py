@@ -25,7 +25,6 @@ from .experiments import (
     code_from_dict,
     code_to_dict,
     perturbation_terms,
-    spectrum_grid,
 )
 from .flow import (
     FlowConstants,
@@ -218,19 +217,23 @@ def cmd_spectrum(args) -> int:
         print("--swt-orders requires dense mode at n <= "
               f"{DENSE_MAX_QUBITS}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        reports = spectrum_grid(
-            code, terms, eps_values, mode=args.mode,
-            num_eigs=args.num_eigs, seed=args.seed,
-        )
-    except ArithmeticError as exc:
-        # A Lanczos eigenpair past the residual gate, or a solve past the
-        # restart cap.  A ValueError (a size refusal, k out of range)
-        # reaches main as a usage error.
-        print(f"eigensolver failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    rows = [
-        {
+    rows = []
+    for eps in sorted(eps_values):
+        run = None
+        if args.swt_orders:
+            run = swt_run(code, [(eps * c, p) for c, p in terms],
+                          m_target=args.swt_orders)
+        try:
+            r = spectral_report(code, terms, eps, num_eigs=args.num_eigs,
+                                mode=args.mode, seed=args.seed,
+                                swt_result=run)
+        except ArithmeticError as exc:
+            # A Lanczos eigenpair past the residual gate, or a solve past
+            # the restart cap.  A ValueError (a size refusal, k out of
+            # range) reaches main as a usage error.
+            print(f"eigensolver failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
+        row = {
             "epsilon": r.epsilon,
             "cluster_size": r.cluster_size,
             "splitting": r.splitting,
@@ -238,17 +241,11 @@ def cmd_spectrum(args) -> int:
             "splitting_2k": r.splitting_2k,
             "gap_after_2k": r.gap_after_2k,
         }
-        for r in reports
-    ]
-    if args.swt_orders:
-        for row in rows:
-            eps = row["epsilon"]
-            scaled = [(eps * c, p) for c, p in terms]
-            run = swt_run(code, scaled, m_target=args.swt_orders)
-            rep = spectral_report(code, terms, eps, mode="dense", swt_result=run)
-            row["projector_distance"] = rep.projector_distance
+        if run is not None:
+            row["projector_distance"] = r.projector_distance
             for m, v in enumerate(run.v_norms, start=1):
                 row[f"v_{m}"] = v
+        rows.append(row)
     if args.format == "csv":
         _write_csv(rows, args.out)
     else:

@@ -1,14 +1,13 @@
-"""Perturbation families, spectrum sweeps, and code artifact serialization.
+"""Perturbation families, splitting sweeps, and code artifact serialization.
 
-Everything here is seed-deterministic; a spectrum grid runs its points in
-one loop, in increasing epsilon.
+Everything here is seed-deterministic.
 """
 
 from __future__ import annotations
 
 import random
 
-from .code import StabilizerCode, code_parameters, num_logical_qubits
+from .code import StabilizerCode, code_parameters
 from .constructors import (
     BipartiteTanner,
     SimpleGraph,
@@ -72,17 +71,6 @@ def _torus_side(n: int) -> int:
     if 2 * L * L != n:
         raise ValueError("code size is not a torus; pass L explicitly")
     return L
-
-
-def spectrum_grid(code: StabilizerCode, terms, eps_values, mode: str = "dense",
-                  num_eigs: int | None = None, seed: int = 7,
-                  k: int | None = None):
-    """Spectral reports over an epsilon grid, in increasing epsilon."""
-    if k is None:
-        k = num_logical_qubits(code)
-    return [spectral_report(code, terms, eps, num_eigs=num_eigs, mode=mode,
-                            k=k, seed=seed)
-            for eps in sorted(eps_values)]
 
 
 def splitting_versus_size(sizes, epsilon: float, lam: float = 2.0,

@@ -95,16 +95,20 @@ def refuse_dense(n: int, rows: int = 1) -> None:
                          f"{DENSE_MAX_QUBITS}")
 
 
+def codespace_projector_terms(code) -> tuple:
+    """P = prod (I+Q)/2 as (c, x, z): the normalized sum over the signed
+    check group (``code.CheckGroup``), its 2^rank elements i^e X^x Z^z each
+    weighted i^(e - |x & z|) / 2^rank.  P = 0 when the group holds -I."""
+    x, z, e = CheckGroup(code.checks, code.n).signed_span()
+    return hermitian_phase(e, x, z) / len(x), x, z
+
+
 def codespace_projector_dense(code) -> np.ndarray:
-    """P = prod (I+Q)/2 as the normalized sum over the signed check group
-    (``code.CheckGroup``): its 2^rank elements i^e X^x Z^z, each weighted
-    i^(e - |x & z|) / 2^rank.  P = 0 when the group holds -I.  Raises
+    """P of ``codespace_projector_terms`` as a dense matrix.  Raises
     ValueError past ``DENSE_MAX_QUBITS`` qubits, before the group table of
     up to 2^(n+1) rows is built."""
     refuse_dense(code.n)
-    x, z, e = CheckGroup(code.checks, code.n).signed_span()
-    c = hermitian_phase(e, x, z) / len(x)
-    return operator_dense(code.n, (c, x, z))
+    return operator_dense(code.n, codespace_projector_terms(code))
 
 
 _PAULI_T = 0.5 * np.array(
@@ -146,9 +150,9 @@ def pauli_transform(M: np.ndarray, tol: float = 1e-13, frame=None) -> dict:
     the XOR of the rows that m selects, z carries zf on the free qubits,
     and pivot bit j of z is z'_j XOR the parity of row_j & zf (z'_j being
     that parity over all of z).  The twist sign applies where
-    |x & z| - |m & z'| = 2 (mod 4), and in the Hadamard frame each (x, z)
-    is mapped back as ``_hadamard_frame`` maps it (x and z swapped, c
-    negated when |x & z| is odd).  No 2^n x 2^n matrix is built.
+    |x & z| - |m & z'| = 2 (mod 4), and in the Hadamard frame the sorted
+    strings are mapped back by ``_hadamard_frame``.  No 2^n x 2^n matrix is
+    built.
 
     The Y weights are divided by i (``_PAULI_T_REAL``), so a real ``M`` is
     expanded in float64 and a complex one by real scalings, and each kept
@@ -214,13 +218,11 @@ def pauli_transform(M: np.ndarray, tol: float = 1e-13, frame=None) -> dict:
     # i^(number of Y) restores the Y weights divided out of _PAULI_T_REAL.
     c = t[f, flat] * I_POWERS[np.bitwise_count(m & zr) % 4]
     negate = (np.bitwise_count(x & z) - np.bitwise_count(m & zr)) % 4 != 0
-    if hadamard:
-        negate ^= (np.bitwise_count(x & z) & 1).astype(bool)
     c = np.where(negate, -c, c)
     order = np.argsort(_digit_index(x, z, n), kind="stable")
-    x, z, c = x[order], z[order], c[order]
+    c, x, z = c[order], x[order], z[order]
     if hadamard:
-        x, z = z, x
+        c, x, z = _hadamard_frame((c, x, z))
     return dict(zip(zip(x.tolist(), z.tolist()), c.tolist()))
 
 

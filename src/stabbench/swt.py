@@ -13,8 +13,9 @@ and the conjugation residual, the unitarity defect and the garbage norm
 are upper bounds on 2-norms from ``eigvalsh``, with no ``svd``.  Spectral
 verification (ground clusters, gaps, splittings, Weyl stability) runs
 through the coset solver of ``matrices``: every level up to
-``matrices.DENSE_MAX_QUBITS`` qubits, the lowest few beyond.  Only
-projector distances diagonalize a dense 2^n x 2^n matrix.
+``matrices.DENSE_MAX_QUBITS`` qubits, the lowest few beyond.  Projector
+distances are taken on the coset blocks of the SWT run's frame, with no
+2^n x 2^n matrix.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from .matrices import (
     code_hamiltonian_dense,
     code_hamiltonian_terms,
     codespace_projector_dense,
+    codespace_projector_terms,
     lowest_eigenvalues_sparse,
-    operator_dense,
     pauli_transform,
     payload_norm,
     refuse_dense,
@@ -330,11 +331,17 @@ def spectral_report(
     (``matrices.COSET_MAX_DIM``) with ValueError, and so does
     ``pauli.columns`` for a code past 63 qubits, before any mask is packed.
 
-    Only when an SWT run is supplied with dense mode is the full matrix
-    diagonalized with eigenvectors, to report the distance between the
-    perturbed ground projector and the rotated unperturbed one.  The Weyl
-    check (dense mode) compares the spectrum with that of H0, both from the
-    coset solver, against eps ||V|| from ``payload_norm``.
+    Dense mode alone takes an SWT run and the Weyl check; sparse mode
+    refuses either with ValueError.  With a run, the distance between the
+    perturbed ground projector and the rotated code space U P U^dagger
+    (Bravyi, Hastings and Michalakis 2010) is the largest block norm
+    (``_max_norm``) on the coset blocks of the run's frame: H, without its
+    terms of coefficient 0, by one batched ``eigh``, its 2^k lowest levels
+    over all blocks as the ground projector, P from
+    ``codespace_projector_terms`` and U from the run.  A term of H outside
+    the frame raises ``CosetFrame.reduce``'s ValueError.  The Weyl check
+    compares the spectrum with that of H0, both from the coset solver,
+    against eps ||V|| from ``payload_norm``.
     """
     if k is None:
         k = num_logical_qubits(code)
@@ -342,19 +349,17 @@ def spectral_report(
         num_eigs = 2 ** k + 4
     if mode == "dense":
         refuse_dense(code.n)
+    elif mode != "sparse":
+        raise ValueError(f"unknown mode {mode!r}")
+    elif swt_result is not None:
+        raise ValueError("swt_result requires dense mode")
+    elif weyl_check:
+        raise ValueError("weyl_check requires dense mode")
     h0, v = columns(code_hamiltonian_terms(code)), columns(v_terms)
     terms = tuple(map(np.concatenate, zip(h0, (epsilon * v[0], *v[1:]))))
-    vecs = None
-    if mode == "dense":
-        if swt_result is None:
-            vals = lowest_eigenvalues_sparse(code.n, terms, k=1 << code.n)
-        else:
-            H = operator_dense(code.n, terms)
-            vals, vecs = np.linalg.eigh(0.5 * (H + H.conj().T))
-    elif mode == "sparse":
-        vals = lowest_eigenvalues_sparse(code.n, terms, k=num_eigs, seed=seed)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    vals = lowest_eigenvalues_sparse(
+        code.n, terms, k=num_eigs if mode == "sparse" else 1 << code.n,
+        seed=seed)
     low = np.sort(vals)[: max(num_eigs, 2 ** k + 1)]
     csize = identify_ground_cluster(low, k)
     splitting = float(low[csize - 1] - low[0])
@@ -365,14 +370,20 @@ def spectral_report(
     )
     well_sep = gap >= 10.0 * max(splitting, 1e-300)
     proj_dist = None
-    if vecs is not None:
-        ground = vecs[:, : 2 ** k]
-        p_new = ground @ ground.conj().T
-        P = codespace_projector_dense(code)
-        U = swt_result.unitary
-        proj_dist = float(np.linalg.norm(p_new - U @ P @ U.conj().T, 2))
+    if swt_result is not None:
+        frame = swt_result.frame
+        nonzero = terms[0] != 0
+        levels, vecs = np.linalg.eigh(
+            frame.blocks(tuple(t[nonzero] for t in terms)))
+        lowest = np.argsort(levels, axis=None, kind="stable")[:2 ** k]
+        ground = np.zeros(levels.shape, dtype=bool)
+        ground.flat[lowest] = True
+        U = swt_result.u_blocks
+        P = frame.blocks(codespace_projector_terms(code))
+        proj_dist = _max_norm((vecs * ground[:, None, :]) @ _dagger(vecs)
+                              - U @ P @ _dagger(U))
     weyl_margin = None
-    if weyl_check and mode == "dense":
+    if weyl_check:
         vals0 = lowest_eigenvalues_sparse(code.n, h0, k=1 << code.n)
         vnorm = payload_norm([(code.n, v)])[0]
         weyl_margin = float(

@@ -8,8 +8,10 @@ import pytest
 
 from stabbench import matrices
 from stabbench.cli import main
-from stabbench.constructors import BipartiteTanner, save_alist
+from stabbench.constructors import BipartiteTanner, save_alist, toric_code
+from stabbench.experiments import uniform_field_terms
 from stabbench.gf2 import SEARCH_BUDGET
+from stabbench.swt import spectral_report
 
 
 def run_cli(argv, capsys):
@@ -331,6 +333,20 @@ def test_spectrum_swt_mode_columns(tmp_path, capsys):
     assert "v_1" in row and "v_2" in row and row["v_2"] < row["v_1"]
 
 
+def test_spectrum_rows_in_increasing_epsilon(tmp_path, capsys):
+    art = tmp_path / "toric2.json"
+    run_cli(["build", "--family", "toric", "--L", "2", "--out", str(art)],
+            capsys)
+    code, out, _ = run_cli(["spectrum", str(art), "--eps", "0.1,0.0"], capsys)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [row["epsilon"] for row in rows] == [0.0, 0.1]
+    for row in rows:
+        one = spectral_report(toric_code(2), uniform_field_terms(8, "X"),
+                              row["epsilon"], k=2)
+        assert row["splitting"] == pytest.approx(one.splitting, abs=1e-12)
+
+
 def test_spectrum_swt_orders_outside_dense_is_usage_error(tmp_path, capsys,
                                                           monkeypatch):
     import stabbench.cli as cli
@@ -339,10 +355,10 @@ def test_spectrum_swt_orders_outside_dense_is_usage_error(tmp_path, capsys,
     run_cli(["build", "--family", "repetition", "--n", "4", "--out",
              str(art)], capsys)
 
-    def no_grid(*args, **kwargs):
-        raise AssertionError("spectrum grid computed before the usage check")
+    def no_report(*args, **kwargs):
+        raise AssertionError("spectrum computed before the usage check")
 
-    monkeypatch.setattr(cli, "spectrum_grid", no_grid)
+    monkeypatch.setattr(cli, "spectral_report", no_report)
     code, out, err = run_cli(
         ["spectrum", str(art), "--mode", "sparse", "--eps", "0.1",
          "--swt-orders", "2"], capsys)

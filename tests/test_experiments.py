@@ -13,12 +13,10 @@ from stabbench.experiments import (
     code_to_dict,
     perturbation_terms,
     plaquette_field_terms,
-    spectrum_grid,
     splitting_versus_size,
     two_body_mix_terms,
     uniform_field_terms,
 )
-from stabbench.swt import spectral_report
 
 
 def test_uniform_field_terms():
@@ -55,16 +53,6 @@ def test_perturbation_family_dispatch():
         assert terms
     with pytest.raises(ValueError):
         perturbation_terms("bogus", code)
-
-
-def test_spectrum_grid_canonical_order():
-    code = toric_code(2)
-    terms = uniform_field_terms(8, "X")
-    grid = spectrum_grid(code, terms, [0.1, 0.0])
-    assert [r.epsilon for r in grid] == [0.0, 0.1]  # canonical order
-    for r, eps in zip(grid, (0.0, 0.1)):
-        one = spectral_report(code, terms, eps, k=2)
-        assert r.splitting == pytest.approx(one.splitting, abs=1e-12)
 
 
 def test_splitting_slope_lambda2():

@@ -656,6 +656,29 @@ def test_lanczos_one_basis_pass_per_matvec(monkeypatch):
     assert counts["pass"] <= counts["matvec"] + 2 * counts["fill"]
 
 
+def test_lanczos_dgks_second_pass_keeps_levels(monkeypatch):
+    # The same two blocks of 2^10 states with _DGKS = 2: every step's first
+    # Gram-Schmidt pass leaves less than twice what it started from, so
+    # the DGKS second pass runs on every step and the passes about double.
+    n = 11
+    terms = columns(code_hamiltonian_terms(repetition_code(n, lam=2.0))
+                    + _field(n, "X", 0.3))
+    dense = np.linalg.eigvalsh(operator_dense(n, terms))[:6]
+    passes, project_out = [], matrices._project_out
+
+    def counted(V, w):
+        passes[-1] += 1
+        return project_out(V, w)
+
+    monkeypatch.setattr(matrices, "_project_out", counted)
+    for dgks in (matrices._DGKS, 2.0):
+        monkeypatch.setattr(matrices, "_DGKS", dgks)
+        passes.append(0)
+        assert np.allclose(lowest_eigenvalues_sparse(n, terms, k=6), dense,
+                           rtol=0, atol=1e-12)
+    assert 1.8 * passes[0] <= passes[1] <= 2.2 * passes[0]
+
+
 def test_lanczos_complex_coset_keeps_levels():
     # rep11 (lam = 2) under a 0.2 Y field plus a 0.15 X field: one coset
     # of 2^11 complex-Hermitian states; the levels the ARPACK solver gave.

@@ -19,7 +19,7 @@ from stabbench.constructors import (
     toric_face_support,
     toric_qubit_index,
 )
-from stabbench.experiments import uniform_field_terms
+from stabbench.experiments import perturbation_terms, uniform_field_terms
 from stabbench.flow import kappa_m
 from stabbench.gf2 import Echelon, nullspace
 from stabbench.matrices import (
@@ -560,6 +560,73 @@ def test_projector_distance_decreases_with_order():
         rep = spectral_report(code, terms, eps, mode="dense", swt_result=run)
         dists.append(rep.projector_distance)
     assert dists[1] < dists[0]
+
+
+@pytest.mark.parametrize("code,family,eps,orders", [
+    (toric_code(2), "x-field", 0.0, 2),
+    (toric_code(2), "x-field", 0.02, 2),
+    (toric_code(2), "two-body", 0.05, 2),
+    (repetition_code(6), "y-field", 0.07, 3),
+], ids=["toric2-x-0", "toric2-x-0.02", "toric2-two-body", "rep6-y"])
+def test_projector_distance_matches_full_matrices(code, family, eps, orders):
+    # The distance on the run's coset blocks against the 2^n x 2^n one:
+    # ground projector from a full eigh, P and U as full matrices.  At
+    # eps = 0 the field's terms (coefficient 0) lie outside the run's
+    # H0-only frame.  The levels are those of the report without a run.
+    terms = (uniform_field_terms(code.n, "Y") if family == "y-field"
+             else perturbation_terms(family, code))
+    run = swt_run(code, [(eps * c, p) for c, p in terms], m_target=orders)
+    rep = spectral_report(code, terms, eps, mode="dense", swt_result=run)
+    H = code_hamiltonian_dense(code) + eps * operator_dense(code.n,
+                                                            columns(terms))
+    ground = np.linalg.eigh(H)[1][:, :2 ** rep.k]
+    U, P = run.unitary, matrices.codespace_projector_dense(code)
+    want = np.linalg.norm(ground @ ground.conj().T - U @ P @ U.conj().T, 2)
+    assert rep.projector_distance == pytest.approx(want, rel=0, abs=1e-12)
+    plain = spectral_report(code, terms, eps, mode="dense")
+    assert np.array_equal(rep.eigenvalues, plain.eigenvalues)
+
+
+def test_projector_distance_builds_no_full_matrix(monkeypatch):
+    # rep10 under a 0.1 X field: two coset blocks of 2^9 states.
+    code = repetition_code(10)
+    terms = uniform_field_terms(10, "X")
+    run = swt_run(code, [(0.1 * c, p) for c, p in terms], m_target=2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a 2^n x 2^n matrix was built")
+
+    dense = matrices.operator_dense
+
+    def small_only(n, terms):
+        if n == code.n:
+            refuse()
+        return dense(n, terms)
+
+    monkeypatch.setattr(matrices.CosetFrame, "full", refuse)
+    monkeypatch.setattr(matrices.CosetFrame, "scatter", refuse)
+    monkeypatch.setattr(matrices, "codespace_projector_dense", refuse)
+    monkeypatch.setattr(swt, "codespace_projector_dense", refuse)
+    monkeypatch.setattr(matrices, "operator_dense", small_only)
+    rep = spectral_report(code, terms, 0.1, mode="dense", swt_result=run)
+    assert 0.0 < rep.projector_distance < 0.1
+
+
+@pytest.mark.parametrize("argument", ["swt_result", "weyl_check"])
+def test_spectral_report_sparse_refuses_dense_arguments(argument,
+                                                        monkeypatch):
+    code = repetition_code(4)
+    terms = uniform_field_terms(4, "X")
+    given = {"swt_result": swt_run(code, terms, m_target=1),
+             "weyl_check": True}[argument]
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("spectrum computed before the refusal")
+
+    monkeypatch.setattr(swt, "lowest_eigenvalues_sparse", no_solve)
+    with pytest.raises(ValueError, match=f"{argument} requires dense mode"):
+        spectral_report(code, terms, 0.1, mode="sparse", num_eigs=4,
+                        **{argument: given})
 
 
 def ring_region_L4():
