@@ -61,11 +61,6 @@ def _pack(bits: np.ndarray) -> np.ndarray:
     return bits @ np.left_shift(1, np.arange(bits.shape[1], dtype=np.int64))
 
 
-def _gather(masks: np.ndarray, positions) -> np.ndarray:
-    """Each mask's bit positions[j] moved to bit j."""
-    return _pack((masks[:, None] >> np.asarray(positions, dtype=np.int64)) & 1)
-
-
 def operator_dense(n: int, terms) -> np.ndarray:
     """Dense matrix of the Pauli sum ``terms`` = (c, x, z) on n qubits."""
     return _batched_blocks(n, terms[1], terms[2], terms[0][None])[0]
@@ -751,33 +746,40 @@ def _cluster_floor(n: int, terms, reduced) -> float:
     support (in the chosen frame) contains its own, and one in no cluster
     counts -|c|.  Each cluster's operator maps every coset into itself, so
     its minimum on any coset is at least its lowest eigenvalue over the
-    whole space, taken densely as a Pauli sum on the cluster's support
-    qubits (P. W. Anderson, Phys. Rev. 83, 1260 (1951)).  A cluster whose
-    support spans more than ``DENSE_BLOCK_MAX_DIM`` states counts -sum |c|
-    of its share instead.  Every lowest eigenvalue is at least -sum |c| of
-    its share, so the bound is never below -sum |c| of the terms.
+    whole space (P. W. Anderson, Phys. Rev. 83, 1260 (1951)).  A cluster,
+    one flipping string of coefficient c plus diagonal strings D, is a
+    direct sum of 2 x 2 blocks on the pairs {b, b' = b ^ x} of states of its
+    support, so that eigenvalue is, in closed form, the least
+    (D(b) + D(b')) / 2 - sqrt(((D(b) - D(b')) / 2)^2 + |c|^2), D summed in
+    input order.  A cluster whose support spans more than
+    ``DENSE_BLOCK_MAX_DIM`` states counts -sum |c| of its share instead.
+    Every lowest eigenvalue is at least -sum |c| of its share, so the bound
+    is never below -sum |c| of the terms.
     """
     c, x, z = terms
     _, m, zr = reduced
     support = x | z
     cores = np.flatnonzero(m)
-    members = [[(c[k], k)] for k in cores]  # (share of c, term)
+    diag = np.flatnonzero((m == 0) & (zr != 0))
+    # hosts[i, j]: diagonal term diag[i] lies inside core j's support.
+    hosts = (support[cores] & support[diag, None]) == support[diag, None]
+    count = hosts.sum(axis=1)
     floor = 0.0
-    for k in np.flatnonzero((m == 0) & (zr != 0)):
-        hosts = np.flatnonzero((support[cores] & support[k]) == support[k])
-        if not len(hosts):
-            floor -= abs(c[k])
-        for j in hosts:  # complex(): each part divided, not times 1/len
-            members[j].append((complex(c[k]) / len(hosts), k))
-    for core, cluster in zip(cores, members):
-        share, idx = map(np.array, zip(*cluster))
+    for k in diag[count == 0]:
+        floor -= abs(c[k])
+    share = c[diag].real / np.maximum(count, 1)
+    for core, hosted in zip(cores, hosts.T):
         if 1 << int(np.bitwise_count(support[core])) > DENSE_BLOCK_MAX_DIM:
-            floor -= sum(np.abs(share).tolist())
+            floor -= sum([abs(c[core]), *np.abs(share[hosted]).tolist()])
             continue
         qubits = np.flatnonzero((support[core] >> np.arange(n)) & 1)
-        M = _batched_blocks(len(qubits), _gather(x[idx], qubits),
-                            _gather(z[idx], qubits), share[None])[0]
-        floor += np.linalg.eigvalsh(M)[0]
+        states = _span_table(np.left_shift(1, qubits))
+        pair = np.stack((states, states ^ x[core]))
+        D = np.zeros(pair.shape)  # D(b) and D(b ^ x)
+        for k, s in zip(diag[hosted], share[hosted]):
+            D += s * _z_parity_signs(z[k], pair)
+        mean, half = 0.5 * (D[0] + D[1]), 0.5 * (D[0] - D[1])
+        floor += np.min(mean - np.sqrt(half * half + abs(c[core]) ** 2))
     return floor
 
 
@@ -800,13 +802,13 @@ def lowest_eigenvalues_sparse(n: int, terms, k: int,
 
     Terms whose reduced string is the identity are constant on a coset.
     Their sum there plus a cluster floor of the other terms
-    (``_cluster_floor``: the lowest eigenvalues of small clusters of terms,
-    each a flipping term with its share of the diagonal terms on its
-    support) is a certified floor under every eigenvalue of the block.
-    Blocks are visited by rising floor until the next floor reaches the
-    k-th lowest level found so far, since no block at or above it can
-    change the k lowest values.  On the coset with representative rep the
-    block is the reduced strings with c (-1)^|rep & z|.
+    (``_cluster_floor``: the lowest eigenvalues, in closed form, of small
+    clusters of terms, each a flipping term with its share of the diagonal
+    terms on its support) is a certified floor under every eigenvalue of
+    the block.  Blocks are visited by rising floor until the next floor
+    reaches the k-th lowest level found so far, since no block at or above
+    it can change the k lowest values.  On the coset with representative
+    rep the block is the reduced strings with c (-1)^|rep & z|.
 
     A block of dimension up to ``DENSE_BLOCK_MAX_DIM``, or with fewer than
     k + 2 states, is diagonalized densely.  A larger one runs Lanczos from

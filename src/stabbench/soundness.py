@@ -286,8 +286,10 @@ def soundness_profile(code: StabilizerCode, m_max: int | None = None,
     for mixed stabilizers is the sum of the two sector envelopes, following
     the X-part/Z-part splitting rule, and is labeled as rule-derived rather
     than enumerated.  ``budget`` caps the group elements visited per
-    sector.
+    sector; a budget below 1 raises ValueError.
     """
+    if budget < 1:
+        raise ValueError(f"soundness budget {budget} is below 1")
     if m_max is None:
         m_max = code.n
     out: dict = {"m_max": m_max, "sectors": {}, "combined_rule": None}

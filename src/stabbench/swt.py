@@ -11,11 +11,10 @@ untracked garbage operator.  The blocks are real whenever H0 and V are
 all but the re-expansion: the exponential comes from one ``eigh`` of A^2,
 and the conjugation residual, the unitarity defect and the garbage norm
 are upper bounds on 2-norms from ``eigvalsh``, with no ``svd``.  Spectral
-verification (ground clusters, gaps, splittings, Weyl stability) runs
-through the coset solver of ``matrices``: every level up to
-``matrices.DENSE_MAX_QUBITS`` qubits, the lowest few beyond.  Projector
-distances are taken on the coset blocks of the SWT run's frame, with no
-2^n x 2^n matrix.
+verification (ground clusters, gaps, splittings) runs through the coset
+solver of ``matrices``: every level up to ``matrices.DENSE_MAX_QUBITS``
+qubits, the lowest few beyond.  Projector distances are taken on the
+coset blocks of the SWT run's frame, with no 2^n x 2^n matrix.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from .matrices import (
     codespace_projector_terms,
     lowest_eigenvalues_sparse,
     pauli_transform,
-    payload_norm,
     refuse_dense,
 )
 from .pauli import PauliString, columns, commutes, restrict
@@ -277,26 +275,8 @@ class SpectralReport:
     gap: float                  # detected cluster to the next level
     splitting_2k: float         # spread of the lowest 2^k states
     gap_after_2k: float
-    well_separated: bool        # cluster gap >= 10x intra-cluster spread
     mode: str
     projector_distance: float | None = None
-    weyl_margin: float | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "k": self.k,
-            "cluster_size": self.cluster_size,
-            "splitting": self.splitting,
-            "gap": self.gap,
-            "splitting_2k": self.splitting_2k,
-            "gap_after_2k": self.gap_after_2k,
-            "well_separated": self.well_separated,
-            "mode": self.mode,
-            "projector_distance": self.projector_distance,
-            "weyl_margin": self.weyl_margin,
-        }
 
 
 def identify_ground_cluster(vals: np.ndarray, k: int) -> int:
@@ -316,7 +296,6 @@ def spectral_report(
     k: int | None = None,
     seed: int = 7,
     swt_result: SWTRunResult | None = None,
-    weyl_check: bool = False,
 ) -> SpectralReport:
     """Low-lying spectrum of H0 + eps * V with ground-cluster statistics.
 
@@ -326,22 +305,21 @@ def spectral_report(
     matrix.  Dense mode (n <= ``DENSE_MAX_QUBITS``) asks it for all 2^n
     levels, so every coset is solved densely and the full spectrum is
     exact.  Sparse mode takes the lowest ``num_eigs`` levels and skips the
-    cosets whose certified cluster floor lies above the levels found; it
-    refuses a coset block or a coset count above 2^20
-    (``matrices.COSET_MAX_DIM``) with ValueError, and so does
-    ``pauli.columns`` for a code past 63 qubits, before any mask is packed.
+    cosets whose certified cluster floor (``matrices._cluster_floor``, in
+    closed form) lies above the levels found; it refuses a coset block or a
+    coset count above 2^20 (``matrices.COSET_MAX_DIM``) with ValueError,
+    and so does ``pauli.columns`` for a code past 63 qubits, before any
+    mask is packed.
 
-    Dense mode alone takes an SWT run and the Weyl check; sparse mode
-    refuses either with ValueError.  With a run, the distance between the
-    perturbed ground projector and the rotated code space U P U^dagger
-    (Bravyi, Hastings and Michalakis 2010) is the largest block norm
-    (``_max_norm``) on the coset blocks of the run's frame: H, without its
-    terms of coefficient 0, by one batched ``eigh``, its 2^k lowest levels
-    over all blocks as the ground projector, P from
-    ``codespace_projector_terms`` and U from the run.  A term of H outside
-    the frame raises ``CosetFrame.reduce``'s ValueError.  The Weyl check
-    compares the spectrum with that of H0, both from the coset solver,
-    against eps ||V|| from ``payload_norm``.
+    Dense mode alone takes an SWT run; sparse mode refuses one with
+    ValueError.  With a run, the distance between the perturbed ground
+    projector and the rotated code space U P U^dagger (Bravyi, Hastings and
+    Michalakis 2010) is the largest block norm (``_max_norm``) on the coset
+    blocks of the run's frame: H, without its terms of coefficient 0, by
+    one batched ``eigh``, its 2^k lowest levels over all blocks as the
+    ground projector, P from ``codespace_projector_terms`` and U from the
+    run.  A term of H outside the frame raises ``CosetFrame.reduce``'s
+    ValueError.
     """
     if k is None:
         k = num_logical_qubits(code)
@@ -353,14 +331,12 @@ def spectral_report(
         raise ValueError(f"unknown mode {mode!r}")
     elif swt_result is not None:
         raise ValueError("swt_result requires dense mode")
-    elif weyl_check:
-        raise ValueError("weyl_check requires dense mode")
     h0, v = columns(code_hamiltonian_terms(code)), columns(v_terms)
     terms = tuple(map(np.concatenate, zip(h0, (epsilon * v[0], *v[1:]))))
     vals = lowest_eigenvalues_sparse(
         code.n, terms, k=num_eigs if mode == "sparse" else 1 << code.n,
         seed=seed)
-    low = np.sort(vals)[: max(num_eigs, 2 ** k + 1)]
+    low = vals[: max(num_eigs, 2 ** k + 1)]
     csize = identify_ground_cluster(low, k)
     splitting = float(low[csize - 1] - low[0])
     gap = float(low[csize] - low[csize - 1]) if csize < len(low) else float("nan")
@@ -368,7 +344,6 @@ def spectral_report(
     gap_after_2k = (
         float(low[2 ** k] - low[2 ** k - 1]) if len(low) > 2 ** k else float("nan")
     )
-    well_sep = gap >= 10.0 * max(splitting, 1e-300)
     proj_dist = None
     if swt_result is not None:
         frame = swt_result.frame
@@ -382,13 +357,6 @@ def spectral_report(
         P = frame.blocks(codespace_projector_terms(code))
         proj_dist = _max_norm((vecs * ground[:, None, :]) @ _dagger(vecs)
                               - U @ P @ _dagger(U))
-    weyl_margin = None
-    if weyl_check:
-        vals0 = lowest_eigenvalues_sparse(code.n, h0, k=1 << code.n)
-        vnorm = payload_norm([(code.n, v)])[0]
-        weyl_margin = float(
-            epsilon * vnorm - np.max(np.abs(np.sort(vals) - np.sort(vals0)))
-        )
     return SpectralReport(
         epsilon=epsilon,
         eigenvalues=low,
@@ -398,10 +366,8 @@ def spectral_report(
         gap=gap,
         splitting_2k=splitting_2k,
         gap_after_2k=gap_after_2k,
-        well_separated=well_sep,
         mode=mode,
         projector_distance=proj_dist,
-        weyl_margin=weyl_margin,
     )
 
 

@@ -385,6 +385,32 @@ def test_suite_deterministic_modulo_timings(capsys):
     assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
 
 
+def test_flow_epsilon_above_epsilon0_reports_no_envelope(capsys):
+    # With the default constants eps0 is about 1e-17; at eps = 1e-12 the
+    # envelope, stated for eps <= eps0 only, overflowed and the command
+    # exited 1 with a traceback.
+    code, out, _ = run_cli(["flow", "--epsilon", "1e-12"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["epsilon0"]["value"] < 1e-12
+    assert data["envelope_ok"] is None
+    assert data["certificate"]["valid"] is False
+    assert any("exceeds epsilon0" in r
+               for r in data["certificate"]["reasons"])
+
+
+def test_soundness_budget_below_one_is_usage_error(tmp_path, capsys):
+    art = tmp_path / "toric2.json"
+    run_cli(["build", "--family", "toric", "--L", "2", "--out", str(art)],
+            capsys)
+    for budget in ("0", "-5"):
+        code, out, err = run_cli(["soundness", str(art), "--budget", budget],
+                                 capsys)
+        assert code == 2
+        assert out == ""
+        assert f"soundness budget {budget} is below 1" in err
+
+
 def test_flow_certificate_valid_with_good_constants(capsys):
     code, out, _ = run_cli(
         ["flow", "--kappa1", "3", "--cd", "1", "--c1", "0.1",

@@ -885,6 +885,64 @@ def test_cluster_floor_bounds_every_block(case):
         assert floor >= sum_abs - 1e-10
 
 
+def dense_cluster_floor(n: int, terms, reduced) -> float:
+    """The cluster floor by dense algebra, kept as the reference for the
+    closed form: each cluster (a flipping term plus its share of every
+    diagonal term inside its support) as an n-qubit matrix, and its lowest
+    ``eigvalsh`` level; a diagonal term in no cluster counts -|c|."""
+    c, x, z = terms
+    _, m, zr = reduced
+    support = x | z
+    cores = np.flatnonzero(m).tolist()
+    clusters = {core: ([c[core]], [core]) for core in cores}
+    floor = 0.0
+    for k in np.flatnonzero((m == 0) & (zr != 0)).tolist():
+        hosts = [j for j in cores if support[k] & ~support[j] == 0]
+        if not hosts:
+            floor -= abs(c[k])
+        for j in hosts:
+            clusters[j][0].append(c[k] / len(hosts))
+            clusters[j][1].append(k)
+    for share, idx in clusters.values():
+        M = operator_dense(n, (np.array(share), x[idx], z[idx]))
+        floor += np.linalg.eigvalsh(M)[0]
+    return floor
+
+
+@settings(max_examples=150, deadline=None)
+@given(pauli_sums())
+@example((2, [(0.5, PauliString(2, 1, 0)), (0.4, PauliString(2, 0, 3))]))
+@example((1, [(0.5, PauliString(1, 1, 0)), (0.4, PauliString(1, 0, 1)),
+              (-0.4, PauliString(1, 0, 1, -1))]))
+def test_cluster_floor_closed_form_matches_dense_clusters(case):
+    # Each cluster is a direct sum of 2 x 2 blocks on {b, b ^ x}, so the
+    # closed form equals the lowest dense eigenvalue of every cluster.
+    n, terms = case[0], columns(case[1])
+    frame = matrices.CosetFrame(n, terms)
+    terms, reduced = frame.reduce(terms)
+    got = matrices._cluster_floor(n, terms, reduced)
+    assert got == pytest.approx(dense_cluster_floor(n, terms, reduced),
+                                abs=1e-12)
+
+
+@pytest.mark.parametrize("code", [toric_code(3), repetition_code(16)],
+                         ids=["toric3", "rep16"])
+def test_coset_floors_build_no_matrix(code, monkeypatch):
+    terms = columns(code_hamiltonian_terms(code)
+                    + [(0.1 * c, p)
+                       for c, p in uniform_field_terms(code.n, "X")])
+    frame = matrices.CosetFrame(code.n, terms)
+    terms, reduced = frame.reduce(terms)
+    reps = frame.representatives()
+
+    def no_blocks(*args):
+        raise AssertionError("a cluster floor built a dense block")
+
+    monkeypatch.setattr(matrices, "_batched_blocks", no_blocks)
+    floors = matrices._coset_floors(code.n, terms, reduced, reps)
+    assert floors.shape == reps.shape and np.all(np.isfinite(floors))
+
+
 def test_payload_norm_refuses_past_limit(no_large_zeros):
     # X and Z on each of 13 qubits: 13 anticommuting pairs, one block of
     # 2^13 states, a 1 GB complex matrix.

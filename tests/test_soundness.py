@@ -137,6 +137,10 @@ def assert_matches_oracle(n, gens, budget=None):
     if budget is None:
         return
     code = all_sector_code(n, gens)
+    if budget < 1:  # the sweep takes it; the profile refuses it
+        with pytest.raises(ValueError, match="below 1"):
+            soundness_profile(code, m_max=n - 1, budget=budget)
+        return
     prof = soundness_profile(code, m_max=n - 1, budget=budget)["sectors"]["all"]
     f_raw, witnesses = profile_oracle(dist, n, n - 1)
     assert prof.f_raw == f_raw

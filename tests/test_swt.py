@@ -24,7 +24,10 @@ from stabbench.flow import kappa_m
 from stabbench.gf2 import Echelon, nullspace
 from stabbench.matrices import (
     code_hamiltonian_dense,
+    code_hamiltonian_terms,
+    lowest_eigenvalues_sparse,
     operator_dense,
+    payload_norm,
 )
 from stabbench.pauli import PauliString, columns, commutes, restrict
 from stabbench.quasilocal import (
@@ -490,13 +493,25 @@ def test_spectral_report_unperturbed():
     assert rep.gap >= 1.0
 
 
+def weyl_margin(code, terms, eps: float) -> float:
+    """eps ||V|| minus the largest shift of any level of H0 + eps V from
+    H0's, both spectra from the coset solver and ||V|| from
+    ``payload_norm``: Weyl's inequality makes it nonnegative."""
+    h0, v = columns(code_hamiltonian_terms(code)), columns(terms)
+    h = tuple(map(np.concatenate, zip(h0, (eps * v[0], *v[1:]))))
+    full = 1 << code.n
+    shift = np.abs(lowest_eigenvalues_sparse(code.n, h, k=full)
+                   - lowest_eigenvalues_sparse(code.n, h0, k=full))
+    return float(eps * payload_norm([(code.n, v)])[0] - shift.max())
+
+
 def test_spectral_report_toric_field_dense():
     code = toric_code(2)
     terms = [(1.0, PauliString.single(8, "X", i)) for i in range(8)]
-    rep = spectral_report(code, terms, 0.05, mode="dense", weyl_check=True)
+    rep = spectral_report(code, terms, 0.05, mode="dense")
     assert rep.cluster_size == 4
     assert rep.gap > 0.5
-    assert rep.weyl_margin is not None and rep.weyl_margin >= -1e-10
+    assert weyl_margin(code, terms, 0.05) >= -1e-10
 
 
 @pytest.mark.parametrize("code,kind", [(toric_code(2), "X"),
@@ -509,15 +524,14 @@ def test_spectral_report_dense_matches_full_diagonalization(code, kind):
     # with a diagonalization of the full 2^n x 2^n matrices.
     eps = 0.07
     terms = uniform_field_terms(code.n, kind)
-    rep = spectral_report(code, terms, eps, mode="dense", num_eigs=1 << code.n,
-                          weyl_check=True)
+    rep = spectral_report(code, terms, eps, mode="dense", num_eigs=1 << code.n)
     H0 = code_hamiltonian_dense(code)
     V = operator_dense(code.n, columns(terms))
     vals = np.linalg.eigvalsh(H0 + eps * V)
     assert np.allclose(rep.eigenvalues, vals, atol=1e-10)
     margin = eps * np.linalg.norm(V, 2) - np.max(
         np.abs(vals - np.linalg.eigvalsh(H0)))
-    assert rep.weyl_margin == pytest.approx(margin, abs=1e-10)
+    assert weyl_margin(code, terms, eps) == pytest.approx(margin, abs=1e-10)
 
 
 def test_spectral_report_sparse_toric4_x_field(monkeypatch):
@@ -612,13 +626,12 @@ def test_projector_distance_builds_no_full_matrix(monkeypatch):
     assert 0.0 < rep.projector_distance < 0.1
 
 
-@pytest.mark.parametrize("argument", ["swt_result", "weyl_check"])
+@pytest.mark.parametrize("argument", ["swt_result"])
 def test_spectral_report_sparse_refuses_dense_arguments(argument,
                                                         monkeypatch):
     code = repetition_code(4)
     terms = uniform_field_terms(4, "X")
-    given = {"swt_result": swt_run(code, terms, m_target=1),
-             "weyl_check": True}[argument]
+    given = swt_run(code, terms, m_target=1)
 
     def no_solve(*args, **kwargs):
         raise AssertionError("spectrum computed before the refusal")
@@ -627,6 +640,11 @@ def test_spectral_report_sparse_refuses_dense_arguments(argument,
     with pytest.raises(ValueError, match=f"{argument} requires dense mode"):
         spectral_report(code, terms, 0.1, mode="sparse", num_eigs=4,
                         **{argument: given})
+
+
+def test_spectral_report_takes_no_weyl_check():
+    with pytest.raises(TypeError, match="weyl_check"):
+        spectral_report(repetition_code(4), [], 0.1, weyl_check=True)
 
 
 def ring_region_L4():
